@@ -1,4 +1,4 @@
-"""Ablation — execution tiers and safepoint schemes (DESIGN.md choices).
+"""Ablation — execution tiers and safepoint schemes.
 
 Two engine-level design decisions the repository makes (mirroring the
 paper's WAMR interp-vs-AoT split and §3.3's safepoint discussion):

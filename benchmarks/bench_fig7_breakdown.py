@@ -33,7 +33,7 @@ def _measure_all():
         "bash", build("mini_sh"), argv=["sh", "/tmp/w.sh"], runtime=rt))
 
     # sqlite with the storage device latency model on (the paper's
-    # testbed has real disks; see DESIGN.md)
+    # testbed has real disks)
     rt = WaliRuntime()
     rt.kernel.storage_latency_ns_per_4k = 120_000
     results.append(measure_breakdown(

@@ -2,8 +2,8 @@
 
 Every benchmark regenerates one of the paper's tables/figures and writes
 its text rendering under ``benchmarks/results/`` (in addition to the
-pytest-benchmark timing records), so the paper-vs-measured comparison in
-EXPERIMENTS.md can be refreshed by re-running the suite.
+pytest-benchmark timing records), so the paper-vs-measured comparison can
+be refreshed by re-running the suite.
 """
 
 import os

@@ -142,9 +142,12 @@ class ProcCalls:
             proc.wake.notify_all()
 
     def _fdtable_shared(self, proc: Process) -> bool:
+        # snapshot under the lock: a fork or reap on another thread may
+        # resize the table while we scan it
+        with self.table_lock:
+            others = list(self.processes.values())
         return any(p.fdtable is proc.fdtable and p.pid != proc.pid
-                   and p.state == STATE_RUNNING
-                   for p in self.processes.values())
+                   and p.state == STATE_RUNNING for p in others)
 
     def reap(self, pid: int) -> None:
         with self.table_lock:

@@ -68,7 +68,8 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         # storage device model: simulated latency per 4 KiB of regular-file
         # I/O (0 = infinitely fast in-memory storage).  Used by benchmarks
         # so I/O-heavy workloads show realistic kernel-time shares (the
-        # paper's testbed has real disks; see DESIGN.md substitutions).
+        # paper's testbed has real disks).  The block layer mounted at
+        # /data models a disk in more detail (docs/block.md).
         self.storage_latency_ns_per_4k = storage_latency_ns_per_4k
         self.vfs = VFS()
         # kernel observability (kernel/trace.py): tracepoints, the shared

@@ -8,8 +8,8 @@ stream on every dynamic fetch — the per-instruction decode work is exactly
 what makes emulators an order of magnitude slower than direct execution
 (Fig. 8b-d's steep QEMU slope is emergent, not modelled).
 
-``EmuCodeView`` exposes the packed bytes through the interpreter's
-``ops[pc]`` protocol, so semantics are shared with the reference
+``EmuCodeView`` exposes the packed bytes through the interpreter's fetch
+hook (``code.decoded[pc]``), so semantics are shared with the reference
 interpreter while every fetch pays the decode cost.
 """
 
@@ -19,6 +19,7 @@ import struct
 from typing import Dict, List, Tuple
 
 from ..wasm.flatten import FlatCode
+from ..wasm.interp import WasmFunc, decode_op
 
 # opcode registry: name <-> id (stable per process)
 _OP_IDS: Dict[str, int] = {}
@@ -70,11 +71,15 @@ class EmuCodeView:
     """Decode-on-fetch view of an emulated binary.
 
     Every ``view[pc]`` unpacks the instruction from raw bytes — the
-    emulator's fundamental overhead.
+    emulator's fundamental overhead.  The interpreter fetches through
+    ``view.decoded``, which does that and then turns the instruction into
+    the interpreter's ``(kind, imm)`` form, again on every fetch: nothing
+    decoded is kept.
     """
 
     __slots__ = ("blob", "offsets", "name", "functype", "local_types",
-                 "loop_headers", "decode_count")
+                 "loop_headers", "decode_count", "n_params", "n_results",
+                 "zero_locals", "decoded")
 
     def __init__(self, code: FlatCode):
         blob, offsets = encode_flat(code)
@@ -84,15 +89,11 @@ class EmuCodeView:
         self.functype = code.functype
         self.local_types = code.local_types
         self.loop_headers = code.loop_headers
+        self.n_params = code.n_params
+        self.n_results = code.n_results
+        self.zero_locals = code.zero_locals
         self.decode_count = 0
-
-    @property
-    def n_params(self) -> int:
-        return len(self.functype.params)
-
-    @property
-    def n_results(self) -> int:
-        return len(self.functype.results)
+        self.decoded = _DecodeOnFetch(self)
 
     @property
     def ops(self):
@@ -120,13 +121,24 @@ class EmuCodeView:
         return (name, *operands)
 
 
+class _DecodeOnFetch:
+    """The interpreter's fetch hook for an :class:`EmuCodeView`."""
+
+    __slots__ = ("view",)
+
+    def __init__(self, view: EmuCodeView):
+        self.view = view
+
+    def __getitem__(self, pc: int) -> tuple:
+        view = self.view
+        return decode_op(view[pc], view.n_results)
+
+
 def emulate_instance(instance) -> int:
     """Swap every defined function's code for a decode-on-fetch view.
 
     Returns the total emulated binary size in bytes (the "guest image").
     """
-    from ..wasm.interp import WasmFunc
-
     total = 0
     new_funcs = []
     for func in instance.funcs:

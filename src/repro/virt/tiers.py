@@ -13,7 +13,7 @@ docker    assemble image + namespaces compiled tier (near-native) ~30 MB
 
 Startup and run times are *measured* (the work is real: validation,
 linking, layer hashing, instruction decode); only the per-tier base memory
-floor is a documented model constant (DESIGN.md).
+floor is a model constant (``BASE_MEMORY_MB`` below).
 """
 
 from __future__ import annotations

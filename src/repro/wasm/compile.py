@@ -18,13 +18,18 @@ Python call stack, so ``fork`` is only available under the interpreter tier.
 
 from __future__ import annotations
 
+import math
+import struct
 from typing import Callable, Dict, List
 
 from .errors import (
     Trap, TrapIndirectCall, TrapStackExhausted, TrapUnreachable,
 )
 from .flatten import SAFEPOINT_SCHEMES
-from .interp import HostFunc, _idiv_s, _irem_s, _clz, _ctz, _rotl, _trunc
+from .interp import (
+    HostFunc, _clz, _ctz, _fceil, _fdiv, _ffloor, _fmax, _fmin, _fnearest,
+    _fsqrt, _ftrunc, _idiv_s, _irem_s, _rotl, _sext, _trunc, _udiv, _urem,
+)
 from .module import Module
 from .types import (
     F64, I32, I64, MASK32, MASK64, default_value, signed32, signed64,
@@ -87,8 +92,8 @@ _BINOPS64 = {
 }
 _BINOPSF = {
     "f64.add": "{a} + {b}", "f64.sub": "{a} - {b}", "f64.mul": "{a} * {b}",
-    "f64.div": "_fdiv({a}, {b})", "f64.min": "min({a}, {b})",
-    "f64.max": "max({a}, {b})",
+    "f64.div": "_fdiv({a}, {b})", "f64.min": "_fmin({a}, {b})",
+    "f64.max": "_fmax({a}, {b})",
     "f64.eq": "1 if {a} == {b} else 0", "f64.ne": "1 if {a} != {b} else 0",
     "f64.lt": "1 if {a} < {b} else 0", "f64.gt": "1 if {a} > {b} else 0",
     "f64.le": "1 if {a} <= {b} else 0", "f64.ge": "1 if {a} >= {b} else 0",
@@ -116,9 +121,9 @@ _UNOPS = {
     "f64.convert_i32_u": "float({a})",
     "f64.convert_i64_s": "float(_sgn64({a}))",
     "f64.convert_i64_u": "float({a})",
-    "f64.abs": "abs({a})", "f64.neg": "-{a}", "f64.sqrt": "_sqrt({a})",
-    "f64.ceil": "float(_ceil({a}))", "f64.floor": "float(_floor({a}))",
-    "f64.trunc": "float(int({a}))", "f64.nearest": "float(round({a}))",
+    "f64.abs": "abs({a})", "f64.neg": "-{a}", "f64.sqrt": "_fsqrt({a})",
+    "f64.ceil": "_fceil({a})", "f64.floor": "_ffloor({a})",
+    "f64.trunc": "_ftrunc({a})", "f64.nearest": "_fnearest({a})",
 }
 _LOADS = {
     "i32.load": "mem.load_u({a} + %d, 4)",
@@ -139,6 +144,14 @@ _STORES = {
     "i32.store": 4, "i64.store": 8, "i32.store8": 1, "i32.store16": 2,
     "i64.store8": 1, "i64.store16": 2, "i64.store32": 4,
 }
+
+
+_F64 = struct.Struct("<d")
+_F64_BITS = struct.Struct("<Q")
+
+
+def _f64_from_bits(bits: int) -> float:
+    return _F64.unpack(_F64_BITS.pack(bits))[0]
 
 
 class _Ctrl:
@@ -232,6 +245,13 @@ class _FnCompiler:
                 break
             self.compile_instr(instr)
 
+    def _compile_arm(self, body: list) -> None:
+        """One arm of an ``if``; an arm that emits no code gets ``pass``."""
+        n = len(self.lines)
+        self.compile_body(body)
+        if len(self.lines) == n:
+            self.emit("pass")
+
     def compile_instr(self, instr: tuple) -> None:
         name = instr[0]
         h = self.height
@@ -255,17 +275,14 @@ class _FnCompiler:
             self.emit(f"if s{self.height}:")
             self.indent += 1
             entry = self.height
-            self.compile_body(instr[2])
+            self._compile_arm(instr[2])
             then_dead = self.dead
             self.dead = False
             self.indent -= 1
             self.emit("else:")
             self.indent += 1
             self.height = entry
-            if len(instr) > 3 and instr[3]:
-                self.compile_body(instr[3])
-            else:
-                self.emit("pass")
+            self._compile_arm(instr[3] if len(instr) > 3 else [])
             self.dead = self.dead and then_dead
             self.indent -= 1
             self._close_structure()
@@ -335,7 +352,12 @@ class _FnCompiler:
             self.push_expr(str(instr[1] & mask))
             return
         if name == "f64.const":
-            self.push_expr(repr(float(instr[1])))
+            v = float(instr[1])
+            if math.isfinite(v):
+                self.push_expr(repr(v))
+            else:  # no literal for inf/nan; keep the exact bits (NaN payload)
+                bits = _F64_BITS.unpack(_F64.pack(v))[0]
+                self.push_expr(f"_f64_from_bits({bits:#x})")
             return
         if name == "drop":
             self.height -= 1
@@ -535,15 +557,15 @@ def compile_instance(instance, scheme: str = "none") -> CompiledContext:
     """
     if scheme not in SAFEPOINT_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    import math
-
     m = instance.module
     env = {
         "_idiv_s": _idiv_s, "_irem_s": _irem_s, "_clz": _clz, "_ctz": _ctz,
         "_rotl": _rotl, "_trunc": _trunc, "_sgn32": signed32,
         "_sgn64": signed64, "_sext": _sext, "_udiv": _udiv, "_urem": _urem,
-        "_fdiv": _fdiv, "_sqrt": math.sqrt, "_ceil": math.ceil,
-        "_floor": math.floor, "Trap": Trap,
+        "_fdiv": _fdiv, "_fmin": _fmin, "_fmax": _fmax, "_fsqrt": _fsqrt,
+        "_fceil": _fceil, "_ffloor": _ffloor, "_ftrunc": _ftrunc,
+        "_fnearest": _fnearest, "_f64_from_bits": _f64_from_bits,
+        "Trap": Trap,
         "TrapUnreachable": TrapUnreachable,
     }
     ctx = CompiledContext(instance)
@@ -556,6 +578,3 @@ def compile_instance(instance, scheme: str = "none") -> CompiledContext:
         ctx.cfuncs[idx] = scope[f"_f{idx}"]
     return ctx
 
-
-# small helpers shared with the interpreter semantics
-from .interp import _fdiv, _sext, _udiv, _urem  # noqa: E402

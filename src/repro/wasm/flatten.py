@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from .module import Function, Module
 from .opcodes import OPS
-from .types import FuncType, MASK32, MASK64
+from .types import FuncType, MASK32, MASK64, default_value
 
 SAFEPOINT_SCHEMES = ("none", "loop", "func", "all")
 
@@ -40,14 +40,19 @@ class FlatCode:
     local_types: List[str]      # params + declared locals
     ops: List[tuple] = field(default_factory=list)
     loop_headers: List[int] = field(default_factory=list)
+    # read on every call, so stored rather than derived
+    n_params: int = field(init=False)
+    n_results: int = field(init=False)
+    zero_locals: List = field(init=False)   # initial declared-local values
+    # the interpreter's pre-decoded ``ops``, built on first execution
+    decoded: Optional[list] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
-    @property
-    def n_params(self) -> int:
-        return len(self.functype.params)
-
-    @property
-    def n_results(self) -> int:
-        return len(self.functype.results)
+    def __post_init__(self):
+        self.n_params = len(self.functype.params)
+        self.n_results = len(self.functype.results)
+        self.zero_locals = [default_value(t)
+                            for t in self.local_types[self.n_params:]]
 
 
 class _Label:

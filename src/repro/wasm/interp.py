@@ -1,4 +1,4 @@
-"""The interpreter: an explicit-state machine over flat code.
+"""The interpreter: an explicit-state machine over pre-decoded flat code.
 
 Machine state (operand stack + frame list + per-frame program counter) is
 plain data.  That single design decision buys the three capabilities WALI
@@ -12,29 +12,58 @@ demands of an engine (§3 of the paper):
 * **suspension** — host code always sees a consistent machine (the pc is
   committed to the frame before any host call).
 
+**Decoded form.**  Flat code (:mod:`.flatten`) names every instruction by
+a string.  The first time a function runs, :func:`decode` turns its ops
+into ``(kind, imm)`` pairs, cached on ``FlatCode.decoded``.  ``kind`` is a
+small int; ``imm`` carries everything that can be resolved ahead of time:
+the width mask of an add, the bias that makes an unsigned compare signed
+(``(a ^ bias) < (b ^ bias)``), the ``struct`` accessor of a load, a
+function's result count at ``ret``.  :meth:`Machine.run` dispatches with
+one ``if`` chain ordered by the measured dynamic instruction mix of the
+guest apps; ``call_indirect`` and the rare kinds go to one out-of-line
+method.  Two rules keep the decoded list interchangeable with the flat
+code it caches:
+
+* it is **index-aligned** with ``code.ops`` — entry ``pc`` decodes op
+  ``pc`` — so a frame's saved pc (``frame[1]``) means the same thing to
+  fork (:meth:`Machine.clone`), to the perf frame walk and in a trap, where
+  it names the trapping op;
+* it holds **no instance state** (no ``HostFunc``, memory or global): fork
+  and thread clones share ``FlatCode`` while each binds its own imports, so
+  calls, globals and memory are resolved through the running instance.
+
+A code object that supplies its own ``decoded`` sequence (the emulated
+tier's decode-on-fetch view) is dispatched the same way.
+
+``Machine.steps`` counts instructions retired (the perf ``instructions``
+counter).  ``run`` keeps it, and the fuel limit, in locals and writes it
+back to the machine before every host call and safepoint hook and when it
+returns or raises; a nested ``run`` inside a host call continues from, and
+leaves behind, the exact count.
+
 Values are Python ints in unsigned representation (i32 in ``[0, 2**32)``,
 i64 in ``[0, 2**64)``) and Python floats for f64.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import struct
+import threading as _threading
 from typing import Callable, List, Optional
 
 from .errors import (
-    GuestExit, Trap, TrapDivByZero, TrapIndirectCall, TrapIntegerOverflow,
+    Trap, TrapDivByZero, TrapIndirectCall, TrapIntegerOverflow,
     TrapStackExhausted, TrapUnreachable,
 )
 from .flatten import FlatCode
-from .types import (
-    F64, FuncType, I32, I64, MASK32, MASK64, default_value, signed32, signed64,
-)
+from .types import FuncType, I32, I64, MASK32, MASK64, signed32, signed64
 
 MAX_FRAMES = 2000
 
 # One engine-wide lock serialises guest atomic RMW operations (the threads
 # proposal subset used by the guest libc's mutexes).
-import threading as _threading
-
 _ATOMIC_LOCK = _threading.Lock()
 
 
@@ -63,7 +92,7 @@ class WasmFunc:
 
 
 # --------------------------------------------------------------------------
-# numeric helpers
+# numeric helpers (shared with the compiled tier)
 # --------------------------------------------------------------------------
 
 def _idiv_s(a: int, b: int, bits: int) -> int:
@@ -107,149 +136,12 @@ def _rotl(x: int, n: int, bits: int) -> int:
 def _trunc(f: float, lo: int, hi: int, mask: int) -> int:
     if f != f:  # NaN
         raise TrapIntegerOverflow("trunc of NaN")
+    if math.isinf(f):
+        raise TrapIntegerOverflow("trunc out of range")
     t = int(f)
     if t < lo or t > hi:
         raise TrapIntegerOverflow("trunc out of range")
     return t & mask
-
-
-# Simple value ops: name -> fn(stack) mutating the operand stack in place.
-def _build_arith():
-    A = {}
-
-    def bin32(name, fn):
-        def h(s, fn=fn):
-            b = s.pop(); a = s.pop()
-            s.append(fn(a, b) & MASK32)
-        A[f"i32.{name}"] = h
-
-    def cmp32(name, fn):
-        def h(s, fn=fn):
-            b = s.pop(); a = s.pop()
-            s.append(1 if fn(a, b) else 0)
-        A[f"i32.{name}"] = h
-
-    def un32(name, fn):
-        def h(s, fn=fn):
-            s.append(fn(s.pop()) & MASK32)
-        A[f"i32.{name}"] = h
-
-    def bin64(name, fn):
-        def h(s, fn=fn):
-            b = s.pop(); a = s.pop()
-            s.append(fn(a, b) & MASK64)
-        A[f"i64.{name}"] = h
-
-    def cmp64(name, fn):
-        def h(s, fn=fn):
-            b = s.pop(); a = s.pop()
-            s.append(1 if fn(a, b) else 0)
-        A[f"i64.{name}"] = h
-
-    def un64(name, fn):
-        def h(s, fn=fn):
-            s.append(fn(s.pop()) & MASK64)
-        A[f"i64.{name}"] = h
-
-    for bits, bin_, cmp_, un_, sgn in (
-        (32, bin32, cmp32, un32, signed32),
-        (64, bin64, cmp64, un64, signed64),
-    ):
-        bin_("add", lambda a, b: a + b)
-        bin_("sub", lambda a, b: a - b)
-        bin_("mul", lambda a, b: a * b)
-        bin_("div_s", lambda a, b, bits=bits: _idiv_s(a, b, bits))
-        bin_("rem_s", lambda a, b, bits=bits: _irem_s(a, b, bits))
-        bin_("div_u", lambda a, b: _udiv(a, b))
-        bin_("rem_u", lambda a, b: _urem(a, b))
-        bin_("and", lambda a, b: a & b)
-        bin_("or", lambda a, b: a | b)
-        bin_("xor", lambda a, b: a ^ b)
-        bin_("shl", lambda a, b, bits=bits: a << (b % bits))
-        bin_("shr_u", lambda a, b, bits=bits: a >> (b % bits))
-        bin_("shr_s", lambda a, b, bits=bits, sgn=sgn: sgn(a) >> (b % bits))
-        bin_("rotl", lambda a, b, bits=bits: _rotl(a, b, bits))
-        bin_("rotr", lambda a, b, bits=bits: _rotl(a, bits - (b % bits), bits))
-        cmp_("eq", lambda a, b: a == b)
-        cmp_("ne", lambda a, b: a != b)
-        cmp_("lt_u", lambda a, b: a < b)
-        cmp_("gt_u", lambda a, b: a > b)
-        cmp_("le_u", lambda a, b: a <= b)
-        cmp_("ge_u", lambda a, b: a >= b)
-        cmp_("lt_s", lambda a, b, sgn=sgn: sgn(a) < sgn(b))
-        cmp_("gt_s", lambda a, b, sgn=sgn: sgn(a) > sgn(b))
-        cmp_("le_s", lambda a, b, sgn=sgn: sgn(a) <= sgn(b))
-        cmp_("ge_s", lambda a, b, sgn=sgn: sgn(a) >= sgn(b))
-        un_("clz", lambda x, bits=bits: _clz(x, bits))
-        un_("ctz", lambda x, bits=bits: _ctz(x, bits))
-        un_("popcnt", lambda x: bin(x).count("1"))
-
-    def h_eqz32(s):
-        s.append(1 if s.pop() == 0 else 0)
-    A["i32.eqz"] = h_eqz32
-    A["i64.eqz"] = h_eqz32
-
-    # f64
-    import math
-
-    def binf(name, fn):
-        def h(s, fn=fn):
-            b = s.pop(); a = s.pop()
-            s.append(fn(a, b))
-        A[f"f64.{name}"] = h
-
-    def cmpf(name, fn):
-        def h(s, fn=fn):
-            b = s.pop(); a = s.pop()
-            s.append(1 if fn(a, b) else 0)
-        A[f"f64.{name}"] = h
-
-    def unf(name, fn):
-        def h(s, fn=fn):
-            s.append(fn(s.pop()))
-        A[f"f64.{name}"] = h
-
-    binf("add", lambda a, b: a + b)
-    binf("sub", lambda a, b: a - b)
-    binf("mul", lambda a, b: a * b)
-    binf("div", lambda a, b: _fdiv(a, b))
-    binf("min", min)
-    binf("max", max)
-    cmpf("eq", lambda a, b: a == b)
-    cmpf("ne", lambda a, b: a != b)
-    cmpf("lt", lambda a, b: a < b)
-    cmpf("gt", lambda a, b: a > b)
-    cmpf("le", lambda a, b: a <= b)
-    cmpf("ge", lambda a, b: a >= b)
-    unf("abs", abs)
-    unf("neg", lambda x: -x)
-    unf("sqrt", math.sqrt)
-    unf("ceil", math.ceil)
-    unf("floor", math.floor)
-    unf("trunc", math.trunc)
-    unf("nearest", round)
-
-    # conversions
-    def conv(name, fn):
-        def h(s, fn=fn):
-            s.append(fn(s.pop()))
-        A[name] = h
-
-    conv("i32.wrap_i64", lambda x: x & MASK32)
-    conv("i64.extend_i32_s", lambda x: signed32(x) & MASK64)
-    conv("i64.extend_i32_u", lambda x: x)
-    conv("i32.trunc_f64_s", lambda f: _trunc(f, -(1 << 31), (1 << 31) - 1, MASK32))
-    conv("i32.trunc_f64_u", lambda f: _trunc(f, 0, (1 << 32) - 1, MASK32))
-    conv("i64.trunc_f64_s", lambda f: _trunc(f, -(1 << 63), (1 << 63) - 1, MASK64))
-    conv("i64.trunc_f64_u", lambda f: _trunc(f, 0, (1 << 64) - 1, MASK64))
-    conv("f64.convert_i32_s", lambda x: float(signed32(x)))
-    conv("f64.convert_i32_u", lambda x: float(x))
-    conv("f64.convert_i64_s", lambda x: float(signed64(x)))
-    conv("f64.convert_i64_u", lambda x: float(x))
-    conv("i32.extend8_s", lambda x: _sext(x, 8, MASK32))
-    conv("i32.extend16_s", lambda x: _sext(x, 16, MASK32))
-    conv("i64.extend32_s", lambda x: _sext(x, 32, MASK64))
-    return A
 
 
 def _udiv(a: int, b: int) -> int:
@@ -272,6 +164,43 @@ def _fdiv(a: float, b: float) -> float:
     return a / b
 
 
+# IEEE 754 rounding and min/max: NaN and ±inf pass through, and a zero
+# result keeps the operand's sign (``ceil(-0.5)`` is ``-0.0``).
+
+def _fround(fn: Callable[[float], int]) -> Callable[[float], float]:
+    def rounded(x: float) -> float:
+        if x != x or math.isinf(x):
+            return x
+        return math.copysign(float(fn(x)), x)
+    return rounded
+
+
+_fceil = _fround(math.ceil)
+_ffloor = _fround(math.floor)
+_ftrunc = _fround(math.trunc)
+_fnearest = _fround(round)   # round() ties to even, as IEEE nearest does
+
+
+def _fmin(a: float, b: float) -> float:
+    if a != a or b != b:
+        return a + b                      # NaN in, NaN out
+    if a == b:                            # min(0.0, -0.0) is -0.0
+        return a if math.copysign(1.0, a) < 0 else b
+    return a if a < b else b
+
+
+def _fmax(a: float, b: float) -> float:
+    if a != a or b != b:
+        return a + b
+    if a == b:                            # max(-0.0, 0.0) is 0.0
+        return b if math.copysign(1.0, a) < 0 else a
+    return a if a > b else b
+
+
+def _fsqrt(x: float) -> float:
+    return math.sqrt(x) if x >= 0.0 or x != x else float("nan")
+
+
 def _sext(x: int, from_bits: int, mask: int) -> int:
     x &= (1 << from_bits) - 1
     if x & (1 << (from_bits - 1)):
@@ -279,9 +208,19 @@ def _sext(x: int, from_bits: int, mask: int) -> int:
     return x & mask
 
 
-ARITH = _build_arith()
+# --------------------------------------------------------------------------
+# decoded instruction kinds, numbered in Machine.run's dispatch order
+# --------------------------------------------------------------------------
 
-# memory access descriptors: name -> (nbytes, signed, result mask or None=f64)
+(LOCAL_GET, CONST, ADD, LOCAL_SET, IF_FALSE, LOAD8, CALL, BR_IF, JUMP,
+ POLL, EQZ, RET, NE, EQ, LT, SUB, MASK, GLOBAL_GET, LE, MUL, DROP, LOAD,
+ GE, GT, STORE, BINOP, UNOP, GLOBAL_SET, SELECT, LOCAL_TEE, BR_TABLE,
+ # out of line (Machine._slow_op)
+ CALL_INDIRECT, LOAD_S, STORE_F64, MEMORY_SIZE, MEMORY_GROW, MEMORY_COPY,
+ MEMORY_FILL, ATOMIC_ADD, ATOMIC_CMPXCHG, UNREACHABLE, BAD) = range(42)
+
+
+# integer memory access: name -> (nbytes, signed, result mask)
 _LOADS = {
     "i32.load": (4, False, MASK32), "i64.load": (8, False, MASK64),
     "i32.load8_s": (1, True, MASK32), "i32.load8_u": (1, False, MASK32),
@@ -294,6 +233,146 @@ _STORES = {
     "i32.store": 4, "i64.store": 8, "i32.store8": 1, "i32.store16": 2,
     "i64.store8": 1, "i64.store16": 2, "i64.store32": 4,
 }
+# little-endian signed struct formats by width (upper case: unsigned)
+_INT_FORMATS = {1: "<b", 2: "<h", 4: "<i", 8: "<q"}
+
+
+def _build_tables():
+    """Name → decoded pair for ops without an immediate, name → kind for
+    ops whose flat immediate is used as is, name → (kind, extra) for
+    memory ops (imm = offset + extra)."""
+    fixed = {"drop": (DROP, None), "select": (SELECT, None),
+             "poll": (POLL, None), "unreachable": (UNREACHABLE, None),
+             "memory.size": (MEMORY_SIZE, None),
+             "memory.grow": (MEMORY_GROW, None),
+             "memory.copy": (MEMORY_COPY, None),
+             "memory.fill": (MEMORY_FILL, None)}
+    for bits, mask, sgn in ((32, MASK32, signed32), (64, MASK64, signed64)):
+        t = f"i{bits}."
+        bias = 1 << (bits - 1)
+        fixed[t + "add"] = (ADD, mask)
+        fixed[t + "sub"] = (SUB, mask)
+        fixed[t + "mul"] = (MUL, mask)
+        fixed[t + "eqz"] = (EQZ, None)
+        fixed[t + "eq"] = (EQ, None)
+        fixed[t + "ne"] = (NE, None)
+        for name, kind in (("lt", LT), ("gt", GT), ("le", LE), ("ge", GE)):
+            fixed[f"{t}{name}_u"] = (kind, 0)
+            fixed[f"{t}{name}_s"] = (kind, bias)
+        binops = {
+            "and": operator.and_, "or": operator.or_, "xor": operator.xor,
+            "div_s": lambda a, b, bits=bits: _idiv_s(a, b, bits),
+            "rem_s": lambda a, b, bits=bits: _irem_s(a, b, bits),
+            "div_u": _udiv, "rem_u": _urem,
+            "shl": lambda a, b, bits=bits, mask=mask:
+                (a << (b % bits)) & mask,
+            "shr_u": lambda a, b, bits=bits: a >> (b % bits),
+            "shr_s": lambda a, b, bits=bits, mask=mask, sgn=sgn:
+                (sgn(a) >> (b % bits)) & mask,
+            "rotl": lambda a, b, bits=bits: _rotl(a, b, bits),
+            "rotr": lambda a, b, bits=bits: _rotl(a, bits - (b % bits), bits),
+        }
+        for name, fn in binops.items():
+            fixed[t + name] = (BINOP, fn)
+        fixed[t + "clz"] = (UNOP, lambda x, bits=bits: _clz(x, bits))
+        fixed[t + "ctz"] = (UNOP, lambda x, bits=bits: _ctz(x, bits))
+        fixed[t + "popcnt"] = (UNOP, lambda x: bin(x).count("1"))
+
+    for name, fn in (("add", operator.add), ("sub", operator.sub),
+                     ("mul", operator.mul), ("div", _fdiv),
+                     ("min", _fmin), ("max", _fmax),
+                     ("lt", lambda a, b: 1 if a < b else 0),
+                     ("gt", lambda a, b: 1 if a > b else 0),
+                     ("le", lambda a, b: 1 if a <= b else 0),
+                     ("ge", lambda a, b: 1 if a >= b else 0)):
+        fixed["f64." + name] = (BINOP, fn)
+    fixed["f64.eq"] = (EQ, None)
+    fixed["f64.ne"] = (NE, None)
+    for name, fn in (("abs", abs), ("neg", operator.neg), ("sqrt", _fsqrt),
+                     ("ceil", _fceil), ("floor", _ffloor),
+                     ("trunc", _ftrunc), ("nearest", _fnearest)):
+        fixed["f64." + name] = (UNOP, fn)
+
+    fixed["i32.wrap_i64"] = (MASK, MASK32)
+    fixed["i64.extend_i32_u"] = (MASK, MASK32)
+    for name, fn in (
+        ("i64.extend_i32_s", lambda x: signed32(x) & MASK64),
+        ("i32.trunc_f64_s",
+         lambda f: _trunc(f, -(1 << 31), (1 << 31) - 1, MASK32)),
+        ("i32.trunc_f64_u", lambda f: _trunc(f, 0, (1 << 32) - 1, MASK32)),
+        ("i64.trunc_f64_s",
+         lambda f: _trunc(f, -(1 << 63), (1 << 63) - 1, MASK64)),
+        ("i64.trunc_f64_u", lambda f: _trunc(f, 0, (1 << 64) - 1, MASK64)),
+        ("f64.convert_i32_s", lambda x: float(signed32(x))),
+        ("f64.convert_i32_u", float),
+        ("f64.convert_i64_s", lambda x: float(signed64(x))),
+        ("f64.convert_i64_u", float),
+        ("i32.extend8_s", lambda x: _sext(x, 8, MASK32)),
+        ("i32.extend16_s", lambda x: _sext(x, 16, MASK32)),
+        ("i64.extend32_s", lambda x: _sext(x, 32, MASK64)),
+    ):
+        fixed[name] = (UNOP, fn)
+
+    as_is = {"local.get": LOCAL_GET, "local.set": LOCAL_SET,
+             "local.tee": LOCAL_TEE, "global.get": GLOBAL_GET,
+             "global.set": GLOBAL_SET, "const": CONST, "call": CALL,
+             "call_indirect": CALL_INDIRECT, "if_false": IF_FALSE}
+
+    memops = {"f64.load": (LOAD, (8, struct.Struct("<d").unpack_from)),
+              "f64.store": (STORE_F64, None),
+              "i32.atomic.rmw.add": (ATOMIC_ADD, None),
+              "i32.atomic.rmw.cmpxchg": (ATOMIC_CMPXCHG, None)}
+    for name, (size, signed, mask) in _LOADS.items():
+        code = _INT_FORMATS[size]
+        if signed:
+            memops[name] = (LOAD_S, (size, struct.Struct(code).unpack_from,
+                                     mask))
+        elif size == 1:
+            memops[name] = (LOAD8, None)
+        else:
+            memops[name] = (LOAD, (size,
+                                   struct.Struct(code.upper()).unpack_from))
+    for name, size in _STORES.items():
+        pack = struct.Struct(_INT_FORMATS[size].upper()).pack_into
+        memops[name] = (STORE, (size, pack, (1 << (8 * size)) - 1))
+    return fixed, as_is, memops
+
+
+_FIXED, _AS_IS, _MEMOPS = _build_tables()
+
+
+def decode_op(instr: tuple, n_results: int) -> tuple:
+    """One flat op as a ``(kind, imm)`` pair.  ``n_results`` is the result
+    count of the enclosing function (the immediate of ``ret``)."""
+    name = instr[0]
+    pair = _FIXED.get(name)
+    if pair is not None:
+        return pair
+    kind = _AS_IS.get(name)
+    if kind is not None:
+        return (kind, instr[1])
+    if name == "jump" or name == "br_if":
+        return (JUMP if name == "jump" else BR_IF, tuple(instr[1:4]))
+    if name == "ret":
+        return (RET, n_results)
+    if name == "br_table":
+        return (BR_TABLE, tuple(tuple(e) for e in instr[1]))
+    mem = _MEMOPS.get(name)
+    if mem is not None:
+        kind, extra = mem
+        return (kind, instr[1] if extra is None else (instr[1], *extra))
+    return (BAD, name)
+
+
+def decode(code: FlatCode) -> list:
+    """``code.ops`` as decoded pairs, index-aligned with the flat ops."""
+    n = code.n_results
+    return [decode_op(instr, n) for instr in code.ops]
+
+
+# how far ``run`` lets the step count go between window slides when no
+# fuel limit is set (keeps the fuel compare on single-digit ints)
+_STEP_WINDOW = 1 << 29
 
 
 class Machine:
@@ -348,211 +427,313 @@ class Machine:
     def _push_frame(self, code: FlatCode, args: List) -> None:
         if len(self.frames) >= self.max_frames:
             raise TrapStackExhausted(f"{len(self.frames)} frames")
-        locals_ = args
-        for t in code.local_types[len(args):]:
-            locals_.append(default_value(t))
-        self.frames.append([code, 0, locals_, len(self.stack)])
+        self.frames.append([code, 0, args + code.zero_locals, len(self.stack)])
 
     def run(self, min_depth: int = 0) -> None:
         """Execute until the frame stack drops back to ``min_depth``."""
-        stack = self.stack
         frames = self.frames
+        if len(frames) <= min_depth:
+            return
+        stack = self.stack
         inst = self.instance
-        arith = ARITH
-        loads = _LOADS
-        stores = _STORES
-
-        while len(frames) > min_depth:
-            frame = frames[-1]
-            code = frame[0]
-            ops = code.ops
-            pc = frame[1]
-            locals_ = frame[2]
-            mem = inst.memory
-
+        funcs = inst.funcs
+        globals_ = inst.globals
+        mem = inst.memory
+        data = None if mem is None else mem.data
+        hook = self.poll_hook
+        max_frames = self.max_frames
+        fuel = self.fuel
+        limit = self.steps + _STEP_WINDOW if fuel is None else fuel
+        frame = frames[-1]
+        ops = frame[0].decoded
+        if ops is None:
+            ops = frame[0].decoded = decode(frame[0])
+        pc = frame[1]
+        locals_ = frame[2]
+        base = frame[3]
+        # Straight-line code retires one step per pc, so the count is kept
+        # as ``steps == limit - stop + pc`` and only a pc transfer moves
+        # ``stop``: the fuel check is the one compare ``pc > stop``.  With
+        # no fuel, ``limit`` slides a window ahead of ``steps`` that keeps
+        # both operands small ints.
+        stop = limit - self.steps + pc
+        try:
             while True:
-                op_imm = ops[pc]
-                op = op_imm[0]
+                k, imm = ops[pc]
                 pc += 1
-                self.steps += 1
-                if self.fuel is not None and self.steps > self.fuel:
-                    frame[1] = pc - 1
-                    raise Trap("fuel-exhausted", f"{self.steps} steps")
+                if pc > stop:
+                    if fuel is not None:
+                        raise Trap("fuel-exhausted",
+                                   f"{limit - stop + pc} steps")
+                    limit += _STEP_WINDOW
+                    stop += _STEP_WINDOW
 
-                h = arith.get(op)
-                if h is not None:
-                    h(stack)
+                if k == LOCAL_GET:
+                    stack.append(locals_[imm])
                     continue
-                if op == "const":
-                    stack.append(op_imm[1])
+                if k == CONST:
+                    stack.append(imm)
                     continue
-                if op == "local.get":
-                    stack.append(locals_[op_imm[1]])
+                if k == ADD:
+                    b = stack.pop()
+                    stack.append((stack.pop() + b) & imm)
                     continue
-                if op == "local.set":
-                    locals_[op_imm[1]] = stack.pop()
+                if k == LOCAL_SET:
+                    locals_[imm] = stack.pop()
                     continue
-                if op == "local.tee":
-                    locals_[op_imm[1]] = stack[-1]
-                    continue
-                if op in loads:
-                    nbytes, signed, mask = loads[op]
-                    addr = stack.pop() + op_imm[1]
-                    if signed:
-                        stack.append(mem.load_s(addr, nbytes) & mask)
-                    else:
-                        stack.append(mem.load_u(addr, nbytes))
-                    continue
-                if op in stores:
-                    val = stack.pop()
-                    addr = stack.pop() + op_imm[1]
-                    mem.store_int(addr, val, stores[op])
-                    continue
-                if op == "f64.load":
-                    stack.append(mem.load_f64(stack.pop() + op_imm[1]))
-                    continue
-                if op == "f64.store":
-                    val = stack.pop()
-                    mem.store_f64(stack.pop() + op_imm[1], val)
-                    continue
-                if op == "jump":
-                    _, target, arity, height, *_ = op_imm
-                    base = frame[3]
-                    if arity:
-                        keep = stack[len(stack) - arity:]
-                        del stack[base + height:]
-                        stack.extend(keep)
-                    else:
-                        del stack[base + height:]
-                    pc = target
-                    continue
-                if op == "br_if":
-                    if stack.pop():
-                        _, target, arity, height, *_ = op_imm
-                        base = frame[3]
-                        if arity:
-                            keep = stack[len(stack) - arity:]
-                            del stack[base + height:]
-                            stack.extend(keep)
-                        else:
-                            del stack[base + height:]
-                        pc = target
-                    continue
-                if op == "if_false":
+                if k == IF_FALSE:
                     if not stack.pop():
-                        pc = op_imm[1]
+                        stop += imm - pc
+                        pc = imm
                     continue
-                if op == "br_table":
-                    entries = op_imm[1]
-                    idx = stack.pop()
-                    if idx >= len(entries) - 1:
-                        idx = len(entries) - 1
-                    target, arity, height = entries[idx]
-                    base = frame[3]
+                if k == LOAD8:
+                    addr = stack.pop() + imm
+                    if addr >= len(data):
+                        mem.check(addr, 1)
+                    stack.append(data[addr])
+                    continue
+                if k == CALL:
+                    callee = funcs[imm]
+                    frame[1] = pc
+                    if callee.__class__ is WasmFunc:
+                        if len(frames) >= max_frames:
+                            raise TrapStackExhausted(f"{len(frames)} frames")
+                        code = callee.code
+                        n = code.n_params
+                        if n:
+                            locals_ = stack[-n:] + code.zero_locals
+                            del stack[-n:]
+                        else:
+                            locals_ = code.zero_locals[:]
+                        base = len(stack)
+                        frame = [code, 0, locals_, base]
+                        frames.append(frame)
+                        ops = code.decoded
+                        if ops is None:
+                            ops = code.decoded = decode(code)
+                        stop -= pc
+                        pc = 0
+                        continue
+                    self.steps = limit - stop + pc
+                    try:
+                        self._call_host(callee)
+                    finally:
+                        stop = limit - self.steps + pc
+                    mem = inst.memory
+                    data = None if mem is None else mem.data
+                    continue
+                if k == BR_IF:
+                    if not stack.pop():
+                        continue
+                    k = JUMP  # taken: unwind and jump below
+                if k == JUMP:
+                    target, arity, height = imm
                     if arity:
-                        keep = stack[len(stack) - arity:]
+                        top = stack[-1]
                         del stack[base + height:]
-                        stack.extend(keep)
+                        stack.append(top)
                     else:
                         del stack[base + height:]
+                    stop += target - pc
                     pc = target
                     continue
-                if op == "call":
-                    callee = inst.funcs[op_imm[1]]
-                    frame[1] = pc
-                    if isinstance(callee, HostFunc):
-                        self._call_host(callee)
-                        mem = inst.memory  # host call may have grown memory
-                        continue
-                    n = callee.code.n_params
-                    args = stack[len(stack) - n:] if n else []
-                    if n:
-                        del stack[len(stack) - n:]
-                    self._push_frame(callee.code, args)
-                    break  # re-enter outer loop with the new frame
-                if op == "call_indirect":
-                    elem_idx = stack.pop()
-                    callee = self._resolve_indirect(elem_idx, op_imm[1])
-                    frame[1] = pc
-                    if isinstance(callee, HostFunc):
-                        self._call_host(callee)
+                if k == POLL:
+                    if hook is not None:
+                        frame[1] = pc
+                        self.steps = limit - stop + pc
+                        try:
+                            hook()
+                        finally:
+                            stop = limit - self.steps + pc
                         mem = inst.memory
-                        continue
-                    n = callee.code.n_params
-                    args = stack[len(stack) - n:] if n else []
-                    if n:
-                        del stack[len(stack) - n:]
-                    self._push_frame(callee.code, args)
-                    break
-                if op == "ret":
-                    nres = code.n_results
-                    base = frame[3]
-                    if nres:
-                        result = stack[-1]
+                        data = None if mem is None else mem.data
+                    continue
+                if k == EQZ:
+                    stack.append(0 if stack.pop() else 1)
+                    continue
+                if k == RET:
+                    if imm:
+                        top = stack[-1]
                         del stack[base:]
-                        stack.append(result)
+                        stack.append(top)
                     else:
                         del stack[base:]
                     frames.pop()
-                    break
-                if op == "poll":
-                    hook = self.poll_hook
-                    if hook is not None:
-                        frame[1] = pc
-                        hook()
-                        mem = inst.memory
+                    if len(frames) <= min_depth:
+                        return
+                    frame = frames[-1]
+                    ops = frame[0].decoded    # the caller ran: decoded
+                    stop += frame[1] - pc
+                    pc = frame[1]
+                    locals_ = frame[2]
+                    base = frame[3]
                     continue
-                if op == "drop":
+                if k == NE:
+                    stack.append(1 if stack.pop() != stack.pop() else 0)
+                    continue
+                if k == EQ:
+                    stack.append(1 if stack.pop() == stack.pop() else 0)
+                    continue
+                if k == LT:
+                    b = stack.pop() ^ imm
+                    stack.append(1 if stack.pop() ^ imm < b else 0)
+                    continue
+                if k == SUB:
+                    b = stack.pop()
+                    stack.append((stack.pop() - b) & imm)
+                    continue
+                if k == MASK:
+                    stack.append(stack.pop() & imm)
+                    continue
+                if k == GLOBAL_GET:
+                    stack.append(globals_[imm].value)
+                    continue
+                if k == LE:
+                    b = stack.pop() ^ imm
+                    stack.append(1 if stack.pop() ^ imm <= b else 0)
+                    continue
+                if k == MUL:
+                    b = stack.pop()
+                    stack.append((stack.pop() * b) & imm)
+                    continue
+                if k == DROP:
                     stack.pop()
                     continue
-                if op == "select":
+                if k == LOAD:
+                    off, size, unpack = imm
+                    addr = stack.pop() + off
+                    if addr + size > len(data):
+                        mem.check(addr, size)
+                    stack.append(unpack(data, addr)[0])
+                    continue
+                if k == GE:
+                    b = stack.pop() ^ imm
+                    stack.append(1 if stack.pop() ^ imm >= b else 0)
+                    continue
+                if k == GT:
+                    b = stack.pop() ^ imm
+                    stack.append(1 if stack.pop() ^ imm > b else 0)
+                    continue
+                if k == STORE:
+                    off, size, pack, vmask = imm
+                    val = stack.pop()
+                    addr = stack.pop() + off
+                    if addr + size > len(data):
+                        mem.check(addr, size)
+                    pack(data, addr, val & vmask)
+                    continue
+                if k == BINOP:
+                    b = stack.pop()
+                    stack.append(imm(stack.pop(), b))
+                    continue
+                if k == UNOP:
+                    stack.append(imm(stack.pop()))
+                    continue
+                if k == GLOBAL_SET:
+                    globals_[imm].value = stack.pop()
+                    continue
+                if k == SELECT:
                     c = stack.pop()
                     b = stack.pop()
-                    a = stack.pop()
-                    stack.append(a if c else b)
+                    if not c:
+                        stack[-1] = b
                     continue
-                if op == "i32.atomic.rmw.add":
-                    val = stack.pop()
-                    addr = stack.pop() + op_imm[1]
-                    with _ATOMIC_LOCK:
-                        old = mem.load_i32(addr)
-                        mem.store_i32(addr, old + val)
-                    stack.append(old)
+                if k == LOCAL_TEE:
+                    locals_[imm] = stack[-1]
                     continue
-                if op == "i32.atomic.rmw.cmpxchg":
-                    new = stack.pop()
-                    expected = stack.pop()
-                    addr = stack.pop() + op_imm[1]
-                    with _ATOMIC_LOCK:
-                        old = mem.load_i32(addr)
-                        if old == expected:
-                            mem.store_i32(addr, new)
-                    stack.append(old)
+                if k == BR_TABLE:
+                    idx = stack.pop()
+                    last = len(imm) - 1
+                    target, arity, height = imm[idx if idx < last else last]
+                    if arity:
+                        top = stack[-1]
+                        del stack[base + height:]
+                        stack.append(top)
+                    else:
+                        del stack[base + height:]
+                    stop += target - pc
+                    pc = target
                     continue
-                if op == "memory.size":
-                    stack.append(mem.pages)
-                    continue
-                if op == "memory.grow":
-                    stack.append(mem.grow(stack.pop()) & MASK32)
-                    continue
-                if op == "memory.copy":
-                    n = stack.pop(); src = stack.pop(); dst = stack.pop()
-                    mem.copy(dst, src, n)
-                    continue
-                if op == "memory.fill":
-                    n = stack.pop(); val = stack.pop(); dst = stack.pop()
-                    mem.fill(dst, val, n)
-                    continue
-                if op == "global.get":
-                    stack.append(inst.globals[op_imm[1]].value)
-                    continue
-                if op == "global.set":
-                    inst.globals[op_imm[1]].value = stack.pop()
-                    continue
-                if op == "unreachable":
-                    frame[1] = pc - 1
-                    raise TrapUnreachable(code.name)
-                raise Trap("bad-instruction", f"{op!r} in {code.name}")
+
+                # call_indirect and the rare kinds
+                frame[1] = pc
+                self.steps = limit - stop + pc
+                try:
+                    entered = self._slow_op(k, imm)
+                finally:
+                    stop = limit - self.steps + pc
+                mem = inst.memory
+                data = None if mem is None else mem.data
+                if entered:
+                    frame = frames[-1]
+                    ops = frame[0].decoded
+                    if ops is None:
+                        ops = frame[0].decoded = decode(frame[0])
+                    stop -= pc
+                    pc = 0
+                    locals_ = frame[2]
+                    base = frame[3]
+        except Trap:
+            frame[1] = pc - 1
+            raise
+        finally:
+            self.steps = limit - stop + pc
+
+    def _slow_op(self, k: int, imm) -> bool:
+        """Execute an out-of-line kind; True when it pushed a wasm frame."""
+        stack = self.stack
+        inst = self.instance
+        mem = inst.memory
+        if k == CALL_INDIRECT:
+            callee = self._resolve_indirect(stack.pop(), imm)
+            if isinstance(callee, HostFunc):
+                self._call_host(callee)
+                return False
+            n = callee.code.n_params
+            args = stack[len(stack) - n:]
+            del stack[len(stack) - n:]
+            self._push_frame(callee.code, args)
+            return True
+        if k == LOAD_S:
+            off, size, unpack, mask = imm
+            addr = stack.pop() + off
+            mem.check(addr, size)
+            stack.append(unpack(mem.data, addr)[0] & mask)
+        elif k == STORE_F64:
+            val = stack.pop()
+            mem.store_f64(stack.pop() + imm, val)
+        elif k == MEMORY_SIZE:
+            stack.append(mem.pages)
+        elif k == MEMORY_GROW:
+            stack.append(mem.grow(stack.pop()) & MASK32)
+        elif k == MEMORY_COPY:
+            n = stack.pop(); src = stack.pop(); dst = stack.pop()
+            mem.copy(dst, src, n)
+        elif k == MEMORY_FILL:
+            n = stack.pop(); val = stack.pop(); dst = stack.pop()
+            mem.fill(dst, val, n)
+        elif k == ATOMIC_ADD:
+            val = stack.pop()
+            addr = stack.pop() + imm
+            with _ATOMIC_LOCK:
+                old = mem.load_i32(addr)
+                mem.store_i32(addr, old + val)
+            stack.append(old)
+        elif k == ATOMIC_CMPXCHG:
+            new = stack.pop()
+            expected = stack.pop()
+            addr = stack.pop() + imm
+            with _ATOMIC_LOCK:
+                old = mem.load_i32(addr)
+                if old == expected:
+                    mem.store_i32(addr, new)
+            stack.append(old)
+        elif k == UNREACHABLE:
+            raise TrapUnreachable(self.frames[-1][0].name)
+        else:
+            raise Trap("bad-instruction",
+                       f"{imm!r} in {self.frames[-1][0].name}")
+        return False
 
     def _call_host(self, callee: HostFunc) -> None:
         stack = self.stack

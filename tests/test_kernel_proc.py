@@ -15,7 +15,7 @@ from repro.kernel.errno import (
     EADDRINUSE, ECHILD, ECONNREFUSED, EINTR, EINVAL, ENOMEM, EPERM, ESRCH,
 )
 from repro.kernel.mm import AddressSpace, MREMAP_MAYMOVE
-from repro.kernel.process import RLIMIT_NOFILE
+from repro.kernel.process import RLIMIT_NOFILE, STATE_ZOMBIE
 
 
 @pytest.fixture
@@ -449,3 +449,45 @@ class TestExitGroup:
                    CLONE_VM | CLONE_FILES | CLONE_SIGHAND | CLONE_THREAD)
         k.call(t, "exit", 0)
         assert t.pid not in k.processes
+
+    def test_exit_group_races_fork_and_reap(self, k, proc):
+        # exit_group scans the process table for other users of the dying
+        # task's fd table; a fork or reap on another thread must not break
+        # that scan (it used to raise "dictionary changed size during
+        # iteration" and leave the task short of a zombie)
+        import sys
+
+        for _ in range(200):
+            k.call(proc, "fork")      # a long table makes the scan slow
+        errors = []
+        stop = threading.Event()
+
+        def churn(parent):
+            try:
+                while not stop.is_set():
+                    child = k.call(parent, "fork")
+                    k.call(child, "exit_group", 0)
+                    k.call(parent, "wait4", child.pid, 0)
+            except Exception as exc:  # pragma: no cover - the failure mode
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        # one task per host thread, as the runtime runs them
+        churners = [threading.Thread(target=churn,
+                                     args=(k.create_process(["churn"]),))
+                    for _ in range(2)]
+        for t in churners:
+            t.start()
+        try:
+            for _ in range(300):
+                victim = k.call(proc, "fork")
+                k.call(victim, "exit_group", 0)
+                assert victim.state == STATE_ZOMBIE
+        finally:
+            stop.set()
+            for t in churners:
+                t.join(timeout=10)
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in churners)
+        assert not errors

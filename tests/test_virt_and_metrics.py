@@ -57,6 +57,17 @@ class TestEmulator:
         view = inst.funcs[0].code
         assert view.decode_count > 100  # every dynamic fetch decoded
 
+    def test_decode_count_equals_steps(self):
+        # the emulated tier decodes on every fetch and the interpreter
+        # fetches once per retired step, so the two counts agree exactly
+        module = self._module()
+        inst = instantiate(module)
+        emulate_instance(inst)
+        inst.invoke("f", 50)
+        inst.invoke("f", 7)
+        view = inst.funcs[0].code
+        assert view.decode_count == inst.machine.steps > 100
+
     def test_emulation_slower_than_interpretation(self):
         import time
 

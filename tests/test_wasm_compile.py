@@ -1,8 +1,11 @@
 """Compiled-tier tests: semantic equivalence with the interpreter,
 including property-based differential testing."""
 
+import math
+import struct
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.wasm import (
     I32, I64, F64, ModuleBuilder, Trap, TrapDivByZero, TrapIndirectCall,
@@ -175,44 +178,196 @@ def test_compiled_faster_than_interp():
     assert t_compiled < t_interp  # the AoT tier must actually be faster
 
 
-_OPS = ["i32.add", "i32.sub", "i32.mul", "i32.and", "i32.or", "i32.xor",
-        "i32.shl", "i32.shr_u", "i32.shr_s", "i32.rotl", "i32.rotr",
-        "i32.eq", "i32.lt_s", "i32.lt_u", "i32.ge_s"]
+# ---- differential testing on generated modules ----
+#
+# ``program()`` draws a typed, structured function body: expressions over
+# i32/i64/f64 (constants biased to edge values, locals, arithmetic,
+# compares, conversions, loads, ``if``/``br_if`` blocks, direct calls)
+# under statements (local sets, stores, ``if``, one bounded ``loop``).
+# Memory is one page, so generated addresses also exercise the
+# out-of-bounds trap.  Both tiers must agree on the result or the trap
+# kind, and on the final memory; anything other than a Trap is a failure.
+
+_F64_EDGE = [0.0, -0.0, 0.5, -0.5, 1.5, -2.5, 2.5, 1e300, -1e300, 5e-324,
+             math.inf, -math.inf, math.nan]
+_I32_EDGE = [0, 1, 2, 7, 31, 32, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF,
+             65532, 65535, 65536]
+_I64_EDGE = [0, 1, 63, 64, 0xFFFFFFFF, 2**63 - 1, 2**63, 2**64 - 1]
+_LOCALS = (I32, I32, I64, I64, F64, F64)   # plus a loop counter, local 6
+_COUNTER = len(_LOCALS)
+_INT_BIN = ["add", "sub", "mul", "div_s", "div_u", "rem_s", "rem_u", "and",
+            "or", "xor", "shl", "shr_s", "shr_u", "rotl", "rotr"]
+_INT_CMP = ["eq", "ne", "lt_s", "lt_u", "gt_s", "gt_u", "le_s", "le_u",
+            "ge_s", "ge_u"]
+_LOADS = {I32: ["i32.load", "i32.load8_u", "i32.load8_s", "i32.load16_u",
+                "i32.load16_s"],
+          I64: ["i64.load", "i64.load8_s", "i64.load16_u", "i64.load32_s",
+                "i64.load32_u"],
+          F64: ["f64.load"]}
+_STORES = {I32: ["i32.store", "i32.store8", "i32.store16"],
+           I64: ["i64.store", "i64.store32"], F64: ["f64.store"]}
+
+
+def _const(draw, t):
+    if t == F64:
+        v = draw(st.sampled_from(_F64_EDGE) | st.floats())
+        return [("f64.const", v)]
+    edge, bits = (_I32_EDGE, 32) if t == I32 else (_I64_EDGE, 64)
+    v = draw(st.sampled_from(edge) | st.integers(0, 2**bits - 1))
+    return [(f"{t}.const", v)]
+
+
+def _addr(draw, depth):
+    if draw(st.booleans()):
+        return [("i32.const", draw(st.sampled_from(
+            [0, 8, 100, 65528, 65535, 65536, 0xFFFFFFFF])))]
+    return _expr(draw, I32, depth - 1)
+
+
+def _expr(draw, t, depth):
+    """Instructions that push one value of type ``t``."""
+    if depth <= 0 or draw(st.integers(0, 4)) == 0:
+        if draw(st.booleans()):
+            return _const(draw, t)
+        return [("local.get", draw(st.sampled_from(
+            [i for i, lt in enumerate(_LOCALS) if lt == t])))]
+    sub = lambda ty: _expr(draw, ty, depth - 1)  # noqa: E731
+    form = draw(st.integers(0, 7))
+    if form == 0:      # load
+        name = draw(st.sampled_from(_LOADS[t]))
+        return _addr(draw, depth) + [(name, 0, draw(st.integers(0, 8)))]
+    if form == 1:      # if with a result
+        return sub(I32) + [("if", t, sub(t), sub(t))]
+    if form == 2:      # block left early by br_if
+        return [("block", t, sub(t) + sub(I32) + [("br_if", 0), ("drop",)]
+                 + sub(t))]
+    if form == 3:      # select
+        return sub(t) + sub(t) + sub(I32) + [("select",)]
+    if form == 4:      # direct call
+        if t == F64:
+            return sub(F64) + [("call", 1)]
+        if t == I32:
+            return sub(I32) + sub(I32) + [("call", 0)]
+    if t == F64:
+        if form == 5:
+            return sub(F64) + [(draw(st.sampled_from(
+                ["f64.neg", "f64.abs", "f64.ceil", "f64.floor", "f64.trunc",
+                 "f64.nearest", "f64.sqrt"])),)]
+        if form == 6:
+            src = draw(st.sampled_from([I32, I64]))
+            sign = draw(st.sampled_from("su"))
+            return sub(src) + [(f"f64.convert_{src}_{sign}",)]
+        return sub(F64) + sub(F64) + [("f64." + draw(st.sampled_from(
+            ["add", "sub", "mul", "div", "min", "max"])),)]
+    if form == 5 and t == I32:   # compares and narrowing
+        src = draw(st.sampled_from([I32, I64, F64]))
+        if src == F64:
+            if draw(st.booleans()):
+                return sub(F64) + [(draw(st.sampled_from(
+                    ["i32.trunc_f64_s", "i32.trunc_f64_u"])),)]
+            return sub(F64) + sub(F64) + [("f64." + draw(st.sampled_from(
+                ["eq", "ne", "lt", "gt", "le", "ge"])),)]
+        if src == I64 and draw(st.booleans()):
+            return sub(I64) + [(draw(st.sampled_from(
+                ["i32.wrap_i64", "i64.eqz"])),)]
+        return sub(src) + sub(src) + [
+            (f"{src}." + draw(st.sampled_from(_INT_CMP)),)]
+    if form == 5:                # i64 from i32
+        return sub(I32) + [(draw(st.sampled_from(
+            ["i64.extend_i32_s", "i64.extend_i32_u"])),)]
+    if form == 6:
+        unops = (["eqz", "clz", "ctz", "popcnt", "extend8_s", "extend16_s"]
+                 if t == I32 else ["clz", "ctz", "popcnt", "extend32_s"])
+        return sub(t) + [(f"{t}." + draw(st.sampled_from(unops)),)]
+    return sub(t) + sub(t) + [(f"{t}." + draw(st.sampled_from(_INT_BIN)),)]
+
+
+def _stmts(draw, depth, in_loop=False):
+    out = []
+    for _ in range(draw(st.integers(0, 3 if depth > 0 else 1))):
+        form = draw(st.integers(0, 3))
+        if form == 0:
+            i = draw(st.integers(0, len(_LOCALS) - 1))
+            out += _expr(draw, _LOCALS[i], depth) + [("local.set", i)]
+        elif form == 1:
+            t = draw(st.sampled_from([I32, I64, F64]))
+            name = draw(st.sampled_from(_STORES[t]))
+            out += (_addr(draw, depth) + _expr(draw, t, depth)
+                    + [(name, 0, draw(st.integers(0, 8)))])
+        elif form == 2 and depth > 0:
+            out += _expr(draw, I32, depth - 1) + [
+                ("if", None, _stmts(draw, depth - 1, in_loop),
+                 _stmts(draw, depth - 1, in_loop))]
+        elif form == 3 and depth > 0 and not in_loop:
+            body = [("local.get", _COUNTER), ("i32.eqz",), ("br_if", 1)]
+            body += _stmts(draw, depth - 1, True)
+            body += [("local.get", _COUNTER), ("i32.const", 1),
+                     ("i32.sub",), ("local.set", _COUNTER), ("br", 0)]
+            out += [("i32.const", draw(st.integers(0, 4))),
+                    ("local.set", _COUNTER),
+                    ("block", None, [("loop", None, body)])]
+    return out
 
 
 @st.composite
 def program(draw):
-    prog = []
-    depth = 0
-    for _ in range(draw(st.integers(1, 40))):
-        if depth >= 2 and draw(st.booleans()):
-            prog.append((draw(st.sampled_from(_OPS)),))
-            depth -= 1
-        elif depth >= 1 and draw(st.integers(0, 4)) == 0:
-            prog.append((draw(st.sampled_from(
-                ["i32.clz", "i32.ctz", "i32.popcnt", "i32.eqz",
-                 "i32.extend8_s"])),))
-        else:
-            prog.append(("i32.const", draw(st.integers(0, 2**32 - 1))))
-            depth += 1
-    while depth > 1:
-        prog.append((draw(st.sampled_from(_OPS)),))
-        depth -= 1
-    return prog
+    """(result type, body) of a generated function."""
+    t = draw(st.sampled_from([I32, I64, F64]))
+    return t, _stmts(draw, 2) + _expr(draw, t, 3)
 
 
-@settings(max_examples=80, deadline=None)
-@given(program())
-def test_differential_interp_vs_compiled(prog):
-    """Property: both tiers compute identical results on random programs."""
+def _program_module(result, body):
     mb = ModuleBuilder("p")
-    f = mb.func("f", results=[I32], export=True)
-    for instr in prog:
+    mb.add_memory(1, 1)
+    h = mb.func("h", params=[I32, I32], results=[I32])
+    h.local_get(0).local_get(1).op("i32.mul")
+    h.local_get(0).i32_const(3).op("i32.shr_u").op("i32.xor")
+    h.end()
+    g = mb.func("g", params=[F64], results=[F64])
+    g.local_get(0).op("f64.floor")
+    g.local_get(0).f64_const(0.5).op("f64.mul").op("f64.add")
+    g.end()
+    f = mb.func("f", results=[result], export=True)
+    for t in _LOCALS + (I32,):
+        f.add_local(t)
+    for instr in body:
         f.emit(instr)
     f.end()
-    module = mb.build()
-    interp, compiled = both_tiers(module)
-    assert interp() == compiled()
+    return mb.build()
+
+
+def _outcome(run, mem):
+    """(kind, value) of one run: a Trap is an outcome, any other exception
+    propagates and fails the test.  f64 values compare by bit pattern, so
+    -0.0 differs from 0.0, and must be floats."""
+    try:
+        value = run()
+    except Trap as exc:
+        return ("trap", exc.kind), bytes(mem.data)
+    if isinstance(value, float):
+        value = ("f64", struct.pack("<d", value))
+    return ("value", value), bytes(mem.data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(program())
+@example((F64, [("f64.const", math.inf), ("f64.ceil",)]))
+@example((F64, [("f64.const", math.nan), ("f64.floor",)]))
+@example((F64, [("f64.const", -0.5), ("f64.nearest",)]))
+@example((F64, [("f64.const", -math.inf), ("call", 1)]))
+def test_differential_interp_vs_compiled(prog):
+    """Property: both tiers compute identical results on random programs."""
+    result, body = prog
+    module = _program_module(result, body)
+    inst_i = instantiate(module)
+    inst_c = instantiate(module)
+    ctx = compile_instance(inst_c)
+    got_i = _outcome(lambda: inst_i.invoke("f"), inst_i.memory)
+    got_c = _outcome(lambda: ctx.invoke(inst_c.func_index_of("f"), ()),
+                     inst_c.memory)
+    assert got_i == got_c
+    if result == F64 and got_i[0][0] == "value":
+        assert got_i[0][1][0] == "f64"
 
 
 @settings(max_examples=25, deadline=None)

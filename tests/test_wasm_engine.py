@@ -146,6 +146,61 @@ class TestConversions:
         assert instantiate(mb.build()).invoke("f", (-2) & 0xFFFFFFFF) == -2.0
 
 
+_INF, _NAN = float("inf"), float("nan")
+
+
+class TestF64Semantics:
+    """IEEE 754 results in both tiers: NaN and infinities pass through the
+    rounding ops (no host exception), zero results keep their sign, and
+    min/max propagate NaN and order -0.0 below 0.0."""
+
+    @pytest.mark.parametrize("op,args,expected", [
+        ("f64.ceil", (-0.5,), -0.0), ("f64.ceil", (1.2,), 2.0),
+        ("f64.floor", (0.5,), 0.0), ("f64.floor", (-0.5,), -1.0),
+        ("f64.trunc", (-0.7,), -0.0), ("f64.trunc", (1e300,), 1e300),
+        ("f64.nearest", (2.5,), 2.0), ("f64.nearest", (-0.5,), -0.0),
+        ("f64.nearest", (3.5,), 4.0),
+        ("f64.ceil", (_INF,), _INF), ("f64.floor", (-_INF,), -_INF),
+        ("f64.trunc", (_NAN,), _NAN), ("f64.nearest", (-_INF,), -_INF),
+        ("f64.min", (0.0, -0.0), -0.0), ("f64.min", (-0.0, 0.0), -0.0),
+        ("f64.max", (-0.0, 0.0), 0.0), ("f64.max", (0.0, -0.0), 0.0),
+        ("f64.min", (1.0, _NAN), _NAN), ("f64.max", (_NAN, 1.0), _NAN),
+        ("f64.min", (-_INF, 3.0), -_INF), ("f64.max", (2.0, 3.0), 3.0),
+        ("f64.sqrt", (-1.0,), _NAN), ("f64.sqrt", (-0.0,), -0.0),
+    ])
+    def test_ieee_result(self, op, args, expected):
+        import math
+        import struct
+
+        from repro.wasm.compile import compile_instance
+
+        mb = ModuleBuilder("t")
+        f = mb.func("f", params=[F64] * len(args), results=[F64], export=True)
+        for i in range(len(args)):
+            f.local_get(i)
+        f.op(op)
+        f.end()
+        module = mb.build()
+        inst = instantiate(module)
+        ctx = compile_instance(instantiate(module))
+        for got in (inst.invoke("f", *args),
+                    ctx.invoke(inst.func_index_of("f"), args)):
+            assert type(got) is float
+            if math.isnan(expected):
+                assert math.isnan(got)
+            else:
+                assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+    @pytest.mark.parametrize("value", [_INF, -_INF, _NAN])
+    def test_trunc_to_int_traps_on_non_finite(self, value):
+        mb = ModuleBuilder("t")
+        f = mb.func("f", params=[F64], results=[I64], export=True)
+        f.local_get(0).op("i64.trunc_f64_s")
+        f.end()
+        with pytest.raises(TrapIntegerOverflow):
+            instantiate(mb.build()).invoke("f", value)
+
+
 class TestControlFlow:
     def test_block_br(self):
         mb = ModuleBuilder("t")
@@ -595,6 +650,90 @@ class TestSafepoints:
         inst.machine.fuel = 100
         with pytest.raises(Trap):
             inst.invoke("spin", 10**9)
+
+
+class TestDispatch:
+    """Step accounting of the pre-decoded dispatch loop."""
+
+    # spin's flat code under the "loop" scheme: one iteration is ops 0-8,
+    # the exit path is ops 0-3 then the ret at 9
+    SPIN_OPS = ["poll", "local.get", "i32.eqz", "br_if", "local.get",
+                "const", "i32.sub", "local.set", "jump", "ret"]
+
+    def _spin(self):
+        inst = instantiate(TestSafepoints()._loop_module(), scheme="loop")
+        code = inst.func_by_name("spin").code
+        assert [op[0] for op in code.ops] == self.SPIN_OPS
+        return inst
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 57])
+    def test_steps_equal_flat_ops_retired(self, n):
+        inst = self._spin()
+        inst.invoke("spin", n)
+        assert inst.machine.steps == 9 * n + 5
+        inst.invoke("spin", 3)          # the count accumulates across runs
+        assert inst.machine.steps == 9 * n + 5 + 32
+
+    @pytest.mark.parametrize("fuel", [0, 1, 100, 103])
+    def test_fuel_traps_on_step_after_limit(self, fuel):
+        inst = self._spin()
+        machine = inst.machine
+        machine.fuel = fuel
+        with pytest.raises(Trap) as ei:
+            inst.invoke("spin", 10**9)
+        assert ei.value.kind == "fuel-exhausted"
+        assert machine.steps == fuel + 1
+        # the trapping op is step fuel + 1: pc ``fuel % 9`` of the loop
+        assert machine.frames[-1][1] == fuel % 9
+
+    def test_trap_pc_names_the_trapping_op(self):
+        mb = ModuleBuilder("t")
+        mb.add_memory(1, 1)
+        f = mb.func("f", params=[I32], results=[I32], export=True)
+        f.local_get(0).i32_const(1).op("i32.add").i32_load()
+        f.end()
+        inst = instantiate(mb.build())
+        with pytest.raises(TrapOutOfBounds):
+            inst.invoke("f", 70000)
+        frame = inst.machine.frames[-1]
+        assert frame[0].ops[frame[1]][0] == "i32.load"
+        assert inst.machine.steps == 4
+
+    def test_host_call_in_nested_handler_sees_steps(self):
+        # a poll hook re-enters the machine (as signal delivery does); the
+        # handler's host call must see every step retired so far, both the
+        # outer run's and the handler's own
+        mb = ModuleBuilder("t")
+        mb.import_func("env", "probe", params=[], results=[])
+        h = mb.func("handler", export=True)
+        h.call("probe")
+        h.end()
+        f = mb.func("spin", params=[I32], export=True)
+        with f.block():
+            with f.loop():
+                f.local_get(0).op("i32.eqz")
+                f.br_if(1)
+                f.local_get(0).i32_const(1).op("i32.sub").local_set(0)
+                f.br(0)
+        f.end()
+        seen = []
+        inst = instantiate(mb.build(), {"env": {
+            "probe": lambda: seen.append(inst.machine.steps)}},
+            scheme="loop")
+        machine = inst.machine
+        handler = inst.func_by_name("handler")
+
+        def hook():
+            seen.append(machine.steps)
+            if len(seen) == 1:
+                machine.reenter(handler)
+
+        machine.poll_hook = hook
+        inst.invoke("spin", 2)
+        # poll 1 is step 1; the handler's call is step 2 and its ret
+        # step 3; each later poll comes 9 outer steps on
+        assert seen == [1, 2, 12, 21]
+        assert machine.steps == 9 * 2 + 5 + 2
 
 
 class TestMachineClone:
