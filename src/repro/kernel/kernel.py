@@ -2,8 +2,17 @@
 
 One :class:`Kernel` instance is a self-contained Linux-like OS.  Syscalls are
 methods named ``sys_<name>`` (provided by the mixins in
-:mod:`repro.kernel.calls`); :meth:`Kernel.call` dispatches by name, counts
-invocations (Fig. 2), and accounts kernel time per thread group (Fig. 7).
+:mod:`repro.kernel.calls`).  Each kernel builds its syscall table, a
+``name -> bound handler`` dict, once at boot, and :meth:`Kernel.call`
+dispatches through it.
+
+``Kernel.call`` is the kernel layer's one accounting writer.  Per syscall it
+adds the elapsed time to ``kernel_time_ns[tgid]`` (Fig. 7, ``/proc/<pid>/
+status`` ``ServiceNs``) and to the calling thread's ``rusage.stime_ns``, bumps
+the ``syscall.<name>`` counter cell, and records the service/wait latency
+histogram.  Every other per-syscall view is read from those:
+``syscall_counts``, the Fig. 2 profile, perf counting events and guest
+``perf stat`` all read the counter cells.
 
 Blocking syscalls are schedule points: they park the task off the run
 queue through :meth:`repro.kernel.sched.Scheduler.sleep` (releasing its
@@ -100,15 +109,17 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         self.rng = random.Random(rng_seed)
         self.boot_monotonic_ns = _time.monotonic_ns()
 
-        # tracing / accounting
-        self.syscall_counts: Counter = Counter()
-        self.proc_syscall_counts: Dict[int, Counter] = defaultdict(Counter)
+        # the syscall table, built per instance so that handlers patched
+        # onto the class before boot are the ones dispatched
+        self._syscalls: Dict[str, Callable] = {
+            n[4:]: getattr(self, n) for n in dir(type(self))
+            if n.startswith("sys_")}
+
+        # accounting
         self.kernel_time_ns: Dict[int, int] = defaultdict(int)
         self.blocked_time_ns: Dict[int, int] = defaultdict(int)
         # runnable-but-waiting-for-a-CPU time (pure contention; ~0 idle)
         self.sched_wait_ns: Dict[int, int] = defaultdict(int)
-        self.trace_hooks: List[Callable] = []
-        self.trace_log: Optional[list] = None  # set to [] to record calls
 
         # CPU model: a run queue with `ncpus` slots and time slices; spec
         # strings ("cpus=1,slice_us=50", "off") or a Scheduler instance
@@ -219,18 +230,20 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
     # ------------------------------------------------------------------
 
     def call(self, proc: Process, name: str, *args, **kwargs):
-        """Invoke syscall ``name`` with tracing and time accounting.
+        """Invoke syscall ``name`` for ``proc`` through the syscall table.
 
-        Besides the pre-existing counters, every call feeds the
-        observability layer: ``syscall_enter``/``syscall_exit``
-        tracepoints (exit carries ``-errno`` in ``arg``, 0 on success)
-        and the always-on per-syscall log2 latency histograms.  The
-        elapsed wall time is split into *service* (time actually inside
-        the handler) and *runnable-wait* (time spent queued for a CPU
-        slot, read back from ``sched_wait_ns``) so tail-latency reports
+        The call holds a CPU slot from ``Scheduler.syscall_enter`` to
+        ``syscall_exit``; block-layer cost accrued by the handler settles
+        before the exit.  It emits the ``syscall_enter``/``syscall_exit``
+        tracepoints (exit carries ``-errno`` in ``arg``, 0 on success) and
+        makes the kernel's four accounting writes: ``kernel_time_ns[tgid]``,
+        ``proc.rusage.stime_ns``, the ``syscall.<name>`` counter cell and
+        the latency histogram.  The histogram splits the elapsed time into
+        *service* (inside the handler) and *runnable-wait* (queued for a
+        CPU slot, read back from ``sched_wait_ns``), so tail-latency reports
         can separate kernel cost from contention.
         """
-        method = getattr(self, f"sys_{name}", None)
+        method = self._syscalls.get(name)
         if method is None:
             raise KernelError(ENOSYS, name)
         trace = self.trace
@@ -259,8 +272,6 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
                 bd.drop_pending()  # error paths forfeit unsettled cost
             self.sched.syscall_exit(proc)
             dt = _time.perf_counter_ns() - t0
-            self.syscall_counts[name] += 1
-            self.proc_syscall_counts[tgid][name] += 1
             self.kernel_time_ns[tgid] += dt
             proc.rusage.stime_ns += dt
             if trace is not None:
@@ -272,16 +283,23 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
             perf = self.perf
             if perf.active:
                 perf.on_syscall(proc)
-            if self.trace_log is not None:
-                self.trace_log.append((proc.pid, name))
-            for hook in self.trace_hooks:
-                hook(proc, name, dt)
+
+    @property
+    def syscall_counts(self) -> Counter:
+        """Per-syscall invocation counts, read from the ``syscall.<name>``
+        counter cells (a copy; empty when tracing is ablated)."""
+        if self.trace is None:
+            return Counter()
+        return Counter({
+            name[8:]: value
+            for name, value in self.trace.counters.snapshot().items()
+            if name.startswith("syscall.")})
 
     def has_syscall(self, name: str) -> bool:
-        return hasattr(self, f"sys_{name}")
+        return name in self._syscalls
 
     def implemented_syscalls(self) -> List[str]:
-        return sorted(n[4:] for n in dir(self) if n.startswith("sys_"))
+        return sorted(self._syscalls)
 
     # ------------------------------------------------------------------
     # blocking machinery

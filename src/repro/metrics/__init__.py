@@ -14,7 +14,7 @@ from .perf_report import (
 )
 from .profile import (
     SyscallProfile, aggregate_profiles, log_normalize, profile_app,
-    profile_from_kernel, render_profile, syscall_counts,
+    profile_from_kernel, render_profile,
 )
 from .report import bar, percent_row, table
 from .trace_report import (
@@ -31,6 +31,6 @@ __all__ = [
     "percent_row", "perf_report_dict", "perf_report_json", "profile_app",
     "profile_from_kernel", "render_flamegraph", "render_perf_report",
     "render_profile", "render_trace_report", "summarize_events",
-    "syscall_counts", "table", "top_down_table", "total_samples",
+    "table", "top_down_table", "total_samples",
     "trace_report_dict", "trace_report_json", "unfold",
 ]

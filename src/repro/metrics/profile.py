@@ -1,15 +1,14 @@
 """Syscall profiling (Fig. 2): which syscalls applications actually use.
 
-Runs an application under WALI with kernel tracing on, collects per-syscall
-invocation counts, and renders the log-normalised frequency profile the
-paper uses to argue that a modest syscall subset covers real software.
+Runs an application under WALI, collects per-syscall invocation counts, and
+renders the log-normalised frequency profile the paper uses to argue that a
+modest syscall subset covers real software.
 
-Counts come from the kernel's shared ``CounterRegistry`` cells
-(``syscall.<name>``) — the same source perf counting events read — so
-host-side profiles, guest ``perf stat`` and ``/proc`` can never drift
-from each other.  A kernel built with tracing ablated
-(``Kernel(trace="off")``) has no counters; there the profile falls back
-to the per-process bookkeeping in ``proc_syscall_counts``.
+Counts are ``Kernel.syscall_counts``, a view of the kernel's
+``syscall.<name>`` counter cells: the same cells perf counting events and
+guest ``perf stat`` read, so the views cannot drift from each other.  A
+kernel built with tracing ablated (``Kernel(trace="off")``) has no counter
+cells, and its profiles are empty.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..wali import WaliRuntime
-
-_SYSCALL_PREFIX = "syscall."
 
 
 @dataclass
@@ -38,33 +35,15 @@ class SyscallProfile:
         return sum(self.counts.values())
 
 
-def syscall_counts(kernel) -> Counter:
-    """Kernel-wide per-syscall invocation counts (all processes).
-
-    Prefers the ``syscall.*`` counter cells (what perf counting events
-    bind to); falls back to ``proc_syscall_counts`` when tracing is
-    ablated.
-    """
-    if kernel.trace is not None:
-        return Counter({
-            name[len(_SYSCALL_PREFIX):]: value
-            for name, value in kernel.trace.counters.snapshot().items()
-            if name.startswith(_SYSCALL_PREFIX) and value})
-    counts: Counter = Counter()
-    for c in kernel.proc_syscall_counts.values():
-        counts.update(c)
-    return counts
-
-
 def profile_from_kernel(app_name: str, kernel) -> SyscallProfile:
     """Snapshot a kernel's whole syscall history as one profile."""
-    return SyscallProfile(app_name, syscall_counts(kernel))
+    return SyscallProfile(app_name, kernel.syscall_counts)
 
 
 def profile_app(app_name: str, module, argv=None, env=None, files=None,
                 stdin: bytes = b"", runtime: Optional[WaliRuntime] = None,
                 setup=None) -> SyscallProfile:
-    """Run an app under syscall tracing; returns its profile."""
+    """Run an app to completion; returns the profile of its syscalls."""
     rt = runtime or WaliRuntime()
     for path, data in (files or {}).items():
         rt.kernel.vfs.mkdirs(path.rsplit("/", 1)[0] or "/")
@@ -76,9 +55,9 @@ def profile_app(app_name: str, module, argv=None, env=None, files=None,
     wp = rt.load(module, argv=argv or [app_name], env=env or {})
     # diff of the kernel-wide counters: children of the same run
     # (pipelines, forked workers) are included automatically
-    before = syscall_counts(rt.kernel)
+    before = rt.kernel.syscall_counts
     wp.run()
-    counts = syscall_counts(rt.kernel)
+    counts = rt.kernel.syscall_counts
     counts.subtract(before)
     return SyscallProfile(app_name, +counts)
 

@@ -14,14 +14,20 @@ Implementation shape mirrors the paper:
   :mod:`repro.wali.layout` codecs.
 * Every handler converts :class:`KernelError` to the Linux ``-errno``
   convention, and accounts its own time separately from kernel time
-  (Fig. 7 / Table 2 instrumentation).
+  (Fig. 7 / Table 2 instrumentation): :meth:`WaliHost._instrument` is the
+  WALI layer's one accounting writer.  It keeps one ``[calls, wali_ns]``
+  cell per syscall name in ``WaliHost.cells``, where ``wali_ns`` is the
+  handler's wall time minus the kernel time the calling thread spent
+  inside it, and adds the same time to the process's ``wali_time_ns``
+  total.  ``call_counts``, ``call_wali_ns``, ``struct_copy_calls`` and
+  :meth:`WaliHost.stats` are views of the cells.
 """
 
 from __future__ import annotations
 
 import struct
 import time as _time
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Dict, List, Optional
 
 from ..kernel.errno import (
@@ -36,7 +42,7 @@ from ..kernel.uring import (
 )
 from ..kernel.mm import MAP_ANONYMOUS, MREMAP_MAYMOVE
 from ..kernel.process import CLONE_VM
-from ..kernel.signals import SIG_DFL, SIG_IGN, SigAction
+from ..kernel.signals import SigAction
 from ..wasm.errors import GuestExit, Trap, TrapOutOfBounds, TrapSyscall
 from ..wasm.interp import HostFunc
 from ..wasm.types import I32, FuncType, signed32, signed64
@@ -93,12 +99,9 @@ class WaliHost:
         self.layout = GUEST_LAYOUT
         self.host_layout = Layout(runtime.arch)
         self.policy = runtime.policy
-        # instrumentation
-        self.call_counts: Counter = Counter()
-        self.call_wali_ns: Dict[str, int] = defaultdict(int)
-        self.call_total_ns: Dict[str, int] = defaultdict(int)
+        # instrumentation: syscall name -> [calls, wali_ns]
+        self.cells: Dict[str, List[int]] = {}
         self.zero_copy_calls = 0
-        self.struct_copy_calls = 0
         # per-SQE/CQE address translations skipped via registered buffers
         self.fixed_elides = 0
 
@@ -185,12 +188,13 @@ class WaliHost:
 
     def _instrument(self, name: str, method):
         """Wrap a handler with errno conversion + time split accounting."""
-        kernel_time = self.kernel.kernel_time_ns
-        tgid = self.proc.tgid
+        cell = self.cells.setdefault(name, [0, 0])
+        engine_cost = name in ENGINE_COST_CALLS
+        rusage = self.proc.rusage
 
         def call(*raw):
             t0 = _time.perf_counter_ns()
-            k0 = kernel_time[tgid]
+            k0 = rusage.stime_ns
             try:
                 # interposition point (§6): policies may deny (trap) or
                 # inject errno faults before the handler runs
@@ -201,17 +205,28 @@ class WaliHost:
             except KernelError as exc:
                 return -exc.errno
             finally:
-                dt = _time.perf_counter_ns() - t0
-                kd = kernel_time[tgid] - k0
-                self.call_counts[name] += 1
-                self.call_total_ns[name] += dt
-                self.call_wali_ns[name] += max(dt - kd, 0)
-                if name not in ENGINE_COST_CALLS:
-                    self.wp.wali_time_ns += max(dt - kd, 0)
-                if name in STRUCT_CALLS:
-                    self.struct_copy_calls += 1
+                wali_ns = max(_time.perf_counter_ns() - t0
+                              - (rusage.stime_ns - k0), 0)
+                cell[0] += 1
+                cell[1] += wali_ns
+                if not engine_cost:
+                    self.wp.wali_time_ns += wali_ns
 
         return call
+
+    # views of the cells
+
+    @property
+    def call_counts(self) -> Counter:
+        return Counter({n: c[0] for n, c in self.cells.items() if c[0]})
+
+    @property
+    def call_wali_ns(self) -> Counter:
+        return Counter({n: c[1] for n, c in self.cells.items() if c[0]})
+
+    @property
+    def struct_copy_calls(self) -> int:
+        return sum(c[0] for n, c in self.cells.items() if n in STRUCT_CALLS)
 
     # ------------------------------------------------------------------
     # explicit handlers: file I/O
@@ -827,7 +842,7 @@ class WaliHost:
             handler, flags, mask = Layout.decode_sigaction(
                 self.mem.read_bytes(act_ptr, 16))
             old = self.k("rt_sigaction", sig,
-                         SigAction(_token(handler), mask, flags))
+                         SigAction(handler, mask, flags))
         else:
             old = self.k("rt_sigaction", sig, None)
         if oldact_ptr:
@@ -1148,13 +1163,6 @@ class WaliHost:
             "fixed_buffer_elides": self.fixed_elides,
             "wali_time_ns": self.wp.wali_time_ns,
         }
-
-
-def _token(handler: int) -> int:
-    """Map the guest-encoded handler value to a sigtable token."""
-    if handler in (SIG_DFL, SIG_IGN):
-        return handler
-    return handler  # a funcref table index
 
 
 def _make_passthrough(host: WaliHost, name: str):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
+from types import CodeType
 from typing import Callable, Dict, List
 
 from .errors import (
@@ -550,31 +551,44 @@ class CompiledContext:
         return old
 
 
-def compile_instance(instance, scheme: str = "none") -> CompiledContext:
-    """Compile all defined functions of an instance; returns the context.
+# the one environment every compiled function runs against
+_HELPERS = {
+    "_idiv_s": _idiv_s, "_irem_s": _irem_s, "_clz": _clz, "_ctz": _ctz,
+    "_rotl": _rotl, "_trunc": _trunc, "_sgn32": signed32,
+    "_sgn64": signed64, "_sext": _sext, "_udiv": _udiv, "_urem": _urem,
+    "_fdiv": _fdiv, "_fmin": _fmin, "_fmax": _fmax, "_fsqrt": _fsqrt,
+    "_fceil": _fceil, "_ffloor": _ffloor, "_ftrunc": _ftrunc,
+    "_fnearest": _fnearest, "_f64_from_bits": _f64_from_bits,
+    "Trap": Trap,
+    "TrapUnreachable": TrapUnreachable,
+}
 
-    ``ctx.invoke(func_index, args)`` then runs compiled code end-to-end.
+
+def _module_code(m: Module, scheme: str) -> Dict[int, CodeType]:
+    """The module's compiled code objects for ``scheme``: compiled once
+    ("offline AoT"), then only executed by every instance binding it."""
+    code = m.compiled.get(scheme)
+    if code is None:
+        code = {}
+        n_imp = m.num_imported_funcs
+        for idx in range(n_imp, n_imp + len(m.funcs)):
+            src = _FnCompiler(m, idx, scheme).source()
+            code[idx] = compile(src, f"<wasm:{m.name}:f{idx}>", "exec")
+        m.compiled[scheme] = code
+    return code
+
+
+def compile_instance(instance, scheme: str = "none") -> CompiledContext:
+    """Bind an instance's defined functions to compiled code.
+
+    The module is compiled on first use and cached; ``ctx.invoke(func_index,
+    args)`` then runs compiled code end-to-end.
     """
     if scheme not in SAFEPOINT_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    m = instance.module
-    env = {
-        "_idiv_s": _idiv_s, "_irem_s": _irem_s, "_clz": _clz, "_ctz": _ctz,
-        "_rotl": _rotl, "_trunc": _trunc, "_sgn32": signed32,
-        "_sgn64": signed64, "_sext": _sext, "_udiv": _udiv, "_urem": _urem,
-        "_fdiv": _fdiv, "_fmin": _fmin, "_fmax": _fmax, "_fsqrt": _fsqrt,
-        "_fceil": _fceil, "_ffloor": _ffloor, "_ftrunc": _ftrunc,
-        "_fnearest": _fnearest, "_f64_from_bits": _f64_from_bits,
-        "Trap": Trap,
-        "TrapUnreachable": TrapUnreachable,
-    }
     ctx = CompiledContext(instance)
-    n_imp = m.num_imported_funcs
-    for i in range(len(m.funcs)):
-        idx = n_imp + i
-        src = _FnCompiler(m, idx, scheme).source()
+    for idx, code in _module_code(instance.module, scheme).items():
         scope: dict = {}
-        exec(compile(src, f"<wasm:{m.name}:f{idx}>", "exec"), env, scope)
+        exec(code, _HELPERS, scope)
         ctx.cfuncs[idx] = scope[f"_f{idx}"]
     return ctx
-

@@ -17,7 +17,7 @@ it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .types import FuncType, GlobalType, Limits, MemoryType, TableType
 
@@ -87,6 +87,10 @@ class Module:
     elems: List[ElemSegment] = field(default_factory=list)
     datas: List[DataSegment] = field(default_factory=list)
     name: str = ""  # debug only
+    # compiled-tier code objects, {scheme: {func index: code}}, built by
+    # the first compile_instance of each scheme (wasm/compile.py)
+    compiled: Dict[str, dict] = field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
     # ---- index-space helpers (imports precede definitions) ----
 

@@ -114,12 +114,6 @@ class TestProcfsLifecycle:
         content = k.call(proc, "read", fd, 4096).decode()
         assert "r--p" in content
 
-    def test_trace_hooks_fire(self, k, proc):
-        seen = []
-        k.trace_hooks.append(lambda p, name, dt: seen.append(name))
-        k.call(proc, "getpid")
-        assert seen == ["getpid"]
-
 
 class TestStress:
     def test_signal_storm_under_compute(self):

@@ -389,3 +389,30 @@ def test_differential_division(a, b, op):
     except Trap as exc:
         e2 = exc.kind
     assert (r1, e1) == (r2, e2)
+
+
+def test_native_tier_runs_f64_helpers_like_compile_instance():
+    """The Fig. 8 native/docker tiers bind the same compiled code as
+    ``compile_instance``, f64 helpers and non-finite constants included."""
+    from repro.virt import Workload, run_tier
+
+    mb = ModuleBuilder("f64tier")
+    mb.import_func("wali", "SYS_exit_group", params=[I32], results=[I64])
+    f = mb.func("f", results=[I32], export=True)
+    f.f64_const(2.0).op("f64.sqrt").f64_const(3.0).op("f64.min")
+    f.f64_const(10.0).op("f64.mul").op("f64.nearest")
+    f.f64_const(math.inf).f64_const(5.5).op("f64.min").op("f64.floor")
+    f.op("f64.add").f64_const(-1.0).op("f64.max").op("f64.ceil")
+    f.op("i32.trunc_f64_s")
+    f.end()
+    start = mb.func("_start", export=True)
+    start.call("f").call("SYS_exit_group").op("drop")
+    start.end()
+    module = mb.build()
+
+    inst = instantiate(module, {"wali": {"SYS_exit_group": lambda s: 0}})
+    want = compile_instance(inst).invoke(inst.func_index_of("f"), ())
+    assert want == 19
+    wl = Workload(app="f64tier", argv=["f64tier"])
+    for tier in ("native", "docker"):
+        assert run_tier(tier, module, wl).status == want, tier
