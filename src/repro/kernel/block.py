@@ -61,7 +61,7 @@ import zlib
 from typing import Dict, List, Optional, Set
 
 from .errno import EINVAL, ENOSPC, KernelError
-from .eventpoll import EPOLLIN, ProcNotifier, WaitQueue
+from .eventpoll import EPOLLIN, WaitQueue
 from .vfs import CharDevice, Inode, S_IFREG
 
 BLOCKFS_MAGIC = "repro-blockfs-1"
@@ -442,7 +442,7 @@ class BlockFS:
 
         With a kernel/proc the wait is a schedule point
         (:meth:`~repro.kernel.sched.Scheduler.sleep` releases the CPU
-        slot, a :class:`ProcNotifier` on ``ioq`` delivers early wakes);
+        slot, ``proc.kick`` subscribed on ``ioq`` delivers early wakes);
         the writeback daemon settles with plain sleeps.  The wait is
         uninterruptible, like a task in D state.
         """
@@ -460,16 +460,15 @@ class BlockFS:
             if rem > 0:
                 _time.sleep(rem / 1e9)
         else:
-            notifier = ProcNotifier(proc)
-            self.ioq.subscribe(notifier)
+            self.ioq.subscribe(proc.kick)
             try:
                 while True:
                     rem = end - _time.monotonic_ns()
                     if rem <= 0:
                         break
-                    kernel.sched.sleep(proc, rem / 1e9, notifier)
+                    kernel.sched.sleep(proc, rem / 1e9)
             finally:
-                self.ioq.unsubscribe(notifier)
+                self.ioq.unsubscribe(proc.kick)
         self._count("block.io_wait_ns", _time.monotonic_ns() - waited0)
         self._emit("block_complete", arg=ns)
         self.ioq.wake(EPOLLIN)

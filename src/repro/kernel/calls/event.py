@@ -125,9 +125,9 @@ class EventCalls:
         if sigmask is not None:
             proc.blocked_mask = sigmask
         try:
-            return self.block_on_waitqueues(
-                proc, [ep.wq], lambda: ep.wait_step(maxevents),
-                timeout_ns=timeout_ns, empty=list)
+            return self.wait_event(
+                proc, lambda: ep.wait_step(maxevents), (ep.wq,),
+                timeout_ns) or []
         finally:
             if sigmask is not None:
                 proc.blocked_mask = old_mask

@@ -175,7 +175,7 @@ class FSCalls:
         total = 0
         while total < len(data):
             n = self._blocking_io(
-                proc, file, lambda: file.write(data[total:]), on_pipe_full=True)
+                proc, file, lambda: file.write(data[total:]))
             total += n
             if file.kind not in (OpenFile.KIND_PIPE_W, OpenFile.KIND_SOCK):
                 break  # regular files/devices write everything in one step
@@ -654,9 +654,9 @@ class FSCalls:
                     out.append((fd, revents))
             return out or None  # None = keep blocking
 
-        return self.block_on_waitqueues(
-            proc, self._poll_waitqueues(proc, [fd for fd, _ in fds]),
-            scan, timeout_ns=timeout_ns, empty=list)
+        return self.wait_event(
+            proc, scan, self._poll_waitqueues(proc, [fd for fd, _ in fds]),
+            timeout_ns) or []
 
     def sys_poll(self, proc: Process, fds, timeout_ms: int):
         timeout_ns = None if timeout_ms < 0 else timeout_ms * 1_000_000
@@ -686,9 +686,9 @@ class FSCalls:
                 return r_ready, w_ready
             return None
 
-        return self.block_on_waitqueues(
-            proc, self._poll_waitqueues(proc, list(rfds) + list(wfds)),
-            scan, timeout_ns=timeout_ns, empty=lambda: ([], []))
+        return self.wait_event(
+            proc, scan, self._poll_waitqueues(proc, list(rfds) + list(wfds)),
+            timeout_ns) or ([], [])
 
     def sys_select(self, proc, rfds, wfds, timeout_ns=None):
         return self.sys_pselect6(proc, rfds, wfds, timeout_ns)

@@ -133,13 +133,11 @@ class ProcCalls:
         if parent is not None:
             if proc.exit_signal:
                 parent.generate_signal(proc.exit_signal)
-            with parent.wake:
-                parent.wake.notify_all()
+            parent.kick()
         if proc.is_thread:
             # threads are auto-reaped; nothing waits on them via wait4
             self.reap(proc.pid)
-        with proc.wake:
-            proc.wake.notify_all()
+        proc.kick()
 
     def _fdtable_shared(self, proc: Process) -> bool:
         # snapshot under the lock: a fork or reap on another thread may
@@ -189,7 +187,7 @@ class ProcCalls:
             if child is None:
                 return 0, 0, None
         else:
-            child = self.block_until(proc, scan)
+            child = self.wait_event(proc, scan)
         proc.children.remove(child.pid)
         status = child.exit_status
         rusage = child.rusage
@@ -471,8 +469,7 @@ class ProcCalls:
             st["waiters"].remove(new_owner)
             st["owner"] = new_owner
             self._pi_refresh_boost(new_owner)
-            with new_owner.wake:
-                new_owner.wake.notify_all()
+            new_owner.kick()
         else:
             st["owner"] = None
             self.futex_pi.pop(key, None)
@@ -508,14 +505,13 @@ class ProcCalls:
                 return True if entry not in waiters else None
 
             try:
-                self.block_until(proc, scan, timeout_ns=timeout_ns,
-                                 empty=lambda: (_ for _ in ()).throw(
-                                     KernelError(ETIMEDOUT,
-                                                 "futex timeout")))
+                woken = self.wait_event(proc, scan, timeout_ns=timeout_ns)
             finally:
                 with self.futex_lock:
                     if entry in waiters:
                         waiters.remove(entry)
+            if woken is None:
+                raise KernelError(ETIMEDOUT, "futex timeout")
             return 0
         if base_op == FUTEX_WAKE:
             if val < 0:
@@ -526,8 +522,7 @@ class ProcCalls:
                 for entry in picked:
                     waiters.remove(entry)
             for _, waiter in picked:
-                with waiter.wake:
-                    waiter.wake.notify_all()
+                waiter.kick()
             return len(picked)
         if base_op == FUTEX_LOCK_PI:
             with self.futex_lock:
@@ -545,7 +540,9 @@ class ProcCalls:
                 return True if st["owner"] is proc else None
 
             try:
-                self.block_until(proc, owned, timeout_ns=timeout_ns)
+                if self.wait_event(proc, owned, timeout_ns=timeout_ns) \
+                        is None:
+                    raise KernelError(ETIMEDOUT, "futex timeout")
             except KernelError:
                 with self.futex_lock:
                     # the unlocker may have handed us the futex between

@@ -54,13 +54,13 @@ class SigCalls:
         saved = proc.blocked_mask
         proc.blocked_mask = mask & ~(sig_bit(SIGKILL) | sig_bit(SIGSTOP))
         try:
-            self.block_until(proc, lambda: None)  # only a signal can wake us
+            self.wait_event(proc, lambda: None)  # only a signal wakes us
         finally:
             proc.blocked_mask = saved
-        return 0  # unreachable: block_until raises EINTR on signal
+        return 0  # unreachable: wait_event raises EINTR on signal
 
     def sys_pause(self, proc: Process) -> int:
-        self.block_until(proc, lambda: None)
+        self.wait_event(proc, lambda: None)
         return 0  # unreachable
 
     def sys_sigaltstack(self, proc: Process, ss=None) -> int:
@@ -83,6 +83,7 @@ class SigCalls:
                     return sig
             return None
 
-        return self.block_until(proc, scan, timeout_ns=timeout_ns,
-                                empty=lambda: (_ for _ in ()).throw(
-                                    KernelError(EAGAIN, "sigtimedwait timeout")))
+        sig = self.wait_event(proc, scan, timeout_ns=timeout_ns)
+        if sig is None:
+            raise KernelError(EAGAIN, "sigtimedwait timeout")
+        return sig

@@ -6,7 +6,8 @@ transitions *publish* readiness by calling :meth:`WaitQueue.wake`, and
 consumers *subscribe* callbacks:
 
 * blocking syscalls (``ppoll``/``pselect6``/``read``/``accept``...) subscribe
-  a process notifier so they wake promptly instead of timeout-slicing,
+  the blocked task's ``Process.kick`` (through ``Kernel.wait_event``), so
+  they wake promptly instead of timeout-slicing,
 * :class:`EventPoll` instances subscribe per-interest callbacks that move the
   fd onto a **ready list** — ``epoll_pwait`` then dispatches from that list
   in O(ready) instead of rescanning all N watched fds like ``poll``.
@@ -107,25 +108,6 @@ class WaitQueue:
 
     def __len__(self) -> int:
         return len(self._waiters)
-
-
-class ProcNotifier:
-    """Waitqueue subscriber that kicks a blocked process's wake condition.
-
-    The ``fired`` flag closes the check-then-wait race: a wake landing
-    between the caller's readiness scan and its ``wait()`` is not lost.
-    """
-
-    __slots__ = ("proc", "fired")
-
-    def __init__(self, proc):
-        self.proc = proc
-        self.fired = False
-
-    def __call__(self, events: int = 0) -> None:
-        with self.proc.wake:
-            self.fired = True
-            self.proc.wake.notify_all()
 
 
 class EventFD:

@@ -14,14 +14,19 @@ histogram.  Every other per-syscall view is read from those:
 ``syscall_counts``, the Fig. 2 profile, perf counting events and guest
 ``perf stat`` all read the counter cells.
 
-Blocking syscalls are schedule points: they park the task off the run
-queue through :meth:`repro.kernel.sched.Scheduler.sleep` (releasing its
-CPU slot for the duration), and every blocking loop re-checks for
-deliverable signals on wakeup, so signal generation interrupts syscalls
-with ``EINTR`` exactly like Linux.  ``Kernel.call`` itself acquires a
-CPU slot on entry and honors preemption on exit, so syscall latency
-under load includes *runnable-wait* (contention), accounted separately
-in ``sched_wait_ns``.
+Every blocking syscall waits in one loop, :meth:`Kernel.wait_event`, and
+:meth:`repro.kernel.process.Process.kick` is the only way to wake it
+(signals, child exit, futex wake and PI hand-off, and waitqueue readiness
+all kick).  A wait is a schedule point: the task leaves the run queue
+through :meth:`repro.kernel.sched.Scheduler.sleep`, releasing its CPU
+slot, and rechecks for deliverable signals on every wakeup, so signal
+generation interrupts syscalls with ``EINTR`` exactly like Linux.  No
+waker relies on the loop's 50 ms safety slice: a sleep that runs the
+slice out and then finds its scan satisfied is a lost wakeup, counted in
+``sched.safety_net_wakeups`` (``docs/sched.md``, "Blocking and
+wakeups").  ``Kernel.call`` itself acquires a CPU slot on entry and
+honors preemption on exit, so syscall latency under load includes
+*runnable-wait* (contention), accounted separately in ``sched_wait_ns``.
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ from .calls import (
     PerfCalls, ProcCalls, SigCalls, URingCalls,
 )
 from . import procfs
-from .errno import EAGAIN, EINTR, ENOSYS, EPIPE, ETIMEDOUT, KernelError
-from .eventpoll import ProcNotifier
+from .errno import EAGAIN, EINTR, ENOSYS, EPIPE, KernelError
 from .fdtable import FDTable, OpenFile
 from .process import Process, STATE_RUNNING
 from .signals import SIGPIPE
@@ -48,14 +52,9 @@ from .vfs import (
     ZeroDevice,
 )
 
-_BLOCK_SLICE_S = 0.002  # blocking syscalls re-check readiness every 2 ms
-# with waitqueue notifiers subscribed, wakeups are event-driven; the slice
-# is only a lost-wakeup safety net and can be much coarser
-_WQ_SLICE_S = 0.05
-
-
-class _TimedOut(Exception):
-    pass
+# wakeups are kick-driven; a blocked task still rescans once per slice,
+# so a lost kick costs latency, and shows up in sched.safety_net_wakeups
+_SAFETY_SLICE_S = 0.05
 
 
 class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
@@ -305,113 +304,81 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
     # blocking machinery
     # ------------------------------------------------------------------
 
-    def block_until(self, proc: Process, scan: Callable,
-                    timeout_ns: Optional[int] = None,
-                    empty: Optional[Callable] = None):
-        """Run ``scan`` until it returns non-None.
+    def wait_event(self, proc: Process, scan: Callable, waitqueues=(),
+                   timeout_ns: Optional[int] = None):
+        """Block until ``scan()`` returns non-None, and return that.
 
-        Between scans, the task leaves the run queue and sleeps briefly
-        on the process wake condition (a schedule point: its CPU slot is
-        released while it sleeps).  A deliverable signal interrupts the
-        wait with ``EINTR``; a timeout returns ``empty()`` when
-        provided, else raises ``ETIMEDOUT``.
+        The one blocking loop.  The first ``scan`` runs before anything
+        is subscribed, so a call that is already satisfied (or polls
+        with a zero timeout) allocates nothing.  Otherwise ``proc.kick``
+        is subscribed to every queue in ``waitqueues`` and the task
+        rescans, then sleeps on the scheduler
+        (:meth:`~repro.kernel.sched.Scheduler.sleep`, a schedule point)
+        until a kick or the safety slice, and rescans again.  A
+        deliverable signal, or the task leaving the running state, raises
+        ``EINTR``; reaching the deadline returns None.
+
+        A sleep that runs its whole safety slice with no kick, followed
+        by a successful scan, is a lost wakeup: it bumps the
+        ``sched.safety_net_wakeups`` counter.
         """
         deadline = None
         if timeout_ns is not None:
             deadline = _time.monotonic_ns() + timeout_ns
-        while True:
-            result = scan()
-            if result is not None:
-                return result
-            if proc.has_deliverable_signal() or proc.state != STATE_RUNNING:
-                raise KernelError(EINTR, "interrupted by signal")
-            wait_s = _BLOCK_SLICE_S
-            if deadline is not None:
-                remaining = deadline - _time.monotonic_ns()
-                if remaining <= 0:
-                    if empty is not None:
-                        return empty()
-                    raise KernelError(ETIMEDOUT)
-                wait_s = min(wait_s, remaining / 1e9)
-            self.sched.sleep(proc, wait_s)
-
-    def block_on_waitqueues(self, proc: Process, waitqueues, scan: Callable,
-                            timeout_ns: Optional[int] = None,
-                            empty: Optional[Callable] = None):
-        """Like :meth:`block_until`, but woken by readiness waitqueues.
-
-        A :class:`ProcNotifier` is subscribed to every queue in
-        ``waitqueues``; readiness transitions then notify the process wake
-        condition immediately, so there is no per-slice rescan — ``scan``
-        runs once per wakeup (event, signal, or the coarse safety slice).
-        """
-        notifier = ProcNotifier(proc)
-        wqs = [wq for wq in waitqueues if wq is not None]
-        for wq in wqs:
-            wq.subscribe(notifier)
-        deadline = None
-        if timeout_ns is not None:
-            deadline = _time.monotonic_ns() + timeout_ns
+        wqs = None  # subscribed waitqueues, once the first scan failed
+        slept_out = False
         try:
             while True:
                 result = scan()
                 if result is not None:
+                    # a kick that landed during the scan was a real wake
+                    if slept_out and not proc.kicked \
+                            and self.trace is not None:
+                        self.trace.counters.inc("sched.safety_net_wakeups")
                     return result
                 if proc.has_deliverable_signal() or \
                         proc.state != STATE_RUNNING:
                     raise KernelError(EINTR, "interrupted by signal")
-                wait_s = _WQ_SLICE_S
+                wait_s = _SAFETY_SLICE_S
                 if deadline is not None:
                     remaining = deadline - _time.monotonic_ns()
                     if remaining <= 0:
-                        if empty is not None:
-                            return empty()
-                        raise KernelError(ETIMEDOUT)
+                        return None
                     wait_s = min(wait_s, remaining / 1e9)
-                self.sched.sleep(proc, wait_s, notifier)
+                if wqs is None:
+                    # kicks older than this point are covered by the rescan
+                    proc.kicked = False
+                    proc.waiting_thread = threading.get_ident()
+                    wqs = [wq for wq in waitqueues if wq is not None]
+                    for wq in wqs:
+                        wq.subscribe(proc.kick)
+                    continue
+                slept_out = not self.sched.sleep(proc, wait_s) \
+                    and wait_s == _SAFETY_SLICE_S
         finally:
-            for wq in wqs:
-                wq.unsubscribe(notifier)
+            if wqs is not None:
+                proc.waiting_thread = None
+                for wq in wqs:
+                    wq.unsubscribe(proc.kick)
 
-    def _blocking_io(self, proc: Process, file: OpenFile, step: Callable,
-                     on_pipe_full: bool = False):
-        """Retry a non-blocking I/O step until it succeeds.
+    def _blocking_io(self, proc: Process, file: OpenFile, step: Callable):
+        """Run a non-blocking I/O step, waiting while it would block.
 
-        ``EAGAIN`` means "would block": re-raise for O_NONBLOCK files, else
-        wait and retry.  ``EPIPE`` generates SIGPIPE, like Linux.  When the
-        file publishes readiness (sockets, pipes, event fds), a waitqueue
-        notifier wakes the retry loop as soon as the peer makes progress.
+        ``EAGAIN`` means "would block": re-raise for O_NONBLOCK files,
+        else wait on the file's readiness waitqueue and retry.  ``EPIPE``
+        generates SIGPIPE, like Linux.
         """
-        notifier = None
-        wq = None
-        try:
-            while True:
-                try:
-                    return step()
-                except KernelError as exc:
-                    if exc.errno == EPIPE:
-                        proc.generate_signal(SIGPIPE)
-                        raise
-                    if exc.errno != EAGAIN:
-                        raise
-                    if file.nonblocking:
-                        raise
-                if proc.has_deliverable_signal() or \
-                        proc.state != STATE_RUNNING:
-                    raise KernelError(EINTR, "interrupted by signal")
-                if notifier is None:
-                    wq = file.wait_queue()
-                    if wq is not None:
-                        notifier = ProcNotifier(proc)
-                        wq.subscribe(notifier)
-                        continue  # readiness may have changed while subscribing
-                self.sched.sleep(
-                    proc,
-                    _WQ_SLICE_S if notifier is not None else _BLOCK_SLICE_S,
-                    notifier)
-        finally:
-            if notifier is not None and wq is not None:
-                wq.unsubscribe(notifier)
+        def attempt():
+            try:
+                return step()
+            except KernelError as exc:
+                if exc.errno == EPIPE:
+                    proc.generate_signal(SIGPIPE)
+                elif exc.errno == EAGAIN and not file.nonblocking:
+                    return None
+                raise
+
+        return self.wait_event(proc, attempt, (file.wait_queue(),))
 
     def storage_charge(self, nbytes: int) -> None:
         """Burn the storage device's simulated service time (kernel time)."""
@@ -425,8 +392,7 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
 
     def notify_all_blocked(self) -> None:
         for p in list(self.processes.values()):
-            with p.wake:
-                p.wake.notify_all()
+            p.kick()
 
     # ------------------------------------------------------------------
     # console helpers (tests & examples)

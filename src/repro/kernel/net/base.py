@@ -110,7 +110,7 @@ class Socket:
         self.backlog_limit = 0
         self.dgrams: List[Tuple[Tuple, bytes]] = []
         self.opts: Dict[Tuple[int, int], int] = {}
-        self.cond = threading.Condition()
+        self.lock = threading.RLock()
         # readiness waitqueue: state transitions publish events here so
         # epoll/ppoll waiters wake without rescanning (kernel/eventpoll.py)
         self.wq = WaitQueue()
@@ -132,10 +132,9 @@ class Socket:
     # ---- stream data path (non-blocking steps; kernel loops for blocking) ----
 
     def recv_step(self, length: int) -> bytes:
-        with self.cond:
+        with self.lock:
             if self.rx.data:
                 out = self.rx.read(length)
-                self.cond.notify_all()
                 if self.peer is not None:
                     self.peer.wq.wake(EPOLLOUT)  # space freed for the writer
                 return out
@@ -190,9 +189,8 @@ class Socket:
                 self.stack.deliver_eof(self, self.peer,
                                        EPOLLIN | EPOLLRDHUP)
         if how in (SHUT_RD, SHUT_RDWR):
-            with self.cond:
+            with self.lock:
                 self.rx.set_eof()
-                self.cond.notify_all()
             self.wq.wake(EPOLLIN | EPOLLRDHUP)
 
     def close(self) -> None:
@@ -201,16 +199,13 @@ class Socket:
         if self.state == self.ST_LISTENING:
             self.stack.unregister(self)
             for pending in self.backlog:
-                with pending.cond:
+                with pending.lock:
                     pending.state = pending.ST_CLOSED
-                    pending.cond.notify_all()
                 pending.wq.wake(EPOLLIN | EPOLLHUP)
         if self.addr is not None and self.type == SOCK_DGRAM:
             self.stack.unregister(self)
         peer = self.peer
         self.state = self.ST_CLOSED
-        with self.cond:
-            self.cond.notify_all()
         self.wq.wake(EPOLLIN | EPOLLOUT | EPOLLHUP)
         if peer is not None:
             self.stack.deliver_eof(self, peer,

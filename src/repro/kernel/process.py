@@ -135,8 +135,13 @@ class Process:
         self.robust_list = 0
         self.alarm_deadline_ns: Optional[int] = None
 
-        # blocking syscalls wait on this; signal generation notifies it
+        # blocking syscalls sleep on this condition; kick() is its only
+        # notifier, and the sticky `kicked` flag keeps a wake that lands
+        # between a readiness scan and the sleep
         self.wake = threading.Condition()
+        self.kicked = False
+        # the host thread running this task's Kernel.wait_event, if any
+        self.waiting_thread: Optional[int] = None
 
         # scheduler state: vruntime, nice/weight, slice + wait accounting
         self.se = SchedEntity()
@@ -164,7 +169,26 @@ class Process:
         self.pending.generate(sig, sender_pid, sender_uid)
         for sfd in list(self.signalfds):
             sfd.signal_generated(sig)
+        self.kick()
+
+    def kick(self, events: int = 0) -> None:
+        """Wake the task from a blocking wait (the one waker).
+
+        Sets the sticky ``kicked`` flag under the wake condition, so a
+        kick that lands between a blocker's scan and its sleep is kept
+        until :meth:`repro.kernel.sched.Scheduler.sleep` consumes it.
+        The ``events`` argument lets waitqueues subscribe the bound
+        method directly.
+
+        A waiting task's own thread never kicks it: such a kick comes
+        from the task's own scan (a pipe read waking the queue the reader
+        waits on), and the task is awake and rescans before it sleeps.
+        Ignoring it keeps ``kicked`` meaning "another thread woke me",
+        which the lost-wakeup count relies on."""
+        if threading.get_ident() == self.waiting_thread:
+            return
         with self.wake:
+            self.kicked = True
             self.wake.notify_all()
 
     def has_deliverable_signal(self) -> bool:

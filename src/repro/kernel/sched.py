@@ -442,23 +442,25 @@ class Scheduler:
                     self._enqueue(proc, now, absent=True)
                     self._dispatch(now)
 
-    def sleep(self, proc, wait_s: float, notifier=None) -> None:
+    def sleep(self, proc, wait_s: float) -> bool:
         """Scheduler-aware blocking: release the CPU slot, sleep on the
-        process wake condition (woken early by ``notifier``/signals),
-        then re-contend for a slot.  Sleep time lands in
-        ``blocked_time_ns``; re-contention lands in ``sched_wait_ns``."""
+        process wake condition for at most ``wait_s`` seconds unless a
+        :meth:`~repro.kernel.process.Process.kick` is already pending,
+        then re-contend for a slot.  Consumes the kick and returns
+        whether there was one (False: the sleep ran out).  Sleep time
+        lands in ``blocked_time_ns``; re-contention in ``sched_wait_ns``."""
         self.task_block(proc)
         se = proc.se
         w0 = self._now()
         with proc.wake:
-            if notifier is None or not notifier.fired:
+            if not proc.kicked:
                 proc.wake.wait(wait_s)
-            if notifier is not None:
-                notifier.fired = False
+            kicked, proc.kicked = proc.kicked, False
         dt = self._now() - w0
         se.blocked_ns += dt
         self.blocked_ns_by_tgid[proc.tgid] += dt
         self._acquire(proc)
+        return kicked
 
     def yield_now(self, proc) -> None:
         """Blocking ``sched_yield``: requeue and wait to be picked again."""

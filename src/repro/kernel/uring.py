@@ -88,8 +88,7 @@ from .errno import (
     EAGAIN, EBADF, ECANCELED, EINVAL, ENOTSOCK, ETIME, KernelError,
 )
 from .eventpoll import (
-    EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP, ProcNotifier,
-    WaitQueue,
+    EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP, WaitQueue,
 )
 from .fdtable import OpenFile
 
@@ -781,11 +780,10 @@ class SQPoller:
         kern, ring, proc = self.kernel, self.ring, self.proc
         sched = kern.sched
         counters = ring.counters
-        notifier = ProcNotifier(proc)
         # wake on submissions (kicks) and on completions (to flush CQEs
         # into the guest ring without waiting out the doze)
-        ring.sq_wq.subscribe(notifier)
-        ring.wq.subscribe(notifier)
+        ring.sq_wq.subscribe(proc.kick)
+        ring.wq.subscribe(proc.kick)
         idle_since: Optional[int] = None
         try:
             while not self._stop.is_set() and not ring.closed:
@@ -808,7 +806,7 @@ class SQPoller:
                     idle_since = now
                 if now - idle_since < self.idle_ns:
                     # inside the idle window: brief doze, stay armed
-                    sched.sleep(proc, _SQPOLL_DOZE_S, notifier)
+                    sched.sleep(proc, _SQPOLL_DOZE_S)
                     continue
                 # sq_thread_idle elapsed: publish NEED_WAKEUP and park.
                 # Re-check for work *after* raising the flag — a guest
@@ -822,12 +820,12 @@ class SQPoller:
                                     arg=self.polls)
                 if ring.sq_pending() == 0 and not self._stop.is_set() \
                         and not ring.closed:
-                    sched.sleep(proc, _SQPOLL_PARK_S, notifier)
+                    sched.sleep(proc, _SQPOLL_PARK_S)
                 ring.set_need_wakeup(False)
                 idle_since = None
         finally:
-            ring.sq_wq.unsubscribe(notifier)
-            ring.wq.unsubscribe(notifier)
+            ring.sq_wq.unsubscribe(proc.kick)
+            ring.wq.unsubscribe(proc.kick)
             try:
                 kern.call(proc, "exit", 0)
             except Exception:
