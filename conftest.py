@@ -7,7 +7,8 @@ Also home of two fixtures:
 
 * ``lost_wakeup_guard`` (autouse) fails any test whose kernels recorded a
   ``sched.safety_net_wakeups`` count: a blocked task that woke only
-  because its safety slice ran out.
+  because its safety slice ran out.  Every kernel counts it, including
+  one booted with tracing ablated (``Kernel(trace="off")``).
 * ``wan_seed``: every test that builds a WAN backend derives its
   impairment seed from here, so jitter/loss/reorder decisions are
   bit-reproducible run-to-run (per-flow RNG streams in
@@ -41,8 +42,7 @@ def lost_wakeup_guard(monkeypatch):
 
     monkeypatch.setattr(Kernel, "__init__", tracking_init)
     yield
-    lost = sum(k.trace.counters.get("sched.safety_net_wakeups")
-               for k in kernels if k.trace is not None)
+    lost = sum(k.counters.get("sched.safety_net_wakeups") for k in kernels)
     if lost:
         pytest.fail(f"{lost} wakeup(s) recovered only by the safety slice "
                     "(sched.safety_net_wakeups)")

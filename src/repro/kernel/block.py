@@ -344,6 +344,10 @@ class FileMapping:
         return min(self.dirty.values()) if self.dirty else (0, 0)
 
 
+class _PendingTLS(threading.local):
+    pending = 0
+
+
 class BlockFS:
     """One mounted block filesystem: cache policy + commit protocol.
 
@@ -394,7 +398,9 @@ class BlockFS:
         self._daemon: Optional[WritebackDaemon] = None
         self.vfs = None
         self.root_inode: Optional[Inode] = None
-        self._tls = threading.local()
+        # per-thread accrued device time; ``tls.pending`` reads 0 in a
+        # thread that accrued none (Kernel.call reads it once per syscall)
+        self.tls = _PendingTLS()
 
     # ------------------------------------------------------------------
     # observability plumbing
@@ -420,21 +426,18 @@ class BlockFS:
     # ------------------------------------------------------------------
 
     def pending_ns(self) -> int:
-        return getattr(self._tls, "pending", 0)
-
-    def has_pending(self) -> bool:
-        return self.pending_ns() > 0
+        return self.tls.pending
 
     def take_pending(self) -> int:
-        ns = self.pending_ns()
-        self._tls.pending = 0
+        ns = self.tls.pending
+        self.tls.pending = 0
         return ns
 
     def drop_pending(self) -> None:
-        self._tls.pending = 0
+        self.tls.pending = 0
 
     def _add_pending(self, ns: int) -> None:
-        self._tls.pending = self.pending_ns() + ns
+        self.tls.pending += ns
 
     def settle(self, kernel, proc) -> None:
         """Serve this thread's accrued device time: reserve a slot on the
@@ -790,7 +793,7 @@ class BlockFS:
         before = self.pending_ns()
         self.fsync_inode(inode, datasync=datasync, charge=True)
         delta = self.pending_ns() - before
-        self._tls.pending = before
+        self.tls.pending = before
         if delta <= 0:
             return 0
         with self._disk_lock:

@@ -237,7 +237,8 @@ class TimerFD:
 class _Interest:
     """One entry on an epoll interest list."""
 
-    __slots__ = ("fd", "file", "events", "data", "disabled", "callback")
+    __slots__ = ("fd", "file", "events", "data", "disabled", "callback",
+                 "marks")
 
     def __init__(self, fd: int, file, events: int, data: int):
         self.fd = fd
@@ -246,6 +247,7 @@ class _Interest:
         self.data = data
         self.disabled = False  # set after delivery under EPOLLONESHOT
         self.callback: Optional[Callable[[int], None]] = None
+        self.marks = 0         # readiness marks so far (EventPoll._unready)
 
 
 class EventPoll:
@@ -268,6 +270,8 @@ class EventPoll:
         self._dirty = False
         # shared kernel CounterRegistry (epoll.wake_coalesced lives there)
         self.counters = counters
+        # orders a readiness mark against a scan dropping the same entry
+        self._mark_lock = threading.Lock()
 
     # ---- interest-list maintenance (epoll_ctl) ----
 
@@ -345,8 +349,18 @@ class EventPoll:
     def _mark_ready(self, item: _Interest, events: int) -> None:
         if item.disabled:
             return
-        self._ready[item.fd] = self._ready.get(item.fd, 0) | events
+        with self._mark_lock:
+            item.marks += 1
+            self._ready[item.fd] = self._ready.get(item.fd, 0) | events
         self._kick()
+
+    def _unready(self, item: _Interest, marks: int) -> None:
+        """Drop ``item`` from the ready list, unless it was marked after
+        its level was read (``marks`` is the count read before): that
+        mark is a transition the level read may have missed."""
+        with self._mark_lock:
+            if item.marks == marks:
+                self._ready.pop(item.fd, None)
 
     def wait_step(self, maxevents: int) -> Optional[List[Tuple[int, int]]]:
         """One dispatch pass over the ready list.
@@ -368,10 +382,11 @@ class EventPoll:
             if item.disabled:
                 self._ready.pop(fd, None)
                 continue
+            marks = item.marks
             mask = item.file.poll_events()
             revents = mask & (item.events | _ALWAYS_EVENTS)
             if not revents:
-                self._ready.pop(fd, None)  # spurious or consumed: drop
+                self._unready(item, marks)  # spurious or consumed: drop
                 continue
             out.append((item.data, revents))
             if item.events & EPOLLONESHOT:
@@ -379,7 +394,7 @@ class EventPoll:
                 self._ready.pop(fd, None)
             elif item.events & EPOLLET:
                 # edge-triggered: silent until the next wakeup edge
-                self._ready.pop(fd, None)
+                self._unready(item, marks)
             # level-triggered entries stay on the ready list; the next
             # wait re-checks the level and drops them once drained.
             if len(out) >= maxevents:

@@ -69,7 +69,7 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         from .net import create_backend
         from .perf import PerfSubsystem
         from .sched import create_scheduler
-        from .trace import create_trace
+        from .trace import CounterRegistry, create_trace
 
         self.machine = machine
         self.ncpus = ncpus
@@ -87,6 +87,11 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         # Created before the scheduler and the net backend so both can
         # pick up their trace/counter sinks at construction time.
         self.trace = create_trace(trace)
+        # the counter registry, kept even when tracing is ablated so that
+        # correctness counters (sched.safety_net_wakeups,
+        # wali.fork_refused) count on every kernel
+        self.counters = self.trace.counters if self.trace is not None \
+            else CounterRegistry()
         # network device model: a backend spec string ("loopback",
         # "wan:latency_ms=5,loss=0.01", "host:optin=1"), a NetBackend
         # instance, or None for the default loopback stack (kernel/net/).
@@ -109,10 +114,11 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         self.boot_monotonic_ns = _time.monotonic_ns()
 
         # the syscall table, built per instance so that handlers patched
-        # onto the class before boot are the ones dispatched
-        self._syscalls: Dict[str, Callable] = {
-            n[4:]: getattr(self, n) for n in dir(type(self))
-            if n.startswith("sys_")}
+        # onto the class before boot are the ones dispatched: name ->
+        # (bound handler, its ``syscall.<name>`` counter key)
+        self._syscalls: Dict[str, tuple] = {
+            n[4:]: (getattr(self, n), "syscall." + n[4:])
+            for n in dir(type(self)) if n.startswith("sys_")}
 
         # accounting
         self.kernel_time_ns: Dict[int, int] = defaultdict(int)
@@ -242,33 +248,36 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         CPU slot, read back from ``sched_wait_ns``), so tail-latency reports
         can separate kernel cost from contention.
         """
-        method = self._syscalls.get(name)
-        if method is None:
+        entry = self._syscalls.get(name)
+        if entry is None:
             raise KernelError(ENOSYS, name)
+        method, counter = entry
         trace = self.trace
         tgid = proc.tgid
         t0 = _time.perf_counter_ns()
         w0 = self.sched_wait_ns.get(tgid, 0) if trace is not None else 0
         self.sched.syscall_enter(proc)
         err = 0
-        if trace is not None:
+        returned = False
+        if trace is not None and (trace.enabled or trace.probes is not None):
             trace.emit("syscall_enter", pid=proc.pid, info=name)
         try:
             result = method(proc, *args, **kwargs)
-            bd = self.blockdev
-            if bd is not None and bd.has_pending():
-                # accrued disk time is settled here, at syscall exit,
-                # parking the task on the scheduler like any blocking
-                # primitive (the I/O wait is a schedule point)
-                bd.settle(self, proc)
+            returned = True
             return result
         except KernelError as exc:
             err = exc.errno
             raise
         finally:
             bd = self.blockdev
-            if bd is not None:
-                bd.drop_pending()  # error paths forfeit unsettled cost
+            if bd is not None and bd.tls.pending:
+                if returned:
+                    # accrued disk time is settled here, at syscall exit,
+                    # parking the task on the scheduler like any blocking
+                    # primitive (the I/O wait is a schedule point)
+                    bd.settle(self, proc)
+                else:
+                    bd.drop_pending()  # error paths forfeit unsettled cost
             self.sched.syscall_exit(proc)
             dt = _time.perf_counter_ns() - t0
             self.kernel_time_ns[tgid] += dt
@@ -276,9 +285,11 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
             if trace is not None:
                 wait = self.sched_wait_ns.get(tgid, 0) - w0
                 trace.record_syscall(name, dt - wait, wait)
-                trace.counters.inc("syscall." + name)
-                trace.emit("syscall_exit", pid=proc.pid, arg=-err,
-                           info=name, args=(-err, dt - wait, wait))
+                trace.counters.inc(counter)
+                # re-read: the handler may have switched tracing on
+                if trace.enabled or trace.probes is not None:
+                    trace.emit("syscall_exit", pid=proc.pid, arg=-err,
+                               info=name, args=(-err, dt - wait, wait))
             perf = self.perf
             if perf.active:
                 perf.on_syscall(proc)
@@ -332,9 +343,8 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
                 result = scan()
                 if result is not None:
                     # a kick that landed during the scan was a real wake
-                    if slept_out and not proc.kicked \
-                            and self.trace is not None:
-                        self.trace.counters.inc("sched.safety_net_wakeups")
+                    if slept_out and not proc.kicked:
+                        self.counters.inc("sched.safety_net_wakeups")
                     return result
                 if proc.has_deliverable_signal() or \
                         proc.state != STATE_RUNNING:

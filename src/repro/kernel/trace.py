@@ -402,7 +402,7 @@ class KernelTrace:
         self.payloads = False
         # perf counting events attach probes here; None (the common
         # case) keeps emit's extra cost to one load + identity test
-        self._probes: Optional[Dict[str, List[Callable]]] = None
+        self.probes: Optional[Dict[str, List[Callable]]] = None
 
     # ---- the trace clock ----
 
@@ -422,8 +422,8 @@ class KernelTrace:
         check: a perf counter bound to a tracepoint counts firings even
         while trace recording is off, like perf vs ftrace on Linux.
         """
-        if self._probes is not None:
-            fns = self._probes.get(point)
+        if self.probes is not None:
+            fns = self.probes.get(point)
             if fns:
                 for fn in fns:
                     fn(pid, arg, info)
@@ -458,14 +458,14 @@ class KernelTrace:
     def add_probe(self, point: str, fn: Callable) -> None:
         if point not in TRACEPOINT_IDS:
             raise KernelError(EINVAL, f"unknown tracepoint {point}")
-        if self._probes is None:
-            self._probes = {}
-        self._probes.setdefault(point, []).append(fn)
+        if self.probes is None:
+            self.probes = {}
+        self.probes.setdefault(point, []).append(fn)
 
     def remove_probe(self, point: str, fn: Callable) -> None:
-        if self._probes is None:
+        if self.probes is None:
             return
-        fns = self._probes.get(point)
+        fns = self.probes.get(point)
         if fns is None:
             return
         try:
@@ -473,9 +473,9 @@ class KernelTrace:
         except ValueError:
             return
         if not fns:
-            del self._probes[point]
-        if not self._probes:
-            self._probes = None
+            del self.probes[point]
+        if not self.probes:
+            self.probes = None
 
     def record_syscall(self, name: str, service_ns: int,
                        wait_ns: int) -> None:

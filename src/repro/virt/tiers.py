@@ -6,16 +6,21 @@ Four ways to run the same application image:
 tier      startup work                execution                  base mem
 ========  ==========================  =========================  ==========
 native    bind precompiled code       compiled tier, no sandbox   ~2 MB
-wali      decode + validate + link    sandboxed interpreter        ~4 MB
+wali      decode + validate + link    interp + compiled leaves   ~4 MB
 qemu      translate to guest binary   decode-on-fetch emulator     ~6 MB
 docker    assemble image + namespaces compiled tier (near-native) ~30 MB
 ========  ==========================  =========================  ==========
+
+The wali tier is the WALI runtime's mixed mode: host-free looping leaves
+run compiled, everything that can reach a syscall runs interpreted
+(``docs/perf.md``, "Mixed-mode execution").  The qemu tier emulates
+every function.
 
 Startup and run times are *measured* (the work is real: validation,
 linking, layer hashing, instruction decode); only the per-tier base memory
 floor is a model constant (``BASE_MEMORY_MB`` below).  The native and
 docker tiers bind code through :func:`repro.wasm.compile.compile_instance`;
-its per-module cache makes compilation an offline step after a module's
+its per-image cache makes compilation an offline step after a module's
 first run.
 """
 
@@ -79,11 +84,11 @@ class _GuestSession:
     """Common plumbing: kernel process + WALI host + instance."""
 
     def __init__(self, kernel: Kernel, module: Module, argv, env,
-                 scheme: str):
+                 scheme: str, tier_up: bool = False):
         from ..wali import WaliRuntime
         from ..wali.runtime import WaliProcess
 
-        self.rt = WaliRuntime(kernel=kernel, scheme=scheme)
+        self.rt = WaliRuntime(kernel=kernel, scheme=scheme, tier_up=tier_up)
         self.wp = WaliProcess(self.rt, kernel.create_process(argv, env or {}),
                               module)
 
@@ -132,7 +137,8 @@ def run_tier(tier: str, module: Module, workload: Workload,
     t0 = time.perf_counter()
     if tier == "wali":
         image = decode_module(binary, name=workload.app)
-        session = _GuestSession(kernel, image, workload.argv, env, "loop")
+        session = _GuestSession(kernel, image, workload.argv, env, "loop",
+                                tier_up=True)
         startup = time.perf_counter() - t0
         t1 = time.perf_counter()
         status = session.run_interp()

@@ -18,7 +18,7 @@ import threading
 from typing import Dict, List, Optional, Union
 
 from ..kernel import Kernel
-from ..kernel.errno import EACCES, ENOEXEC, ENOENT, KernelError
+from ..kernel.errno import EACCES, EAGAIN, ENOEXEC, ENOENT, KernelError
 from ..kernel.process import Process, STATE_RUNNING
 from ..wasm import Module, decode_module, encode_module, instantiate
 from ..wasm.errors import GuestExit, Trap, WasmError
@@ -62,7 +62,8 @@ class WaliProcess:
         self.module = module
         self.host = WaliHost(self.rt, self)
         imports = self.host.imports()
-        self.instance = instantiate(module, imports, scheme=self.rt.scheme)
+        self.instance = instantiate(module, imports, scheme=self.rt.scheme,
+                                    tier_up=self.rt.tier_up)
         self.machine = Machine(self.instance)
         # the perf sampler walks this interpreter's frame stack
         self.proc.machine = self.machine
@@ -176,11 +177,15 @@ class WaliRuntime:
 
     def __init__(self, kernel: Optional[Kernel] = None,
                  arch: str = "x86_64", scheme: str = "loop",
-                 policy: Optional[SecurityPolicy] = None):
+                 policy: Optional[SecurityPolicy] = None,
+                 tier_up: bool = True):
         self.kernel = kernel if kernel is not None else Kernel(machine=arch)
         self.arch = arch
         self.scheme = scheme
         self.policy = policy
+        # mixed mode: looping leaf functions run on the compiled tier
+        # (wasm/compile.py); False keeps every guest function interpreted
+        self.tier_up = tier_up
         self.processes: List[WaliProcess] = []
 
     # ---- program loading ----
@@ -219,6 +224,11 @@ class WaliRuntime:
     # ---- process model hooks (called from WaliHost) ----
 
     def fork(self, wp: WaliProcess, flags: int = 0) -> int:
+        if wp.machine.native_depth:
+            # a signal handler above a compiled leaf: the leaf's state is
+            # on this thread's Python stack, where a clone cannot reach it
+            self.kernel.counters.inc("wali.fork_refused")
+            raise KernelError(EAGAIN, "fork above a compiled activation")
         child_proc = self.kernel.call(wp.proc, "fork")
         child = wp.fork_clone(child_proc)
         self.processes.append(child)

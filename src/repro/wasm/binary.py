@@ -573,4 +573,5 @@ def decode_module(buf: bytes, name: str = "") -> Module:
             j = idx - nimp
             if 0 <= j < len(m.funcs):
                 m.funcs[j].name = nm
+    m.image = bytes(buf)
     return m

@@ -6,36 +6,50 @@ function body is translated to Python source with
 * compile-time stack slots mapped to local variables (``s0, s1, ...``),
 * structured control flow lowered to ``while True:`` blocks with the
   multi-level-break flag technique,
+* memory access inlined on the linear memory's ``bytearray``, with the
+  bounds-checked :class:`~repro.wasm.memory.LinearMemory` call as the
+  out-of-range path,
 * full semantics preserved: wrapping arithmetic, trapping division,
   bounds-checked memory access, ``call_indirect`` signature checks,
   safepoint polls at loop headers.
 
-The compiled tier executes several times faster than the flat interpreter
-and backs the "native"/"Docker" ends of the Fig. 8 comparison.  Engine
-restriction (cf. §3.6 item 5): a compiled activation's state lives on the
-Python call stack, so ``fork`` is only available under the interpreter tier.
+It is used two ways:
+
+* **Full tier** (:func:`compile_instance`): every defined function runs
+  compiled.  It backs the "native"/"Docker" ends of the Fig. 8
+  comparison.
+* **Mixed mode** (:func:`native_leaves`, the WALI tier): a compiled
+  activation lives on the Python call stack, so it cannot be forked
+  (cf. §3.6 item 5).  Only *leaves* — functions whose static call graph
+  reaches no import — that contain a loop run compiled, called straight
+  from the interpreter's dispatch loop.  Everything that can reach a
+  syscall stays interpreted, so fork, ``execve``, signal re-entry and the
+  WALI crossing all happen in interpreted frames.  A compiled leaf
+  retires the interpreter's exact step count (one ``m.steps += n`` per
+  basic block, ``n`` its flat ops) and polls the machine's
+  ``poll_hook`` at loop headers.  ``docs/perf.md``, "Mixed-mode
+  execution", has the rules.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from types import CodeType
-from typing import Callable, Dict, List
+import threading
+from typing import Callable, Dict, List, Optional
 
+from .binary import encode_module
 from .errors import (
     Trap, TrapIndirectCall, TrapStackExhausted, TrapUnreachable,
 )
 from .flatten import SAFEPOINT_SCHEMES
 from .interp import (
-    HostFunc, _clz, _ctz, _fceil, _fdiv, _ffloor, _fmax, _fmin, _fnearest,
-    _fsqrt, _ftrunc, _idiv_s, _irem_s, _rotl, _sext, _trunc, _udiv, _urem,
+    _ATOMIC_LOCK, HostFunc, _clz, _ctz, _fceil, _fdiv, _ffloor, _fmax, _fmin,
+    _fnearest, _fsqrt, _ftrunc, _idiv_s, _irem_s, _rotl, _sext, _trunc,
+    _udiv, _urem,
 )
 from .module import Module
-from .types import (
-    F64, I32, I64, MASK32, MASK64, default_value, signed32, signed64,
-)
-from .validate import validate_module
+from .types import F64, I32, I64, MASK32, MASK64, signed32, signed64
 
 _BINOPS32 = {
     "i32.add": "({a} + {b}) & 0xFFFFFFFF",
@@ -126,24 +140,29 @@ _UNOPS = {
     "f64.ceil": "_fceil({a})", "f64.floor": "_ffloor({a})",
     "f64.trunc": "_ftrunc({a})", "f64.nearest": "_fnearest({a})",
 }
+# memory access: name -> (bytes, struct accessor, mask of a signed load,
+# the bounds-checked LinearMemory call used out of range)
 _LOADS = {
-    "i32.load": "mem.load_u({a} + %d, 4)",
-    "i64.load": "mem.load_u({a} + %d, 8)",
-    "f64.load": "mem.load_f64({a} + %d)",
-    "i32.load8_u": "mem.load_u({a} + %d, 1)",
-    "i32.load8_s": "mem.load_s({a} + %d, 1) & 0xFFFFFFFF",
-    "i32.load16_u": "mem.load_u({a} + %d, 2)",
-    "i32.load16_s": "mem.load_s({a} + %d, 2) & 0xFFFFFFFF",
-    "i64.load8_u": "mem.load_u({a} + %d, 1)",
-    "i64.load8_s": "mem.load_s({a} + %d, 1) & 0xFFFFFFFFFFFFFFFF",
-    "i64.load16_u": "mem.load_u({a} + %d, 2)",
-    "i64.load16_s": "mem.load_s({a} + %d, 2) & 0xFFFFFFFFFFFFFFFF",
-    "i64.load32_u": "mem.load_u({a} + %d, 4)",
-    "i64.load32_s": "mem.load_s({a} + %d, 4) & 0xFFFFFFFFFFFFFFFF",
+    "i32.load": (4, "_U4", "", "mem.load_u({a}, 4)"),
+    "i64.load": (8, "_U8", "", "mem.load_u({a}, 8)"),
+    "f64.load": (8, "_F8", "", "mem.load_f64({a})"),
+    "i32.load8_u": (1, None, "", "mem.load_u({a}, 1)"),
+    "i32.load16_u": (2, "_U2", "", "mem.load_u({a}, 2)"),
+    "i64.load8_u": (1, None, "", "mem.load_u({a}, 1)"),
+    "i64.load16_u": (2, "_U2", "", "mem.load_u({a}, 2)"),
+    "i64.load32_u": (4, "_U4", "", "mem.load_u({a}, 4)"),
+    "i32.load8_s": (1, "_S1", " & 0xFFFFFFFF", "mem.load_s({a}, 1)"),
+    "i32.load16_s": (2, "_S2", " & 0xFFFFFFFF", "mem.load_s({a}, 2)"),
+    "i64.load8_s": (1, "_S1", " & 0xFFFFFFFFFFFFFFFF", "mem.load_s({a}, 1)"),
+    "i64.load16_s": (2, "_S2", " & 0xFFFFFFFFFFFFFFFF", "mem.load_s({a}, 2)"),
+    "i64.load32_s": (4, "_S4", " & 0xFFFFFFFFFFFFFFFF", "mem.load_s({a}, 4)"),
 }
+# name -> (bytes, struct packer)
 _STORES = {
-    "i32.store": 4, "i64.store": 8, "i32.store8": 1, "i32.store16": 2,
-    "i64.store8": 1, "i64.store16": 2, "i64.store32": 4,
+    "i32.store": (4, "_P4"), "i64.store": (8, "_P8"),
+    "i32.store8": (1, None), "i32.store16": (2, "_P2"),
+    "i64.store8": (1, None), "i64.store16": (2, "_P2"),
+    "i64.store32": (4, "_P4"),
 }
 
 
@@ -156,43 +175,95 @@ def _f64_from_bits(bits: int) -> float:
 
 
 class _Ctrl:
-    __slots__ = ("kind", "height", "arity")
+    __slots__ = ("kind", "height", "arity", "header")
 
-    def __init__(self, kind: str, height: int, arity: int):
+    def __init__(self, kind: str, height: int, arity: int, header: int):
         self.kind = kind
         self.height = height
         self.arity = arity
+        self.header = header     # steps retired at a loop header
 
 
 class _FnCompiler:
-    def __init__(self, module: Module, func_idx: int, scheme: str):
+    """One function body as Python source.
+
+    The generated function takes ``m`` (the :class:`CompiledContext` of
+    the full tier, or the calling :class:`~repro.wasm.interp.Machine` in
+    mixed mode) and reaches memory, globals and the poll hook through
+    ``m.instance`` and ``m.poll_hook`` when it is entered.
+
+    With ``native`` set (mixed mode), the body also retires the
+    interpreter's step count: ``self.pend`` holds the flat ops
+    (:mod:`.flatten`) of the code emitted since the last ``m.steps += n``,
+    and every edge that leaves straight-line code (branch, return, call,
+    loop entry, the end of a block or of an ``if`` arm) adds them.  The
+    loop header's poll op is added on each edge into the header, so
+    ``m.steps`` is exact whenever the poll hook or a callee runs.
+    """
+
+    def __init__(self, module: Module, func_idx: int, scheme: str,
+                 native: bool = False):
         self.m = module
         self.idx = func_idx
         self.fn = module.funcs[func_idx - module.num_imported_funcs]
         self.ft = module.types[self.fn.type_idx]
         self.scheme = scheme
+        self.native = native
+        # flat ops per instruction: "all" puts a poll before every op
+        self.w = (2 if scheme == "all" else 1) if native else 0
+        self.pend = 0
         self.lines: List[str] = []
         self.indent = 1
         self.height = 0
         self.ctrls: List[_Ctrl] = []
         self.dead = False
+        self.uses_mem = False
+        self.uses_globals = False
+        self.polls = False
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
-
-    def s(self, depth: int) -> str:
-        return f"s{depth}"
 
     def push_expr(self, expr: str) -> None:
         self.emit(f"s{self.height} = {expr}")
         self.height += 1
 
+    # ---- step retirement (mixed mode) ----
+
+    def tick(self) -> None:
+        self.pend += self.w
+
+    def _steps_line(self, n: int) -> List[str]:
+        return [f"m.steps += {n}"] if n else []
+
+    def flush(self) -> None:
+        for line in self._steps_line(self.pend):
+            self.emit(line)
+        self.pend = 0
+
+    def _set_dead(self) -> None:
+        self.dead = True
+        self.pend = 0
+
+    def poll(self) -> None:
+        self.polls = True
+        self.emit("if hook is not None: hook()")
+
     # ---- branch plumbing ----
 
     def _branch_code(self, depth: int) -> List[str]:
-        """Statements performing a br to label ``depth``."""
+        """Statements performing a br to label ``depth``; they retire the
+        pending steps without clearing ``self.pend`` (a ``br_if`` falls
+        through with them)."""
+        if depth == len(self.ctrls):
+            # the function's own label: the flat jump lands on its closing
+            # ``ret`` (past the poll the ``all`` scheme puts before it)
+            out = self._steps_line(self.pend + (1 if self.native else 0))
+            out.append(f"return s{self.height - 1}" if self.ft.results
+                       else "return None")
+            return out
         target = self.ctrls[-1 - depth]
-        out = []
+        out = self._steps_line(self.pend + target.header)
         if target.kind != "loop" and target.arity:
             src = self.height - 1
             if src != target.height:
@@ -205,7 +276,15 @@ class _FnCompiler:
         return out
 
     def _open_structure(self, kind: str, result) -> None:
-        self.ctrls.append(_Ctrl(kind, self.height, 1 if result else 0))
+        header = 0
+        if kind == "loop":
+            # the header is a join: retire what precedes it, plus the
+            # header's poll op, before entering
+            header = self.w if self.scheme == "loop" else 0
+            self.pend += header
+            self.flush()
+        self.ctrls.append(_Ctrl(kind, self.height, 1 if result else 0,
+                                header))
         self.emit("while True:")
         self.indent += 1
 
@@ -215,6 +294,7 @@ class _FnCompiler:
             if ctrl.kind != "loop" and ctrl.arity and \
                     self.height - 1 != ctrl.height:
                 self.emit(f"s{ctrl.height} = s{self.height - 1}")
+            self.flush()
         self.emit("break")
         self.indent -= 1
         # propagate pending multi-level branches
@@ -237,6 +317,7 @@ class _FnCompiler:
             self.emit("    raise Trap('bad-branch', 'escaped function')")
         self.height = ctrl.height + ctrl.arity
         self.dead = False
+        self.pend = 0
 
     # ---- body ----
 
@@ -246,16 +327,26 @@ class _FnCompiler:
                 break
             self.compile_instr(instr)
 
-    def _compile_arm(self, body: list) -> None:
-        """One arm of an ``if``; an arm that emits no code gets ``pass``."""
+    def _compile_arm(self, body: list, pend: int, tail: int) -> None:
+        """One arm of an ``if``, entered with ``pend`` steps pending;
+        ``tail`` is the flat op that ends the arm (the then-arm's jump over
+        the else-arm).  An arm that emits no code gets ``pass``."""
         n = len(self.lines)
+        self.pend = pend
         self.compile_body(body)
+        if not self.dead:
+            self.pend += tail
+            self.flush()
         if len(self.lines) == n:
             self.emit("pass")
 
     def compile_instr(self, instr: tuple) -> None:
         name = instr[0]
-        h = self.height
+        if name == "nop":
+            return
+        # every other instruction is one flat op (block and loop none)
+        if name != "block" and name != "loop":
+            self.tick()
 
         if name == "block":
             self._open_structure("block", instr[1])
@@ -265,25 +356,26 @@ class _FnCompiler:
         if name == "loop":
             self._open_structure("loop", instr[1])
             if self.scheme in ("loop", "all"):
-                self.emit("if ctx.poll_hook is not None: ctx.poll_hook()")
+                self.poll()
             self.compile_body(instr[2])
             # natural loop exit: fall out, don't re-iterate
             self._close_structure()
             return
         if name == "if":
+            els = instr[3] if len(instr) > 3 else []
             self.height -= 1
             self._open_structure("block", instr[1])
             self.emit(f"if s{self.height}:")
             self.indent += 1
-            entry = self.height
-            self._compile_arm(instr[2])
+            entry, pend = self.height, self.pend
+            self._compile_arm(instr[2], pend, self.w if els else 0)
             then_dead = self.dead
             self.dead = False
             self.indent -= 1
             self.emit("else:")
             self.indent += 1
             self.height = entry
-            self._compile_arm(instr[3] if len(instr) > 3 else [])
+            self._compile_arm(els, pend, 0)
             self.dead = self.dead and then_dead
             self.indent -= 1
             self._close_structure()
@@ -291,7 +383,7 @@ class _FnCompiler:
         if name == "br":
             for line in self._branch_code(instr[1]):
                 self.emit(line)
-            self.dead = True
+            self._set_dead()
             return
         if name == "br_if":
             self.height -= 1
@@ -317,20 +409,20 @@ class _FnCompiler:
             for line in self._branch_code(default):
                 self.emit(line)
             self.indent -= 1
-            self.dead = True
+            self._set_dead()
             return
         if name == "return":
+            self.flush()
             if self.ft.results:
                 self.emit(f"return s{self.height - 1}")
             else:
                 self.emit("return None")
-            self.dead = True
+            self._set_dead()
             return
         if name == "unreachable":
+            self.flush()
             self.emit("raise TrapUnreachable()")
-            self.dead = True
-            return
-        if name == "nop":
+            self._set_dead()
             return
         if name == "call":
             self._compile_call(instr[1])
@@ -342,7 +434,7 @@ class _FnCompiler:
             n = len(ft.params)
             args = ", ".join(f"s{self.height - n + i}" for i in range(n))
             self.height -= n
-            call = f"ctx.call_indirect({instr[1]}, {elem}, ({args}{',' if n else ''}))"
+            call = f"m.call_indirect({instr[1]}, {elem}, ({args}{',' if n else ''}))"
             if ft.results:
                 self.push_expr(call)
             else:
@@ -379,44 +471,37 @@ class _FnCompiler:
             self.emit(f"l{instr[1]} = s{self.height - 1}")
             return
         if name == "global.get":
+            self.uses_globals = True
             self.push_expr(f"g[{instr[1]}].value")
             return
         if name == "global.set":
+            self.uses_globals = True
             self.height -= 1
             self.emit(f"g[{instr[1]}].value = s{self.height}")
             return
         if name in _LOADS:
-            off = instr[2] if len(instr) > 2 else 0
-            self.height -= 1
-            tmpl = _LOADS[name] % off
-            self.push_expr(tmpl.format(a=f"s{self.height}"))
+            self._compile_load(name, instr[2] if len(instr) > 2 else 0)
             return
-        if name in _STORES:
-            off = instr[2] if len(instr) > 2 else 0
-            self.height -= 2
-            addr, val = f"s{self.height}", f"s{self.height + 1}"
-            size = _STORES[name]
-            self.emit(f"mem.store_int({addr} + {off}, {val}, {size})")
-            return
-        if name == "f64.store":
-            off = instr[2] if len(instr) > 2 else 0
-            self.height -= 2
-            self.emit(f"mem.store_f64(s{self.height} + {off}, "
-                      f"s{self.height + 1})")
+        if name in _STORES or name == "f64.store":
+            self._compile_store(name, instr[2] if len(instr) > 2 else 0)
             return
         if name == "memory.size":
+            self.uses_mem = True
             self.push_expr("mem.pages")
             return
         if name == "memory.grow":
+            self.uses_mem = True
             self.height -= 1
             self.push_expr(f"mem.grow(s{self.height}) & 0xFFFFFFFF")
             return
         if name == "memory.copy":
+            self.uses_mem = True
             self.height -= 3
             d, s_, n = (f"s{self.height + i}" for i in range(3))
             self.emit(f"mem.copy({d}, {s_}, {n})")
             return
         if name == "memory.fill":
+            self.uses_mem = True
             self.height -= 3
             d, v, n = (f"s{self.height + i}" for i in range(3))
             self.emit(f"mem.fill({d}, {v}, {n})")
@@ -425,13 +510,13 @@ class _FnCompiler:
             off = instr[2] if len(instr) > 2 else 0
             self.height -= 2
             a, v = f"s{self.height}", f"s{self.height + 1}"
-            self.push_expr(f"ctx.atomic_add({a} + {off}, {v})")
+            self.push_expr(f"m.atomic_add({a} + {off}, {v})")
             return
         if name == "i32.atomic.rmw.cmpxchg":
             off = instr[2] if len(instr) > 2 else 0
             self.height -= 3
             a, e, n_ = (f"s{self.height + i}" for i in range(3))
-            self.push_expr(f"ctx.atomic_cas({a} + {off}, {e}, {n_})")
+            self.push_expr(f"m.atomic_cas({a} + {off}, {e}, {n_})")
             return
         if name in _BINOPS32 or name in _BINOPS64 or name in _BINOPSF:
             tmpl = (_BINOPS32.get(name) or _BINOPS64.get(name) or
@@ -446,12 +531,54 @@ class _FnCompiler:
             return
         raise Trap("compile-error", f"cannot compile {name!r}")
 
+    # ---- memory: inline ``data`` access, LinearMemory out of range ----
+    # ``ld`` is ``len(data)`` at entry.  Memory never shrinks, so a stale
+    # ``ld`` only sends an in-range access down the checked path.
+
+    def _compile_load(self, name: str, off: int) -> None:
+        self.uses_mem = True
+        size, unpack, sign_mask, checked = _LOADS[name]
+        a = f"s{self.height - 1}"
+        if off:
+            self.emit(f"{a} = {a} + {off}")
+        checked = checked.format(a=a)
+        if unpack is None:
+            self.emit(f"{a} = data[{a}] if {a} < ld else {checked}")
+        else:
+            self.emit(f"{a} = {unpack}(data, {a})[0]{sign_mask} "
+                      f"if {a} + {size} <= ld else {checked}{sign_mask}")
+
+    def _compile_store(self, name: str, off: int) -> None:
+        self.uses_mem = True
+        self.height -= 2
+        a, v = f"s{self.height}", f"s{self.height + 1}"
+        if off:
+            self.emit(f"{a} = {a} + {off}")
+        if name == "f64.store":
+            self.emit(f"if {a} + 8 <= ld: _PF8(data, {a}, {v})")
+            self.emit(f"else: mem.store_f64({a}, {v})")
+            return
+        size, pack = _STORES[name]
+        mask = hex((1 << (8 * size)) - 1)
+        if pack is None:
+            self.emit(f"if {a} < ld: data[{a}] = {v} & {mask}")
+        else:
+            self.emit(f"if {a} + {size} <= ld: "
+                      f"{pack}(data, {a}, {v} & {mask})")
+        self.emit(f"else: mem.store_int({a}, {v}, {size})")
+
     def _compile_call(self, idx: int) -> None:
         ft = self.m.func_type(idx)
         n = len(ft.params)
         args = ", ".join(f"s{self.height - n + i}" for i in range(n))
         self.height -= n
-        call = f"ctx.invoke({idx}, ({args}{',' if n else ''}))"
+        if self.native:
+            # a leaf callee is compiled too; it retires its own steps,
+            # after the caller's (exact if it polls)
+            self.flush()
+            call = f"_f{idx}(m{', ' + args if n else ''})"
+        else:
+            call = f"m.invoke({idx}, ({args}{',' if n else ''}))"
         if ft.results:
             self.push_expr(call)
         else:
@@ -460,42 +587,49 @@ class _FnCompiler:
     def source(self) -> str:
         n_params = len(self.ft.params)
         params = ", ".join(f"l{i}" for i in range(n_params))
-        header = f"def _f{self.idx}(ctx{', ' + params if params else ''}):"
-        prelude = ["    mem = ctx.memory", "    g = ctx.globals", "    _br = 0"]
+        header = f"def _f{self.idx}(m{', ' + params if params else ''}):"
+        if self.scheme == "func":
+            self.tick()          # the flat entry poll
+        self.flush()
+        if self.scheme in ("func", "all"):
+            self.poll()
+        entry = self.lines
+        self.lines = []
+        self.compile_body(self.fn.body)
+        if not self.dead:
+            self.tick()          # the flat ``ret`` that ends the body
+            self.flush()
+            self.emit(f"return s{self.height - 1}" if self.ft.results
+                      else "return None")
+        prelude = []
+        if self.uses_mem or self.uses_globals:
+            prelude.append("    inst = m.instance")
+        if self.uses_mem:
+            prelude += ["    mem = inst.memory", "    data = mem.data",
+                        "    ld = len(data)"]
+        if self.uses_globals:
+            prelude.append("    g = inst.globals")
+        if self.polls:
+            prelude.append("    hook = m.poll_hook")
+        prelude.append("    _br = 0")
         for i, t in enumerate(self.fn.locals):
             prelude.append(
                 f"    l{n_params + i} = " +
                 ("0.0" if t == F64 else "0"))
-        if self.scheme in ("func", "all"):
-            prelude.append(
-                "    if ctx.poll_hook is not None: ctx.poll_hook()")
-        self.compile_body(self.fn.body)
-        if self.ft.results:
-            if not self.dead:
-                self.emit(f"return s{self.height - 1}")
-        else:
-            self.emit("return None")
-        return "\n".join([header] + prelude + self.lines)
+        return "\n".join([header] + prelude + entry + self.lines)
 
 
 class CompiledContext:
-    """Execution context shared by all compiled functions of an instance."""
+    """Execution context shared by all compiled functions of an instance
+    (the full compiled tier)."""
 
     MAX_DEPTH = 900  # stay under Python's recursion limit
 
-    def __init__(self, instance):
+    def __init__(self, instance, cfuncs: Dict[int, Callable]):
         self.instance = instance
         self.poll_hook = None
         self.depth = 0
-        self.cfuncs: Dict[int, Callable] = {}
-
-    @property
-    def memory(self):
-        return self.instance.memory
-
-    @property
-    def globals(self):
-        return self.instance.globals
+        self.cfuncs = cfuncs
 
     def invoke(self, idx: int, args: tuple):
         target = self.cfuncs.get(idx)
@@ -534,20 +668,18 @@ class CompiledContext:
         return self.invoke(self.instance.funcs.index(callee), args)
 
     def atomic_add(self, addr: int, val: int) -> int:
-        from .interp import _ATOMIC_LOCK
-
+        mem = self.instance.memory
         with _ATOMIC_LOCK:
-            old = self.memory.load_i32(addr)
-            self.memory.store_i32(addr, old + val)
+            old = mem.load_i32(addr)
+            mem.store_i32(addr, old + val)
         return old
 
     def atomic_cas(self, addr: int, expected: int, new: int) -> int:
-        from .interp import _ATOMIC_LOCK
-
+        mem = self.instance.memory
         with _ATOMIC_LOCK:
-            old = self.memory.load_i32(addr)
+            old = mem.load_i32(addr)
             if old == expected:
-                self.memory.store_i32(addr, new)
+                mem.store_i32(addr, new)
         return old
 
 
@@ -562,33 +694,169 @@ _HELPERS = {
     "Trap": Trap,
     "TrapUnreachable": TrapUnreachable,
 }
+# struct accessors of inlined memory access, upper case so that no helper
+# name can shadow, or be shadowed by, a compiled function ``_f<index>``
+for _name, _fmt in (("U2", "<H"), ("U4", "<I"), ("U8", "<Q"), ("S1", "<b"),
+                    ("S2", "<h"), ("S4", "<i"), ("F8", "<d")):
+    _HELPERS["_" + _name] = struct.Struct(_fmt).unpack_from
+for _name, _fmt in (("P2", "<H"), ("P4", "<I"), ("P8", "<Q"),
+                    ("PF8", "<d")):
+    _HELPERS["_" + _name] = struct.Struct(_fmt).pack_into
 
 
-def _module_code(m: Module, scheme: str) -> Dict[int, CodeType]:
-    """The module's compiled code objects for ``scheme``: compiled once
-    ("offline AoT"), then only executed by every instance binding it."""
-    code = m.compiled.get(scheme)
-    if code is None:
-        code = {}
-        n_imp = m.num_imported_funcs
-        for idx in range(n_imp, n_imp + len(m.funcs)):
-            src = _FnCompiler(m, idx, scheme).source()
-            code[idx] = compile(src, f"<wasm:{m.name}:f{idx}>", "exec")
-        m.compiled[scheme] = code
-    return code
+def _define(m: Module, idxs, scheme: str, native: bool) -> tuple:
+    """Compile functions ``idxs`` of ``m`` into one namespace (where
+    compiled leaves call each other by name); returns it with the indices
+    that failed to compile."""
+    scope = dict(_HELPERS)
+    failed = set()
+    n_imp = m.num_imported_funcs
+    for i in idxs:
+        try:
+            src = _FnCompiler(m, i, scheme, native).source()
+            exec(compile(src, f"<wasm:{m.funcs[i - n_imp].name or i}>",
+                         "exec"), scope)
+        except (Trap, IndexError, SyntaxError):
+            # a construct the compiler lacks, or nesting past Python's
+            # static block limit
+            if not native:
+                raise
+            failed.add(i)
+    return scope, failed
+
+
+def _compile_module(m: Module, scheme: str) -> Dict[int, Callable]:
+    n_imp = m.num_imported_funcs
+    idxs = range(n_imp, n_imp + len(m.funcs))
+    scope, _ = _define(m, idxs, scheme, False)
+    return {i: scope[f"_f{i}"] for i in idxs}
 
 
 def compile_instance(instance, scheme: str = "none") -> CompiledContext:
     """Bind an instance's defined functions to compiled code.
 
-    The module is compiled on first use and cached; ``ctx.invoke(func_index,
-    args)`` then runs compiled code end-to-end.
+    The module is compiled on first use and cached by image ("offline
+    AoT"); ``ctx.invoke(func_index, args)`` then runs compiled code
+    end-to-end.
     """
     if scheme not in SAFEPOINT_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    ctx = CompiledContext(instance)
-    for idx, code in _module_code(instance.module, scheme).items():
-        scope: dict = {}
-        exec(code, _HELPERS, scope)
-        ctx.cfuncs[idx] = scope[f"_f{idx}"]
-    return ctx
+    return CompiledContext(
+        instance, _cached(instance.module, scheme, _compile_module))
+
+
+def module_image(m: Module) -> bytes:
+    """The content key of ``m``: the bytes it was decoded from, else its
+    encoding (taken once; a module is not changed after it is built)."""
+    if m.image is None:
+        m.image = encode_module(m)
+    return m.image
+
+
+# (module image, scheme, builder) -> {function index: compiled function};
+# guest threads load images concurrently (a pipeline's children execve)
+_CACHE: Dict[tuple, Dict[int, Callable]] = {}
+_CACHE_MAX = 64
+_CACHE_LOCK = threading.Lock()
+
+
+def _cached(m: Module, scheme: str, build) -> Dict[int, Callable]:
+    """``build(m, scheme)``, cached process-wide by module content: a
+    fresh decode of the same image compiles nothing, and two modules with
+    the same name but different code never share compiled code.  A
+    compiled function reaches instance state only through its first
+    argument, so every instance of the image shares it."""
+    key = (module_image(m), scheme, build)
+    with _CACHE_LOCK:
+        fns = _CACHE.get(key)
+        if fns is None:
+            fns = build(m, scheme)
+            if len(_CACHE) >= _CACHE_MAX:
+                del _CACHE[next(iter(_CACHE))]
+            _CACHE[key] = fns
+    return fns
+
+
+# --------------------------------------------------------------------------
+# mixed mode: host-free leaves on the compiled tier, under the interpreter
+# --------------------------------------------------------------------------
+
+def _walk(body: list):
+    for instr in body:
+        yield instr
+        if instr[0] in ("block", "loop"):
+            yield from _walk(instr[2])
+        elif instr[0] == "if":
+            yield from _walk(instr[2])
+            if len(instr) > 3:
+                yield from _walk(instr[3])
+
+
+def leaf_functions(m: Module) -> Dict[int, bool]:
+    """Every *leaf* of ``m``, mapped to whether its own body has a loop.
+
+    A defined function is a leaf when its static call graph reaches no
+    import and no cycle, and contains no ``call_indirect``,
+    ``memory.grow`` or atomic op.  A leaf can therefore never enter the
+    host (no syscall, fork, execve or signal re-entry starts inside it),
+    and its compiled form recurses no deeper than its call graph.
+    """
+    n_imp = m.num_imported_funcs
+    facts = {}
+    for i, fn in enumerate(m.funcs):
+        calls, pure, loop = set(), True, False
+        for instr in _walk(fn.body):
+            op = instr[0]
+            if op == "call":
+                calls.add(instr[1])
+            elif op == "loop":
+                loop = True
+            elif op in ("call_indirect", "memory.grow") or ".atomic." in op:
+                pure = False
+        facts[n_imp + i] = (calls, pure, loop)
+    state: Dict[int, Optional[bool]] = {}   # None: on the DFS path
+
+    def leaf(i: int) -> bool:
+        if i < n_imp:
+            return False
+        if i in state:
+            return bool(state[i])            # a cycle reads None
+        state[i] = None
+        calls, pure, _ = facts[i]
+        ok = pure
+        for c in calls:
+            ok = leaf(c) and ok
+        state[i] = ok
+        return ok
+
+    return {i: facts[i][2] for i in facts if leaf(i)}
+
+
+def native_leaves(m: Module, scheme: str) -> Dict[int, Callable]:
+    """The compiled bodies of ``m``'s leaves that contain a loop.
+
+    Each is ``f(machine, *args)``; it calls its leaf callees' compiled
+    bodies directly and retires exactly the steps the interpreter would
+    (:class:`_FnCompiler`).  A leaf that fails to compile, and every leaf
+    that calls it, stays interpreted.
+    """
+    return _cached(m, scheme, _compile_leaves)
+
+
+def _compile_leaves(m: Module, scheme: str) -> Dict[int, Callable]:
+    leaves = leaf_functions(m)
+    n_imp = m.num_imported_funcs
+
+    def closure(i: int, seen: set) -> set:
+        if i not in seen:
+            seen.add(i)
+            for instr in _walk(m.funcs[i - n_imp].body):
+                if instr[0] == "call":
+                    closure(instr[1], seen)
+        return seen
+
+    entries = {i: closure(i, set()) for i, loop in leaves.items() if loop}
+    scope, failed = _define(m, sorted(set().union(*entries.values())),
+                            scheme, True)
+    return {i: scope[f"_f{i}"] for i, fns in entries.items()
+            if not fns & failed}

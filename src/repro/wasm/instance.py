@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from .compile import native_leaves
 from .errors import LinkError, Trap
 from .flatten import SAFEPOINT_SCHEMES, flatten_function
 from .interp import HostFunc, Machine, WasmFunc
@@ -129,8 +130,12 @@ def _const_value(instr: tuple, globals_: List[GlobalCell]):
 
 def instantiate(module: Module, imports: Optional[dict] = None,
                 scheme: str = "loop", validate: bool = True,
-                run_start: bool = True) -> Instance:
-    """Link and initialise a module; returns a live :class:`Instance`."""
+                run_start: bool = True, tier_up: bool = False) -> Instance:
+    """Link and initialise a module; returns a live :class:`Instance`.
+
+    ``tier_up`` turns on mixed-mode execution: the module's looping leaf
+    functions get compiled bodies (:func:`repro.wasm.compile.native_leaves`)
+    that the interpreter calls directly."""
     if scheme not in SAFEPOINT_SCHEMES:
         raise ValueError(f"unknown safepoint scheme {scheme!r}")
     if validate:
@@ -177,10 +182,11 @@ def instantiate(module: Module, imports: Optional[dict] = None,
             inst.table = provider
 
     # --- definitions ---
-    for fn in module.funcs:
+    native = native_leaves(module, scheme) if tier_up else {}
+    for idx, fn in enumerate(module.funcs, len(inst.funcs)):
         ft = module.types[fn.type_idx]
         code = flatten_function(module, fn, scheme)
-        inst.funcs.append(WasmFunc(ft, code))
+        inst.funcs.append(WasmFunc(ft, code, native.get(idx)))
 
     for mt in module.memories:
         if inst.memory is not None:

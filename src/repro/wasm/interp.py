@@ -35,11 +35,23 @@ code it caches:
 A code object that supplies its own ``decoded`` sequence (the emulated
 tier's decode-on-fetch view) is dispatched the same way.
 
+**Mixed mode.**  Under WALI the interpreter is not the only tier: a
+``call`` of a function with a compiled body (``WasmFunc.native``, a loop-
+carrying leaf that can never reach the host, see
+:func:`repro.wasm.compile.native_leaves`) decodes to ``CALL_NATIVE``,
+which runs the compiled body as one Python call.  Everything that can
+reach a syscall stays in interpreted frames, so fork, ``execve`` and the
+WALI crossing see plain machine state.  While a compiled body runs,
+``Machine.native_depth`` is nonzero: a signal handler entered from its
+safepoint runs above Python frames that fork cannot copy.  A machine with
+``fuel`` set runs those functions interpreted instead.
+
 ``Machine.steps`` counts instructions retired (the perf ``instructions``
 counter).  ``run`` keeps it, and the fuel limit, in locals and writes it
-back to the machine before every host call and safepoint hook and when it
-returns or raises; a nested ``run`` inside a host call continues from, and
-leaves behind, the exact count.
+back to the machine before every host call, compiled call and safepoint
+hook and when it returns or raises; a nested ``run`` inside a host call
+continues from, and leaves behind, the exact count, and a compiled body
+adds the steps the interpreter would have retired.
 
 Values are Python ints in unsigned representation (i32 in ``[0, 2**32)``,
 i64 in ``[0, 2**64)``) and Python floats for f64.
@@ -82,13 +94,21 @@ class HostFunc:
 
 
 class WasmFunc:
-    """A defined function: flat code plus its signature."""
+    """A defined function: flat code plus its signature.
 
-    __slots__ = ("functype", "code")
+    ``native`` is the function's compiled-tier body when mixed-mode
+    execution tiered it up (:func:`repro.wasm.compile.native_leaves`), else
+    None.  It is called as ``native(machine, *args)`` and reaches memory,
+    globals and the poll hook only through ``machine``, so one compiled
+    body serves every instance of the module.
+    """
 
-    def __init__(self, functype: FuncType, code: FlatCode):
+    __slots__ = ("functype", "code", "native")
+
+    def __init__(self, functype: FuncType, code: FlatCode, native=None):
         self.functype = functype
         self.code = code
+        self.native = native
 
 
 # --------------------------------------------------------------------------
@@ -215,9 +235,10 @@ def _sext(x: int, from_bits: int, mask: int) -> int:
 (LOCAL_GET, CONST, ADD, LOCAL_SET, IF_FALSE, LOAD8, CALL, BR_IF, JUMP,
  POLL, EQZ, RET, NE, EQ, LT, SUB, MASK, GLOBAL_GET, LE, MUL, DROP, LOAD,
  GE, GT, STORE, BINOP, UNOP, GLOBAL_SET, SELECT, LOCAL_TEE, BR_TABLE,
+ CALL_NATIVE,
  # out of line (Machine._slow_op)
  CALL_INDIRECT, LOAD_S, STORE_F64, MEMORY_SIZE, MEMORY_GROW, MEMORY_COPY,
- MEMORY_FILL, ATOMIC_ADD, ATOMIC_CMPXCHG, UNREACHABLE, BAD) = range(42)
+ MEMORY_FILL, ATOMIC_ADD, ATOMIC_CMPXCHG, UNREACHABLE, BAD) = range(43)
 
 
 # integer memory access: name -> (nbytes, signed, result mask)
@@ -364,10 +385,21 @@ def decode_op(instr: tuple, n_results: int) -> tuple:
     return (BAD, name)
 
 
-def decode(code: FlatCode) -> list:
-    """``code.ops`` as decoded pairs, index-aligned with the flat ops."""
+def decode(code: FlatCode, funcs) -> list:
+    """``code.ops`` as decoded pairs, index-aligned with the flat ops.
+
+    A ``call`` whose callee in ``funcs`` has a compiled body decodes to
+    ``(CALL_NATIVE, (native, callee code))``.  Both halves are shared by
+    every instance of the module, so the decoded list still holds no
+    instance state."""
     n = code.n_results
-    return [decode_op(instr, n) for instr in code.ops]
+    out = [decode_op(instr, n) for instr in code.ops]
+    for i, (k, imm) in enumerate(out):
+        if k == CALL:
+            callee = funcs[imm]
+            if callee.__class__ is WasmFunc and callee.native is not None:
+                out[i] = (CALL_NATIVE, (callee.native, callee.code))
+    return out
 
 
 # how far ``run`` lets the step count go between window slides when no
@@ -387,6 +419,9 @@ class Machine:
         self.steps = 0
         self.fuel: Optional[int] = None
         self.max_frames = MAX_FRAMES
+        # compiled activations on the Python stack (mixed mode): nonzero
+        # while a signal handler runs above a compiled leaf's safepoint
+        self.native_depth = 0
 
     # ---- public API ----
 
@@ -447,7 +482,7 @@ class Machine:
         frame = frames[-1]
         ops = frame[0].decoded
         if ops is None:
-            ops = frame[0].decoded = decode(frame[0])
+            ops = frame[0].decoded = decode(frame[0], funcs)
         pc = frame[1]
         locals_ = frame[2]
         base = frame[3]
@@ -510,7 +545,7 @@ class Machine:
                         frames.append(frame)
                         ops = code.decoded
                         if ops is None:
-                            ops = code.decoded = decode(code)
+                            ops = code.decoded = decode(code, funcs)
                         stop -= pc
                         pc = 0
                         continue
@@ -654,6 +689,29 @@ class Machine:
                     stop += target - pc
                     pc = target
                     continue
+                if k == CALL_NATIVE and fuel is None:
+                    # a compiled leaf retires its own steps into
+                    # self.steps; under fuel it runs interpreted instead
+                    native, code = imm
+                    n = code.n_params
+                    if n:
+                        args = stack[-n:]
+                        del stack[-n:]
+                    else:
+                        args = ()
+                    frame[1] = pc
+                    self.steps = limit - stop + pc
+                    self.native_depth += 1
+                    try:
+                        res = native(self, *args)
+                    finally:
+                        self.native_depth -= 1
+                        stop = limit - self.steps + pc
+                    if code.n_results:
+                        stack.append(res)
+                    mem = inst.memory
+                    data = None if mem is None else mem.data
+                    continue
 
                 # call_indirect and the rare kinds
                 frame[1] = pc
@@ -668,7 +726,7 @@ class Machine:
                     frame = frames[-1]
                     ops = frame[0].decoded
                     if ops is None:
-                        ops = frame[0].decoded = decode(frame[0])
+                        ops = frame[0].decoded = decode(frame[0], funcs)
                     stop -= pc
                     pc = 0
                     locals_ = frame[2]
@@ -684,15 +742,19 @@ class Machine:
         stack = self.stack
         inst = self.instance
         mem = inst.memory
-        if k == CALL_INDIRECT:
-            callee = self._resolve_indirect(stack.pop(), imm)
-            if isinstance(callee, HostFunc):
-                self._call_host(callee)
-                return False
-            n = callee.code.n_params
+        if k == CALL_INDIRECT or k == CALL_NATIVE:
+            if k == CALL_NATIVE:     # under fuel: run the leaf interpreted
+                code = imm[1]
+            else:
+                callee = self._resolve_indirect(stack.pop(), imm)
+                if isinstance(callee, HostFunc):
+                    self._call_host(callee)
+                    return False
+                code = callee.code
+            n = code.n_params
             args = stack[len(stack) - n:]
             del stack[len(stack) - n:]
-            self._push_frame(callee.code, args)
+            self._push_frame(code, args)
             return True
         if k == LOAD_S:
             off, size, unpack, mask = imm

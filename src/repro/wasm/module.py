@@ -17,7 +17,7 @@ it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .types import FuncType, GlobalType, Limits, MemoryType, TableType
 
@@ -87,10 +87,11 @@ class Module:
     elems: List[ElemSegment] = field(default_factory=list)
     datas: List[DataSegment] = field(default_factory=list)
     name: str = ""  # debug only
-    # compiled-tier code objects, {scheme: {func index: code}}, built by
-    # the first compile_instance of each scheme (wasm/compile.py)
-    compiled: Dict[str, dict] = field(default_factory=dict, init=False,
-                                      repr=False, compare=False)
+    # the binary image, the key of the compiled-code cache
+    # (compile.module_image): kept by decode_module, else encoded on
+    # first use
+    image: Optional[bytes] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     # ---- index-space helpers (imports precede definitions) ----
 

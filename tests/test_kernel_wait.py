@@ -248,3 +248,57 @@ def test_pipe_ping_pong_stress_loses_no_wakeup(k):
     assert not any(t.is_alive() for t in threads)
     assert len(done) == pairs
     assert k.trace.counters.get("sched.safety_net_wakeups") == 0
+
+
+@pytest.mark.parametrize("edge", [False, True], ids=["level", "edge"])
+def test_epoll_keeps_a_mark_that_lands_inside_the_level_read(
+        monkeypatch, k, edge):
+    """A readiness mark that arrives while ``wait_step`` reads an entry's
+    level (which it reads as not ready) keeps the entry on the ready
+    list: the next wait reports the fd instead of losing it."""
+    from repro.kernel.eventpoll import EPOLLET
+    from repro.kernel.fdtable import OpenFile
+
+    proc = k.create_process(["waiter"], stdio=False)
+    efd = k.call(proc, "eventfd2", 0, 0)
+    epfd = k.call(proc, "epoll_create1", 0)
+    k.call(proc, "epoll_ctl", epfd, EPOLL_CTL_ADD, efd,
+           EPOLLIN | (EPOLLET if edge else 0))
+    target = proc.fdtable.get(efd)
+    poll_events = OpenFile.poll_events
+    injected = []
+
+    def level_then_write(self):
+        level = poll_events(self)
+        if self is target and not injected:
+            injected.append(level)
+            t = threading.Thread(target=lambda: k.call(
+                proc, "write", efd, (1).to_bytes(8, "little")))
+            t.start()
+            t.join(5)
+        return level
+
+    monkeypatch.setattr(OpenFile, "poll_events", level_then_write)
+    assert k.call(proc, "epoll_pwait", epfd, 8, timeout_ns=0) == []
+    assert len(injected) == 1 and not injected[0] & EPOLLIN
+    assert k.call(proc, "epoll_pwait", epfd, 8, timeout_ns=0) == \
+        [(efd, EPOLLIN)]
+
+
+def test_lost_wakeups_count_with_tracing_ablated(monkeypatch):
+    """``sched.safety_net_wakeups`` counts on a ``trace="off"`` kernel
+    too, so the root conftest guard covers those kernels."""
+    k = Kernel(trace="off")
+    assert k.trace is None
+    proc = k.create_process(["waiter"], stdio=False)
+    monkeypatch.setattr("repro.kernel.kernel._SAFETY_SLICE_S", 0.001)
+    scans = []
+
+    def ready_on_third_scan():
+        scans.append(1)
+        return True if len(scans) == 3 else None
+
+    assert k.wait_event(proc, ready_on_third_scan) is True
+    assert k.counters.get("sched.safety_net_wakeups") == 1
+    k.counters.clear()   # the guard would fail this test otherwise
+

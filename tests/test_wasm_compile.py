@@ -333,6 +333,9 @@ def _program_module(result, body):
     for instr in body:
         f.emit(instr)
     f.end()
+    w = mb.func("w", results=[result], export=True)   # calls f from wasm
+    w.call("f")
+    w.end()
     return mb.build()
 
 
@@ -356,7 +359,8 @@ def _outcome(run, mem):
 @example((F64, [("f64.const", -0.5), ("f64.nearest",)]))
 @example((F64, [("f64.const", -math.inf), ("call", 1)]))
 def test_differential_interp_vs_compiled(prog):
-    """Property: both tiers compute identical results on random programs."""
+    """Property: both tiers, and mixed mode, compute identical results on
+    random programs; mixed mode also retires the interpreter's steps."""
     result, body = prog
     module = _program_module(result, body)
     inst_i = instantiate(module)
@@ -368,6 +372,18 @@ def test_differential_interp_vs_compiled(prog):
     assert got_i == got_c
     if result == F64 and got_i[0][0] == "value":
         assert got_i[0][1][0] == "f64"
+    # mixed mode: ``w`` calls ``f``, which runs compiled when it loops;
+    # the reference is the same instance kind with fuel (interpreted)
+    runs = []
+    for fuel in (None, 10 ** 9):
+        inst_m = instantiate(module, tier_up=True)
+        inst_m.machine.fuel = fuel
+        runs.append((_outcome(lambda: inst_m.invoke("w"), inst_m.memory),
+                     inst_m.machine.steps))
+    (got_m, steps_m), (want_m, steps_ref) = runs
+    assert got_m == want_m == got_i
+    if got_m[0][0] == "value":
+        assert steps_m == steps_ref
 
 
 @settings(max_examples=25, deadline=None)
