@@ -35,6 +35,9 @@ TIOCGWINSZ = 0x5413
 FIONREAD = 0x541B
 FIONBIO = 0x5421
 
+# SYNC_FILE_RANGE_WAIT_BEFORE | _WRITE | _WAIT_AFTER
+SYNC_FILE_RANGE_FLAGS = 0x7
+
 
 @dataclass
 class Stat:
@@ -503,6 +506,8 @@ class FSCalls:
         return 0
 
     def sys_truncate(self, proc: Process, path: str, length: int) -> int:
+        if length < 0:
+            raise KernelError(EINVAL, "negative length")
         node = self.vfs.resolve(path, proc.cwd or self.vfs.root, proc=proc)
         if not node.is_file:
             raise KernelError(EISDIR, path)
@@ -510,6 +515,8 @@ class FSCalls:
         return 0
 
     def sys_ftruncate(self, proc: Process, fd: int, length: int) -> int:
+        if length < 0:
+            raise KernelError(EINVAL, "negative length")
         file = proc.fdtable.get(fd)
         if file.kind != OpenFile.KIND_REG:
             raise KernelError(EINVAL)
@@ -563,6 +570,8 @@ class FSCalls:
         """Push dirty pages to disk WITHOUT a metadata commit — exactly
         the sync_file_range(2) warning: data blocks land, but nothing
         references them durably until a real fsync."""
+        if offset < 0 or nbytes < 0 or flags & ~SYNC_FILE_RANGE_FLAGS:
+            raise KernelError(EINVAL, "sync_file_range arguments")
         file = proc.fdtable.get(fd)
         if file.kind != OpenFile.KIND_REG:
             raise KernelError(EINVAL, "sync_file_range on non-regular fd")

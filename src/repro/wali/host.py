@@ -2,12 +2,15 @@
 
 Implementation shape mirrors the paper:
 
-* Most syscalls are **auto-generated passthroughs** (§5: >85%): their
-  arguments are plain integers, so the handler produced by
-  :func:`_make_passthrough` simply sign-converts and forwards.  Only calls
-  whose arguments reference guest memory, or which need engine state (mmap
-  pool, sigtable, process model), get explicit handlers — and most of those
-  are under 10 lines (Table 2's LOC column is measured from this file).
+* Most syscalls are **generated passthroughs** (§5: >85%): every
+  ``SyscallSpec`` in :mod:`repro.wali.spec` spells its arguments as kinds
+  (signed/unsigned i32, i64, string pointer, unused), and
+  :meth:`WaliHost.imports` builds the handler of every spec entry without a
+  ``w_<name>`` method from those kinds, once, with one converter per
+  argument position.  Only calls that touch guest memory beyond a string,
+  that need engine state (mmap pool, sigtable, process model), or that
+  alias another call get explicit ``w_`` handlers — and most of those are
+  under 10 lines (Table 2's LOC column is measured from this file).
 * Pointer arguments undergo **address-space translation** (§3.2): a bounds
   check against linear memory, then a zero-copy ``memoryview`` where
   possible; struct-typed arguments (<10% of calls) go through the
@@ -25,14 +28,14 @@ Implementation shape mirrors the paper:
 
 from __future__ import annotations
 
+import functools
+import inspect
 import struct
 import time as _time
 from collections import Counter
 from typing import Dict, List, Optional
 
-from ..kernel.errno import (
-    EFAULT, EINVAL, ENOSYS, ERANGE, KernelError,
-)
+from ..kernel.errno import EFAULT, EINVAL, ERANGE, KernelError
 from ..kernel.fdtable import OpenFile
 from ..kernel.uring import (
     IORING_CQE_F_BUFFER, IORING_ENTER_GETEVENTS, IORING_ENTER_TIMEOUT_MS,
@@ -40,31 +43,14 @@ from ..kernel.uring import (
     IORING_REGISTER_RING, IORING_SETUP_SQPOLL, IORING_SQ_CQ_OVERFLOW,
     IORING_SQ_NEED_WAKEUP, IOSQE_FIXED_BUFFER, SQE,
 )
-from ..kernel.mm import MAP_ANONYMOUS, MREMAP_MAYMOVE
 from ..kernel.process import CLONE_VM
 from ..kernel.signals import SigAction
-from ..wasm.errors import GuestExit, Trap, TrapOutOfBounds, TrapSyscall
+from ..wasm.errors import GuestExit
 from ..wasm.interp import HostFunc
-from ..wasm.types import I32, FuncType, signed32, signed64
+from ..wasm.types import FuncType, signed32, signed64
 from .layout import GUEST_LAYOUT, Layout
 from .security import OPEN_LIKE, check_path, deny_sigreturn, sanitize_prot
 from .spec import MODULE, SUPPORT_CALLS, SYSCALLS
-
-# syscalls whose arguments are all plain integers and whose kernel method has
-# the same shape: these are generated, not written (the paper's >85% story).
-AUTO_PASSTHROUGH = frozenset({
-    "close", "dup", "dup2", "dup3", "fcntl", "kill", "tgkill", "tkill",
-    "getpid", "gettid", "getppid", "getuid", "geteuid", "getgid", "getegid",
-    "setuid", "setgid", "setpgid", "getpgid", "getpgrp", "setsid", "getsid",
-    "sched_yield", "getpriority", "setpriority", "nice", "umask", "fsync",
-    "fdatasync", "syncfs", "sync_file_range", "flock", "fchmod", "fchown",
-    "listen", "shutdown", "sync",
-    "fchdir", "alarm", "madvise", "readahead", "lseek", "ftruncate",
-    "set_tid_address", "set_robust_list", "arch_prctl", "sched_setaffinity",
-    "clock_getres", "syslog", "getitimer", "eventfd2", "epoll_create1",
-    "epoll_create", "timerfd_create", "chroot", "mincore", "prctl",
-    "fadvise64", "inotify_init1", "inotify_rm_watch",
-})
 
 # process-model calls whose cost is engine work (instance duplication for
 # fork, execution-environment setup for threads, image replacement for
@@ -87,6 +73,14 @@ STRUCT_CALLS = frozenset({
 
 _WINSIZE = struct.Struct("<HHHH")
 
+# Linux's per-call getrandom(2) maximum (INT_MAX >> 6)
+_GETRANDOM_MAX = 33554431
+
+# how each argument kind (spec.py) reaches the kernel: a Python expression
+# over the raw Wasm value; ``_`` arguments are dropped
+_KIND_EXPR = {"i": "signed32({})", "u": "{}", "l": "signed64({})",
+              "p": "path_arg(name, {})"}
+
 
 class WaliHost:
     """Host-function provider for one WALI process."""
@@ -96,8 +90,6 @@ class WaliHost:
         self.wp = wp
         self.kernel = runtime.kernel
         self.proc = wp.proc
-        self.layout = GUEST_LAYOUT
-        self.host_layout = Layout(runtime.arch)
         self.policy = runtime.policy
         # instrumentation: syscall name -> [calls, wali_ns]
         self.cells: Dict[str, List[int]] = {}
@@ -172,12 +164,9 @@ class WaliHost:
         """Build the ``{"wali": {...}}`` import namespace."""
         ns = {}
         for spec in SYSCALLS.values():
-            method = getattr(self, f"w_{spec.name}", None)
-            if method is None:
-                if spec.name in AUTO_PASSTHROUGH:
-                    method = _make_passthrough(self, spec.name)
-                else:
-                    method = _make_enosys(spec.name)
+            method = getattr(self, f"w_{spec.name}", None) or \
+                _handler_factory(spec.params)(self.k, self.path_arg,
+                                              spec.name)
             ns[spec.import_name] = HostFunc(
                 spec.functype, self._instrument(spec.name, method),
                 spec.import_name)
@@ -266,14 +255,6 @@ class WaliHost:
         return self.k("writev", signed32(fd),
                       [self.view(b, n) for b, n in vecs])
 
-    def w_open(self, path, flags, mode):
-        return self.k("open", self.path_arg("open", path), signed32(flags),
-                      mode)
-
-    def w_openat(self, dirfd, path, flags, mode):
-        return self.k("openat", signed32(dirfd),
-                      self.path_arg("openat", path), signed32(flags), mode)
-
     def w_sendfile(self, out_fd, in_fd, off_ptr, count):
         offset = self.mem.load_i64(off_ptr) if off_ptr else None
         return self.k("sendfile", signed32(out_fd), signed32(in_fd), offset,
@@ -300,26 +281,15 @@ class WaliHost:
         self.copy_out(fds_ptr, struct.pack("<ii", r, w))
         return 0
 
-    def w_memfd_create(self, name_ptr, flags):
-        return self.k("memfd_create", self.cstr(name_ptr), flags)
-
     # ---- paths & metadata ----
 
-    def w_access(self, path, mode):
-        return self.k("access", self.path_arg("access", path), mode)
-
-    def w_faccessat(self, dirfd, path, mode, flags):
-        return self.k("faccessat", signed32(dirfd),
-                      self.path_arg("faccessat", path), mode)
-
     def w_faccessat2(self, dirfd, path, mode, flags):
-        return self.w_faccessat(dirfd, path, mode, flags)
+        return self.k("faccessat", signed32(dirfd),
+                      self.path_arg("faccessat2", path), mode)
 
     def _stat_out(self, st, buf):
-        # host-side kstat -> portable WALI layout conversion (§3.5)
-        host_bytes = self.host_layout.encode_stat(st)
-        self.copy_out(buf, self.host_layout.convert_stat(host_bytes,
-                                                         self.layout))
+        # kstat packed straight into the portable WALI layout (§3.5)
+        self.copy_out(buf, GUEST_LAYOUT.encode_stat(st))
         return 0
 
     def w_fstat(self, fd, buf):
@@ -369,49 +339,6 @@ class WaliHost:
         self.mem.write_cstr(buf, cwd)
         return len(cwd) + 1
 
-    def w_chdir(self, path):
-        return self.k("chdir", self.cstr(path))
-
-    def w_mkdir(self, path, mode):
-        return self.k("mkdir", self.cstr(path), mode)
-
-    def w_mkdirat(self, dirfd, path, mode):
-        return self.k("mkdirat", signed32(dirfd), self.cstr(path), mode)
-
-    def w_rmdir(self, path):
-        return self.k("rmdir", self.cstr(path))
-
-    def w_unlink(self, path):
-        return self.k("unlink", self.cstr(path))
-
-    def w_unlinkat(self, dirfd, path, flags):
-        return self.k("unlinkat", signed32(dirfd), self.cstr(path), flags)
-
-    def w_rename(self, old, new):
-        return self.k("rename", self.cstr(old), self.cstr(new))
-
-    def w_renameat(self, ofd, old, nfd, new):
-        return self.k("renameat", signed32(ofd), self.cstr(old),
-                      signed32(nfd), self.cstr(new))
-
-    def w_renameat2(self, ofd, old, nfd, new, flags):
-        return self.k("renameat2", signed32(ofd), self.cstr(old),
-                      signed32(nfd), self.cstr(new), flags)
-
-    def w_link(self, old, new):
-        return self.k("link", self.cstr(old), self.cstr(new))
-
-    def w_linkat(self, ofd, old, nfd, new, flags):
-        return self.k("linkat", signed32(ofd), self.cstr(old), signed32(nfd),
-                      self.cstr(new), flags)
-
-    def w_symlink(self, target, path):
-        return self.k("symlink", self.cstr(target), self.cstr(path))
-
-    def w_symlinkat(self, target, dirfd, path):
-        return self.k("symlinkat", self.cstr(target), signed32(dirfd),
-                      self.cstr(path))
-
     def w_readlink(self, path, buf, size):
         target = self.k("readlink",
                         self.path_arg("readlink", path)).encode()
@@ -425,26 +352,6 @@ class WaliHost:
         out = target[:size]
         self.copy_out(buf, out)
         return len(out)
-
-    def w_chmod(self, path, mode):
-        return self.k("chmod", self.cstr(path), mode)
-
-    def w_fchmodat(self, dirfd, path, mode):
-        return self.k("fchmodat", signed32(dirfd), self.cstr(path), mode)
-
-    def w_chown(self, path, uid, gid):
-        return self.k("chown", self.cstr(path), uid, gid)
-
-    def w_lchown(self, path, uid, gid):
-        return self.k("lchown", self.cstr(path), uid, gid)
-
-    def w_fchownat(self, dirfd, path, uid, gid, flags):
-        return self.k("fchownat", signed32(dirfd), self.cstr(path), uid, gid,
-                      flags)
-
-    def w_truncate(self, path, length):
-        return self.k("truncate",
-                      self.path_arg("truncate", path), signed64(length))
 
     def w_utimensat(self, dirfd, path, times_ptr, flags):
         if times_ptr:
@@ -566,10 +473,6 @@ class WaliHost:
         return 0
 
     # ---- inotify / signalfd (readiness front-ends) ----
-
-    def w_inotify_add_watch(self, fd, path_ptr, mask):
-        return self.k("inotify_add_watch", signed32(fd),
-                      self.path_arg("inotify_add_watch", path_ptr), mask)
 
     def w_signalfd4(self, fd, mask_ptr, sizemask, flags):
         mask = self.mem.load_i64(mask_ptr) if mask_ptr else 0
@@ -828,8 +731,10 @@ class WaliHost:
         return self.k("msync", addr, length, flags,
                       mem_reader=lambda a, n: bytes(mem.read(a, n)))
 
-    def w_brk(self, addr):
-        return self.k("brk", addr)
+    def w_mincore(self, addr, length, vec):
+        self.mem.check(vec, (length + 4095) // 4096)  # one byte per page
+        self.copy_out(vec, self.k("mincore", addr, length))
+        return 0
 
     # ------------------------------------------------------------------
     # signals (§3.3) — stateful: the virtual sigtable
@@ -874,12 +779,6 @@ class WaliHost:
         mask = self.mem.load_i64(set_ptr)
         return self.k("rt_sigtimedwait", mask,
                       self.timespec_at(timeout_ptr))
-
-    def w_sigaltstack(self, ss, old):
-        return self.k("sigaltstack")
-
-    def w_pause(self):
-        return self.k("pause")
 
     def w_setitimer(self, which, new_ptr, old_ptr):
         value_ns = 0
@@ -941,6 +840,8 @@ class WaliHost:
                       self.timespec_at(timeout_ptr))
 
     def w_getrandom(self, buf, length, flags):
+        length = min(length, _GETRANDOM_MAX)
+        self.mem.check(buf, length)  # trap before the kernel draws a byte
         data = self.k("getrandom", length, flags)
         self.copy_out(buf, data)
         return len(data)
@@ -980,6 +881,11 @@ class WaliHost:
         self.copy_out(mask_ptr, mask.to_bytes(8, "little")[:n])
         return n
 
+    def w_sched_setaffinity(self, pid, size, mask_ptr):
+        mask = self.mem.read_bytes(mask_ptr, min(size, 8))
+        return self.k("sched_setaffinity", signed32(pid),
+                      int.from_bytes(mask, "little"))
+
     # ------------------------------------------------------------------
     # sockets
     # ------------------------------------------------------------------
@@ -995,9 +901,6 @@ class WaliHost:
         self.copy_out(ptr, data)
         if len_ptr:
             self.mem.store_i32(len_ptr, len(data))
-
-    def w_socket(self, family, type_, protocol):
-        return self.k("socket", family, type_, protocol)
 
     def w_bind(self, fd, addr_ptr, addrlen):
         return self.k("bind", signed32(fd), self._addr_in(addr_ptr, addrlen))
@@ -1085,6 +988,12 @@ class WaliHost:
         self.copy_out(ts_ptr, Layout.encode_timespec(ns))
         return 0
 
+    def w_clock_getres(self, clock_id, res_ptr):
+        ns = self.k("clock_getres", signed32(clock_id))
+        if res_ptr:
+            self.copy_out(res_ptr, Layout.encode_timespec(ns))
+        return 0
+
     def w_gettimeofday(self, tv_ptr, tz_ptr):
         sec, usec = self.k("gettimeofday")
         if tv_ptr:
@@ -1165,43 +1074,41 @@ class WaliHost:
         }
 
 
-def _make_passthrough(host: WaliHost, name: str):
-    """Auto-generate a pure-integer passthrough handler (§5 recipe, >85%)."""
-    nargs = len(SYSCALLS[name].params)
+@functools.lru_cache(maxsize=None)
+def _handler_factory(kinds: str):
+    """``make(k, path_arg, name)``, which builds a handler for argument
+    ``kinds`` that calls ``k(name, ...)``.
 
-    def passthrough(*raw):
-        return host.k(name, *(signed32(a) if isinstance(a, int) and
-                              a <= 0xFFFFFFFF else a for a in raw[:nargs]))
+    The source is generated once per distinct kinds string, so every
+    argument's converter is fixed before the first call and a call runs
+    no loop over its arguments: ``"iu_"`` becomes
+    ``lambda a0, a1, a2: k(name, signed32(a0), a1)``."""
+    params = [f"a{i}" for i in range(len(kinds))]
+    args = "".join(f", {_KIND_EXPR[kind].format(a)}"
+                   for kind, a in zip(kinds, params) if kind != "_")
+    return eval(f"lambda k, path_arg, name: "
+                f"lambda {', '.join(params)}: k(name{args})",
+                {"signed32": signed32, "signed64": signed64})
 
-    passthrough.__name__ = f"wali_{name}"
-    passthrough.auto_generated = True
-    return passthrough
 
-
-def _make_enosys(name: str):
-    def enosys(*raw):
-        return -ENOSYS
-
-    enosys.__name__ = f"wali_{name}_enosys"
-    return enosys
+# generated, not written (the paper's >85% story): every spec entry
+# without a hand-written ``w_`` handler
+AUTO_PASSTHROUGH = frozenset(
+    name for name in SYSCALLS if not hasattr(WaliHost, f"w_{name}"))
 
 
 def handler_loc(name: str) -> int:
     """Lines of code of a handler (Table 2's LOC column): explicit handlers
-    are measured from source; auto-generated passthroughs count as 1."""
-    import inspect
-
-    method = getattr(WaliHost, f"w_{name}", None)
-    if method is None:
-        return 1 if name in AUTO_PASSTHROUGH else 0
-    src = inspect.getsource(method)
+    are measured from source; generated passthroughs count as 1."""
+    if name not in SYSCALLS:
+        return 0
+    if name in AUTO_PASSTHROUGH:
+        return 1
+    src = inspect.getsource(getattr(WaliHost, f"w_{name}"))
     return sum(1 for line in src.splitlines()
                if line.strip() and not line.strip().startswith("#"))
 
 
 def implemented_names():
-    out = []
-    for name in SYSCALLS:
-        if hasattr(WaliHost, f"w_{name}") or name in AUTO_PASSTHROUGH:
-            out.append(name)
-    return sorted(out)
+    """Every spec entry has a handler, written or generated."""
+    return sorted(SYSCALLS)

@@ -9,14 +9,17 @@ guest libc compiles against, and the engine converts at the syscall boundary.
 
 ``Layout`` encodes/decodes those structures.  The ``wali`` layout is the
 portable one used by guests; ``x86_64``/``aarch64``/``riscv64`` layouts model
-the host side so the conversion code paths are real (and measurably small,
-per Table 2's LOC column).
+the host side.  The virtual kernel hands the host an ISA-independent
+``Stat``, so the host packs it straight into the guest layout;
+:meth:`Layout.convert_stat` is the §3.5 host-to-WALI conversion, kept as a
+tested reference that yields the same bytes.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from ..kernel.calls.fs import Stat, StatFS
 from ..kernel.calls.misc import SysInfo, UtsName
@@ -65,15 +68,9 @@ _STAT_FIELDS = {
 }
 
 
-def _pack_fields(fields, values: dict) -> bytes:
-    fmt = "<" + "".join(f for _, f in fields)
-    return struct.pack(fmt, *(values.get(name, 0) for name, _ in fields))
-
-
-def _unpack_fields(fields, data: bytes) -> dict:
-    fmt = "<" + "".join(f for _, f in fields)
-    vals = struct.unpack_from(fmt, data)
-    return {name: v for (name, _), v in zip(fields, vals)}
+# every kstat value in the portable order; padding fields take the 0 that
+# encode_stat appends after them
+_STAT_VALUES = [name for name, _ in _WALI_STAT_FIELDS]
 
 
 class Layout:
@@ -83,31 +80,28 @@ class Layout:
         if arch not in _STAT_FIELDS:
             raise ValueError(f"unknown layout arch {arch!r}")
         self.arch = arch
+        fields = _STAT_FIELDS[arch]
+        self._stat_names = [name for name, _ in fields]
+        self._stat = struct.Struct("<" + "".join(f for _, f in fields))
+        self._stat_pick = operator.itemgetter(*(
+            _STAT_VALUES.index(name) if name in _STAT_VALUES
+            else len(_STAT_VALUES) for name in self._stat_names))
 
     # ---- kstat ----
 
     @property
     def stat_size(self) -> int:
-        fields = _STAT_FIELDS[self.arch]
-        return struct.calcsize("<" + "".join(f for _, f in fields))
+        return self._stat.size
 
     def encode_stat(self, st: Stat) -> bytes:
-        values = {
-            "st_dev": st.st_dev, "st_ino": st.st_ino, "st_mode": st.st_mode,
-            "st_nlink": st.st_nlink, "st_uid": st.st_uid, "st_gid": st.st_gid,
-            "st_rdev": st.st_rdev, "st_size": st.st_size,
-            "st_blksize": st.st_blksize, "st_blocks": st.st_blocks,
-            "st_atime_s": st.st_atime_ns // 10**9,
-            "st_atime_n": st.st_atime_ns % 10**9,
-            "st_mtime_s": st.st_mtime_ns // 10**9,
-            "st_mtime_n": st.st_mtime_ns % 10**9,
-            "st_ctime_s": st.st_ctime_ns // 10**9,
-            "st_ctime_n": st.st_ctime_ns % 10**9,
-        }
-        return _pack_fields(_STAT_FIELDS[self.arch], values)
+        return self._stat.pack(*self._stat_pick((
+            st.st_dev, st.st_ino, st.st_mode, st.st_nlink, st.st_uid,
+            st.st_gid, st.st_rdev, st.st_size, st.st_blksize, st.st_blocks,
+            *divmod(st.st_atime_ns, 10**9), *divmod(st.st_mtime_ns, 10**9),
+            *divmod(st.st_ctime_ns, 10**9), 0)))
 
     def decode_stat(self, data: bytes) -> Stat:
-        v = _unpack_fields(_STAT_FIELDS[self.arch], data)
+        v = dict(zip(self._stat_names, self._stat.unpack_from(data)))
         return Stat(
             st_dev=v["st_dev"], st_ino=v["st_ino"], st_mode=v["st_mode"],
             st_nlink=v["st_nlink"], st_uid=v["st_uid"], st_gid=v["st_gid"],
@@ -394,10 +388,6 @@ class Layout:
     @staticmethod
     def encode_tms(u: int, s: int, cu: int, cs: int) -> bytes:
         return struct.pack("<4q", u, s, cu, cs)
-
-
-def host_layout(arch: str) -> Layout:
-    return Layout(arch)
 
 
 GUEST_LAYOUT = Layout(WALI)

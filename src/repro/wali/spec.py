@@ -7,8 +7,19 @@ the current host.  Name binding (instead of numbers) is what makes binaries
 ISA-agnostic and statically auditable: the import section enumerates every
 syscall a binary could ever make (§3.6).
 
-Signatures are spelled as compact strings: ``i`` = i32, ``l`` = i64.  All
-syscalls return ``i64`` carrying the Linux convention (result or ``-errno``).
+Each syscall's arguments are spelled as a string of *kind* letters, one per
+Wasm parameter:
+
+* ``i``: i32, passed signed (fds, flags, pids);
+* ``u``: i32, passed unsigned (modes, uids/gids, sizes, masks, addresses);
+* ``l``: i64, passed signed;
+* ``p``: i32 pointer to a NUL-terminated string (paths, names);
+* ``_``: i32 the kernel does not take.
+
+``l`` is the only i64 kind.  All syscalls return ``i64`` carrying the Linux
+convention (result or ``-errno``).  The kinds are what
+:class:`repro.wali.host.WaliHost` generates a handler from when it has no
+hand-written one.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ CAT_MISC = "misc"
 @dataclass(frozen=True)
 class SyscallSpec:
     name: str
-    params: str            # "i"/"l" per argument
+    params: str            # one kind letter per argument (module docstring)
     category: str
     stateful: bool = False  # needs engine-side state (mmap pool, sigtable...)
 
@@ -62,95 +73,95 @@ def _build() -> Dict[str, SyscallSpec]:
             table[name] = SyscallSpec(name, params, category, stateful)
 
     add(CAT_FS, [
-        ("read", "iii"), ("write", "iii"), ("open", "iii"),
-        ("openat", "iiii"), ("close", "i"), ("lseek", "ili"),
-        ("pread64", "iiil"), ("pwrite64", "iiil"), ("readv", "iii"),
-        ("writev", "iii"), ("access", "ii"), ("faccessat", "iiii"),
-        ("faccessat2", "iiii"), ("pipe", "i"), ("pipe2", "ii"),
+        ("read", "iuu"), ("write", "iuu"), ("open", "piu"),
+        ("openat", "ipiu"), ("close", "i"), ("lseek", "ili"),
+        ("pread64", "iuul"), ("pwrite64", "iuul"), ("readv", "iuu"),
+        ("writev", "iuu"), ("access", "pu"), ("faccessat", "ipu_"),
+        ("faccessat2", "ipu_"), ("pipe", "u"), ("pipe2", "ui"),
         ("dup", "i"), ("dup2", "ii"), ("dup3", "iii"), ("fcntl", "iii"),
-        ("fstat", "ii"), ("stat", "ii"), ("lstat", "ii"),
-        ("newfstatat", "iiii"), ("statx", "iiiii"), ("getdents64", "iii"),
-        ("getcwd", "ii"), ("chdir", "i"), ("fchdir", "i"), ("mkdir", "ii"),
-        ("mkdirat", "iii"), ("rmdir", "i"), ("unlink", "i"),
-        ("unlinkat", "iii"), ("rename", "ii"), ("renameat", "iiii"),
-        ("renameat2", "iiiii"), ("link", "ii"), ("linkat", "iiiii"),
-        ("symlink", "ii"), ("symlinkat", "iii"), ("readlink", "iii"),
-        ("readlinkat", "iiii"), ("chmod", "ii"), ("fchmod", "ii"),
-        ("fchmodat", "iii"), ("chown", "iii"), ("fchown", "iii"),
-        ("lchown", "iii"), ("fchownat", "iiiii"), ("truncate", "il"),
-        ("ftruncate", "il"), ("umask", "i"), ("utimensat", "iiii"),
+        ("fstat", "iu"), ("stat", "pu"), ("lstat", "pu"),
+        ("newfstatat", "ipui"), ("statx", "ipi_u"), ("getdents64", "iuu"),
+        ("getcwd", "uu"), ("chdir", "p"), ("fchdir", "i"), ("mkdir", "pu"),
+        ("mkdirat", "ipu"), ("rmdir", "p"), ("unlink", "p"),
+        ("unlinkat", "ipu"), ("rename", "pp"), ("renameat", "ipip"),
+        ("renameat2", "ipipu"), ("link", "pp"), ("linkat", "ipipu"),
+        ("symlink", "pp"), ("symlinkat", "pip"), ("readlink", "puu"),
+        ("readlinkat", "ipuu"), ("chmod", "pu"), ("fchmod", "ii"),
+        ("fchmodat", "ipu"), ("chown", "puu"), ("fchown", "iuu"),
+        ("lchown", "puu"), ("fchownat", "ipuuu"), ("truncate", "pl"),
+        ("ftruncate", "il"), ("umask", "i"), ("utimensat", "ipui"),
         ("sync", ""), ("fsync", "i"), ("fdatasync", "i"), ("syncfs", "i"),
         ("sync_file_range", "illi"), ("flock", "ii"),
-        ("sendfile", "iiii"), ("statfs", "ii"), ("fstatfs", "ii"),
-        ("ioctl", "iii"), ("poll", "iii"), ("ppoll", "iiii"),
-        ("select", "iiiii"), ("pselect6", "iiiiii"),
+        ("sendfile", "iiuu"), ("statfs", "pu"), ("fstatfs", "iu"),
+        ("ioctl", "iuu"), ("poll", "uui"), ("ppoll", "uuu_"),
+        ("select", "iuuuu"), ("pselect6", "iuuuu_"),
         ("fadvise64", "illi"), ("readahead", "ili"),
-        ("memfd_create", "ii"), ("mincore", "iii"),
+        ("memfd_create", "pu"),
         # filesystem event notification (readiness flows through
         # epoll/ppoll/io_uring like every other waitqueue source)
-        ("inotify_init1", "i"), ("inotify_add_watch", "iii"),
+        ("inotify_init1", "i"), ("inotify_add_watch", "ipu"),
         ("inotify_rm_watch", "ii"),
     ])
 
     add(CAT_PROC, [
-        ("clone", "iiii", True), ("clone3", "iiii", True),
-        ("fork", "", True), ("vfork", "", True), ("execve", "iii", True),
-        ("exit", "i"), ("exit_group", "i"), ("wait4", "iiii"),
+        ("clone", "iuuu", True), ("clone3", "iuuu", True),
+        ("fork", "", True), ("vfork", "", True), ("execve", "puu", True),
+        ("exit", "i"), ("exit_group", "i"), ("wait4", "iuiu"),
         ("kill", "ii"), ("tgkill", "iii"), ("tkill", "ii"),
         ("getpid", ""), ("gettid", ""), ("getppid", ""), ("getuid", ""),
         ("geteuid", ""), ("getgid", ""), ("getegid", ""), ("setuid", "i"),
         ("setgid", "i"), ("setpgid", "ii"), ("getpgid", "i"),
         ("getpgrp", ""), ("setsid", ""), ("getsid", "i"),
-        ("prlimit64", "iiii"), ("getrlimit", "ii"), ("setrlimit", "ii"),
-        ("getrusage", "ii"), ("times", "i"), ("sched_yield", ""),
-        ("sched_getaffinity", "iii"), ("sched_setaffinity", "iii"),
+        ("prlimit64", "iuuu"), ("getrlimit", "uu"), ("setrlimit", "uu"),
+        ("getrusage", "iu"), ("times", "u"), ("sched_yield", ""),
+        ("sched_getaffinity", "iuu"), ("sched_setaffinity", "iuu"),
         ("getpriority", "ii"), ("setpriority", "iii"), ("nice", "i"),
-        ("prctl", "iiiii"),
+        ("prctl", "ii___"),
         ("arch_prctl", "ii"), ("set_tid_address", "i"),
-        ("set_robust_list", "ii"), ("futex", "iiiiii"),
-        ("getrandom", "iii"),
+        ("set_robust_list", "ii"), ("futex", "uiiu__"),
+        ("getrandom", "uuu"),
     ])
 
     add(CAT_SIG, [
-        ("rt_sigaction", "iiii", True), ("rt_sigprocmask", "iiii"),
-        ("rt_sigpending", "ii"), ("rt_sigsuspend", "ii"),
-        ("rt_sigreturn", ""), ("rt_sigtimedwait", "iiii"),
-        ("sigaltstack", "ii"), ("pause", ""), ("alarm", "i"),
-        ("setitimer", "iii"), ("getitimer", "ii"),
+        ("rt_sigaction", "iuu_", True), ("rt_sigprocmask", "iuu_"),
+        ("rt_sigpending", "u_"), ("rt_sigsuspend", "u_"),
+        ("rt_sigreturn", ""), ("rt_sigtimedwait", "uuu_"),
+        ("sigaltstack", "__"), ("pause", ""), ("alarm", "i"),
+        ("setitimer", "iu_"), ("getitimer", "i_"),
         # fd-based synchronous signal consumption (vs sigvirt delivery)
-        ("signalfd4", "iiii"),
+        ("signalfd4", "iu_u"),
     ])
 
     add(CAT_MM, [
-        ("mmap", "iiiiil", True), ("munmap", "ii", True),
-        ("mremap", "iiiii", True), ("mprotect", "iii"), ("msync", "iii"),
-        ("madvise", "iii"), ("mincore", "iii"), ("brk", "i"),
+        ("mmap", "uuuiil", True), ("munmap", "uu", True),
+        ("mremap", "uuui_", True), ("mprotect", "uuu"), ("msync", "uuu"),
+        ("madvise", "iii"), ("mincore", "uuu"), ("brk", "u"),
     ])
 
     add(CAT_NET, [
-        ("socket", "iii"), ("bind", "iii"), ("listen", "ii"),
-        ("accept", "iii"), ("accept4", "iiii"), ("connect", "iii"),
-        ("sendto", "iiiiii"), ("recvfrom", "iiiiii"), ("sendmsg", "iii"),
-        ("recvmsg", "iii"), ("shutdown", "ii"), ("socketpair", "iiii"),
-        ("setsockopt", "iiiii"), ("getsockopt", "iiiii"),
-        ("getsockname", "iii"), ("getpeername", "iii"),
+        ("socket", "uuu"), ("bind", "iu_"), ("listen", "ii"),
+        ("accept", "iuu"), ("accept4", "iuui"), ("connect", "iu_"),
+        ("sendto", "iuu_uu"), ("recvfrom", "iuu_uu"), ("sendmsg", "iu_"),
+        ("recvmsg", "iu_"), ("shutdown", "ii"), ("socketpair", "uu_u"),
+        ("setsockopt", "iiiuu"), ("getsockopt", "iiiuu"),
+        ("getsockname", "iuu"), ("getpeername", "iuu"),
     ])
 
     add(CAT_MISC, [
-        ("clock_gettime", "ii"), ("clock_getres", "ii"),
-        ("clock_nanosleep", "iiii"), ("nanosleep", "ii"),
-        ("gettimeofday", "ii"), ("uname", "i"), ("sysinfo", "i"),
-        ("syslog", "iii"), ("chroot", "i"), ("eventfd2", "ii"),
+        ("clock_gettime", "iu"), ("clock_getres", "iu"),
+        ("clock_nanosleep", "iiu_"), ("nanosleep", "u_"),
+        ("gettimeofday", "u_"), ("uname", "u"), ("sysinfo", "u"),
+        ("syslog", "i__"), ("chroot", "p"), ("eventfd2", "ii"),
         ("epoll_create1", "i"), ("epoll_create", "i"),
-        ("epoll_ctl", "iiii"), ("epoll_pwait", "iiiiii"),
-        ("epoll_wait", "iiii"), ("timerfd_create", "ii"),
-        ("timerfd_settime", "iiii"), ("timerfd_gettime", "ii"),
+        ("epoll_ctl", "iiiu"), ("epoll_pwait", "iuui__"),
+        ("epoll_wait", "iuui"), ("timerfd_create", "ii"),
+        ("timerfd_settime", "iiuu"), ("timerfd_gettime", "iu"),
         # batched I/O: submission/completion rings (ring memory is
         # registered via io_uring_register; one enter drains a batch)
-        ("io_uring_setup", "ii"), ("io_uring_enter", "iiiiii"),
-        ("io_uring_register", "iiii"),
+        ("io_uring_setup", "uu"), ("io_uring_enter", "iuuuu_"),
+        ("io_uring_register", "iuuu"),
         # profiling: perf events behind fds (sampling + counting)
-        ("perf_event_open", "iiiii"),
+        ("perf_event_open", "uiiiu"),
     ])
 
     return table
