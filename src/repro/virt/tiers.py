@@ -86,11 +86,9 @@ class _GuestSession:
     def __init__(self, kernel: Kernel, module: Module, argv, env,
                  scheme: str, tier_up: bool = False):
         from ..wali import WaliRuntime
-        from ..wali.runtime import WaliProcess
 
         self.rt = WaliRuntime(kernel=kernel, scheme=scheme, tier_up=tier_up)
-        self.wp = WaliProcess(self.rt, kernel.create_process(argv, env or {}),
-                              module)
+        self.wp = self.rt.load(module, argv, env)
 
     def run_interp(self) -> int:
         return self.wp.run()

@@ -1,15 +1,34 @@
 """The WALI runtime: wiring engine, kernel and host together.
 
-Implements the paper's 1-to-1 process model (§3.1):
+Implements the paper's 1-to-1 process model (§3.1): each WALI process is
+one kernel task running one module instance in its own machine (and, when
+spawned, its own Python thread).  Every process has one lifecycle:
 
-* each WALI process is one kernel process running one module instance in its
-  own machine (and, when spawned, its own Python thread);
-* ``fork`` deep-copies the running machine + instance (the child resumes at
-  the fork return point with result 0);
-* ``clone(CLONE_VM|CLONE_THREAD...)`` creates an *instance-per-thread*
-  duplicate sharing linear memory and the funcref table;
-* ``execve`` replaces the module image in place — any ``.wasm`` file in the
-  VFS is directly executable (the paper's binfmt trick).
+* **construct** -- ``WaliProcess(runtime, proc, module)`` sets every field
+  and builds the process's own :class:`WaliHost`;
+* **attach** -- :meth:`WaliProcess.attach` binds an instance to it, with a
+  machine and an mmap pool.  It is the only code that sets the instance,
+  machine, pool, virtual sigtable and poll hook, and the kernel task's
+  ``machine``/``mm``.
+
+The routes differ only in where the instance comes from:
+
+* load and ``execve`` instantiate the image over ``host.imports()``.
+  ``execve`` decodes the new image before the kernel commits, so a bad
+  image fails with ENOEXEC and leaves the process as it was.  Any ``.wasm``
+  file in the VFS is directly executable (the paper's binfmt trick);
+* ``fork`` copies the running instance, machine and pool (the child
+  resumes at the fork return point with result 0);
+* ``clone(CLONE_VM|CLONE_THREAD...)`` makes an *instance-per-thread*
+  duplicate sharing linear memory, the pool and the funcref table;
+* WASI-over-WALI (:func:`repro.wasi.wasi_over_wali`) attaches the WASI
+  app's instance.
+
+**Relink.** A cloned instance shares its parent's function list, so it is
+pointed at the child's ``wali`` imports with :func:`repro.wasm.relink`, by
+import name.  A fork relinks its private copy of the table too.  A thread
+shares the parent's table and never rewrites it: the parent's funcref
+entries keep calling the parent's host.
 """
 
 from __future__ import annotations
@@ -18,15 +37,18 @@ import threading
 from typing import Dict, List, Optional, Union
 
 from ..kernel import Kernel
-from ..kernel.errno import EACCES, EAGAIN, ENOEXEC, ENOENT, KernelError
+from ..kernel.errno import EACCES, EAGAIN, ENOEXEC, KernelError
 from ..kernel.process import Process, STATE_RUNNING
-from ..wasm import Module, decode_module, encode_module, instantiate
-from ..wasm.errors import GuestExit, Trap, WasmError
+from ..wasm import (
+    Instance, Module, decode_module, encode_module, instantiate, relink,
+)
+from ..wasm.errors import DecodeError, GuestExit, Trap, WasmError
 from ..wasm.interp import Machine
 from .host import WaliHost
 from .mmap_pool import MmapPool
 from .security import SecurityPolicy
 from .sigvirt import VirtualSigTable
+from .spec import MODULE
 
 
 class ExecveImage(Exception):
@@ -39,43 +61,52 @@ class ExecveImage(Exception):
 
 
 class WaliProcess:
-    """One guest process: kernel process + instance + machine + WALI state."""
+    """One guest process: kernel process + instance + machine + WALI state.
 
-    def __init__(self, runtime: "WaliRuntime", proc: Process, module: Module):
+    The instance-side fields are None until :meth:`attach` sets them."""
+
+    instance: Optional[Instance] = None
+    machine: Optional[Machine] = None
+    pool: Optional[MmapPool] = None
+    sigv: Optional[VirtualSigTable] = None
+
+    def __init__(self, runtime: "WaliRuntime", proc: Process,
+                 module: Optional[Module] = None):
         self.rt = runtime
         self.proc = proc
         self.module = module
-        self.instance = None
-        self.machine: Optional[Machine] = None
-        self.host: Optional[WaliHost] = None
-        self.pool: Optional[MmapPool] = None
-        self.sigv: Optional[VirtualSigTable] = None
+        self.host = WaliHost(runtime, self)
         self.wali_time_ns = 0
         self.exit_status: Optional[int] = None
         self.trap: Optional[Trap] = None
         self.thread: Optional[threading.Thread] = None
-        self._load(module)
 
-    # ---- image management ----
+    def attach(self, instance: Instance, machine: Optional[Machine] = None,
+               pool: Optional[MmapPool] = None) -> None:
+        """Make ``instance`` this process's image.
 
-    def _load(self, module: Module) -> None:
-        self.module = module
-        self.host = WaliHost(self.rt, self)
-        imports = self.host.imports()
-        self.instance = instantiate(module, imports, scheme=self.rt.scheme,
-                                    tier_up=self.rt.tier_up)
-        self.machine = Machine(self.instance)
+        ``machine`` defaults to a fresh one and ``pool`` to a fresh mmap
+        pool over the instance's memory (fork and threads pass their own).
+        """
+        self.instance = instance
+        if machine is None:
+            machine = Machine(instance)
+        self.machine = machine
         # the perf sampler walks this interpreter's frame stack
-        self.proc.machine = self.machine
-        if self.instance.memory is not None:
-            self.pool = MmapPool(self.instance.memory)
-            self.proc.mm = self.pool.space
+        self.proc.machine = machine
+        if pool is None and instance.memory is not None:
+            pool = MmapPool(instance.memory)
+        self.pool = pool
+        if pool is not None:
+            self.proc.mm = pool.space
         self.sigv = VirtualSigTable(self.proc)
-        self._arm_poll(self.machine)
+        machine.poll_hook = self.sigv.make_poll_hook(machine, instance.table)
 
-    def _arm_poll(self, machine: Machine) -> None:
-        machine.poll_hook = self.sigv.make_poll_hook(machine,
-                                                     self.instance.table)
+    def load_image(self) -> None:
+        """Instantiate ``module`` over this process's host and attach it."""
+        self.attach(instantiate(self.module, self.host.imports(),
+                                scheme=self.rt.scheme,
+                                tier_up=self.rt.tier_up))
 
     def poll_now(self) -> None:
         """Deliver pending unblocked signals immediately (§3.3)."""
@@ -103,7 +134,10 @@ class WaliProcess:
             except GuestExit as exc:
                 status = exc.status
             except ExecveImage as exc:
-                self._load(exc.module)
+                # a fresh host per image
+                self.module = exc.module
+                self.host = WaliHost(self.rt, self)
+                self.load_image()
                 continue
             except Trap as exc:
                 self.trap = exc
@@ -126,50 +160,6 @@ class WaliProcess:
     def join(self, timeout: Optional[float] = None) -> None:
         if self.thread is not None:
             self.thread.join(timeout)
-
-    # ---- fork support ----
-
-    def fork_clone(self, child_proc: Process) -> "WaliProcess":
-        """Duplicate this running process for ``fork``: machine state and
-        memory copied, code shared; child resumes at the fork point."""
-        child = WaliProcess.__new__(WaliProcess)
-        child.rt = self.rt
-        child.proc = child_proc
-        child.module = self.module
-        child.instance = self.instance.clone()
-        child.machine = self.machine.clone(child.instance)
-        child_proc.machine = child.machine
-        child.host = WaliHost(self.rt, child)
-        # the cloned instance must call the *child's* host functions
-        self._rebind_host(child)
-        child.pool = self.pool.fork_copy(child.instance.memory)
-        child_proc.mm = child.pool.space
-        child.sigv = VirtualSigTable(child_proc)
-        child.wali_time_ns = 0
-        child.exit_status = None
-        child.trap = None
-        child.thread = None
-        child._arm_poll(child.machine)
-        return child
-
-    def _rebind_host(self, child: "WaliProcess") -> None:
-        """Point the child's imported host functions at the child's host."""
-        imports = child.host.imports()["wali"]
-        funcs = list(child.instance.funcs)
-        for i, im in enumerate(child.module.imports):
-            if im.kind == "func" and im.module == "wali" and \
-                    im.name in imports:
-                funcs[i] = imports[im.name]
-        child.instance.funcs = funcs
-        # the table may contain host funcrefs; keep guest functions shared
-        if child.instance.table is not None:
-            old_to_new = {id(o): n for o, n in
-                          zip(self.instance.funcs, funcs)}
-            child.instance.table.elems = [
-                None if e is None else
-                funcs[self.instance.funcs.index(e)]
-                if e in self.instance.funcs else e
-                for e in child.instance.table.elems]
 
 
 class WaliRuntime:
@@ -208,6 +198,7 @@ class WaliRuntime:
             argv = argv if argv is not None else [module.name or "app"]
         proc = self.kernel.create_process(argv, env or {}, cwd=cwd)
         wp = WaliProcess(self, proc, module)
+        wp.load_image()
         self.processes.append(wp)
         return wp
 
@@ -219,7 +210,10 @@ class WaliRuntime:
         data = self.kernel.vfs.read_file(path)
         if data[:4] != b"\x00asm":
             raise KernelError(ENOEXEC, path)
-        return decode_module(data, name=path)
+        try:
+            return decode_module(data, name=path)
+        except DecodeError as exc:
+            raise KernelError(ENOEXEC, f"{path}: {exc}") from exc
 
     # ---- process model hooks (called from WaliHost) ----
 
@@ -230,7 +224,16 @@ class WaliRuntime:
             self.kernel.counters.inc("wali.fork_refused")
             raise KernelError(EAGAIN, "fork above a compiled activation")
         child_proc = self.kernel.call(wp.proc, "fork")
-        child = wp.fork_clone(child_proc)
+        child = WaliProcess(self, child_proc, wp.module)
+        instance = wp.instance.clone()
+        wali = child.host.imports()[MODULE]
+        instance.funcs = relink(instance.funcs, wali)
+        if instance.table is not None:
+            # the copy is the child's own: relink host funcrefs from any
+            # host, including a leader's reached from a thread's table
+            instance.table.elems = relink(instance.table.elems, wali)
+        child.attach(instance, wp.machine.clone(instance),
+                     wp.pool.fork_copy(instance.memory))
         self.processes.append(child)
         # the child resumes at the fork return point with result 0
         child.machine.stack.append(0)
@@ -239,28 +242,19 @@ class WaliRuntime:
 
     def spawn_thread(self, wp: WaliProcess, flags: int, fn: int,
                      arg: int) -> int:
-        child_proc = self.kernel.call(wp.proc, "clone", flags)
-        child = WaliProcess.__new__(WaliProcess)
-        child.rt = self
-        child.proc = child_proc
-        child.module = wp.module
-        child.instance = wp.instance.thread_clone()
-        child.machine = Machine(child.instance)
-        child_proc.machine = child.machine
-        child.host = WaliHost(self, child)
-        wp._rebind_host(child)
-        child.pool = wp.pool           # CLONE_VM: shared address space
-        child.sigv = VirtualSigTable(child_proc)
-        child.wali_time_ns = 0
-        child.exit_status = None
-        child.trap = None
-        child._arm_poll(child.machine)
-        self.processes.append(child)
-
-        table = child.instance.table
+        table = wp.instance.table
         if table is None or fn >= len(table.elems) or table.elems[fn] is None:
             raise KernelError(EACCES, f"bad thread entry funcref {fn}")
         entry = table.elems[fn]
+        child_proc = self.kernel.call(wp.proc, "clone", flags)
+        child = WaliProcess(self, child_proc, wp.module)
+        instance = wp.instance.thread_clone()
+        # the table stays shared and is never rewritten: its host funcrefs
+        # keep calling the parent's host
+        instance.funcs = relink(instance.funcs,
+                                child.host.imports()[MODULE])
+        child.attach(instance, pool=wp.pool)  # CLONE_VM: shared pool
+        self.processes.append(child)
 
         def thread_main():
             try:
@@ -286,8 +280,10 @@ class WaliRuntime:
 
     def execve(self, wp: WaliProcess, path: str, argv: List[str],
                envp: List[str]) -> int:
-        self.kernel.call(wp.proc, "execve", path, argv, envp)
+        # decode before the kernel commits: a bad image leaves the
+        # process (fds, argv, comm, dispositions) as it was
         module = self._image_from_path(path)
+        self.kernel.call(wp.proc, "execve", path, argv, envp)
         raise ExecveImage(module, path)
 
     # ---- reporting ----

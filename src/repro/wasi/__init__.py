@@ -10,7 +10,7 @@ applications on a WALI runtime.
 
 from typing import Dict, Optional
 
-from ..wali import WaliRuntime
+from ..wali import MODULE as WALI_MODULE, WaliProcess, WaliRuntime
 from ..wasm import Module, instantiate
 from ..wasm.errors import GuestExit
 from .host import Backend, WaliBackend, WasiHost
@@ -24,32 +24,17 @@ from .spec import FUNCTIONS, MODULE, wasi_errno
 
 def wasi_over_wali(runtime: WaliRuntime, argv=None, env=None,
                    preopens: Optional[Dict[str, str]] = None):
-    """Create a (WasiHost, WaliProcess-shell) pair layered over WALI.
+    """Create a (WasiHost, WaliProcess) pair layered over WALI.
 
     Returns ``(wasi_host, wali_process)``: instantiate the WASI app with
-    ``wasi_host.imports()`` and point ``wali_process.instance`` at it.
+    ``wasi_host.imports()`` and pass the instance to
+    ``wali_process.attach``.
     """
-    from ..wali.runtime import WaliProcess
-
     proc = runtime.kernel.create_process(argv or ["wasi-app"], env or {})
-    wp = WaliProcess.__new__(WaliProcess)
-    wp.rt = runtime
-    wp.proc = proc
-    wp.instance = None
-    wp.machine = None
-    wp.pool = None
-    wp.sigv = None
-    wp.wali_time_ns = 0
-    wp.exit_status = None
-    wp.trap = None
-    wp.thread = None
-    from ..wali.host import WaliHost
-
-    wp.host = WaliHost(runtime, wp)
-    wali_ns = wp.host.imports()["wali"]
-    backend = WaliBackend(wali_ns, lambda: wp.instance.memory)
-    host = WasiHost(backend, preopens)
-    return host, wp
+    wp = WaliProcess(runtime, proc)
+    backend = WaliBackend(wp.host.imports()[WALI_MODULE],
+                          lambda: wp.instance.memory)
+    return WasiHost(backend, preopens), wp
 
 
 def run_wasi_module(module: Module, runtime: Optional[WaliRuntime] = None,
@@ -58,19 +43,9 @@ def run_wasi_module(module: Module, runtime: Optional[WaliRuntime] = None,
     """Run a WASI app with the WASI-over-WALI layering; returns exit code."""
     rt = runtime or WaliRuntime()
     host, wp = wasi_over_wali(rt, argv, env, preopens)
-    inst = instantiate(module, host.imports(), scheme=rt.scheme)
-    wp.instance = inst
-    from ..wali.mmap_pool import MmapPool
-    from ..wali.sigvirt import VirtualSigTable
-    from ..wasm.interp import Machine
-
-    wp.machine = Machine(inst)
-    if inst.memory is not None:
-        wp.pool = MmapPool(inst.memory)
-        wp.proc.mm = wp.pool.space
-    wp.sigv = VirtualSigTable(wp.proc)
+    wp.attach(instantiate(module, host.imports(), scheme=rt.scheme))
     try:
-        wp.machine.invoke(inst.exports[entry], [])
+        wp.machine.invoke(wp.instance.exports[entry], [])
         return 0
     except GuestExit as exc:
         return exc.status

@@ -5,7 +5,8 @@ Public surface:
 * :class:`ModuleBuilder` / :class:`FuncBuilder` — authoring DSL
 * :func:`encode_module` / :func:`decode_module` — binary codec
 * :func:`validate_module` — static validation
-* :func:`instantiate` / :class:`Instance` / :class:`Machine` — execution
+* :func:`instantiate` / :class:`Instance` / :class:`Machine` — execution;
+  :func:`relink` points a cloned instance at another host
 * :class:`LinearMemory`, :class:`HostFunc`, traps in :mod:`repro.wasm.errors`
 """
 
@@ -17,7 +18,7 @@ from .errors import (
     TrapUnreachable, ValidationError, WasmError,
 )
 from .flatten import SAFEPOINT_SCHEMES, FlatCode, flatten_function, flatten_module
-from .instance import GlobalCell, Instance, Table, instantiate
+from .instance import GlobalCell, Instance, Table, instantiate, relink
 from .interp import HostFunc, Machine, WasmFunc
 from .memory import LinearMemory
 from .module import Module
@@ -33,5 +34,5 @@ __all__ = [
     "TrapStackExhausted", "TrapSyscall", "TrapUnreachable", "ValidationError",
     "WasmError", "WasmFunc", "decode_module", "encode_module",
     "flatten_function", "flatten_module", "functype", "instantiate",
-    "validate_module",
+    "relink", "validate_module",
 ]

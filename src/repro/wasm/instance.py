@@ -115,6 +115,17 @@ class Instance:
         return inst
 
 
+def relink(funcs: List[object], provided: Dict[str, HostFunc]) -> List[object]:
+    """A copy of ``funcs`` (a cloned instance's ``funcs`` or table entries)
+    with each host function replaced by the one ``provided`` under its
+    import name, taken as ``HostFunc.name``; guest functions are kept.
+
+    Clones share their parent's lists, so a clone is pointed at its own
+    host by assigning the copy, never by writing into the shared list."""
+    return [provided.get(f.name, f) if isinstance(f, HostFunc) else f
+            for f in funcs]
+
+
 def _const_value(instr: tuple, globals_: List[GlobalCell]):
     name = instr[0]
     if name == "i32.const":

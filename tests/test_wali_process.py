@@ -1,0 +1,172 @@
+"""How a WALI process is made: one constructor and one attach step behind
+load, fork, thread spawn and WASI-over-WALI, cloned instances relinked to
+their own host, and process-changing calls that fail without side effects.
+"""
+
+import pytest
+
+from repro.apps import with_libc
+from repro.cc import compile_source
+from repro.kernel.errno import EACCES
+from repro.wali import WaliRuntime
+from repro.wasi import wasi_over_wali
+from repro.wasm import I32, I64, ModuleBuilder, encode_module, instantiate
+
+THREAD_FLAGS = 0x10f00  # CLONE_VM|CLONE_FS|CLONE_FILES|CLONE_SIGHAND|CLONE_THREAD
+GETTID_IMPORT = 0
+# funcref table slots of table_module(); slot 3 stays empty
+GETTID, WAIT_THEN_FORK, RETURN, EMPTY = 0, 1, 2, 3
+
+
+def table_module():
+    """A WALI module whose table holds a host funcref (``SYS_gettid``) and
+    two thread entries: one that spins until word 0 of memory is set and
+    then forks, and one that returns at once."""
+    mb = ModuleBuilder("table-host")
+    gettid = mb.import_func("wali", "SYS_gettid", results=[I64])
+    mb.import_func("wali", "SYS_fork", results=[I64])
+    mb.add_memory(1, 16)
+    mb.add_table(4)
+    f = mb.func("wait_then_fork", [I32])
+    with f.block():
+        with f.loop():
+            f.i32_const(0).i32_load().br_if(1)
+            f.br(0)
+    f.call("SYS_fork").op("drop")
+    f.end()
+    mb.func("ret", [I32]).end()
+    mb.add_elem(GETTID, [gettid, mb.func_index("wait_then_fork"),
+                         mb.func_index("ret")])
+    return mb.build()
+
+
+def process_of(rt, pid):
+    return next(wp for wp in rt.processes if wp.proc.pid == pid)
+
+
+def joined(wp):
+    wp.join(5)
+    assert not wp.thread.is_alive()
+    return wp
+
+
+def spawn(rt, wp, slot):
+    return process_of(rt, rt.spawn_thread(wp, THREAD_FLAGS, slot, 0))
+
+
+# ---- one constructor, one attach ----
+
+def by_load(rt):
+    return rt.load(table_module())
+
+
+def by_fork(rt):
+    wp = rt.load(table_module())
+    return joined(process_of(rt, rt.fork(wp)))
+
+
+def by_thread(rt):
+    return joined(spawn(rt, rt.load(table_module()), RETURN))
+
+
+def by_wasi(rt):
+    host, wp = wasi_over_wali(rt)
+    mb = ModuleBuilder("wasi-app")
+    mb.add_memory(1, 16)
+    wp.attach(instantiate(mb.build(), host.imports()))
+    return wp
+
+
+FIELDS = {"rt", "proc", "module", "host", "instance", "machine", "pool",
+          "sigv", "wali_time_ns", "exit_status", "trap", "thread"}
+
+
+@pytest.mark.parametrize("route", [by_load, by_fork, by_thread, by_wasi])
+def test_every_route_builds_the_same_process(route):
+    wp = route(WaliRuntime())
+    assert set(vars(wp)) == FIELDS
+    assert wp.host.wp is wp
+    assert wp.machine.instance is wp.instance
+    assert wp.proc.machine is wp.machine
+    assert wp.pool.memory is wp.instance.memory
+    assert wp.proc.mm is wp.pool.space
+    assert wp.sigv.proc is wp.proc
+    assert wp.machine.poll_hook is not None
+
+
+# ---- relinking a clone to its own host ----
+
+def test_thread_spawn_leaves_the_parents_table_alone():
+    rt = WaliRuntime()
+    wp = rt.load(table_module())
+    own = wp.instance.funcs[GETTID_IMPORT]
+    child = joined(spawn(rt, wp, RETURN))
+    assert child.instance.table is wp.instance.table
+    assert child.instance.funcs[GETTID_IMPORT] is not own
+    # the parent's funcref still reaches the parent's host
+    assert wp.instance.table.elems[GETTID] is own
+    assert own.fn() == wp.proc.pid
+
+
+def test_fork_from_a_thread_relinks_every_host_funcref():
+    rt = WaliRuntime()
+    wp = rt.load(table_module())
+    forker = spawn(rt, wp, WAIT_THEN_FORK)
+    other = joined(spawn(rt, wp, RETURN))
+    wp.instance.memory.store_i32(0, 1)      # let the forker fork
+    joined(forker)
+    (child,) = [p for p in rt.processes if p not in (wp, forker, other)]
+    joined(child)
+    # the shared table holds the leader's funcref; the child's copy must
+    # call the child's host, whichever host the entry came from
+    assert child.instance.table is not wp.instance.table
+    assert child.instance.table.elems[GETTID] is \
+        child.instance.funcs[GETTID_IMPORT]
+    assert wp.instance.table.elems[GETTID] is wp.instance.funcs[GETTID_IMPORT]
+
+
+# ---- failures leave no trace ----
+
+@pytest.mark.parametrize("fn", [EMPTY, 99])
+def test_bad_thread_entry_starts_no_task(fn):
+    rt = WaliRuntime()
+    wp = rt.load(table_module())
+    kernel = rt.kernel
+
+    def state():
+        return (set(kernel.processes), list(rt.processes),
+                kernel.sched.live_pids())
+
+    before = state()
+    clone = wp.host.imports()["wali"]["SYS_clone"]
+    assert clone.fn(THREAD_FLAGS, 0, fn, 0) == -EACCES
+    assert state() == before
+
+
+@pytest.mark.parametrize("image", [
+    b"#!/bin/sh\necho hi\n",
+    encode_module(table_module())[:30],     # truncated .wasm
+], ids=["not-wasm", "truncated-wasm"])
+def test_failed_execve_leaves_the_process_intact(image):
+    rt = WaliRuntime()
+    rt.kernel.vfs.write_file("/bad", image)
+    mod = compile_source(with_libc(r"""
+buffer argvv[12];
+export func _start() {
+    var fd: i32 = open("/keep", O_CREAT | O_WRONLY | 524288, 420);
+    store32(argvv, "/bad");
+    store32(argvv + 4, "other");
+    store32(argvv + 8, 0);
+    var r: i32 = execve("/bad", argvv, 0);
+    if (r != -1) { exit(1); }
+    if (errno != 8) { exit(2); }
+    // the O_CLOEXEC descriptor survived the failed execve
+    if (write(fd, "x", 1) != 1) { exit(3); }
+    exit(0);
+}
+"""), name="prog")
+    wp = rt.load(mod, argv=["prog", "a1"])
+    assert wp.run() == 0
+    assert wp.proc.argv == ["prog", "a1"]
+    assert wp.proc.comm == "prog"
+    assert rt.kernel.vfs.read_file("/keep") == b"x"

@@ -32,11 +32,7 @@ class Harness:
         mb = ModuleBuilder("wasi-harness")
         mb.add_memory(32, 256)
         self.inst = instantiate(mb.build())
-        self.wp.instance = self.inst
-        from repro.wali.mmap_pool import MmapPool
-
-        self.wp.pool = MmapPool(self.inst.memory)
-        self.wp.proc.mm = self.wp.pool.space
+        self.wp.attach(self.inst)
         self.ns = self.host.imports()[MODULE]
         self.mem = self.inst.memory
 
