@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import threading
 import time as _time
+from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errno import (
@@ -108,6 +109,114 @@ class WaitQueue:
 
     def __len__(self) -> int:
         return len(self._waiters)
+
+
+class BoundedRing:
+    """A bounded record stream behind an epollable fd: the one overflow
+    discipline of ``/proc/trace_pipe``, perf sample fds and inotify fds.
+
+    The ring holds at most ``capacity`` records plus **one** overflow
+    marker.  A push into a full ring is dropped: the first drop queues the
+    marker and later drops grow its count in place, wherever a partial
+    drain left it, so a late reader still learns how much it missed.
+    Reading the marker clears it.  ``dropped`` counts drops and ``total``
+    pushes.  ``read_step`` drains whole records (EAGAIN when empty, EINVAL
+    when the next record does not fit).  ``wq`` wakes once per kept record
+    and once per new marker, never for a drop that joins the marker, and
+    always outside the ring's lock.
+
+    Subclasses supply the record format: ``encode`` (default
+    ``record.encode()``) and ``marker(first, count)``, the marker as a
+    record.  The optional hooks ``merges`` (a push identical to the tail
+    is swallowed), ``on_keep`` and ``on_drop`` run under the lock.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity <= 0:
+            raise KernelError(EINVAL, "ring capacity must be > 0")
+        self.capacity = capacity
+        self._q: deque = deque()
+        self._overflow: Optional[list] = None   # [first drop, drops]
+        self._lock = threading.Lock()
+        self.dropped = 0
+        self.total = 0
+        self.wq = WaitQueue()
+
+    def encode(self, record) -> bytes:
+        return record.encode()
+
+    def marker(self, first, count: int):
+        raise NotImplementedError
+
+    def merges(self, tail, record) -> bool:
+        return False
+
+    def on_keep(self, record) -> None:
+        pass
+
+    def on_drop(self, record) -> None:
+        pass
+
+    def push(self, record) -> None:
+        """Queue ``record``, or count it on the marker when full."""
+        with self._lock:
+            q = self._q
+            if q and q[-1] is not self._overflow and \
+                    self.merges(q[-1], record):
+                return
+            self.total += 1
+            if len(q) - (self._overflow is not None) < self.capacity:
+                q.append(record)
+                self.on_keep(record)
+            else:
+                self.dropped += 1
+                self.on_drop(record)
+                if self._overflow is not None:
+                    self._overflow[1] += 1
+                    return
+                self._overflow = [record, 1]
+                q.append(self._overflow)
+        self.wq.wake(EPOLLIN)
+
+    def read_step(self, length: int) -> bytes:
+        """Drain whole records into ``length`` bytes."""
+        with self._lock:
+            q = self._q
+            if not q:
+                raise KernelError(EAGAIN, "ring empty")
+            out = bytearray()
+            while q:
+                data = self.encode(self._render(q[0]))
+                if len(out) + len(data) > length:
+                    break
+                if q.popleft() is self._overflow:
+                    self._overflow = None
+                out += data
+            if not out:
+                raise KernelError(EINVAL, "buffer too small for a record")
+            return bytes(out)
+
+    def poll_events(self) -> int:
+        return EPOLLIN if self._q else 0
+
+    def _render(self, entry):
+        return self.marker(*entry) if entry is self._overflow else entry
+
+    def records(self) -> list:
+        """A snapshot of the queue, the marker rendered as a record."""
+        with self._lock:
+            return [self._render(e) for e in self._q]
+
+    def __iter__(self):
+        return iter(self.records())
+
+    def __len__(self) -> int:
+        return len(self._q)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._q.clear()
+            self._overflow = None
 
 
 class EventFD:
@@ -418,11 +527,3 @@ class EventPoll:
         for fd, item in list(self.items.items()):
             self._purge(fd, item)
         self.wq.wake(EPOLLHUP)
-
-
-def poll_event_names(mask: int) -> str:
-    """Debug helper: render an event mask symbolically."""
-    names = [("IN", EPOLLIN), ("PRI", EPOLLPRI), ("OUT", EPOLLOUT),
-             ("ERR", EPOLLERR), ("HUP", EPOLLHUP), ("RDHUP", EPOLLRDHUP)]
-    out = [n for n, bit in names if mask & bit]
-    return "|".join(out) or "0"

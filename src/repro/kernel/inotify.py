@@ -19,10 +19,9 @@ Linux semantics modeled here:
   carrying the child name — to watches on its containing directory;
 * ``rename`` emits a cookie-paired ``IN_MOVED_FROM``/``IN_MOVED_TO``
   (same nonzero cookie, FROM strictly before TO in the queue);
-* the per-instance queue is bounded: a full queue drops the event and
-  queues a single ``IN_Q_OVERFLOW`` record (wd = -1) instead, so the
-  queue never holds more than ``max_queued`` events plus one overflow
-  marker;
+* the per-instance queue is bounded, with the overflow discipline of
+  :class:`~repro.kernel.eventpoll.BoundedRing`: a full queue drops the
+  event, and the drops share one ``IN_Q_OVERFLOW`` record (wd = -1);
 * an event identical to the current queue tail (same wd/mask/cookie/name)
   is coalesced away, exactly like inotify's tail-merge;
 * removing a watch (explicitly, or implicitly when the inode is deleted
@@ -38,11 +37,10 @@ from __future__ import annotations
 
 import itertools
 import struct
-from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Dict
 
-from .errno import EAGAIN, EINVAL, ENOTDIR, KernelError
-from .eventpoll import EPOLLHUP, EPOLLIN, WaitQueue
+from .errno import EINVAL, ENOTDIR, KernelError
+from .eventpoll import EPOLLHUP, BoundedRing
 
 # event mask bits (Linux values)
 IN_ACCESS = 0x00000001
@@ -140,22 +138,56 @@ class Watch:
         self.owner = owner
 
 
+class _EventQueue(BoundedRing):
+    """An instance's event queue: a :class:`~.eventpoll.BoundedRing` of
+    :class:`InotifyEvent` records with inotify's tail merge, whose
+    overflow marker is ``IN_Q_OVERFLOW`` with wd -1."""
+
+    def __init__(self, capacity: int, trace):
+        super().__init__(capacity)
+        self.trace = trace   # kernel observability; None outside a kernel
+
+    def marker(self, first: InotifyEvent, count: int) -> InotifyEvent:
+        return InotifyEvent(-1, IN_Q_OVERFLOW)
+
+    def merges(self, tail: InotifyEvent, ev: InotifyEvent) -> bool:
+        return tail.same_as(ev)  # like inotify_merge
+
+    def on_keep(self, ev: InotifyEvent) -> None:
+        if self.trace is not None:
+            self.trace.counters.inc("inotify.enqueued")
+            self.trace.emit("inotify_enqueue", arg=ev.mask,
+                            info=ev.name[:16])
+
+    def on_drop(self, ev: InotifyEvent) -> None:
+        if self.trace is not None:
+            self.trace.counters.inc("inotify.dropped")
+            self.trace.emit("inotify_overflow", arg=ev.mask,
+                            info=ev.name[:16])
+
+
 class Inotify:
     """One inotify instance (the object behind the fd)."""
 
     def __init__(self, max_queued: int = MAX_QUEUED_EVENTS, trace=None):
-        self.max_queued = max_queued
-        # kernel observability (kernel/trace.py); None outside a kernel
-        self.trace = trace
-        self.counters = trace.counters if trace is not None else None
-        self.queue: Deque[InotifyEvent] = deque()
+        self.queue = _EventQueue(max_queued, trace)
+        self.wq = self.queue.wq
         self.watches: Dict[int, Watch] = {}
         self._by_inode: Dict[int, Watch] = {}    # id(inode) -> watch
-        self.wq = WaitQueue()
         self._next_wd = 1
-        self.dropped = 0          # events lost to queue overflow
-        self._markers = 0         # IN_Q_OVERFLOW records currently queued
         self.closed = False
+
+    @property
+    def max_queued(self) -> int:
+        return self.queue.capacity
+
+    @max_queued.setter
+    def max_queued(self, capacity: int) -> None:
+        self.queue.capacity = capacity
+
+    @property
+    def dropped(self) -> int:
+        return self.queue.dropped
 
     # ------------------------------------------------------------------
     # watch management
@@ -222,66 +254,24 @@ class Inotify:
             self._drop_watch(watch)
 
     def _enqueue(self, ev: InotifyEvent) -> None:
-        if self.closed:
-            return
-        if self.queue and self.queue[-1].same_as(ev):
-            return  # tail coalescing, like inotify_merge
-        if len(self.queue) - self._markers >= self.max_queued:
-            self.dropped += 1
-            if self.counters is not None:
-                self.counters.inc("inotify.dropped")
-            if self.trace is not None:
-                self.trace.emit("inotify_overflow", arg=ev.mask,
-                                info=ev.name[:16])
-            if not self._markers:
-                # the bound holds: max_queued events + one overflow
-                # marker, wherever a partial drain left it in the queue
-                self.queue.append(InotifyEvent(-1, IN_Q_OVERFLOW))
-                self._markers += 1
-                self.wq.wake(EPOLLIN)
-            return
-        self.queue.append(ev)
-        if self.counters is not None:
-            self.counters.inc("inotify.enqueued")
-        if self.trace is not None:
-            self.trace.emit("inotify_enqueue", arg=ev.mask,
-                            info=ev.name[:16])
-        self.wq.wake(EPOLLIN)
+        if not self.closed:
+            self.queue.push(ev)
 
     # ------------------------------------------------------------------
     # fd surface
     # ------------------------------------------------------------------
 
     def read_step(self, length: int) -> bytes:
-        """Drain whole records into ``length`` bytes; EAGAIN when empty."""
-        if not self.queue:
-            raise KernelError(EAGAIN, "no inotify events")
-        if length < self.queue[0].size:
-            # Linux: a buffer too small for the next event is EINVAL
-            raise KernelError(EINVAL, "buffer too small for event")
-        out = bytearray()
-        while self.queue and len(out) + self.queue[0].size <= length:
-            ev = self.queue.popleft()
-            if ev.mask & IN_Q_OVERFLOW:
-                self._markers -= 1
-            out += ev.encode()
-        return bytes(out)
+        return self.queue.read_step(length)
 
     def poll_events(self) -> int:
-        return EPOLLIN if self.queue else 0
+        return self.queue.poll_events()
 
     def close(self) -> None:
-        self.closed = True
+        self.closed = True   # before the drops: no IN_IGNORED is queued
         for watch in list(self.watches.values()):
-            self.watches.pop(watch.wd, None)
-            self._by_inode.pop(id(watch.inode), None)
-            if watch.inode.watches is not None:
-                try:
-                    watch.inode.watches.remove(watch)
-                except ValueError:
-                    pass
+            self._drop_watch(watch)
         self.queue.clear()
-        self._markers = 0
         self.wq.wake(EPOLLHUP)
 
 

@@ -331,7 +331,8 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
 
         A sleep that runs its whole safety slice with no kick, followed
         by a successful scan, is a lost wakeup: it bumps the
-        ``sched.safety_net_wakeups`` counter.
+        ``sched.safety_net_wakeups`` counter and emits the
+        ``safety_net_wakeup`` tracepoint.
         """
         deadline = None
         if timeout_ns is not None:
@@ -345,6 +346,9 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
                     # a kick that landed during the scan was a real wake
                     if slept_out and not proc.kicked:
                         self.counters.inc("sched.safety_net_wakeups")
+                        if self.trace is not None:
+                            self.trace.emit("safety_net_wakeup",
+                                            pid=proc.pid)
                     return result
                 if proc.has_deliverable_signal() or \
                         proc.state != STATE_RUNNING:

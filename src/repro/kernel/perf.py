@@ -12,8 +12,8 @@ ordinary file descriptors (``OpenFile.KIND_PERF``):
   ``PERF_RECORD_SAMPLE`` is captured: pid, the task's vruntime/nice,
   and the guest **wasm call stack** walked from the interpreter's frame
   stack (``Process.machine.frames``).  Records land in a bounded
-  :class:`PerfRing` that reuses the :class:`~.trace.TraceBuffer`
-  overflow discipline — at most ``capacity`` samples plus **one**
+  :class:`PerfRing`, with the overflow discipline of
+  :class:`~repro.kernel.eventpoll.BoundedRing`: one
   ``PERF_RECORD_LOST`` marker whose count grows in place.
 
   The clock is **per (event, pid)**: a task's sample sequence depends
@@ -56,11 +56,10 @@ from __future__ import annotations
 
 import struct
 import threading
-from collections import deque
-from typing import Deque, List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Tuple
 
-from .errno import EAGAIN, EINVAL, ENOTTY, KernelError
-from .eventpoll import EPOLLIN, WaitQueue
+from .errno import EINVAL, ENOTTY, KernelError
+from .eventpoll import EPOLLIN, BoundedRing, WaitQueue
 from .trace import TRACEPOINT_IDS
 from .vfs import CharDevice
 
@@ -186,88 +185,21 @@ def decode_perf_records(data: bytes) -> List[PerfSample]:
     return out
 
 
-class _LostMarker:
-    """The in-place overflow marker (count grows while it sits queued)."""
+class PerfRing(BoundedRing):
+    """Bounded ring of variable-length sample records: a
+    :class:`~.eventpoll.BoundedRing` whose overflow marker is a
+    ``PERF_RECORD_LOST`` record (:func:`encode_lost`).  It is the
+    epollable object behind a sampling perf fd."""
 
-    __slots__ = ("count",)
+    @property
+    def lost(self) -> int:
+        return self.dropped
 
-    def __init__(self):
-        self.count = 1
+    def encode(self, record: bytes) -> bytes:
+        return record
 
-
-class PerfRing:
-    """Bounded ring of variable-length sample records.
-
-    The :class:`~.trace.TraceBuffer` overflow discipline, ported to
-    variable-length records: never more than ``capacity`` samples plus
-    one lost marker, wherever a partial drain left it.  The ring is the
-    epollable object behind a sampling perf fd (``wq`` /
-    ``poll_events`` / ``read_step``); reads drain *whole* records
-    (EAGAIN empty, EINVAL when the buffer cannot hold the next record).
-    """
-
-    def __init__(self, capacity: int = PERF_DEFAULT_RING_CAPACITY):
-        if capacity <= 0:
-            raise KernelError(EINVAL, "perf ring capacity must be > 0")
-        self.capacity = capacity
-        self._q: Deque[Union[bytes, _LostMarker]] = deque()
-        self._marker: Optional[_LostMarker] = None
-        self._lock = threading.Lock()
-        self.lost = 0             # samples ever swallowed
-        self.total = 0            # samples ever pushed (kept or lost)
-        self.wq = WaitQueue()
-
-    def push(self, record: bytes) -> None:
-        with self._lock:
-            self.total += 1
-            if len(self._q) - (1 if self._marker is not None else 0) \
-                    >= self.capacity:
-                self.lost += 1
-                if self._marker is not None:
-                    self._marker.count += 1
-                    return
-                self._marker = _LostMarker()
-                self._q.append(self._marker)
-            else:
-                self._q.append(record)
-        self.wq.wake(EPOLLIN)
-
-    # ---- fd surface ----
-
-    def read_step(self, length: int) -> bytes:
-        with self._lock:
-            if not self._q:
-                raise KernelError(EAGAIN, "perf ring empty")
-            first = self._q[0]
-            first_len = len(encode_lost(first.count)) \
-                if isinstance(first, _LostMarker) else len(first)
-            if length < first_len:
-                raise KernelError(EINVAL, "buffer too small for a record")
-            out = bytearray()
-            while self._q:
-                ent = self._q[0]
-                data = encode_lost(ent.count) \
-                    if isinstance(ent, _LostMarker) else ent
-                if len(out) + len(data) > length:
-                    break
-                self._q.popleft()
-                if ent is self._marker:
-                    self._marker = None
-                out += data
-            return bytes(out)
-
-    def poll_events(self) -> int:
-        return EPOLLIN if self._q else 0
-
-    # ---- inspection ----
-
-    def __len__(self) -> int:
-        return len(self._q)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._q.clear()
-            self._marker = None
+    def marker(self, first: bytes, count: int) -> bytes:
+        return encode_lost(count)
 
 
 def _walk_frames(proc) -> Tuple[str, ...]:

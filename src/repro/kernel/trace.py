@@ -10,12 +10,11 @@ The ftrace-shaped tracing core behind ``/proc/trace`` and
   :mod:`repro.metrics.breakdown` report from one source of truth.
 
 * :class:`TraceBuffer` — a bounded ring of fixed-format
-  :class:`TraceEvent` records.  Overflow follows the inotify queue
-  discipline: the buffer never holds more than ``capacity`` events plus
-  **one** drop marker whose ``arg`` carries the cumulative count of
-  events it swallowed.  The buffer is an epollable object (``wq`` /
-  ``poll_events`` / ``read_step``), so a guest tails ``/proc/trace_pipe``
-  through the same readiness machinery the tracepoints instrument.
+  :class:`TraceEvent` records, with the overflow discipline of
+  :class:`~repro.kernel.eventpoll.BoundedRing`: one drop marker whose
+  ``arg`` counts the events it swallowed.  The buffer is an epollable
+  object, so a guest tails ``/proc/trace_pipe`` through the same
+  readiness machinery the tracepoints instrument.
 
 * :class:`KernelTrace` — the per-kernel facade: the tracepoint registry
   and mask, the deterministic trace clock, per-syscall log2-bucket
@@ -46,13 +45,11 @@ from __future__ import annotations
 import itertools
 import struct
 import threading
-from collections import defaultdict, deque
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional
+from collections import defaultdict
+from typing import Callable, Dict, List, NamedTuple, Optional
 
-from .errno import EAGAIN, EINVAL, KernelError
-from .eventpoll import (
-    EPOLLIN, WaitQueue, add_wake_hook, remove_wake_hook,
-)
+from .errno import EINVAL, KernelError
+from .eventpoll import BoundedRing, add_wake_hook, remove_wake_hook
 
 # ---- the tracepoint registry ----------------------------------------------
 
@@ -82,6 +79,8 @@ TRACEPOINTS = (
     "uring_register",     # buffer table registered (arg: slot count)
     "uring_sqpoll_park",  # SQPOLL poller idled out, NEED_WAKEUP raised
     "uring_sqpoll_wake",  # IORING_ENTER_SQ_WAKEUP revived the poller
+    # id 22: a lost wakeup, recovered only by the wait's safety slice
+    "safety_net_wakeup",
 )
 
 TRACEPOINT_IDS: Dict[str, int] = {n: i for i, n in enumerate(TRACEPOINTS)}
@@ -286,90 +285,35 @@ def decode_typed_records(data: bytes) -> List["TypedTraceRecord"]:
     return out
 
 
-class TraceBuffer:
-    """The bounded trace ring behind ``/proc/trace_pipe``.
+class TraceBuffer(BoundedRing):
+    """The bounded trace ring behind ``/proc/trace_pipe``: a
+    :class:`~.eventpoll.BoundedRing` of :class:`TraceEvent` records.
 
-    Overflow discipline (the inotify queue model): at most ``capacity``
-    events plus one drop marker live in the queue.  The marker's ``arg``
-    is updated in place with the number of events it swallowed, so a
-    reader that drains late still learns exactly how much it missed.
-
-    The buffer is the epollable object behind the trace_pipe fd:
-    ``read_step`` drains whole 40-byte records (EAGAIN when empty, like
-    the inotify fd), ``poll_events``/``wq`` feed the readiness layer.
-    ``close`` is deliberately a no-op — the ring is kernel-global and
+    The overflow marker is a drop record (id :data:`TRACE_DROP_ID`, flag
+    :data:`TRACE_FLAG_DROP`, info ``overflow``) stamped with the first
+    dropped event's timestamp; its ``arg`` is the count it swallowed.
+    ``close`` is deliberately a no-op: the ring is kernel-global and
     outlives any one open description of ``/proc/trace_pipe``.
     """
 
     def __init__(self, capacity: int = TRACE_DEFAULT_CAPACITY,
                  counters: Optional[CounterRegistry] = None):
-        if capacity <= 0:
-            raise KernelError(EINVAL, "trace buffer capacity must be > 0")
-        self.capacity = capacity
+        super().__init__(capacity)
         self.counters = counters
-        self._q: Deque[TraceEvent] = deque()
-        self._marker: Optional[TraceEvent] = None
-        self._lock = threading.Lock()
-        self.dropped = 0          # events ever lost to overflow
-        self.total = 0            # events ever pushed (kept or dropped)
-        self.wq = WaitQueue()
 
-    def push(self, ev: TraceEvent) -> None:
-        with self._lock:
-            self.total += 1
-            if len(self._q) - (1 if self._marker is not None else 0) \
-                    >= self.capacity:
-                self.dropped += 1
-                if self.counters is not None:
-                    self.counters.inc("trace.dropped")
-                if self._marker is not None:
-                    self._marker.arg += 1  # coalesce into the one marker
-                    return
-                # the bound holds: capacity events + one marker, wherever
-                # a partial drain left it in the queue
-                self._marker = TraceEvent(ev.ts_ns, TRACE_DROP_ID,
-                                          TRACE_FLAG_DROP, 0, 1, "overflow")
-                self._q.append(self._marker)
-            else:
-                self._q.append(ev)
-        self.wq.wake(EPOLLIN)
+    def marker(self, first: TraceEvent, count: int) -> TraceEvent:
+        return TraceEvent(first.ts_ns, TRACE_DROP_ID, TRACE_FLAG_DROP, 0,
+                          count, "overflow")
 
-    # ---- fd surface (trace_pipe) ----
-
-    def read_step(self, length: int) -> bytes:
-        """Drain whole records into ``length`` bytes; EAGAIN when empty."""
-        with self._lock:
-            if not self._q:
-                raise KernelError(EAGAIN, "trace buffer empty")
-            if length < TRACE_RECORD_SIZE:
-                raise KernelError(EINVAL, "buffer too small for a record")
-            out = bytearray()
-            while self._q and len(out) + TRACE_RECORD_SIZE <= length:
-                ev = self._q.popleft()
-                if ev is self._marker:
-                    self._marker = None
-                out += ev.encode()
-            return bytes(out)
-
-    def poll_events(self) -> int:
-        return EPOLLIN if self._q else 0
+    def on_drop(self, ev: TraceEvent) -> None:
+        if self.counters is not None:
+            self.counters.inc("trace.dropped")
 
     def close(self) -> None:
         pass  # shared ring: closing one trace_pipe fd must not clear it
 
-    # ---- inspection (tests, /proc/trace) ----
-
-    def __len__(self) -> int:
-        return len(self._q)
-
     def events(self) -> List[TraceEvent]:
-        with self._lock:
-            return list(self._q)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._q.clear()
-            self._marker = None
+        return self.records()
 
 
 class KernelTrace:

@@ -18,19 +18,26 @@ from ..wasm.types import PAGE_SIZE
 
 
 class MmapPool:
-    """Binds a kernel :class:`AddressSpace` to a Wasm linear memory."""
+    """Binds a kernel :class:`AddressSpace` to a Wasm linear memory.
 
-    def __init__(self, memory: LinearMemory, base: int | None = None):
+    ``space`` is an existing address space to bind (a fork child's, which
+    the kernel already copied); by default the pool makes a fresh one.
+    """
+
+    def __init__(self, memory: LinearMemory,
+                 space: AddressSpace | None = None):
         self.memory = memory
-        if base is None:
-            base = memory.size_bytes  # pool starts past the static image
-        base = page_align_up(base)
-        max_pages = memory.max_pages if memory.max_pages is not None else 65536
-        limit = max_pages * PAGE_SIZE
-        if limit < base:
-            raise ValueError("memory max below pool base")
-        self.space = AddressSpace(base, limit)
-        self.space.grow_hook = self._ensure_backing
+        if space is None:
+            # the pool starts past the static image
+            base = page_align_up(memory.size_bytes)
+            max_pages = memory.max_pages \
+                if memory.max_pages is not None else 65536
+            limit = max_pages * PAGE_SIZE
+            if limit < base:
+                raise ValueError("memory max below pool base")
+            space = AddressSpace(base, limit)
+        self.space = space
+        space.grow_hook = self._ensure_backing
 
     @property
     def base(self) -> int:
@@ -47,18 +54,6 @@ class MmapPool:
             return True
         delta_pages = (needed_end - cur + PAGE_SIZE - 1) // PAGE_SIZE
         return self.memory.grow(delta_pages) >= 0
-
-    def rebind(self, memory: LinearMemory) -> None:
-        """After fork, the pool must point at the child's memory clone."""
-        self.memory = memory
-        self.space.grow_hook = self._ensure_backing
-
-    def fork_copy(self, memory: LinearMemory) -> "MmapPool":
-        pool = MmapPool.__new__(MmapPool)
-        pool.memory = memory
-        pool.space = self.space.fork_copy()
-        pool.space.grow_hook = pool._ensure_backing
-        return pool
 
     def stats(self) -> dict:
         return {

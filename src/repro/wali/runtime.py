@@ -14,11 +14,13 @@ spawned, its own Python thread).  Every process has one lifecycle:
 The routes differ only in where the instance comes from:
 
 * load and ``execve`` instantiate the image over ``host.imports()``.
-  ``execve`` decodes the new image before the kernel commits, so a bad
-  image fails with ENOEXEC and leaves the process as it was.  Any ``.wasm``
+  ``execve`` instantiates the new image over a fresh host before the
+  kernel commits, so an image that fails to decode, validate or link
+  fails with ENOEXEC and leaves the process as it was.  Any ``.wasm``
   file in the VFS is directly executable (the paper's binfmt trick);
-* ``fork`` copies the running instance, machine and pool (the child
-  resumes at the fork return point with result 0);
+* ``fork`` copies the running instance and machine, and binds a pool to
+  the address space the kernel's fork copied (the child resumes at the
+  fork return point with result 0);
 * ``clone(CLONE_VM|CLONE_THREAD...)`` makes an *instance-per-thread*
   duplicate sharing linear memory, the pool and the funcref table;
 * WASI-over-WALI (:func:`repro.wasi.wasi_over_wali`) attaches the WASI
@@ -42,7 +44,9 @@ from ..kernel.process import Process, STATE_RUNNING
 from ..wasm import (
     Instance, Module, decode_module, encode_module, instantiate, relink,
 )
-from ..wasm.errors import DecodeError, GuestExit, Trap, WasmError
+from ..wasm.errors import (
+    DecodeError, GuestExit, LinkError, Trap, ValidationError, WasmError,
+)
 from ..wasm.interp import Machine
 from .host import WaliHost
 from .mmap_pool import MmapPool
@@ -52,11 +56,15 @@ from .spec import MODULE
 
 
 class ExecveImage(Exception):
-    """Internal control flow: the guest requested a new program image."""
+    """Internal control flow: the guest requested a new program image,
+    already instantiated (start function not yet run) over ``host``."""
 
-    def __init__(self, module: Module, path: str):
+    def __init__(self, module: Module, path: str, host: WaliHost,
+                 instance: Instance):
         self.module = module
         self.path = path
+        self.host = host
+        self.instance = instance
         super().__init__(f"execve {path}")
 
 
@@ -135,9 +143,11 @@ class WaliProcess:
                 status = exc.status
             except ExecveImage as exc:
                 # a fresh host per image
-                self.module = exc.module
-                self.host = WaliHost(self.rt, self)
-                self.load_image()
+                self.module, self.host = exc.module, exc.host
+                self.attach(exc.instance)
+                if self.module.start is not None:
+                    self.machine.invoke(
+                        self.instance.funcs[self.module.start], [])
                 continue
             except Trap as exc:
                 self.trap = exc
@@ -232,8 +242,9 @@ class WaliRuntime:
             # the copy is the child's own: relink host funcrefs from any
             # host, including a leader's reached from a thread's table
             instance.table.elems = relink(instance.table.elems, wali)
+        # the kernel's fork already copied the address space
         child.attach(instance, wp.machine.clone(instance),
-                     wp.pool.fork_copy(instance.memory))
+                     MmapPool(instance.memory, space=child_proc.mm))
         self.processes.append(child)
         # the child resumes at the fork return point with result 0
         child.machine.stack.append(0)
@@ -280,11 +291,17 @@ class WaliRuntime:
 
     def execve(self, wp: WaliProcess, path: str, argv: List[str],
                envp: List[str]) -> int:
-        # decode before the kernel commits: a bad image leaves the
-        # process (fds, argv, comm, dispositions) as it was
+        # decode and instantiate before the kernel commits: a bad image
+        # leaves the process (fds, argv, comm, dispositions) as it was
         module = self._image_from_path(path)
+        host = WaliHost(self, wp)
+        try:
+            instance = instantiate(module, host.imports(), scheme=self.scheme,
+                                   run_start=False, tier_up=self.tier_up)
+        except (ValidationError, LinkError) as exc:
+            raise KernelError(ENOEXEC, f"{path}: {exc}") from exc
         self.kernel.call(wp.proc, "execve", path, argv, envp)
-        raise ExecveImage(module, path)
+        raise ExecveImage(module, path, host, instance)
 
     # ---- reporting ----
 

@@ -14,7 +14,8 @@ import pytest
 
 from repro.kernel import (
     EPOLL_CTL_ADD, EPOLLIN, FUTEX_LOCK_PI, FUTEX_UNLOCK_PI, FUTEX_WAIT,
-    FUTEX_WAKE, SIG_BLOCK, SIGUSR1, Kernel, KernelError, sig_bit,
+    FUTEX_WAKE, SIG_BLOCK, SIGUSR1, Kernel, KernelError, decode_records,
+    sig_bit,
 )
 from repro.kernel.errno import EINTR
 
@@ -302,3 +303,22 @@ def test_lost_wakeups_count_with_tracing_ablated(monkeypatch):
     assert k.counters.get("sched.safety_net_wakeups") == 1
     k.counters.clear()   # the guard would fail this test otherwise
 
+
+def test_lost_wakeup_emits_a_tracepoint(monkeypatch):
+    """A lost wakeup is also a ``safety_net_wakeup`` record on the trace
+    ring, carrying the waiter's pid."""
+    k = Kernel(trace="on")
+    k.trace.set_mask(["safety_net_wakeup"])
+    proc = k.create_process(["waiter"], stdio=False)
+    monkeypatch.setattr("repro.kernel.kernel._SAFETY_SLICE_S", 0.001)
+    scans = []
+
+    def ready_on_third_scan():
+        scans.append(1)
+        return True if len(scans) == 3 else None
+
+    assert k.wait_event(proc, ready_on_third_scan) is True
+    recs = decode_records(k.trace.buffer.read_step(1 << 16))
+    assert [(r.point, r.pid) for r in recs] == \
+        [("safety_net_wakeup", proc.pid)]
+    k.counters.clear()   # the guard would fail this test otherwise

@@ -8,6 +8,7 @@ import pytest
 from repro.apps import with_libc
 from repro.cc import compile_source
 from repro.kernel.errno import EACCES
+from repro.kernel.mm import AddressSpace
 from repro.wali import WaliRuntime
 from repro.wasi import wasi_over_wali
 from repro.wasm import I32, I64, ModuleBuilder, encode_module, instantiate
@@ -143,10 +144,23 @@ def test_bad_thread_entry_starts_no_task(fn):
     assert state() == before
 
 
+def unlinkable_module(import_name="SYS_getpid", data_at=0):
+    """A well-formed image that fails to link: it imports a ``wali`` name
+    the host lacks, or its data segment lies past its memory."""
+    mb = ModuleBuilder("unlinkable")
+    mb.import_func("wali", import_name, results=[I64])
+    mb.add_memory(1, 16)
+    mb.add_data(data_at, b"x")
+    mb.func("_start", export=True).end()
+    return mb.build()
+
+
 @pytest.mark.parametrize("image", [
     b"#!/bin/sh\necho hi\n",
     encode_module(table_module())[:30],     # truncated .wasm
-], ids=["not-wasm", "truncated-wasm"])
+    encode_module(unlinkable_module(import_name="SYS_nonexistent")),
+    encode_module(unlinkable_module(data_at=70000)),
+], ids=["not-wasm", "truncated-wasm", "unlinkable-wasm", "data-oob-wasm"])
 def test_failed_execve_leaves_the_process_intact(image):
     rt = WaliRuntime()
     rt.kernel.vfs.write_file("/bad", image)
@@ -170,3 +184,19 @@ export func _start() {
     assert wp.proc.argv == ["prog", "a1"]
     assert wp.proc.comm == "prog"
     assert rt.kernel.vfs.read_file("/keep") == b"x"
+
+
+def test_fork_copies_the_address_space_once(monkeypatch):
+    copies = []
+    copy = AddressSpace.fork_copy
+
+    def counted(space):
+        copies.append(copy(space))
+        return copies[-1]
+
+    monkeypatch.setattr(AddressSpace, "fork_copy", counted)
+    rt = WaliRuntime()
+    child = by_fork(rt)
+    (space,) = copies
+    assert child.proc.mm is child.pool.space is space
+    assert space.grow_hook == child.pool._ensure_backing
