@@ -17,8 +17,8 @@ Subpackages
     pool, virtual signals at safepoints, the 1-to-1 process model and
     security interpositions.
 ``repro.wasi``
-    WASI preview1 implemented natively *and* layered over WALI (§4.1),
-    plus the Table 1 porting matrix.
+    WASI preview1 layered over WALI (§4.1), run as a WALI process, plus
+    the Table 1 porting matrix.
 ``repro.wazi``
     The recipe applied to Zephyr RTOS (§5.1), auto-generated from a
     syscall encoding.

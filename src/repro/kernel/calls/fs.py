@@ -640,18 +640,22 @@ class FSCalls:
 
     def sys_ppoll(self, proc: Process, fds: List[Tuple[int, int]],
                   timeout_ns: Optional[int]) -> List[Tuple[int, int]]:
-        """``fds`` is [(fd, events)]; returns [(fd, revents)] (POLLIN=1,
+        """``fds`` is [(fd, events)]; returns [(fd, revents)] for the
+        ready entries, in request order, one per entry (POLLIN=1,
         POLLOUT=4, POLLERR=8, POLLHUP=0x10, POLLNVAL=0x20).
 
         POLLERR and POLLHUP are delivered whether requested or not (closed
-        peers, widowed pipes), exactly like Linux; blocking is waitqueue-
-        driven, so a peer's write/close wakes the poller immediately.
+        peers, widowed pipes), exactly like Linux, and a negative fd is
+        ignored; blocking is waitqueue-driven, so a peer's write/close
+        wakes the poller immediately.
         """
         POLLIN, POLLOUT, POLLERR, POLLHUP, POLLNVAL = 1, 4, 8, 0x10, 0x20
 
         def scan():
             out = []
             for fd, events in fds:
+                if fd < 0:
+                    continue
                 try:
                     file = proc.fdtable.get(fd)
                 except KernelError:

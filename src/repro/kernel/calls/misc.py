@@ -74,32 +74,42 @@ class MiscCalls:
         return self.sys_nanosleep(proc, duration_ns)
 
     def sys_alarm(self, proc: Process, seconds: int) -> int:
-        """Schedule SIGALRM via a timer thread (delivered at safepoints)."""
-        prev = proc.alarm_deadline_ns
-        now = _time.monotonic_ns()
-        remaining = max(0, (prev - now) // 1_000_000_000) if prev else 0
-        if seconds == 0:
-            proc.alarm_deadline_ns = None
-            return remaining
-        proc.alarm_deadline_ns = now + seconds * 1_000_000_000
-        timer = threading.Timer(
-            seconds, lambda: self._fire_alarm(proc))
-        timer.daemon = True
-        timer.start()
+        """Schedule SIGALRM via a timer thread (delivered at safepoints).
+
+        A process has at most one alarm timer: re-arming or ``alarm(0)``
+        cancels it.  Returns the seconds left on the previous alarm,
+        rounded to the nearest second and at least 1 while it is pending,
+        like Linux's ``alarm_setitimer``.
+        """
+        with self.alarm_lock:
+            remaining = 0
+            if proc.alarm is not None:
+                proc.alarm.cancel()
+                left = proc.alarm_deadline_ns - _time.monotonic_ns()
+                if left > 0:
+                    remaining = max(1, (left + 500_000_000) // 1_000_000_000)
+            proc.alarm = None
+            if seconds:
+                proc.alarm = threading.Timer(
+                    seconds, self._fire_alarm, (proc,))
+                proc.alarm.daemon = True
+                proc.alarm.name = f"alarm-pid{proc.pid}"
+                proc.alarm_deadline_ns = _time.monotonic_ns() + \
+                    seconds * 1_000_000_000
+                proc.alarm.start()
         return remaining
 
     def _fire_alarm(self, proc: Process) -> None:
-        if proc.alarm_deadline_ns is not None and \
-                _time.monotonic_ns() >= proc.alarm_deadline_ns - 10_000_000:
-            proc.alarm_deadline_ns = None
-            proc.generate_signal(SIGALRM)
+        with self.alarm_lock:
+            # a timer cancelled just as its wait ended is no longer proc.alarm
+            if proc.alarm is threading.current_thread():
+                proc.alarm = None
+                proc.generate_signal(SIGALRM)
 
     def sys_setitimer(self, proc: Process, which: int, interval_ns: int,
                       value_ns: int) -> int:
-        if value_ns:
-            self.sys_alarm(proc, max(1, value_ns // 1_000_000_000))
-        else:
-            proc.alarm_deadline_ns = None
+        self.sys_alarm(proc, max(1, value_ns // 1_000_000_000)
+                       if value_ns else 0)
         return 0
 
     def sys_getitimer(self, proc: Process, which: int) -> int:

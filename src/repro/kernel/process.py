@@ -133,7 +133,9 @@ class Process:
 
         self.tid_address = 0
         self.robust_list = 0
-        self.alarm_deadline_ns: Optional[int] = None
+        # the pending alarm(2) timer, if any, and when it is due
+        self.alarm: Optional[threading.Timer] = None
+        self.alarm_deadline_ns = 0
 
         # blocking syscalls sleep on this condition; kick() is its only
         # notifier, and the sticky `kicked` flag keeps a wake that lands

@@ -383,10 +383,20 @@ class WaliHost:
             fd, events = Layout.decode_pollfd(
                 self.mem.read_bytes(fds_ptr + 8 * i, 8))
             req.append((fd, events))
-        ready = dict(self.k("ppoll", req, timeout_ns))
+        ready = self.k("ppoll", req, timeout_ns)
+        # the kernel lists ready entries in request order.  An entry's
+        # revents lie within its events | POLLERR | POLLHUP | POLLNVAL, so
+        # an earlier entry for the same fd that did not fire cannot claim
+        # a later entry's revents: matching in order is exact.
+        j = 0
         for i, (fd, events) in enumerate(req):
+            revents = 0
+            if j < len(ready) and ready[j][0] == fd and \
+                    not ready[j][1] & ~(events | 0x38):
+                revents = ready[j][1]
+                j += 1
             self.copy_out(fds_ptr + 8 * i,
-                          Layout.encode_pollfd(fd, events, ready.get(fd, 0)))
+                          Layout.encode_pollfd(fd, events, revents))
         return len(ready)
 
     def w_select(self, n, rfds, wfds, efds, tv_ptr):

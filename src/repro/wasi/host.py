@@ -1,92 +1,52 @@
-"""WASI preview1 implemented over two backends.
+"""WASI preview1 as a layer over WALI (the paper's §4.1 result).
 
-:class:`WasiHost` contains the API logic (arg marshalling, capability
-sandbox, WASI struct encoding) and delegates primitive operations to a
-backend:
+:class:`WasiHost` holds the API logic (argument marshalling, the
+capability sandbox, WASI struct encoding) and reaches the kernel **only**
+through the WALI import namespace it is given: ``SYS_<name>`` for
+syscalls and the §3.4 support calls for argv/env.  The same code would
+run on any engine that exposes WALI, outside the engine TCB.  Its scratch
+memory is allocated *through WALI mmap* inside the guest's linear memory,
+exactly like a compiled-to-Wasm libuvwasi would.
 
-* :class:`repro.wasi.native.NativeBackend` — direct kernel access, i.e. the
-  traditional engine-embedded WASI implementation (lives inside the TCB,
-  re-implements pointer marshalling — the complexity §1.1 complains about);
-* :class:`WaliBackend` — **only** calls WALI name-bound imports, proving the
-  paper's layering claim (§4.1): the same WASI implementation runs on any
-  engine that exposes WALI, outside the engine TCB.  Its scratch memory is
-  allocated *through WALI mmap* inside the guest's linear memory, exactly
-  like a compiled-to-Wasm libuvwasi would.
+The layer keeps no counters of its own: every syscall it makes is counted
+by the WALI host's cells and the kernel's ``syscall.*`` cells.
 
-The capability model is enforced here, not in the backend: preopened
-directories, no absolute paths, no ``..`` escape (``ENOTCAPABLE``).
+The capability model is enforced here: preopened directories, no absolute
+paths, no ``..`` escape (``ENOTCAPABLE``).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..kernel.errno import KernelError
 from ..wasm.errors import GuestExit
 from ..wasm.interp import HostFunc
 from . import spec
 from .spec import FUNCTIONS, MODULE, wasi_errno
 
 
-class Backend:
-    """Primitive syscall access used by the WASI logic.
-
-    The contract is deliberately the WALI contract: ``sys`` takes raw
-    (pointer-bearing) arguments and returns the Linux result/-errno, and
-    ``support`` exposes the argv/env calls of §3.4.
-    """
-
-    def sys(self, name: str, *args) -> int:
-        raise NotImplementedError
-
-    def support(self, name: str, *args) -> int:
-        raise NotImplementedError
-
-    @property
-    def memory(self):
-        raise NotImplementedError
-
-
-class WaliBackend(Backend):
-    """Layered implementation: every primitive is a WALI import call."""
-
-    def __init__(self, wali_ns: Dict[str, HostFunc], memory_ref):
-        self.ns = wali_ns
-        self._memory_ref = memory_ref
-        self.calls_made: List[str] = []
-
-    @property
-    def memory(self):
-        return self._memory_ref()
-
-    def sys(self, name: str, *args) -> int:
-        import_name = f"SYS_{name}"
-        fn = self.ns.get(import_name)
-        if fn is None:
-            raise KeyError(f"WALI does not export {import_name}")
-        self.calls_made.append(name)
-        return fn.fn(*args)
-
-    def support(self, name: str, *args) -> int:
-        return self.ns[name].fn(*args)
-
-
 class WasiHost:
-    """The WASI preview1 API over a backend."""
+    """The WASI preview1 API over a WALI import namespace.
+
+    ``wali_ns`` maps WALI import names to host functions; ``memory_ref``
+    returns the guest memory those functions act on.
+    """
 
     SCRATCH_SIZE = 65536
 
-    def __init__(self, backend: Backend, preopens: Optional[Dict] = None):
-        self.backend = backend
+    def __init__(self, wali_ns: Dict[str, HostFunc],
+                 memory_ref: Callable[[], object],
+                 preopens: Optional[Dict] = None):
+        self.wali = wali_ns
+        self._memory_ref = memory_ref
         self.preopens: Dict[int, str] = {}
         self._want_preopens = preopens or {"/": "/"}
         self._scratch = 0
         self._initialised = False
-        self.call_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    # lazy init: allocate scratch + preopens through the backend
+    # lazy init: allocate scratch + preopens through WALI
     # ------------------------------------------------------------------
 
     def _ensure_init(self):
@@ -95,18 +55,16 @@ class WasiHost:
         self._initialised = True
         # scratch buffer inside guest linear memory, via WALI mmap —
         # the adapter sandboxes itself exactly like guest code would.
-        r = self.backend.sys("mmap", 0, self.SCRATCH_SIZE, 3, 0x22, -1, 0)
+        r = self._raw("mmap", 0, self.SCRATCH_SIZE, 3, 0x22, -1, 0)
         if r < 0:
             raise RuntimeError("WASI adapter could not allocate scratch")
         self._scratch = r
         for guest_path in self._want_preopens.values():
-            fd = self._open_host_path(guest_path, 0o200000, 0)  # O_DIRECTORY
+            self.mem.write(self._scratch, guest_path.encode() + b"\x00")
+            fd = self._raw("openat", -100, self._scratch,
+                           0o200000, 0)  # O_DIRECTORY
             if fd >= 0:
                 self.preopens[fd] = guest_path
-
-    def _open_host_path(self, path: str, flags: int, mode: int) -> int:
-        self._write_scratch_cstr(path)
-        return self.backend.sys("openat", -100, self._scratch, flags, mode)
 
     # ------------------------------------------------------------------
     # memory helpers
@@ -114,12 +72,7 @@ class WasiHost:
 
     @property
     def mem(self):
-        return self.backend.memory
-
-    def _write_scratch_cstr(self, s: str) -> int:
-        data = s.encode() + b"\x00"
-        self.mem.write(self._scratch, data)
-        return self._scratch
+        return self._memory_ref()
 
     def _read_path(self, ptr: int, length: int) -> str:
         return self.mem.read_bytes(ptr, length).decode("utf-8",
@@ -148,14 +101,12 @@ class WasiHost:
     def imports(self) -> dict:
         ns = {}
         for name, ft in FUNCTIONS.items():
-            method = getattr(self, name)
-            ns[name] = HostFunc(ft, self._wrap(name, method), name)
+            ns[name] = HostFunc(ft, self._wrap(getattr(self, name)), name)
         return {MODULE: ns}
 
-    def _wrap(self, name, method):
+    def _wrap(self, method):
         def call(*args):
             self._ensure_init()
-            self.call_counts[name] = self.call_counts.get(name, 0) + 1
             try:
                 res = method(*args)
                 return spec.ESUCCESS if res is None else res
@@ -163,10 +114,14 @@ class WasiHost:
                 return exc.errno
         return call
 
+    def _raw(self, name: str, *args) -> int:
+        """``SYS_<name>`` through WALI: the Linux result or -errno."""
+        return self.wali[f"SYS_{name}"].fn(*args)
+
     def _sys(self, name: str, *args) -> int:
-        """Backend call; negative results raise the mapped WASI errno."""
-        r = self.backend.sys(name, *args)
-        if isinstance(r, int) and r < 0:
+        """:meth:`_raw`; negative results raise the mapped WASI errno."""
+        r = self._raw(name, *args)
+        if r < 0:
             raise _WasiErr(wasi_errno(-r))
         return r
 
@@ -174,45 +129,40 @@ class WasiHost:
     # args / environ
     # ------------------------------------------------------------------
 
-    def _arg_strings(self) -> List[bytes]:
+    def _strings(self, count: str, copy: str) -> List[bytes]:
+        """argv or env through the WALI support calls ``count``/``copy``."""
         out = []
-        n = self.backend.support("get_argc")
-        for i in range(n):
-            ln = self.backend.support("copy_argv", self._scratch, i)
+        for i in range(self.wali[count].fn()):
+            ln = self.wali[copy].fn(self._scratch, i)
             out.append(self.mem.read_bytes(self._scratch, max(ln - 1, 0)))
         return out
 
-    def _env_strings(self) -> List[bytes]:
-        out = []
-        n = self.backend.support("get_envc")
-        for i in range(n):
-            ln = self.backend.support("copy_env", self._scratch, i)
-            out.append(self.mem.read_bytes(self._scratch, max(ln - 1, 0)))
-        return out
+    def _sizes_get(self, strings: List[bytes], count_ptr, size_ptr):
+        self.mem.store_i32(count_ptr, len(strings))
+        self.mem.store_i32(size_ptr, sum(len(s) + 1 for s in strings))
+
+    def _strings_get(self, strings: List[bytes], ptrs, buf_ptr):
+        off = buf_ptr
+        for i, s in enumerate(strings):
+            self.mem.store_i32(ptrs + 4 * i, off)
+            self.mem.write(off, s + b"\x00")
+            off += len(s) + 1
 
     def args_sizes_get(self, argc_ptr, size_ptr):
-        args = self._arg_strings()
-        self.mem.store_i32(argc_ptr, len(args))
-        self.mem.store_i32(size_ptr, sum(len(a) + 1 for a in args))
+        self._sizes_get(self._strings("get_argc", "copy_argv"), argc_ptr,
+                        size_ptr)
 
     def args_get(self, argv_ptr, buf_ptr):
-        off = buf_ptr
-        for i, arg in enumerate(self._arg_strings()):
-            self.mem.store_i32(argv_ptr + 4 * i, off)
-            self.mem.write(off, arg + b"\x00")
-            off += len(arg) + 1
+        self._strings_get(self._strings("get_argc", "copy_argv"), argv_ptr,
+                          buf_ptr)
 
     def environ_sizes_get(self, count_ptr, size_ptr):
-        envs = self._env_strings()
-        self.mem.store_i32(count_ptr, len(envs))
-        self.mem.store_i32(size_ptr, sum(len(e) + 1 for e in envs))
+        self._sizes_get(self._strings("get_envc", "copy_env"), count_ptr,
+                        size_ptr)
 
     def environ_get(self, env_ptr, buf_ptr):
-        off = buf_ptr
-        for i, env in enumerate(self._env_strings()):
-            self.mem.store_i32(env_ptr + 4 * i, off)
-            self.mem.write(off, env + b"\x00")
-            off += len(env) + 1
+        self._strings_get(self._strings("get_envc", "copy_env"), env_ptr,
+                          buf_ptr)
 
     # ------------------------------------------------------------------
     # clocks / random / yield / exit
@@ -231,7 +181,7 @@ class WasiHost:
         self._sys("sched_yield")
 
     def proc_exit(self, code):
-        self.backend.sys("exit_group", code)
+        self._raw("exit_group", code)
         raise GuestExit(code)
 
     # ------------------------------------------------------------------
@@ -335,30 +285,39 @@ class WasiHost:
         self.mem.write(path_ptr, name)
 
     def fd_readdir(self, fd, buf, buf_len, cookie, bufused_ptr):
-        # read the raw dirent64 stream through WALI, convert to WASI dirents
-        n = self._sys("getdents64", fd, self._scratch, self.SCRATCH_SIZE // 2)
-        raw = self.mem.read_bytes(self._scratch, n)
+        # the kernel's directory offset counts entries, so a cookie is an
+        # offset: seek there, then convert the dirent64 stream to WASI
+        # dirents until buf is full.  As in uvwasi, the last one is cut
+        # at buf_len: a short buffer means the directory has ended.
+        self._sys("lseek", fd, cookie, spec.WHENCE_SET)
         out = bytearray()
-        off = 0
-        index = 0
-        while off < len(raw):
-            ino, _doff, reclen, dtype = struct.unpack_from("<QQHB", raw, off)
-            name = raw[off + 19:raw.index(b"\x00", off + 19)]
-            off += reclen
-            index += 1
-            if index <= cookie:
-                continue
-            rec = struct.pack("<QQIBxxx", index, ino, len(name),
-                              _wasi_dtype(dtype)) + name
-            if len(out) + len(rec) > buf_len:
+        while len(out) < buf_len:
+            n = self._sys("getdents64", fd, self._scratch,
+                          self.SCRATCH_SIZE // 2)
+            if n == 0:
                 break
-            out += rec
+            raw = self.mem.read_bytes(self._scratch, n)
+            off = 0
+            while off < n:
+                ino, _doff, reclen, dtype = struct.unpack_from(
+                    "<QQHB", raw, off)
+                name = raw[off + 19:raw.index(b"\x00", off + 19)]
+                off += reclen
+                cookie += 1
+                out += struct.pack("<QQIBxxx", cookie, ino, len(name),
+                                   _wasi_dtype(dtype)) + name
+        out = out[:buf_len]
         self.mem.write(buf, bytes(out))
         self.mem.store_i32(bufused_ptr, len(out))
 
     def fd_renumber(self, from_fd, to_fd):
-        self._sys("dup2", from_fd, to_fd)
+        self._sys("dup2", from_fd, to_fd)  # dup2(fd, fd) only checks fd
+        if from_fd == to_fd:
+            return
         self._sys("close", from_fd)
+        self.preopens.pop(to_fd, None)
+        if from_fd in self.preopens:
+            self.preopens[to_fd] = self.preopens.pop(from_fd)
 
     # ------------------------------------------------------------------
     # path operations

@@ -1,14 +1,9 @@
 """WASI preview1 surface: function signatures, errno space, rights.
 
 WASI is the W3C capability-based interface the paper contrasts with WALI.
-Two implementations live in this package:
-
-* :mod:`repro.wasi.native` — embedded in the engine, touching the kernel
-  directly (the status quo the paper criticises: every engine reimplements
-  this, inside the TCB);
-* :mod:`repro.wasi.overwali` — implemented purely against the WALI import
-  surface (the paper's §4.1 ``libuvwasi``-over-WALI result: the same API as
-  a sandboxed layer that any WALI-exposing engine can host).
+This package implements it once, as a layer over the WALI import surface
+(:mod:`repro.wasi.host`, the paper's §4.1 ``libuvwasi``-over-WALI result):
+any engine that exposes WALI can host it, outside the engine TCB.
 
 WASI has its own errno numbering (it is not Linux errno!); the table below
 maps between them.

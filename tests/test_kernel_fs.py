@@ -1,5 +1,7 @@
 """Kernel tests: VFS, fd semantics, pipes, procfs, poll."""
 
+import time
+
 import pytest
 
 from repro.kernel import (
@@ -336,6 +338,15 @@ class TestPoll:
     def test_poll_bad_fd_pollnval(self, k, proc):
         res = k.call(proc, "ppoll", [(77, 1)], 0)
         assert res == [(77, 0x20)]
+
+    def test_poll_ignores_a_negative_fd(self, k, proc):
+        # Linux skips an entry whose fd is negative: no POLLNVAL, so the
+        # call sleeps out its timeout
+        t0 = time.monotonic()
+        assert k.call(proc, "ppoll", [(-1, 1)], 20_000_000) == []
+        assert time.monotonic() - t0 >= 0.015
+        r, w = k.call(proc, "pipe2", 0)
+        assert k.call(proc, "ppoll", [(-1, 1), (w, 4)], 0) == [(w, 4)]
 
     def test_pselect(self, k, proc):
         r, w = k.call(proc, "pipe2", 0)

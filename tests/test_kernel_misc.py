@@ -8,7 +8,9 @@ import pytest
 
 from repro.apps import build, install_all, with_libc
 from repro.cc import compile_source
-from repro.kernel import AT_FDCWD, Kernel, KernelError, O_RDONLY, SIGUSR1
+from repro.kernel import (
+    AT_FDCWD, Kernel, KernelError, O_RDONLY, SIGALRM, SIGUSR1, sig_bit,
+)
 from repro.wali import WaliRuntime
 
 
@@ -63,6 +65,37 @@ class TestTimeAndInfo:
         t0 = time.perf_counter()
         k.call(p, "read", fd, 4096)
         assert time.perf_counter() - t0 >= 0.0015
+
+
+class TestAlarm:
+    def test_alarm_returns_the_rounded_seconds_left(self, k, proc):
+        assert k.call(proc, "alarm", 5) == 0
+        # Linux rounds to the nearest second, not down
+        assert k.call(proc, "alarm", 0) == 5
+        assert k.call(proc, "alarm", 0) == 0
+
+    def test_rearm_and_cancel_leave_no_timer(self, k, proc):
+        before = set(threading.enumerate())
+        for _ in range(5):
+            k.call(proc, "alarm", 5)
+        k.call(proc, "alarm", 0)
+        assert proc.alarm is None
+        started = set(threading.enumerate()) - before
+        for t in started:
+            t.join(1)
+        assert not [t for t in started if t.is_alive()]
+
+    def test_alarm_delivers_sigalrm(self, k, proc):
+        k.call(proc, "alarm", 1)
+        proc.alarm.join(5)
+        assert proc.pending.bits & sig_bit(SIGALRM)
+
+    def test_exit_cancels_the_alarm(self, k, proc):
+        k.call(proc, "alarm", 5)
+        timer = proc.alarm
+        k.call(proc, "exit_group", 0)
+        timer.join(1)
+        assert not timer.is_alive()
 
 
 class TestDirentPaging:

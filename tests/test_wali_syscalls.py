@@ -109,6 +109,26 @@ class TestGeneratedHandlers:
                         0) == -EINVAL
         assert sys_call(ns, "sync_file_range", fd, 1 << 31, 4096, 0) == 0
 
+    @pytest.mark.parametrize("entries, want", [
+        # two entries for one readable fd: both fire
+        ([("r", 1), ("r", 1)], [1, 1]),
+        # one fd polled for two events: each entry gets its own revents
+        ([("w", 1), ("w", 4)], [0, 4]),
+        ([("w", 4), ("w", 1)], [4, 0]),
+    ])
+    def test_poll_reports_revents_per_entry(self, entries, want):
+        rt, wp, ns = bare_process()
+        mem = wp.instance.memory
+        r, w = rt.kernel.call(wp.proc, "pipe2", 0)
+        rt.kernel.call(wp.proc, "write", w, b"x")
+        fds = {"r": r, "w": w}
+        for i, (end, events) in enumerate(entries):
+            mem.write(64 + 8 * i, Layout.encode_pollfd(fds[end], events, 0))
+        assert sys_call(ns, "poll", 64, len(entries), 0) == \
+            sum(1 for x in want if x)
+        got = [mem.load_i32(64 + 8 * i + 4) >> 16 for i in range(len(want))]
+        assert got == want
+
     def test_clock_getres_writes_a_timespec(self):
         rt, wp, ns = bare_process()
         mem = wp.instance.memory

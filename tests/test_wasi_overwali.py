@@ -6,17 +6,20 @@ imports (asserted at the end), realising Fig. 1's layering.
 """
 
 import struct
+from collections import Counter
 
 import pytest
 
+from repro.kernel import Kernel, Process
+from repro.kernel.process import STATE_RUNNING
 from repro.wali import WaliRuntime
-from repro.wasi import MODULE, spec, wasi_over_wali
+from repro.wasi import MODULE, WasiHost, run_wasi_module, spec, wasi_over_wali
 from repro.wasi.spec import (
     EBADF, ENOENT, ENOTCAPABLE, ESUCCESS, FILETYPE_DIRECTORY,
     FILETYPE_REGULAR_FILE, OFLAGS_CREAT, OFLAGS_TRUNC, RIGHTS_ALL,
     RIGHTS_FD_READ, RIGHTS_FD_WRITE, WHENCE_CUR, WHENCE_END, WHENCE_SET,
 )
-from repro.wasm import ModuleBuilder, instantiate
+from repro.wasm import I32, ModuleBuilder, instantiate
 from repro.wasm.errors import GuestExit
 
 
@@ -254,6 +257,16 @@ def test_18_fd_renumber(h):
     iov, n = h.iov(h.IOV, [(h.BUF + 512, 2)])
     assert h.call("fd_write", 9, iov, n, h.OUT) == ESUCCESS
     assert h.call("fd_write", fd, iov, n, h.OUT) == EBADF
+    # renumbering an fd onto itself keeps it open
+    assert h.call("fd_renumber", 9, 9) == ESUCCESS
+    assert h.call("fd_write", 9, iov, n, h.OUT) == ESUCCESS
+    assert h.call("fd_renumber", fd, fd) == EBADF
+    # a renumbered preopen is still a preopen, under its new number
+    pre = h.preopen_fd()
+    assert h.call("fd_renumber", pre, 12) == ESUCCESS
+    assert h.host.preopens == {12: "/sandbox"}
+    assert h.call("fd_prestat_get", 12, h.OUT) == ESUCCESS
+    assert h.call("fd_prestat_get", pre, h.OUT) == EBADF
 
 
 def test_19_random_get(h):
@@ -286,21 +299,53 @@ def test_21_capability_sandbox(h):
 
 
 def test_22_proc_exit_and_layering_proof(h):
+    fd = h.open_file("exit.txt", OFLAGS_CREAT)
+    h.put(h.BUF + 512, b"bye")
+    iov, n = h.iov(h.IOV, [(h.BUF + 512, 3)])
+    assert h.call("fd_write", fd, iov, n, h.OUT) == ESUCCESS
     with pytest.raises(GuestExit) as ei:
         h.call("proc_exit", 17)
     assert ei.value.status == 17
-    # every kernel interaction above went through WALI name-bound imports
-    assert h.host.backend.calls_made, "backend never used"
-    wali_only = set(h.host.backend.calls_made)
-    assert "exit_group" in wali_only
+    # every kernel interaction above went through WALI name-bound imports:
+    # the kernel counted exactly the calls the WALI host counted
+    counts = h.rt.kernel.syscall_counts
+    assert counts["exit_group"] == 1 and counts["openat"] >= 2
+    assert Counter(counts) == Counter(h.wp.host.call_counts)
+    # and the WASI layer holds no kernel object to reach around WALI with
+    assert not any(isinstance(v, (Kernel, Process))
+                   for v in vars(h.host).values())
+
+
+def test_readdir_cookie_loop_sees_every_entry_once(h):
+    names = [f"file_{i:02d}.txt" for i in range(30)]
+    for name in names:
+        h.rt.kernel.vfs.write_file(f"/sandbox/{name}", b"")
+    fd = h.open_file(".", spec.OFLAGS_DIRECTORY)
+    # the wasi-libc readdir loop: parse whole dirents, resume at the last
+    # one's d_next, stop once a call leaves the buffer short
+    size, cookie, seen = 128, 0, []
+    while True:
+        assert h.call("fd_readdir", fd, h.BUF, size, cookie, h.OUT) == \
+            ESUCCESS
+        used = h.mem.load_i32(h.OUT)
+        blob = h.mem.read_bytes(h.BUF, used)
+        off = 0
+        while off + 24 <= used:
+            d_next, _ino, namlen, _type = struct.unpack_from(
+                "<QQIB", blob, off)
+            if off + 24 + namlen > used:
+                break  # cut at the buffer's end: read it again
+            seen.append(blob[off + 24:off + 24 + namlen].decode())
+            cookie = d_next
+            off += 24 + namlen
+        if used < size:
+            break
+    assert sorted(seen) == sorted([".", ".."] + names)
 
 
 # ---- a real WASI guest module through the same stack ----
 
 def test_guest_module_hello_over_wali():
-    from repro.wasi import run_wasi_module
-    from repro.wasm import I32
-
     mb = ModuleBuilder("wasi-hello")
     mb.import_func(MODULE, "fd_write", [I32, I32, I32, I32], [I32])
     mb.add_memory(2, 64)
@@ -315,3 +360,35 @@ def test_guest_module_hello_over_wali():
     status = run_wasi_module(mb.build(), rt)
     assert status == 0
     assert rt.kernel.console_output() == b"hi from wasi\n"
+
+
+def _exiting_app(body):
+    mb = ModuleBuilder("wasi-exit")
+    mb.import_func(MODULE, "fd_write", [I32, I32, I32, I32], [I32])
+    mb.add_memory(1, 16)
+    f = mb.func("_start", export=True)
+    body(f)
+    f.end()
+    return mb.build()
+
+
+def test_returning_app_exits_like_a_wali_app():
+    rt = WaliRuntime()
+    status = run_wasi_module(_exiting_app(lambda f: None), rt,
+                             preopens={"/tmp": "/tmp"})
+    assert status == 0
+    proc = rt.kernel.processes[max(rt.kernel.processes)]
+    assert proc.argv == ["wasi-app"]
+    assert proc.state != STATE_RUNNING
+    assert proc.fdtable.entries == {}
+    assert proc.pid not in rt.kernel.sched.live_pids()
+
+
+def test_trapping_app_returns_134():
+    rt = WaliRuntime()
+    status = run_wasi_module(
+        _exiting_app(lambda f: f.op("unreachable")), rt)
+    assert status == 134
+    proc = rt.kernel.processes[max(rt.kernel.processes)]
+    assert proc.state != STATE_RUNNING
+    assert proc.pid not in rt.kernel.sched.live_pids()
