@@ -6,9 +6,10 @@ paper's WAMR interp-vs-AoT split and §3.3's safepoint discussion):
 1. **interpreter vs compiled tier**: the explicit-state interpreter is what
    makes fork/reentrancy possible; the compiled tier is several times
    faster but cannot fork (engine restriction, §3.6 item 5).  WALI runs
-   both: host-free looping leaves compiled, everything that can reach a
-   syscall interpreted (mixed mode).  This bench quantifies the gap on a
-   compute kernel and on a syscall-heavy guest.
+   both (``tier_up="leaves"``): host-free looping leaves compiled,
+   everything that can reach a syscall interpreted.  The native tier
+   compiles every function (``tier_up="all"``).  This bench quantifies
+   the gap on a compute kernel and on a full guest workload.
 2. **zero-copy vs struct-copy syscall paths** (§3.2): compares a pure
    passthrough (write) against a layout-converting call (fstat) to show the
    ABI-conversion premium the paper mentions for the <10% struct calls.
@@ -24,7 +25,6 @@ from repro.metrics import table
 from repro.virt import lua_workload, run_tier
 from repro.wali import WaliRuntime
 from repro.wasm import instantiate
-from repro.wasm.compile import compile_instance
 
 
 def _compute_module():
@@ -47,16 +47,16 @@ def test_ablation_interp_vs_compiled(benchmark):
     n = 60000
 
     inst_i = instantiate(module, _stub_imports(module), run_start=False)
-    inst_c = instantiate(module, _stub_imports(module), run_start=False)
-    ctx = compile_instance(inst_c)
-    idx = inst_c.func_index_of("run")
+    inst_c = instantiate(module, _stub_imports(module), run_start=False,
+                         tier_up="all")
+    body = inst_c.func_by_name("run").native   # f(machine, *args)
 
     t0 = time.perf_counter()
     r_interp = inst_i.invoke("run", n)
     t_interp = time.perf_counter() - t0
 
     def compiled_run():
-        return ctx.invoke(idx, (n,))
+        return body(inst_c.machine, n)
 
     r_compiled = benchmark(compiled_run)
     t_compiled_best = benchmark.stats.stats.min
@@ -79,8 +79,8 @@ def test_ablation_interp_vs_compiled(benchmark):
         "Full workload (mini-lua, scale 300):",
         f"  WALI tier (mixed): {wali.run_s * 1000:8.1f} ms (forkable, "
         "signal-reentrant; host-free looping leaves compiled)",
-        f"  compiled tier:     {native.run_s * 1000:8.1f} ms (no fork — "
-        "engine restriction, §3.6 item 5)",
+        f"  compiled tier:     {native.run_s * 1000:8.1f} ms (every "
+        "function compiled; fork fails — engine restriction, §3.6 item 5)",
         "",
         "The interpreter's explicit machine state buys fork and safepoint "
         "reentrancy; mixed mode pays it only in functions that can reach "

@@ -38,6 +38,9 @@ def _run_sweep():
             row = {tier: run_tier(tier, module, wl) for tier in TIERS}
             for tier, r in row.items():
                 assert r.status == 0, f"{name}@{scale} failed on {tier}"
+            # one computation: every tier prints the same console output
+            assert len({r.output for r in row.values()}) == 1, \
+                f"{name}@{scale}: tiers disagree on output"
             series.append((scale, row))
         results[name] = series
     return results

@@ -342,14 +342,26 @@ class FSCalls:
 
     # ---- directories & links ----
 
-    def sys_getdents64(self, proc: Process, fd: int) -> List[DirEntry]:
+    def sys_getdents64(self, proc: Process, fd: int,
+                       count: int) -> List[Tuple[int, DirEntry]]:
+        """The entries from the fd's directory position whose
+        linux_dirent64 records fit in ``count`` bytes, each paired with
+        its ``d_off``: the position after it.  EINVAL when the next entry
+        does not fit; an empty list at the end of the directory."""
         file = proc.fdtable.get(fd)
         if file.kind != OpenFile.KIND_DIR:
             raise KernelError(ENOTDIR, str(fd))
         if file._dir_snapshot is None:
             file._dir_snapshot = self.vfs.readdir(file.inode)
-        out = file._dir_snapshot[file.offset:]
-        file.offset = len(file._dir_snapshot)
+        out = []
+        for entry in file._dir_snapshot[file.offset:]:
+            count -= entry.reclen
+            if count < 0:
+                if not out:
+                    raise KernelError(EINVAL, "buffer too small")
+                break
+            file.offset += 1
+            out.append((file.offset, entry))
         return out
 
     def sys_getcwd(self, proc: Process) -> str:

@@ -247,6 +247,7 @@ class OpenFile:
         if new < 0:
             raise KernelError(EINVAL, "negative offset")
         self.offset = new
+        self._dir_snapshot = None   # a rewound directory is read afresh
         return new
 
     def _reg_content(self):

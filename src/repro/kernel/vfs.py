@@ -204,6 +204,12 @@ class DirEntry:
         self.name = name
         self.d_type = d_type
 
+    @property
+    def reclen(self) -> int:
+        """Its linux_dirent64 record length: the 19-byte header, the name
+        and its NUL, aligned to 8."""
+        return (19 + len(self.name.encode()) + 1 + 7) & ~7
+
 
 # d_type values (linux dirent)
 DT_UNKNOWN, DT_FIFO, DT_CHR, DT_DIR, DT_BLK, DT_REG, DT_LNK, DT_SOCK = \

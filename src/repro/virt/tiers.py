@@ -2,26 +2,29 @@
 
 Four ways to run the same application image:
 
-========  ==========================  =========================  ==========
-tier      startup work                execution                  base mem
-========  ==========================  =========================  ==========
-native    bind precompiled code       compiled tier, no sandbox   ~2 MB
-wali      decode + validate + link    interp + compiled leaves   ~4 MB
-qemu      translate to guest binary   decode-on-fetch emulator     ~6 MB
-docker    assemble image + namespaces compiled tier (near-native) ~30 MB
-========  ==========================  =========================  ==========
+======  ===========================  ==============================  ========
+tier    startup work                 execution                       base mem
+======  ===========================  ==============================  ========
+native  link + bind compiled code    ``tier_up="all"``, no sandbox   ~2 MB
+wali    decode + validate + link     ``tier_up="leaves"``            ~4 MB
+qemu    translate to guest binary    decode-on-fetch emulator        ~6 MB
+docker  assemble image + namespaces  ``tier_up="all"``, near-native  ~30 MB
+======  ===========================  ==============================  ========
 
-The wali tier is the WALI runtime's mixed mode: host-free looping leaves
-run compiled, everything that can reach a syscall runs interpreted
-(``docs/perf.md``, "Mixed-mode execution").  The qemu tier emulates
-every function.
+Every tier loads the image into a :class:`~repro.wali.WaliRuntime` over
+its own kernel and runs it with :meth:`~repro.wali.WaliProcess.run`; the
+tiers differ in the compiled tier's rule (``docs/perf.md``, "The compiled
+tier").  Under ``"leaves"``, host-free looping leaves run compiled and
+everything that can reach a syscall runs interpreted.  Under ``"all"``
+every function is compiled, so a ``fork`` fails with EAGAIN: the native
+and docker tiers run only workloads that do not fork.  The qemu tier
+emulates every function.
 
 Startup and run times are *measured* (the work is real: validation,
 linking, layer hashing, instruction decode); only the per-tier base memory
-floor is a model constant (``BASE_MEMORY_MB`` below).  The native and
-docker tiers bind code through :func:`repro.wasm.compile.compile_instance`;
-its per-image cache makes compilation an offline step after a module's
-first run.
+floor is a model constant (``BASE_MEMORY_MB`` below).  Compiled code is
+cached per image, which makes compilation an offline step after a
+module's first run.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..kernel import Kernel
+from ..wali import WaliProcess, WaliRuntime
 from ..wasm import Module, decode_module, encode_module
-from ..wasm.compile import CompiledContext, compile_instance
-from ..wasm.errors import GuestExit, Trap
 from ..wasm.types import PAGE_SIZE
 from .container import (
     Container, ContainerRuntime, DOCKER_BASE_OVERHEAD_MB, base_image,
@@ -80,37 +82,21 @@ class Workload:
     net: str = "loopback"
 
 
-class _GuestSession:
-    """Common plumbing: kernel process + WALI host + instance."""
-
-    def __init__(self, kernel: Kernel, module: Module, argv, env,
-                 scheme: str, tier_up: bool = False):
-        from ..wali import WaliRuntime
-
-        self.rt = WaliRuntime(kernel=kernel, scheme=scheme, tier_up=tier_up)
-        self.wp = self.rt.load(module, argv, env)
-
-    def run_interp(self) -> int:
-        return self.wp.run()
-
-    def run_compiled(self, ctx: CompiledContext) -> int:
-        inst = self.wp.instance
-        start = inst.exports.get("_start")
-        idx = inst.funcs.index(start)
-        try:
-            ctx.invoke(idx, ())
-            status = 0
-        except GuestExit as exc:
-            status = exc.status
-        except Trap as exc:
-            self.wp.trap = exc
-            status = 134
-        return status
+# tier -> (safepoint scheme, tier-up rule) of the runtime it loads into
+_LOAD = {"native": ("none", "all"), "docker": ("none", "all"),
+         "wali": ("loop", "leaves"), "qemu": ("none", None)}
 
 
-def _peak_mb(tier: str, session: _GuestSession) -> float:
-    pages = session.wp.instance.memory.peak_pages \
-        if session.wp.instance.memory is not None else 0
+def _load(tier: str, kernel: Kernel, module: Module, workload: Workload,
+          env: Optional[dict]) -> WaliProcess:
+    scheme, tier_up = _LOAD[tier]
+    rt = WaliRuntime(kernel=kernel, scheme=scheme, tier_up=tier_up)
+    return rt.load(module, workload.argv, env)
+
+
+def _peak_mb(tier: str, wp: WaliProcess) -> float:
+    memory = wp.instance.memory
+    pages = memory.peak_pages if memory is not None else 0
     return BASE_MEMORY_MB[tier] + pages * PAGE_SIZE / (1024 * 1024)
 
 
@@ -133,32 +119,21 @@ def run_tier(tier: str, module: Module, workload: Workload,
     _prepare_kernel(kernel, workload)
 
     t0 = time.perf_counter()
-    if tier == "wali":
+    if tier == "native":
+        wp = _load(tier, kernel, module, workload, env)
+    elif tier in ("wali", "qemu"):
         image = decode_module(binary, name=workload.app)
-        session = _GuestSession(kernel, image, workload.argv, env, "loop",
-                                tier_up=True)
-        startup = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        status = session.run_interp()
-    elif tier == "native":
-        session = _GuestSession(kernel, module, workload.argv, env, "none")
-        ctx = compile_instance(session.wp.instance)
-        startup = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        status = session.run_compiled(ctx)
-    elif tier == "qemu":
-        image = decode_module(binary, name=workload.app)
-        session = _GuestSession(kernel, image, workload.argv, env, "none")
-        emulate_instance(session.wp.instance)  # "binary translation" setup
-        startup = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        status = session.run_interp()
+        wp = _load(tier, kernel, image, workload, env)
+        if tier == "qemu":
+            emulate_instance(wp.instance)  # "binary translation" setup
     else:
         raise ValueError(f"unknown tier {tier!r}")
+    startup = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    status = wp.run()
     run_s = time.perf_counter() - t1
     return RunResult(tier, workload.app, startup, run_s,
-                     _peak_mb(tier, session), status,
-                     kernel.console_output())
+                     _peak_mb(tier, wp), status, kernel.console_output())
 
 
 def _run_docker(module: Module, workload: Workload,
@@ -173,15 +148,14 @@ def _run_docker(module: Module, workload: Workload,
         net=workload.net)
     kernel = container.kernel
     _prepare_kernel(kernel, workload)
-    session = _GuestSession(kernel, module, workload.argv, env, "none")
-    ctx = compile_instance(session.wp.instance)
+    wp = _load("docker", kernel, module, workload, env)
     startup = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    status = session.run_compiled(ctx)
+    status = wp.run()
     run_s = time.perf_counter() - t1
     result = RunResult("docker", workload.app, startup, run_s,
-                       _peak_mb("docker", session), status,
+                       _peak_mb("docker", wp), status,
                        kernel.console_output())
     runtime.destroy(container)
     return result

@@ -324,11 +324,7 @@ class WaliHost:
         return 0
 
     def w_getdents64(self, fd, dirp, count):
-        entries = self.k("getdents64", signed32(fd))
-        data, packed = Layout.encode_dirents(entries, count)
-        if packed < len(entries):  # push unread entries back
-            file = self.proc.fdtable.get(signed32(fd))
-            file.offset -= len(entries) - packed
+        data = Layout.encode_dirents(self.k("getdents64", signed32(fd), count))
         self.copy_out(dirp, data)
         return len(data)
 

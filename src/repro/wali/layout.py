@@ -300,20 +300,14 @@ class Layout:
 
     # linux_dirent64: {u64 ino, u64 off, u16 reclen, u8 type, name...}
     @staticmethod
-    def encode_dirents(entries, buf_size: int) -> Tuple[bytes, int]:
-        """Pack as many entries as fit; returns (bytes, count packed)."""
+    def encode_dirents(entries) -> bytes:
+        """``(d_off, DirEntry)`` pairs as linux_dirent64 records."""
         out = bytearray()
-        count = 0
-        for e in entries:
-            name = e.name.encode()
-            reclen = (19 + len(name) + 1 + 7) & ~7  # align 8
-            if len(out) + reclen > buf_size:
-                break
-            rec = struct.pack("<QQHB", e.ino, len(out) + reclen, reclen,
-                              e.d_type) + name + b"\x00"
-            out += rec + b"\x00" * (reclen - len(rec))
-            count += 1
-        return bytes(out), count
+        for off, e in entries:
+            rec = struct.pack("<QQHB", e.ino, off, e.reclen, e.d_type) + \
+                e.name.encode() + b"\x00"
+            out += rec.ljust(e.reclen, b"\x00")
+        return bytes(out)
 
     # rlimit64: {u64 cur, u64 max}
     RLIMIT_SIZE = 16

@@ -178,13 +178,14 @@ class WaliRuntime:
     def __init__(self, kernel: Optional[Kernel] = None,
                  arch: str = "x86_64", scheme: str = "loop",
                  policy: Optional[SecurityPolicy] = None,
-                 tier_up: bool = True):
+                 tier_up: Optional[str] = "leaves"):
         self.kernel = kernel if kernel is not None else Kernel(machine=arch)
         self.arch = arch
         self.scheme = scheme
         self.policy = policy
-        # mixed mode: looping leaf functions run on the compiled tier
-        # (wasm/compile.py); False keeps every guest function interpreted
+        # the compiled tier's rule (wasm/compile.py): "leaves" runs looping
+        # leaf functions compiled, "all" every function (a fork under a
+        # compiled frame then fails); None keeps every function interpreted
         self.tier_up = tier_up
         self.processes: List[WaliProcess] = []
 
@@ -229,8 +230,8 @@ class WaliRuntime:
 
     def fork(self, wp: WaliProcess, flags: int = 0) -> int:
         if wp.machine.native_depth:
-            # a signal handler above a compiled leaf: the leaf's state is
-            # on this thread's Python stack, where a clone cannot reach it
+            # a compiled activation below this call keeps its state on the
+            # thread's Python stack, where a clone cannot reach it
             self.kernel.counters.inc("wali.fork_refused")
             raise KernelError(EAGAIN, "fork above a compiled activation")
         child_proc = self.kernel.call(wp.proc, "fork")

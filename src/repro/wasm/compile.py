@@ -13,22 +13,26 @@ function body is translated to Python source with
   bounds-checked memory access, ``call_indirect`` signature checks,
   safepoint polls at loop headers.
 
-It is used two ways:
+There is one calling convention: every compiled function is
+``f(machine, *args)`` for the calling
+:class:`~repro.wasm.interp.Machine`.  It retires the interpreter's exact
+step count (one ``m.steps += n`` per basic-block exit, ``n`` its flat
+ops), polls the machine's ``poll_hook`` at safepoints, calls compiled
+callees directly as ``_f<index>(m, ...)``, and reaches imports and
+``call_indirect`` targets through the machine (:func:`_call`).  The
+interpreter enters compiled code at ``CALL_NATIVE``.
 
-* **Full tier** (:func:`compile_instance`): every defined function runs
-  compiled.  It backs the "native"/"Docker" ends of the Fig. 8
-  comparison.
-* **Mixed mode** (:func:`native_leaves`, the WALI tier): a compiled
-  activation lives on the Python call stack, so it cannot be forked
-  (cf. §3.6 item 5).  Only *leaves* — functions whose static call graph
-  reaches no import — that contain a loop run compiled, called straight
-  from the interpreter's dispatch loop.  Everything that can reach a
-  syscall stays interpreted, so fork, ``execve``, signal re-entry and the
-  WALI crossing all happen in interpreted frames.  A compiled leaf
-  retires the interpreter's exact step count (one ``m.steps += n`` per
-  basic block, ``n`` its flat ops) and polls the machine's
-  ``poll_hook`` at loop headers.  ``docs/perf.md``, "Mixed-mode
-  execution", has the rules.
+:func:`compiled_functions` picks what tiers up by one of two rules:
+
+* ``"leaves"`` (the WALI default): a compiled activation lives on the
+  Python call stack, so it cannot be forked (cf. §3.6 item 5).  Only
+  *leaves* — functions whose static call graph reaches no import — that
+  contain a loop run compiled; everything that can reach a syscall stays
+  interpreted.
+* ``"all"``: every defined function (the Fig. 8 native and docker
+  tiers).  A ``fork`` made under a compiled frame fails with EAGAIN.
+
+``docs/perf.md``, "The compiled tier", has the rules.
 """
 
 from __future__ import annotations
@@ -39,17 +43,14 @@ import threading
 from typing import Callable, Dict, List, Optional
 
 from .binary import encode_module
-from .errors import (
-    Trap, TrapIndirectCall, TrapStackExhausted, TrapUnreachable,
-)
-from .flatten import SAFEPOINT_SCHEMES
+from .errors import Trap, TrapUnreachable
 from .interp import (
-    _ATOMIC_LOCK, HostFunc, _clz, _ctz, _fceil, _fdiv, _ffloor, _fmax, _fmin,
-    _fnearest, _fsqrt, _ftrunc, _idiv_s, _irem_s, _rotl, _sext, _trunc,
-    _udiv, _urem,
+    HostFunc, _atomic_add, _atomic_cas, _clz, _ctz, _fceil, _fdiv, _ffloor,
+    _fmax, _fmin, _fnearest, _fsqrt, _ftrunc, _idiv_s, _irem_s, _rotl, _sext,
+    _trunc, _udiv, _urem,
 )
 from .module import Module
-from .types import F64, I32, I64, MASK32, MASK64, signed32, signed64
+from .types import F64, MASK32, MASK64, signed32, signed64
 
 _BINOPS32 = {
     "i32.add": "({a} + {b}) & 0xFFFFFFFF",
@@ -187,30 +188,28 @@ class _Ctrl:
 class _FnCompiler:
     """One function body as Python source.
 
-    The generated function takes ``m`` (the :class:`CompiledContext` of
-    the full tier, or the calling :class:`~repro.wasm.interp.Machine` in
-    mixed mode) and reaches memory, globals and the poll hook through
-    ``m.instance`` and ``m.poll_hook`` when it is entered.
+    The generated function takes ``m``, the calling
+    :class:`~repro.wasm.interp.Machine`, and reaches memory, globals,
+    functions and the poll hook through ``m.instance`` and ``m.poll_hook``
+    when it is entered.
 
-    With ``native`` set (mixed mode), the body also retires the
-    interpreter's step count: ``self.pend`` holds the flat ops
-    (:mod:`.flatten`) of the code emitted since the last ``m.steps += n``,
-    and every edge that leaves straight-line code (branch, return, call,
-    loop entry, the end of a block or of an ``if`` arm) adds them.  The
-    loop header's poll op is added on each edge into the header, so
-    ``m.steps`` is exact whenever the poll hook or a callee runs.
+    The body retires the interpreter's step count: ``self.pend`` holds the
+    flat ops (:mod:`.flatten`) of the code emitted since the last
+    ``m.steps += n``, and every edge that leaves straight-line code
+    (branch, return, call, loop entry, the end of a block or of an ``if``
+    arm) adds them.  The loop header's poll op is added on each edge into
+    the header, so ``m.steps`` is exact whenever the poll hook, a callee or
+    the host runs.
     """
 
-    def __init__(self, module: Module, func_idx: int, scheme: str,
-                 native: bool = False):
+    def __init__(self, module: Module, func_idx: int, scheme: str):
         self.m = module
         self.idx = func_idx
         self.fn = module.funcs[func_idx - module.num_imported_funcs]
         self.ft = module.types[self.fn.type_idx]
         self.scheme = scheme
-        self.native = native
         # flat ops per instruction: "all" puts a poll before every op
-        self.w = (2 if scheme == "all" else 1) if native else 0
+        self.w = 2 if scheme == "all" else 1
         self.pend = 0
         self.lines: List[str] = []
         self.indent = 1
@@ -219,6 +218,7 @@ class _FnCompiler:
         self.dead = False
         self.uses_mem = False
         self.uses_globals = False
+        self.uses_funcs = False
         self.polls = False
 
     def emit(self, line: str) -> None:
@@ -228,7 +228,7 @@ class _FnCompiler:
         self.emit(f"s{self.height} = {expr}")
         self.height += 1
 
-    # ---- step retirement (mixed mode) ----
+    # ---- step retirement ----
 
     def tick(self) -> None:
         self.pend += self.w
@@ -258,7 +258,7 @@ class _FnCompiler:
         if depth == len(self.ctrls):
             # the function's own label: the flat jump lands on its closing
             # ``ret`` (past the poll the ``all`` scheme puts before it)
-            out = self._steps_line(self.pend + (1 if self.native else 0))
+            out = self._steps_line(self.pend + 1)
             out.append(f"return s{self.height - 1}" if self.ft.results
                        else "return None")
             return out
@@ -425,20 +425,18 @@ class _FnCompiler:
             self._set_dead()
             return
         if name == "call":
-            self._compile_call(instr[1])
+            idx = instr[1]
+            direct = idx >= self.m.num_imported_funcs
+            self.uses_funcs |= not direct
+            self._compile_call(self.m.func_type(idx),
+                               f"_f{idx}" if direct else f"fns[{idx}]",
+                               direct)
             return
         if name == "call_indirect":
-            ft = self.m.types[instr[1]]
             self.height -= 1
-            elem = f"s{self.height}"
-            n = len(ft.params)
-            args = ", ".join(f"s{self.height - n + i}" for i in range(n))
-            self.height -= n
-            call = f"m.call_indirect({instr[1]}, {elem}, ({args}{',' if n else ''}))"
-            if ft.results:
-                self.push_expr(call)
-            else:
-                self.emit(call)
+            self._compile_call(
+                self.m.types[instr[1]],
+                f"m._resolve_indirect(s{self.height}, {instr[1]})", False)
             return
         if name in ("i32.const", "i64.const"):
             mask = MASK32 if name[1] == "3" else MASK64
@@ -510,13 +508,15 @@ class _FnCompiler:
             off = instr[2] if len(instr) > 2 else 0
             self.height -= 2
             a, v = f"s{self.height}", f"s{self.height + 1}"
-            self.push_expr(f"m.atomic_add({a} + {off}, {v})")
+            self.uses_mem = True
+            self.push_expr(f"_atomic_add(mem, {a} + {off}, {v})")
             return
         if name == "i32.atomic.rmw.cmpxchg":
             off = instr[2] if len(instr) > 2 else 0
             self.height -= 3
             a, e, n_ = (f"s{self.height + i}" for i in range(3))
-            self.push_expr(f"m.atomic_cas({a} + {off}, {e}, {n_})")
+            self.uses_mem = True
+            self.push_expr(f"_atomic_cas(mem, {a} + {off}, {e}, {n_})")
             return
         if name in _BINOPS32 or name in _BINOPS64 or name in _BINOPSF:
             tmpl = (_BINOPS32.get(name) or _BINOPS64.get(name) or
@@ -567,18 +567,19 @@ class _FnCompiler:
                       f"{pack}(data, {a}, {v} & {mask})")
         self.emit(f"else: mem.store_int({a}, {v}, {size})")
 
-    def _compile_call(self, idx: int) -> None:
-        ft = self.m.func_type(idx)
+    def _compile_call(self, ft, callee: str, direct: bool) -> None:
+        """A call of ``callee``: a compiled function, called directly, or
+        (not ``direct``) an expression naming a host or table function,
+        called through :func:`_call`.  The caller's steps are retired
+        first, so the callee and the host see an exact count."""
         n = len(ft.params)
         args = ", ".join(f"s{self.height - n + i}" for i in range(n))
         self.height -= n
-        if self.native:
-            # a leaf callee is compiled too; it retires its own steps,
-            # after the caller's (exact if it polls)
-            self.flush()
-            call = f"_f{idx}(m{', ' + args if n else ''})"
+        self.flush()
+        if direct:
+            call = f"{callee}(m{', ' + args if n else ''})"
         else:
-            call = f"m.invoke({idx}, ({args}{',' if n else ''}))"
+            call = f"_call(m, {callee}, ({args}{',' if n else ''}))"
         if ft.results:
             self.push_expr(call)
         else:
@@ -602,13 +603,15 @@ class _FnCompiler:
             self.emit(f"return s{self.height - 1}" if self.ft.results
                       else "return None")
         prelude = []
-        if self.uses_mem or self.uses_globals:
+        if self.uses_mem or self.uses_globals or self.uses_funcs:
             prelude.append("    inst = m.instance")
         if self.uses_mem:
             prelude += ["    mem = inst.memory", "    data = mem.data",
                         "    ld = len(data)"]
         if self.uses_globals:
             prelude.append("    g = inst.globals")
+        if self.uses_funcs:
+            prelude.append("    fns = inst.funcs")
         if self.polls:
             prelude.append("    hook = m.poll_hook")
         prelude.append("    _br = 0")
@@ -619,68 +622,18 @@ class _FnCompiler:
         return "\n".join([header] + prelude + entry + self.lines)
 
 
-class CompiledContext:
-    """Execution context shared by all compiled functions of an instance
-    (the full compiled tier)."""
-
-    MAX_DEPTH = 900  # stay under Python's recursion limit
-
-    def __init__(self, instance, cfuncs: Dict[int, Callable]):
-        self.instance = instance
-        self.poll_hook = None
-        self.depth = 0
-        self.cfuncs = cfuncs
-
-    def invoke(self, idx: int, args: tuple):
-        target = self.cfuncs.get(idx)
-        if target is not None:
-            self.depth += 1
-            if self.depth > self.MAX_DEPTH:
-                self.depth = 0
-                raise TrapStackExhausted("compiled tier")
-            try:
-                return target(self, *args)
-            finally:
-                self.depth -= 1
-        func = self.instance.funcs[idx]
-        if isinstance(func, HostFunc):
-            res = func.fn(*args)
-            if func.functype.results:
-                t = func.functype.results[0]
-                if t == I32:
-                    return (res or 0) & MASK32
-                if t == I64:
-                    return (res or 0) & MASK64
-                return float(res or 0.0)
-            return None
-        raise Trap("bad-call", f"function {idx} not compiled")
-
-    def call_indirect(self, type_idx: int, elem_idx: int, args: tuple):
-        table = self.instance.table
-        if table is None or elem_idx >= len(table.elems):
-            raise TrapIndirectCall(f"table index {elem_idx}")
-        callee = table.elems[elem_idx]
-        if callee is None:
-            raise TrapIndirectCall(f"null entry {elem_idx}")
-        expected = self.instance.module.types[type_idx]
-        if callee.functype != expected:
-            raise TrapIndirectCall(str(expected))
-        return self.invoke(self.instance.funcs.index(callee), args)
-
-    def atomic_add(self, addr: int, val: int) -> int:
-        mem = self.instance.memory
-        with _ATOMIC_LOCK:
-            old = mem.load_i32(addr)
-            mem.store_i32(addr, old + val)
-        return old
-
-    def atomic_cas(self, addr: int, expected: int, new: int) -> int:
-        mem = self.instance.memory
-        with _ATOMIC_LOCK:
-            old = mem.load_i32(addr)
-            if old == expected:
-                mem.store_i32(addr, new)
-        return old
+def _call(m, callee, args: tuple):
+    """Call a host or table function from compiled code: a host function
+    through the interpreter's own host-call routine, a defined one by its
+    compiled body, else interpreted on the machine."""
+    if callee.__class__ is HostFunc:
+        stack = m.stack
+        stack += args
+        m._call_host(callee)
+        return stack.pop() if callee.functype.results else None
+    if callee.native is not None:
+        return callee.native(m, *args)
+    return m.invoke(callee, args)
 
 
 # the one environment every compiled function runs against
@@ -691,6 +644,7 @@ _HELPERS = {
     "_fdiv": _fdiv, "_fmin": _fmin, "_fmax": _fmax, "_fsqrt": _fsqrt,
     "_fceil": _fceil, "_ffloor": _ffloor, "_ftrunc": _ftrunc,
     "_fnearest": _fnearest, "_f64_from_bits": _f64_from_bits,
+    "_call": _call, "_atomic_add": _atomic_add, "_atomic_cas": _atomic_cas,
     "Trap": Trap,
     "TrapUnreachable": TrapUnreachable,
 }
@@ -704,45 +658,23 @@ for _name, _fmt in (("P2", "<H"), ("P4", "<I"), ("P8", "<Q"),
     _HELPERS["_" + _name] = struct.Struct(_fmt).pack_into
 
 
-def _define(m: Module, idxs, scheme: str, native: bool) -> tuple:
+def _define(m: Module, idxs, scheme: str) -> tuple:
     """Compile functions ``idxs`` of ``m`` into one namespace (where
-    compiled leaves call each other by name); returns it with the indices
-    that failed to compile."""
+    compiled functions call each other by name); returns it with the
+    indices that failed to compile."""
     scope = dict(_HELPERS)
     failed = set()
     n_imp = m.num_imported_funcs
     for i in idxs:
         try:
-            src = _FnCompiler(m, i, scheme, native).source()
+            src = _FnCompiler(m, i, scheme).source()
             exec(compile(src, f"<wasm:{m.funcs[i - n_imp].name or i}>",
                          "exec"), scope)
         except (Trap, IndexError, SyntaxError):
             # a construct the compiler lacks, or nesting past Python's
             # static block limit
-            if not native:
-                raise
             failed.add(i)
     return scope, failed
-
-
-def _compile_module(m: Module, scheme: str) -> Dict[int, Callable]:
-    n_imp = m.num_imported_funcs
-    idxs = range(n_imp, n_imp + len(m.funcs))
-    scope, _ = _define(m, idxs, scheme, False)
-    return {i: scope[f"_f{i}"] for i in idxs}
-
-
-def compile_instance(instance, scheme: str = "none") -> CompiledContext:
-    """Bind an instance's defined functions to compiled code.
-
-    The module is compiled on first use and cached by image ("offline
-    AoT"); ``ctx.invoke(func_index, args)`` then runs compiled code
-    end-to-end.
-    """
-    if scheme not in SAFEPOINT_SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return CompiledContext(
-        instance, _cached(instance.module, scheme, _compile_module))
 
 
 def module_image(m: Module) -> bytes:
@@ -753,32 +685,65 @@ def module_image(m: Module) -> bytes:
     return m.image
 
 
-# (module image, scheme, builder) -> {function index: compiled function};
+# (module image, scheme, rule) -> {function index: compiled function};
 # guest threads load images concurrently (a pipeline's children execve)
 _CACHE: Dict[tuple, Dict[int, Callable]] = {}
 _CACHE_MAX = 64
 _CACHE_LOCK = threading.Lock()
 
+RULES = ("leaves", "all")
 
-def _cached(m: Module, scheme: str, build) -> Dict[int, Callable]:
-    """``build(m, scheme)``, cached process-wide by module content: a
-    fresh decode of the same image compiles nothing, and two modules with
-    the same name but different code never share compiled code.  A
-    compiled function reaches instance state only through its first
-    argument, so every instance of the image shares it."""
-    key = (module_image(m), scheme, build)
+
+def compiled_functions(m: Module, scheme: str,
+                       rule: str) -> Dict[int, Callable]:
+    """The compiled bodies of the functions of ``m`` that ``rule`` tiers
+    up, by function index: under ``"leaves"`` the leaves that contain a
+    loop (:func:`leaf_functions`), under ``"all"`` every defined function.
+    Each is ``f(machine, *args)``.  A function that fails to compile, and
+    every function that calls it, stays interpreted.
+
+    Cached process-wide by module content: a fresh decode of the same
+    image compiles nothing, and two modules with the same name but
+    different code never share compiled code.  A compiled function
+    reaches instance state only through its machine, so every instance
+    of the image shares it."""
+    if rule not in RULES:
+        raise ValueError(f"unknown tier-up rule {rule!r}")
+    key = (module_image(m), scheme, rule)
     with _CACHE_LOCK:
         fns = _CACHE.get(key)
         if fns is None:
-            fns = build(m, scheme)
+            fns = _compile(m, scheme, rule)
             if len(_CACHE) >= _CACHE_MAX:
                 del _CACHE[next(iter(_CACHE))]
             _CACHE[key] = fns
     return fns
 
 
+def _compile(m: Module, scheme: str, rule: str) -> Dict[int, Callable]:
+    n_imp = m.num_imported_funcs
+    if rule == "all":
+        entries = range(n_imp, n_imp + len(m.funcs))
+    else:
+        entries = [i for i, loop in leaf_functions(m).items() if loop]
+
+    def closure(i: int, seen: set) -> set:
+        if i >= n_imp and i not in seen:
+            seen.add(i)
+            for instr in _walk(m.funcs[i - n_imp].body):
+                if instr[0] == "call":
+                    closure(instr[1], seen)
+        return seen
+
+    closures = {i: closure(i, set()) for i in entries}
+    scope, failed = _define(m, sorted(set().union(*closures.values())),
+                            scheme)
+    return {i: scope[f"_f{i}"] for i, fns in closures.items()
+            if not fns & failed}
+
+
 # --------------------------------------------------------------------------
-# mixed mode: host-free leaves on the compiled tier, under the interpreter
+# the leaf rule: functions that can never enter the host
 # --------------------------------------------------------------------------
 
 def _walk(body: list):
@@ -830,33 +795,3 @@ def leaf_functions(m: Module) -> Dict[int, bool]:
         return ok
 
     return {i: facts[i][2] for i in facts if leaf(i)}
-
-
-def native_leaves(m: Module, scheme: str) -> Dict[int, Callable]:
-    """The compiled bodies of ``m``'s leaves that contain a loop.
-
-    Each is ``f(machine, *args)``; it calls its leaf callees' compiled
-    bodies directly and retires exactly the steps the interpreter would
-    (:class:`_FnCompiler`).  A leaf that fails to compile, and every leaf
-    that calls it, stays interpreted.
-    """
-    return _cached(m, scheme, _compile_leaves)
-
-
-def _compile_leaves(m: Module, scheme: str) -> Dict[int, Callable]:
-    leaves = leaf_functions(m)
-    n_imp = m.num_imported_funcs
-
-    def closure(i: int, seen: set) -> set:
-        if i not in seen:
-            seen.add(i)
-            for instr in _walk(m.funcs[i - n_imp].body):
-                if instr[0] == "call":
-                    closure(instr[1], seen)
-        return seen
-
-    entries = {i: closure(i, set()) for i, loop in leaves.items() if loop}
-    scope, failed = _define(m, sorted(set().union(*entries.values())),
-                            scheme, True)
-    return {i: scope[f"_f{i}"] for i, fns in entries.items()
-            if not fns & failed}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .compile import native_leaves
+from .compile import compiled_functions
 from .errors import LinkError, Trap
 from .flatten import SAFEPOINT_SCHEMES, flatten_function
 from .interp import HostFunc, Machine, WasmFunc
@@ -141,12 +141,14 @@ def _const_value(instr: tuple, globals_: List[GlobalCell]):
 
 def instantiate(module: Module, imports: Optional[dict] = None,
                 scheme: str = "loop", validate: bool = True,
-                run_start: bool = True, tier_up: bool = False) -> Instance:
+                run_start: bool = True,
+                tier_up: Optional[str] = None) -> Instance:
     """Link and initialise a module; returns a live :class:`Instance`.
 
-    ``tier_up`` turns on mixed-mode execution: the module's looping leaf
-    functions get compiled bodies (:func:`repro.wasm.compile.native_leaves`)
-    that the interpreter calls directly."""
+    ``tier_up`` names the rule, ``"leaves"`` or ``"all"``, by which
+    functions get compiled bodies that the interpreter calls directly
+    (:func:`repro.wasm.compile.compiled_functions`); None keeps every
+    function interpreted."""
     if scheme not in SAFEPOINT_SCHEMES:
         raise ValueError(f"unknown safepoint scheme {scheme!r}")
     if validate:
@@ -193,7 +195,8 @@ def instantiate(module: Module, imports: Optional[dict] = None,
             inst.table = provider
 
     # --- definitions ---
-    native = native_leaves(module, scheme) if tier_up else {}
+    native = compiled_functions(module, scheme, tier_up) \
+        if tier_up is not None else {}
     for idx, fn in enumerate(module.funcs, len(inst.funcs)):
         ft = module.types[fn.type_idx]
         code = flatten_function(module, fn, scheme)

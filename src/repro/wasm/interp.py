@@ -35,16 +35,21 @@ code it caches:
 A code object that supplies its own ``decoded`` sequence (the emulated
 tier's decode-on-fetch view) is dispatched the same way.
 
-**Mixed mode.**  Under WALI the interpreter is not the only tier: a
-``call`` of a function with a compiled body (``WasmFunc.native``, a loop-
-carrying leaf that can never reach the host, see
-:func:`repro.wasm.compile.native_leaves`) decodes to ``CALL_NATIVE``,
-which runs the compiled body as one Python call.  Everything that can
-reach a syscall stays in interpreted frames, so fork, ``execve`` and the
-WALI crossing see plain machine state.  While a compiled body runs,
-``Machine.native_depth`` is nonzero: a signal handler entered from its
-safepoint runs above Python frames that fork cannot copy.  A machine with
-``fuel`` set runs those functions interpreted instead.
+**The compiled tier.**  The interpreter is not the only tier: a ``call``
+of a function with a compiled body (``WasmFunc.native``, see
+:func:`repro.wasm.compile.compiled_functions`) decodes to ``CALL_NATIVE``,
+which runs the compiled body as one Python call.  That is the one place
+the interpreter enters compiled code: compiled code calls compiled
+callees directly and reaches the host through :meth:`Machine._call_host`,
+the routine the interpreter's own host calls use.  Compiled calls recurse
+on the Python stack, so running out of it is :class:`TrapStackExhausted`
+at ``CALL_NATIVE``.  While a compiled body runs,
+``Machine.native_depth`` is nonzero: the host, or a signal handler
+entered from a compiled safepoint, runs above Python frames that fork
+cannot copy.  Under the WALI default (``tier_up="leaves"``) only
+host-free leaves are compiled, so fork, ``execve`` and the WALI crossing
+see plain machine state.  A machine with ``fuel`` set runs every function
+interpreted instead.
 
 ``Machine.steps`` counts instructions retired (the perf ``instructions``
 counter).  ``run`` keeps it, and the fuel limit, in locals and writes it
@@ -75,8 +80,23 @@ from .types import FuncType, I32, I64, MASK32, MASK64, signed32, signed64
 MAX_FRAMES = 2000
 
 # One engine-wide lock serialises guest atomic RMW operations (the threads
-# proposal subset used by the guest libc's mutexes).
+# proposal subset used by the guest libc's mutexes), on both tiers.
 _ATOMIC_LOCK = _threading.Lock()
+
+
+def _atomic_add(mem, addr: int, val: int) -> int:
+    with _ATOMIC_LOCK:
+        old = mem.load_i32(addr)
+        mem.store_i32(addr, old + val)
+    return old
+
+
+def _atomic_cas(mem, addr: int, expected: int, new: int) -> int:
+    with _ATOMIC_LOCK:
+        old = mem.load_i32(addr)
+        if old == expected:
+            mem.store_i32(addr, new)
+    return old
 
 
 class HostFunc:
@@ -96,9 +116,9 @@ class HostFunc:
 class WasmFunc:
     """A defined function: flat code plus its signature.
 
-    ``native`` is the function's compiled-tier body when mixed-mode
-    execution tiered it up (:func:`repro.wasm.compile.native_leaves`), else
-    None.  It is called as ``native(machine, *args)`` and reaches memory,
+    ``native`` is the function's compiled-tier body when the instance's
+    tier-up rule compiled it (:func:`repro.wasm.compile.compiled_functions`),
+    else None.  It is called as ``native(machine, *args)`` and reaches memory,
     globals and the poll hook only through ``machine``, so one compiled
     body serves every instance of the module.
     """
@@ -419,8 +439,8 @@ class Machine:
         self.steps = 0
         self.fuel: Optional[int] = None
         self.max_frames = MAX_FRAMES
-        # compiled activations on the Python stack (mixed mode): nonzero
-        # while a signal handler runs above a compiled leaf's safepoint
+        # compiled activations on the Python stack: nonzero while the host
+        # or a signal handler runs above a compiled frame
         self.native_depth = 0
 
     # ---- public API ----
@@ -704,6 +724,9 @@ class Machine:
                     self.native_depth += 1
                     try:
                         res = native(self, *args)
+                    except RecursionError:
+                        # compiled calls recurse on the Python stack
+                        raise TrapStackExhausted("compiled tier") from None
                     finally:
                         self.native_depth -= 1
                         stop = limit - self.steps + pc
@@ -776,20 +799,11 @@ class Machine:
             mem.fill(dst, val, n)
         elif k == ATOMIC_ADD:
             val = stack.pop()
-            addr = stack.pop() + imm
-            with _ATOMIC_LOCK:
-                old = mem.load_i32(addr)
-                mem.store_i32(addr, old + val)
-            stack.append(old)
+            stack.append(_atomic_add(mem, stack.pop() + imm, val))
         elif k == ATOMIC_CMPXCHG:
             new = stack.pop()
             expected = stack.pop()
-            addr = stack.pop() + imm
-            with _ATOMIC_LOCK:
-                old = mem.load_i32(addr)
-                if old == expected:
-                    mem.store_i32(addr, new)
-            stack.append(old)
+            stack.append(_atomic_cas(mem, stack.pop() + imm, expected, new))
         elif k == UNREACHABLE:
             raise TrapUnreachable(self.frames[-1][0].name)
         else:

@@ -1,13 +1,14 @@
-"""Mixed-mode execution: looping leaf functions on the compiled tier.
+"""Mixed-mode execution: the compiled tier under the interpreter.
 
 A *leaf* reaches no import through its static call graph, so it can
-never enter the host; the WALI runtime runs the leaves that contain a
-loop compiled, called straight from the interpreter.  These tests pin
+never enter the host; under ``tier_up="leaves"`` (the WALI default) the
+leaves that contain a loop run compiled, called straight from the
+interpreter, and under ``"all"`` every function does.  These tests pin
 what that may not change: outputs, exit statuses and ``Machine.steps``
-match the interpreter exactly; each instance (fork child, thread,
-``execve`` image) runs the shared compiled code on its own memory and
-globals; signals still land at loop safepoints inside a compiled leaf;
-and a handler running above one cannot fork.
+match the interpreter exactly under both rules; each instance (fork
+child, thread, ``execve`` image) runs the shared compiled code on its own
+memory and globals; signals still land at loop safepoints inside a
+compiled leaf; and a fork above a compiled frame fails.
 """
 
 import struct
@@ -23,7 +24,7 @@ from repro.kernel import SIGKILL, SIGUSR1
 from repro.kernel.errno import EAGAIN
 from repro.wali import WaliRuntime
 from repro.wasm import F64, I32, ModuleBuilder, Trap, instantiate
-from repro.wasm.compile import compile_instance, leaf_functions, native_leaves
+from repro.wasm.compile import compiled_functions, leaf_functions
 from repro.wasm.flatten import SAFEPOINT_SCHEMES
 from repro.wasm.interp import WasmFunc
 
@@ -99,16 +100,22 @@ class TestLeafRule:
         assert leaf_functions(module) == {idx("leaf"): True,
                                           idx("calls_leaf"): False}
         # only the looping leaf runs compiled from the interpreter
-        assert set(native_leaves(module, "loop")) == {idx("leaf")}
+        assert set(compiled_functions(module, "loop", "leaves")) == \
+            {idx("leaf")}
+        n_imp = module.num_imported_funcs
+        assert set(compiled_functions(module, "loop", "all")) == \
+            set(range(n_imp, n_imp + len(module.funcs)))
+        with pytest.raises(ValueError):
+            compiled_functions(module, "loop", True)
 
     def test_two_modules_with_one_name_never_share_compiled_code(self):
         three, five = _sum_module("app", 3), _sum_module("app", 5)
         assert three.name == five.name
         f = three.num_imported_funcs + 1
-        assert native_leaves(three, "loop")[f] is not \
-            native_leaves(five, "loop")[f]
-        assert instantiate(three, tier_up=True).invoke("w", 10) == 135
-        assert instantiate(five, tier_up=True).invoke("w", 10) == 225
+        assert compiled_functions(three, "loop", "leaves")[f] is not \
+            compiled_functions(five, "loop", "leaves")[f]
+        assert instantiate(three, tier_up="leaves").invoke("w", 10) == 135
+        assert instantiate(five, tier_up="leaves").invoke("w", 10) == 225
 
     def test_compiled_function_names_do_not_shadow_helpers(self):
         """Compiled leaves share one namespace with the code generator's
@@ -137,11 +144,10 @@ class TestLeafRule:
         w.end()
         module = mb.build()
         assert mb.func_index("g8") == 8
-        assert instantiate(module, tier_up=True).invoke("w", 3) == 31.5
+        assert instantiate(module, tier_up="leaves").invoke("w", 3) == 31.5
         assert instantiate(module).invoke("w", 3) == 31.5
-        inst = instantiate(module)
-        ctx = compile_instance(inst)
-        assert ctx.invoke(mb.func_index("w"), (3,)) == 31.5
+        inst = instantiate(module, tier_up="all")
+        assert inst.invoke("w", 3) == 31.5
         assert struct.unpack_from("<d", inst.memory.data, 16)[0] == 31.5
 
     def test_concurrent_loads_past_the_cache_capacity(self):
@@ -154,7 +160,8 @@ class TestLeafRule:
         def load(chunk):
             try:
                 for k, module in chunk:
-                    got = instantiate(module, tier_up=True).invoke("w", 4)
+                    got = instantiate(module, tier_up="leaves").invoke(
+                        "w", 4)
                     assert got == 6 * k, (k, got)
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
@@ -178,16 +185,22 @@ class TestLeafRule:
         from repro.wasm import decode_module, encode_module
 
         image = encode_module(_sum_module("app", 7))
-        first = native_leaves(decode_module(image), "loop")
-        assert native_leaves(decode_module(image), "loop") is first
+        for rule in ("leaves", "all"):
+            first = compiled_functions(decode_module(image), "loop", rule)
+            assert compiled_functions(decode_module(image), "loop",
+                                      rule) is first
+        # the cache key holds the rule: the two rules never share a table
+        assert first is not compiled_functions(decode_module(image), "loop",
+                                               "leaves")
 
 
 class TestSteps:
     @pytest.mark.parametrize("scheme", SAFEPOINT_SCHEMES)
     def test_compiled_leaf_retires_the_interpreters_steps(self, scheme):
         module = _sum_module("steps", 3)
-        want = _steps(module, "w", [50], False, scheme)
-        assert _steps(module, "w", [50], True, scheme) == want
+        want = _steps(module, "w", [50], None, scheme)
+        for rule in ("leaves", "all"):
+            assert _steps(module, "w", [50], rule, scheme) == want
         assert want[0] == 3 * 49 * 50 // 2
 
     @pytest.mark.parametrize("scheme", SAFEPOINT_SCHEMES)
@@ -209,44 +222,47 @@ class TestSteps:
         w.local_get(0).call("f")
         w.end()
         module = mb.build()
-        want = _steps(module, "w", [10], False, scheme)
+        want = _steps(module, "w", [10], None, scheme)
         assert want[0] == 12
-        assert _steps(module, "w", [10], True, scheme) == want
+        for rule in ("leaves", "all"):
+            assert _steps(module, "w", [10], rule, scheme) == want
 
     def test_fuel_runs_leaves_interpreted(self):
         module = _sum_module("fuel", 3)
-        _, total = _steps(module, "w", [20], False)
+        _, total = _steps(module, "w", [20], None)
         # a machine with fuel is an interpreter-only reference...
-        assert _steps(module, "w", [20], True, fuel=10 ** 9) == \
-            _steps(module, "w", [20], False)
+        for rule in ("leaves", "all"):
+            assert _steps(module, "w", [20], rule, fuel=10 ** 9) == \
+                _steps(module, "w", [20], None)
         # ...whose fuel trap lands on the same step as without tier-up
         for fuel in (3, total // 2, total - 1):
             traps = []
-            for tier_up in (False, True):
+            for tier_up in (None, "leaves", "all"):
                 inst = instantiate(module, tier_up=tier_up)
                 inst.machine.fuel = fuel
                 with pytest.raises(Trap) as ei:
                     inst.invoke("w", 20)
                 traps.append((ei.value.kind, inst.machine.steps))
-            assert traps[0] == traps[1] == ("fuel-exhausted", fuel + 1)
+            assert traps == [("fuel-exhausted", fuel + 1)] * 3
 
     def test_poll_hook_sees_exact_steps_inside_a_compiled_leaf(self):
         module = _sum_module("polls", 3)
         seen = {}
-        for tier_up in (False, True):
+        for tier_up in (None, "leaves", "all"):
             inst = instantiate(module, tier_up=tier_up)
             machine = inst.machine
             counts = seen[tier_up] = []
             machine.poll_hook = lambda m=machine, c=counts: c.append(
                 (m.steps, m.native_depth))
             inst.invoke("w", 6)
-        assert [s for s, _ in seen[True]] == [s for s, _ in seen[False]]
-        assert {d for _, d in seen[True]} == {1}
-        assert {d for _, d in seen[False]} == {0}
+        for rule in ("leaves", "all"):
+            assert [s for s, _ in seen[rule]] == [s for s, _ in seen[None]]
+            assert {d for _, d in seen[rule]} == {1}
+        assert {d for _, d in seen[None]} == {0}
 
 
 # --------------------------------------------------------------------------
-# WALI guests: same output, status and steps with tier-up as without
+# WALI guests: same output, status and steps under each tier-up rule
 # --------------------------------------------------------------------------
 
 SQL = (b"insert apple 1\ninsert pear 22\ninsert fig 333\nget pear\n"
@@ -281,11 +297,15 @@ def _run_app(app, tier_up):
 
 @pytest.mark.parametrize("app", sorted(GUESTS))
 def test_wali_guest_identical_with_tier_up(app):
-    want, none = _run_app(app, False)
-    got, native = _run_app(app, True)
+    want, none = _run_app(app, None)
+    got, native = _run_app(app, "leaves")
     assert none == 0 and native > 0
     assert got == want
     assert want[1] == 0 and want[0]
+    if app != "mini_sh":   # the shell forks, which "all" refuses
+        got, native = _run_app(app, "all")
+        assert native == len(build(app).funcs)
+        assert got == want
 
 
 # --------------------------------------------------------------------------

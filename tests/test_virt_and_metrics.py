@@ -10,9 +10,9 @@ from repro.metrics import (
     render_profile,
 )
 from repro.virt import (
-    BASE_MEMORY_MB, ContainerRuntime, EmuCodeView, base_image,
-    bash_workload, compare_all, emulate_instance, lua_workload, run_tier,
-    sqlite_workload,
+    BASE_MEMORY_MB, TIERS, ContainerRuntime, EmuCodeView, Workload,
+    base_image, bash_workload, compare_all, emulate_instance, lua_workload,
+    run_tier, sqlite_workload,
 )
 from repro.wali import WaliRuntime
 from repro.wasm import I32, ModuleBuilder, instantiate
@@ -132,7 +132,8 @@ class TestTierHarness:
     def test_wali_startup_is_fast(self):
         wl = sqlite_workload(5)
         module = build(wl.app)
-        run_tier("native", module, wl)  # warm AoT cache
+        for tier in ("native", "wali"):   # warm both tiers' AoT caches
+            run_tier(tier, module, wl)
         wali = run_tier("wali", module, wl)
         docker = run_tier("docker", module, wl)
         assert wali.startup_s < docker.startup_s
@@ -142,6 +143,48 @@ class TestTierHarness:
         module = build(wl.app)
         results = compare_all(module, wl)
         assert all(r.status == 0 for r in results.values())
+
+    @pytest.fixture
+    def runtimes(self, monkeypatch):
+        """Every WaliRuntime made while the test runs, in order."""
+        made = []
+        init = WaliRuntime.__init__
+
+        def spy(rt, *args, **kwargs):
+            init(rt, *args, **kwargs)
+            made.append(rt)
+        monkeypatch.setattr(WaliRuntime, "__init__", spy)
+        return made
+
+    @pytest.mark.parametrize("tier", ["native", "docker"])
+    def test_compiled_tiers_refuse_fork(self, tier, runtimes):
+        """Every function runs compiled, so the shell's forks fail with
+        EAGAIN: no child process is made that could lose the pipeline."""
+        wl = Workload(app="mini_sh", argv=["mini_sh", "/tmp/s.sh"],
+                      files={"/tmp/s.sh": b"echo before\necho piped | cat\n"
+                                          b"echo after\n"})
+        r = run_tier(tier, build("mini_sh"), wl)
+        (rt,) = runtimes
+        # one refusal for the pipeline's left stage, one for its ``cat``
+        assert rt.kernel.counters.get("wali.fork_refused") == 2
+        assert rt.kernel.syscall_counts["fork"] == 0
+        assert len(rt.processes) == 1
+        assert (r.status, r.output) == (0, b"before\nafter\n")
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_every_tier_exits_its_task(self, tier, runtimes):
+        """A ``_start`` that returns leaves a zombie, not a running task."""
+        from repro.apps import with_libc
+        from repro.cc import compile_source
+
+        module = compile_source(with_libc(
+            'export func _start() { println("hi"); }'), name="ret")
+        r = run_tier(tier, module, Workload(app="ret", argv=["ret"]))
+        (rt,) = runtimes
+        (wp,) = rt.processes
+        assert (r.status, r.output) == (0, b"hi\n")
+        assert wp.proc.state == "zombie"
+        assert wp.proc.pid not in rt.kernel.sched.live_pids()
 
 
 class TestMetrics:

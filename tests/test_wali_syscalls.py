@@ -1,6 +1,8 @@
 """WALI interface tests: spec, translation, layouts, security, signals,
 mmap-in-linear-memory, fork/exec, and the support calls."""
 
+import struct
+
 import pytest
 
 from repro.cc import compile_source
@@ -83,6 +85,60 @@ def bare_process():
 
 def sys_call(ns, name, *raw):
     return ns[f"SYS_{name}"].fn(*raw)
+
+
+class TestGetdents64:
+    """linux_dirent64 records as Linux returns them: ``d_off`` is the
+    directory position after the entry, a buffer too small for the next
+    entry is EINVAL, and a rewind reads the directory afresh."""
+
+    BUF = 1024
+
+    def _open(self):
+        rt, wp, ns = bare_process()
+        rt.kernel.vfs.mkdirs("/tmp/d")
+        for name in ("a", "bb", "ccc"):
+            rt.kernel.vfs.write_file(f"/tmp/d/{name}", b"")
+        fd = rt.kernel.call(wp.proc, "open", "/tmp/d", 0, 0)
+        return rt, wp, ns, fd
+
+    def _read(self, wp, ns, fd, count):
+        """getdents64's result and the (d_off, name) of each record."""
+        n = sys_call(ns, "getdents64", fd, self.BUF, count)
+        data = wp.instance.memory.read_bytes(self.BUF, max(n, 0))
+        recs, off = [], 0
+        while off < len(data):
+            _, d_off, reclen = struct.unpack_from("<QQH", data, off)
+            name = data[off + 19:data.index(b"\x00", off + 19)]
+            recs.append((d_off, name.decode()))
+            off += reclen
+        return n, recs
+
+    def test_d_off_is_the_directory_position_after_the_entry(self):
+        rt, wp, ns, fd = self._open()
+        _, recs = self._read(wp, ns, fd, 4096)
+        assert recs == [(1, "."), (2, ".."), (3, "a"), (4, "bb"),
+                        (5, "ccc")]
+        # seekdir to an entry's d_off resumes after that entry
+        assert sys_call(ns, "lseek", fd, recs[2][0], SEEK_SET) == 3
+        assert self._read(wp, ns, fd, 4096)[1] == recs[3:]
+
+    def test_a_buffer_too_small_for_the_next_entry_is_einval(self):
+        rt, wp, ns, fd = self._open()
+        assert self._read(wp, ns, fd, 8) == (-EINVAL, [])
+        # one 24-byte record fits in 40 bytes, two do not
+        assert self._read(wp, ns, fd, 40) == (24, [(1, ".")])
+        assert rt.kernel.call(wp.proc, "lseek", fd, 0, SEEK_CUR) == 1
+        self._read(wp, ns, fd, 4096)
+        assert self._read(wp, ns, fd, 8) == (0, [])   # end of directory
+
+    def test_rewind_sees_entries_created_since_the_first_read(self):
+        rt, wp, ns, fd = self._open()
+        self._read(wp, ns, fd, 4096)
+        rt.kernel.vfs.write_file("/tmp/d/new", b"")
+        assert sys_call(ns, "lseek", fd, 0, SEEK_SET) == 0
+        names = [name for _, name in self._read(wp, ns, fd, 4096)[1]]
+        assert names == [".", "..", "a", "bb", "ccc", "new"]
 
 
 class TestGeneratedHandlers:
@@ -245,12 +301,16 @@ class TestLayouts:
         assert Layout.decode_sigaction(data) == (7, 0x10000000, 0xFF)
 
     def test_dirents_respect_buffer_size(self):
-        from repro.kernel.vfs import DirEntry
-
-        entries = [DirEntry(i, f"file{i:03d}", 8) for i in range(100)]
-        data, count = Layout.encode_dirents(entries, 256)
-        assert 0 < count < 100
-        assert len(data) <= 256
+        """The kernel returns only the entries whose records fit."""
+        rt, wp, _ = bare_process()
+        rt.kernel.vfs.mkdirs("/tmp/many")
+        for i in range(100):
+            rt.kernel.vfs.write_file(f"/tmp/many/file{i:03d}", b"")
+        fd = rt.kernel.call(wp.proc, "open", "/tmp/many", 0, 0)
+        entries = rt.kernel.call(wp.proc, "getdents64", fd, 256)
+        data = Layout.encode_dirents(entries)
+        assert 0 < len(entries) < 100
+        assert len(data) == sum(e.reclen for _, e in entries) <= 256
 
 
 class TestGuestFileIO:

@@ -1,5 +1,8 @@
 """Compiled-tier tests: semantic equivalence with the interpreter,
-including property-based differential testing."""
+including property-based differential testing.  The compiled tier is
+``tier_up="all"``: every defined function gets a compiled body
+``f(machine, *args)``, which must compute what the interpreter computes
+and retire the interpreter's ``Machine.steps``."""
 
 import math
 import struct
@@ -9,25 +12,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.wasm import (
     I32, I64, F64, ModuleBuilder, Trap, TrapDivByZero, TrapIndirectCall,
-    TrapUnreachable, instantiate,
+    TrapStackExhausted, TrapUnreachable, instantiate,
 )
-from repro.wasm.compile import compile_instance
 
 
 def both_tiers(module, func="f", imports=None):
-    """Return (interp_result_fn, compiled_result_fn)."""
+    """Return (interp, compiled): ``func`` run by the interpreter, and its
+    compiled body under ``tier_up="all"`` called on its instance's machine,
+    as the interpreter's ``CALL_NATIVE`` calls it."""
     inst_i = instantiate(module, imports)
-    inst_c = instantiate(module, imports)
-    ctx = compile_instance(inst_c)
-
-    def interp(*args):
-        return inst_i.invoke(func, *args)
-
-    def compiled(*args):
-        idx = inst_c.func_index_of(func)
-        return ctx.invoke(idx, args)
-
-    return interp, compiled
+    inst_c = instantiate(module, imports, tier_up="all")
+    native = inst_c.func_by_name(func).native
+    assert native is not None
+    return (lambda *args: inst_i.invoke(func, *args),
+            lambda *args: native(inst_c.machine, *args))
 
 
 def test_fib_equivalence():
@@ -102,11 +100,9 @@ def test_compiled_bounds_check_traps():
     f = mb.func("f", params=[I32], results=[I32], export=True)
     f.local_get(0).i32_load()
     f.end()
-    inst = instantiate(mb.build())
-    ctx = compile_instance(inst)
-    idx = inst.func_index_of("f")
-    with pytest.raises(Trap):
-        ctx.invoke(idx, (70000,))
+    for run in both_tiers(mb.build()):
+        with pytest.raises(Trap):
+            run(70000)
 
 
 def test_compiled_div_by_zero_traps():
@@ -114,10 +110,9 @@ def test_compiled_div_by_zero_traps():
     f = mb.func("f", params=[I32, I32], results=[I32], export=True)
     f.local_get(0).local_get(1).op("i32.div_u")
     f.end()
-    inst = instantiate(mb.build())
-    ctx = compile_instance(inst)
-    with pytest.raises(TrapDivByZero):
-        ctx.invoke(inst.func_index_of("f"), (1, 0))
+    for run in both_tiers(mb.build()):
+        with pytest.raises(TrapDivByZero):
+            run(1, 0)
 
 
 def test_compiled_indirect_call_check():
@@ -131,22 +126,71 @@ def test_compiled_indirect_call_check():
     f.i32_const(0)
     f.call_indirect([I32], [I32])  # wrong signature
     f.end()
-    inst = instantiate(mb.build())
-    ctx = compile_instance(inst)
-    with pytest.raises(TrapIndirectCall):
-        ctx.invoke(inst.func_index_of("f"), ())
+    for run in both_tiers(mb.build()):
+        with pytest.raises(TrapIndirectCall):
+            run()
+
+
+def test_compiled_indirect_calls_reach_every_kind_of_callee():
+    """``call_indirect`` from compiled code: a compiled function, a host
+    function and (a body the tier left interpreted) the interpreter."""
+    mb = ModuleBuilder("t")
+    mb.import_func("env", "neg", params=[I32], results=[I32])
+    g = mb.func("g", params=[I32], results=[I32])
+    g.local_get(0).i32_const(5).op("i32.add")
+    g.end()
+    mb.add_elem(0, [mb.func_index("g"), mb.func_index("neg")])
+    f = mb.func("f", params=[I32, I32], results=[I32], export=True)
+    f.local_get(0).local_get(1).call_indirect([I32], [I32])
+    f.end()
+    imports = {"env": {"neg": lambda x: -x}}
+    interp, compiled = both_tiers(mb.build(), imports=imports)
+    assert interp(7, 0) == compiled(7, 0) == 12
+    assert interp(7, 1) == compiled(7, 1) == 2 ** 32 - 7
+    inst = instantiate(mb.build(), imports, tier_up="all")
+    inst.table.elems[0].native = None
+    assert inst.func_by_name("f").native(inst.machine, 7, 0) == 12
+
+
+def test_compiled_recursion_exhausts_the_stack():
+    """Compiled calls recurse on the Python stack; running out of it is
+    the interpreter's stack-exhaustion trap."""
+    mb = ModuleBuilder("t")
+    r = mb.func("r", params=[I32], results=[I32])
+    r.local_get(0).i32_const(1).op("i32.add").call("r")
+    r.end()
+    w = mb.func("w", params=[I32], results=[I32], export=True)
+    w.local_get(0).call("r")
+    w.end()
+    module = mb.build()
+    for tier_up in (None, "all"):
+        inst = instantiate(module, tier_up=tier_up)
+        with pytest.raises(TrapStackExhausted):
+            inst.invoke("w", 0)
+        assert inst.machine.native_depth == 0
 
 
 def test_host_calls_from_compiled():
+    """Both tiers call imports through one routine: it masks the result,
+    and a void import that returns a value traps."""
     mb = ModuleBuilder("t")
     mb.import_func("env", "triple", params=[I32], results=[I32])
+    mb.import_func("env", "void", params=[], results=[])
     f = mb.func("f", params=[I32], results=[I32], export=True)
     f.local_get(0).call("triple")
     f.end()
-    imports = {"env": {"triple": lambda x: x * 3}}
-    inst = instantiate(mb.build(), imports)
-    ctx = compile_instance(inst)
-    assert ctx.invoke(inst.func_index_of("f"), (7,)) == 21
+    g = mb.func("g", export=True)
+    g.call("void")
+    g.end()
+    module = mb.build()
+    imports = {"env": {"triple": lambda x: x * 3, "void": lambda: 5}}
+    interp, compiled = both_tiers(module, imports=imports)
+    assert interp(7) == compiled(7) == 21
+    assert interp(2 ** 31) == compiled(2 ** 31) == 2 ** 31   # masked
+    for run in both_tiers(module, "g", imports):
+        with pytest.raises(Trap) as ei:
+            run()
+        assert ei.value.kind == "host-result-mismatch"
 
 
 def test_compiled_faster_than_interp():
@@ -359,31 +403,25 @@ def _outcome(run, mem):
 @example((F64, [("f64.const", -0.5), ("f64.nearest",)]))
 @example((F64, [("f64.const", -math.inf), ("call", 1)]))
 def test_differential_interp_vs_compiled(prog):
-    """Property: both tiers, and mixed mode, compute identical results on
-    random programs; mixed mode also retires the interpreter's steps."""
+    """Property: the interpreter and both tier-up rules compute identical
+    results on random programs, and retire identical steps.  ``w`` calls
+    ``f``, which runs compiled under ``"all"`` and, when it loops, under
+    ``"leaves"``; a machine with fuel is the interpreter-only reference."""
     result, body = prog
     module = _program_module(result, body)
-    inst_i = instantiate(module)
-    inst_c = instantiate(module)
-    ctx = compile_instance(inst_c)
-    got_i = _outcome(lambda: inst_i.invoke("f"), inst_i.memory)
-    got_c = _outcome(lambda: ctx.invoke(inst_c.func_index_of("f"), ()),
-                     inst_c.memory)
-    assert got_i == got_c
-    if result == F64 and got_i[0][0] == "value":
-        assert got_i[0][1][0] == "f64"
-    # mixed mode: ``w`` calls ``f``, which runs compiled when it loops;
-    # the reference is the same instance kind with fuel (interpreted)
     runs = []
-    for fuel in (None, 10 ** 9):
-        inst_m = instantiate(module, tier_up=True)
-        inst_m.machine.fuel = fuel
-        runs.append((_outcome(lambda: inst_m.invoke("w"), inst_m.memory),
-                     inst_m.machine.steps))
-    (got_m, steps_m), (want_m, steps_ref) = runs
-    assert got_m == want_m == got_i
-    if got_m[0][0] == "value":
-        assert steps_m == steps_ref
+    for tier_up, fuel in ((None, None), ("leaves", None), ("all", None),
+                          ("all", 10 ** 9)):
+        inst = instantiate(module, tier_up=tier_up)
+        inst.machine.fuel = fuel
+        runs.append((_outcome(lambda: inst.invoke("w"), inst.memory),
+                     inst.machine.steps))
+    want, steps = runs[0]
+    assert [got for got, _ in runs] == [want] * len(runs)
+    if want[0][0] == "value":
+        assert [n for _, n in runs] == [steps] * len(runs)
+        if result == F64:
+            assert want[0][1][0] == "f64"
 
 
 @settings(max_examples=25, deadline=None)
@@ -407,9 +445,9 @@ def test_differential_division(a, b, op):
     assert (r1, e1) == (r2, e2)
 
 
-def test_native_tier_runs_f64_helpers_like_compile_instance():
-    """The Fig. 8 native/docker tiers bind the same compiled code as
-    ``compile_instance``, f64 helpers and non-finite constants included."""
+def test_native_tier_runs_f64_helpers_like_the_compiled_tier():
+    """The Fig. 8 native/docker tiers run the compiled tier, f64 helpers
+    and non-finite constants included."""
     from repro.virt import Workload, run_tier
 
     mb = ModuleBuilder("f64tier")
@@ -426,9 +464,10 @@ def test_native_tier_runs_f64_helpers_like_compile_instance():
     start.end()
     module = mb.build()
 
-    inst = instantiate(module, {"wali": {"SYS_exit_group": lambda s: 0}})
-    want = compile_instance(inst).invoke(inst.func_index_of("f"), ())
-    assert want == 19
+    imports = {"wali": {"SYS_exit_group": lambda s: 0}}
+    interp, compiled = both_tiers(module, "f", imports)
+    want = compiled()
+    assert want == interp() == 19
     wl = Workload(app="f64tier", argv=["f64tier"])
     for tier in ("native", "docker"):
         assert run_tier(tier, module, wl).status == want, tier

@@ -172,8 +172,6 @@ class TestF64Semantics:
         import math
         import struct
 
-        from repro.wasm.compile import compile_instance
-
         mb = ModuleBuilder("t")
         f = mb.func("f", params=[F64] * len(args), results=[F64], export=True)
         for i in range(len(args)):
@@ -182,9 +180,10 @@ class TestF64Semantics:
         f.end()
         module = mb.build()
         inst = instantiate(module)
-        ctx = compile_instance(instantiate(module))
+        compiled = instantiate(module, tier_up="all")
         for got in (inst.invoke("f", *args),
-                    ctx.invoke(inst.func_index_of("f"), args)):
+                    compiled.func_by_name("f").native(compiled.machine,
+                                                      *args)):
             assert type(got) is float
             if math.isnan(expected):
                 assert math.isnan(got)
