@@ -282,7 +282,7 @@ def _guest_memcached_once(mode, nconns, reqs):
             out += data
         return out.decode().strip()
 
-    base = sum(server.host.call_counts.values())
+    base = sum(server.call_counts.values())
     ops = 0
     t0 = time.perf_counter()
     for r in range(reqs):
@@ -296,7 +296,7 @@ def _guest_memcached_once(mode, nconns, reqs):
             assert recvline(fd) == f"VALUE v{r}"
         ops += 2 * nconns
     elapsed = time.perf_counter() - t0
-    crossings = sum(server.host.call_counts.values()) - base
+    crossings = sum(server.call_counts.values()) - base
     k.call(cp, "sendto", fds[0], b"shutdown\n")
     assert recvline(fds[0]) == "BYE"
     server.join(5)

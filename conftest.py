@@ -3,7 +3,7 @@
 The benchmark environment has no network, so ``pip install -e .`` cannot
 fetch the PEP 517 build backend; this path shim is the offline equivalent.
 
-Also home of two fixtures:
+Also home of three fixtures:
 
 * ``lost_wakeup_guard`` (autouse) fails any test whose kernels recorded a
   ``sched.safety_net_wakeups`` count: a blocked task that woke only
@@ -13,6 +13,10 @@ Also home of two fixtures:
   impairment seed from here, so jitter/loss/reorder decisions are
   bit-reproducible run-to-run (per-flow RNG streams in
   ``kernel/net/wan.py``) yet decorrelated across tests.
+* ``wali_processes``: every ``WaliProcess`` the test made, in the order
+  they were made.  ``WaliRuntime.processes`` drops a process once its task
+  is reaped, so a test that inspects exited children or threads reads
+  them from here.
 """
 
 import os
@@ -57,3 +61,19 @@ def wan_seed(request):
     pattern can always be replayed exactly by re-running the test.
     """
     return zlib.crc32(request.node.nodeid.encode())
+
+
+@pytest.fixture
+def wali_processes(monkeypatch):
+    """Every WALI process made while the test runs, reaped ones included."""
+    from repro.wali import WaliProcess
+
+    made = []
+    init = WaliProcess.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(WaliProcess, "__init__", recording_init)
+    return made

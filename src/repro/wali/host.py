@@ -11,6 +11,12 @@ Implementation shape mirrors the paper:
   that need engine state (mmap pool, sigtable, process model), or that
   alias another call get explicit ``w_`` handlers — and most of those are
   under 10 lines (Table 2's LOC column is measured from this file).
+* A host serves one **image**: a fresh host per image (load, fork and
+  thread children, each ``execve``), and it binds exactly the image's
+  ``wali`` imports, so a process sees only the syscalls its import
+  section names (§3.6).  Only a host with no image (WASI-over-WALI, test
+  and benchmark harnesses that call the imports directly) binds every
+  name.
 * Pointer arguments undergo **address-space translation** (§3.2): a bounds
   check against linear memory, then a zero-copy ``memoryview`` where
   possible; struct-typed arguments (<10% of calls) go through the
@@ -19,11 +25,11 @@ Implementation shape mirrors the paper:
   convention, and accounts its own time separately from kernel time
   (Fig. 7 / Table 2 instrumentation): :meth:`WaliHost._instrument` is the
   WALI layer's one accounting writer.  It keeps one ``[calls, wali_ns]``
-  cell per syscall name in ``WaliHost.cells``, where ``wali_ns`` is the
-  handler's wall time minus the kernel time the calling thread spent
-  inside it, and adds the same time to the process's ``wali_time_ns``
-  total.  ``call_counts``, ``call_wali_ns``, ``struct_copy_calls`` and
-  :meth:`WaliHost.stats` are views of the cells.
+  cell per syscall name in the process's ``WaliProcess.cells``, where
+  ``wali_ns`` is the handler's wall time minus the kernel time the calling
+  thread spent inside it.  The cells outlive every image the process runs;
+  ``call_counts``, ``call_wali_ns``, ``struct_copy_calls``,
+  ``wali_time_ns`` and :meth:`WaliHost.stats` are views of them.
 """
 
 from __future__ import annotations
@@ -32,8 +38,7 @@ import functools
 import inspect
 import struct
 import time as _time
-from collections import Counter
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..kernel.errno import EFAULT, EINVAL, ERANGE, KernelError
 from ..kernel.fdtable import OpenFile
@@ -81,18 +86,25 @@ _GETRANDOM_MAX = 33554431
 _KIND_EXPR = {"i": "signed32({})", "u": "{}", "l": "signed64({})",
               "p": "path_arg(name, {})"}
 
+# what a host can bind, by import name: the spec entries and the support
+# calls; a host with no image binds all of them
+_SPECS = {spec.import_name: spec for spec in SYSCALLS.values()}
+_SUPPORT_TYPES = {name: FuncType(params, results)
+                  for name, params, results in SUPPORT_CALLS}
+_BINDABLE = (*_SPECS, *_SUPPORT_TYPES)
+
 
 class WaliHost:
-    """Host-function provider for one WALI process."""
+    """Host-function provider for one image of a WALI process."""
 
-    def __init__(self, runtime, wp):
+    def __init__(self, runtime, wp, image=None):
         self.rt = runtime
         self.wp = wp
         self.kernel = runtime.kernel
         self.proc = wp.proc
         self.policy = runtime.policy
-        # instrumentation: syscall name -> [calls, wali_ns]
-        self.cells: Dict[str, List[int]] = {}
+        # the module whose ``wali`` imports this host binds; None binds all
+        self.image = image
         self.zero_copy_calls = 0
         # per-SQE/CQE address translations skipped via registered buffers
         self.fixed_elides = 0
@@ -161,24 +173,31 @@ class WaliHost:
     # ------------------------------------------------------------------
 
     def imports(self) -> dict:
-        """Build the ``{"wali": {...}}`` import namespace."""
+        """Build the ``{"wali": {...}}`` import namespace: one ``HostFunc``
+        per ``wali`` import of the image, or per WALI name with no image.
+        A name the spec lacks stays unbound, so linking it fails."""
+        if self.image is None:
+            names = _BINDABLE
+        else:
+            names = [im.name for im in self.image.imports
+                     if im.module == MODULE]
         ns = {}
-        for spec in SYSCALLS.values():
-            method = getattr(self, f"w_{spec.name}", None) or \
-                _handler_factory(spec.params)(self.k, self.path_arg,
-                                              spec.name)
-            ns[spec.import_name] = HostFunc(
-                spec.functype, self._instrument(spec.name, method),
-                spec.import_name)
-        for name, params, results in SUPPORT_CALLS:
-            fn = getattr(self, f"sup_{name}")
-            ns[name] = HostFunc(FuncType(params, results), fn, name)
+        for name in names:
+            spec = _SPECS.get(name)
+            if spec is not None:
+                method = getattr(self, f"w_{spec.name}", None) or \
+                    _handler_factory(spec.params)(self.k, self.path_arg,
+                                                  spec.name)
+                ns[name] = HostFunc(spec.functype,
+                                    self._instrument(spec.name, method), name)
+            elif name in _SUPPORT_TYPES:
+                ns[name] = HostFunc(_SUPPORT_TYPES[name],
+                                    getattr(self, f"sup_{name}"), name)
         return {MODULE: ns}
 
     def _instrument(self, name: str, method):
         """Wrap a handler with errno conversion + time split accounting."""
-        cell = self.cells.setdefault(name, [0, 0])
-        engine_cost = name in ENGINE_COST_CALLS
+        cell = self.wp.cells.setdefault(name, [0, 0])
         rusage = self.proc.rusage
 
         def call(*raw):
@@ -194,28 +213,11 @@ class WaliHost:
             except KernelError as exc:
                 return -exc.errno
             finally:
-                wali_ns = max(_time.perf_counter_ns() - t0
-                              - (rusage.stime_ns - k0), 0)
                 cell[0] += 1
-                cell[1] += wali_ns
-                if not engine_cost:
-                    self.wp.wali_time_ns += wali_ns
+                cell[1] += max(_time.perf_counter_ns() - t0
+                               - (rusage.stime_ns - k0), 0)
 
         return call
-
-    # views of the cells
-
-    @property
-    def call_counts(self) -> Counter:
-        return Counter({n: c[0] for n, c in self.cells.items() if c[0]})
-
-    @property
-    def call_wali_ns(self) -> Counter:
-        return Counter({n: c[1] for n, c in self.cells.items() if c[0]})
-
-    @property
-    def struct_copy_calls(self) -> int:
-        return sum(c[0] for n, c in self.cells.items() if n in STRUCT_CALLS)
 
     # ------------------------------------------------------------------
     # explicit handlers: file I/O
@@ -834,6 +836,8 @@ class WaliHost:
     def w_wait4(self, pid, status_ptr, options, rusage_ptr):
         cpid, status, rusage = self.k("wait4", signed32(pid),
                                       signed32(options))
+        if cpid:
+            self.rt.release(cpid)   # the kernel reaped it
         if status_ptr and cpid:
             self.mem.store_i32(status_ptr, status)
         if rusage_ptr and rusage is not None:
@@ -1070,13 +1074,15 @@ class WaliHost:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:
+        wp = self.wp
+        counts = wp.call_counts
         return {
-            "calls": sum(self.call_counts.values()),
-            "unique_syscalls": len(self.call_counts),
+            "calls": sum(counts.values()),
+            "unique_syscalls": len(counts),
             "zero_copy_translations": self.zero_copy_calls,
-            "struct_copy_calls": self.struct_copy_calls,
+            "struct_copy_calls": wp.struct_copy_calls,
             "fixed_buffer_elides": self.fixed_elides,
-            "wali_time_ns": self.wp.wali_time_ns,
+            "wali_time_ns": wp.wali_time_ns,
         }
 
 

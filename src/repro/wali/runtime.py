@@ -5,19 +5,26 @@ one kernel task running one module instance in its own machine (and, when
 spawned, its own Python thread).  Every process has one lifecycle:
 
 * **construct** -- ``WaliProcess(runtime, proc, module)`` sets every field
-  and builds the process's own :class:`WaliHost`;
+  and builds a :class:`WaliHost` for ``module`` that binds exactly its
+  ``wali`` imports (a process with no module, WASI-over-WALI, gets a host
+  that binds every name);
 * **attach** -- :meth:`WaliProcess.attach` binds an instance to it, with a
   machine and an mmap pool.  It is the only code that sets the instance,
   machine, pool, virtual sigtable and poll hook, and the kernel task's
-  ``machine``/``mm``.
+  ``machine``/``mm``;
+* **release** -- :meth:`WaliRuntime.release` drops the process from
+  ``WaliRuntime.processes`` once the kernel reaps its task: when ``wait4``
+  returns it, or when an auto-reaped thread's run ends.  The zombie a
+  parent has not waited for stays, like the kernel's own record.
 
 The routes differ only in where the instance comes from:
 
 * load and ``execve`` instantiate the image over ``host.imports()``.
-  ``execve`` instantiates the new image over a fresh host before the
-  kernel commits, so an image that fails to decode, validate or link
-  fails with ENOEXEC and leaves the process as it was.  Any ``.wasm``
-  file in the VFS is directly executable (the paper's binfmt trick);
+  ``execve`` instantiates the new image over a fresh host, bound to that
+  image, before the kernel commits, so an image that fails to decode,
+  validate or link fails with ENOEXEC and leaves the process as it was.
+  Any ``.wasm`` file in the VFS is directly executable (the paper's binfmt
+  trick);
 * ``fork`` copies the running instance and machine, and binds a pool to
   the address space the kernel's fork copied (the child resumes at the
   fork return point with result 0);
@@ -26,9 +33,14 @@ The routes differ only in where the instance comes from:
 * WASI-over-WALI (:func:`repro.wasi.wasi_over_wali`) attaches the WASI
   app's instance.
 
+**Accounting.** ``WaliProcess.cells`` is the process's one WALI store,
+kept across ``execve``; :mod:`repro.wali.host` describes its writer and
+views.
+
 **Relink.** A cloned instance shares its parent's function list, so it is
 pointed at the child's ``wali`` imports with :func:`repro.wasm.relink`, by
-import name.  A fork relinks its private copy of the table too.  A thread
+import name; the child's host binds the same image, so every name is
+there.  A fork relinks its private copy of the table too.  A thread
 shares the parent's table and never rewrites it: the parent's funcref
 entries keep calling the parent's host.
 """
@@ -36,11 +48,12 @@ entries keep calling the parent's host.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from typing import Dict, List, Optional, Union
 
 from ..kernel import Kernel
 from ..kernel.errno import EACCES, EAGAIN, ENOEXEC, KernelError
-from ..kernel.process import Process, STATE_RUNNING
+from ..kernel.process import Process, STATE_DEAD, STATE_RUNNING
 from ..wasm import (
     Instance, Module, decode_module, encode_module, instantiate, relink,
 )
@@ -48,7 +61,7 @@ from ..wasm.errors import (
     DecodeError, GuestExit, LinkError, Trap, ValidationError, WasmError,
 )
 from ..wasm.interp import Machine
-from .host import WaliHost
+from .host import ENGINE_COST_CALLS, STRUCT_CALLS, WaliHost
 from .mmap_pool import MmapPool
 from .security import SecurityPolicy
 from .sigvirt import VirtualSigTable
@@ -83,8 +96,10 @@ class WaliProcess:
         self.rt = runtime
         self.proc = proc
         self.module = module
-        self.host = WaliHost(runtime, self)
-        self.wali_time_ns = 0
+        # the WALI layer's accounting, for every image this process runs:
+        # syscall name -> [calls, wali_ns]
+        self.cells: Dict[str, List[int]] = {}
+        self.host = WaliHost(runtime, self, module)
         self.exit_status: Optional[int] = None
         self.trap: Optional[Trap] = None
         self.thread: Optional[threading.Thread] = None
@@ -115,6 +130,27 @@ class WaliProcess:
         self.attach(instantiate(self.module, self.host.imports(),
                                 scheme=self.rt.scheme,
                                 tier_up=self.rt.tier_up))
+
+    # views of the cells
+
+    @property
+    def call_counts(self) -> Counter:
+        return Counter({n: c[0] for n, c in self.cells.items() if c[0]})
+
+    @property
+    def call_wali_ns(self) -> Counter:
+        return Counter({n: c[1] for n, c in self.cells.items() if c[0]})
+
+    @property
+    def struct_copy_calls(self) -> int:
+        return sum(c[0] for n, c in self.cells.items() if n in STRUCT_CALLS)
+
+    @property
+    def wali_time_ns(self) -> int:
+        """Fig. 7's WALI share: every call but the process-model ones,
+        whose cost is engine work (``ENGINE_COST_CALLS``)."""
+        return sum(c[1] for n, c in self.cells.items()
+                   if n not in ENGINE_COST_CALLS)
 
     def poll_now(self) -> None:
         """Deliver pending unblocked signals immediately (§3.3)."""
@@ -187,7 +223,10 @@ class WaliRuntime:
         # leaf functions compiled, "all" every function (a fork under a
         # compiled frame then fails); None keeps every function interpreted
         self.tier_up = tier_up
+        # processes whose task is not reaped; release replaces the list,
+        # so a reader iterating it sees a snapshot
         self.processes: List[WaliProcess] = []
+        self._processes_lock = threading.Lock()
 
     # ---- program loading ----
 
@@ -210,7 +249,7 @@ class WaliRuntime:
         proc = self.kernel.create_process(argv, env or {}, cwd=cwd)
         wp = WaliProcess(self, proc, module)
         wp.load_image()
-        self.processes.append(wp)
+        self._track(wp)
         return wp
 
     def run(self, program, argv=None, env=None, cwd: str = "/") -> int:
@@ -246,7 +285,7 @@ class WaliRuntime:
         # the kernel's fork already copied the address space
         child.attach(instance, wp.machine.clone(instance),
                      MmapPool(instance.memory, space=child_proc.mm))
-        self.processes.append(child)
+        self._track(child)
         # the child resumes at the fork return point with result 0
         child.machine.stack.append(0)
         child.start_in_thread(resume=True)
@@ -266,7 +305,7 @@ class WaliRuntime:
         instance.funcs = relink(instance.funcs,
                                 child.host.imports()[MODULE])
         child.attach(instance, pool=wp.pool)  # CLONE_VM: shared pool
-        self.processes.append(child)
+        self._track(child)
 
         def thread_main():
             try:
@@ -283,6 +322,8 @@ class WaliRuntime:
                 except KernelError:
                     pass
             child.exit_status = status
+            if child_proc.state == STATE_DEAD:   # auto-reaped at exit
+                self.release(child_proc.pid)
 
         child.thread = threading.Thread(
             target=thread_main, daemon=True,
@@ -295,7 +336,7 @@ class WaliRuntime:
         # decode and instantiate before the kernel commits: a bad image
         # leaves the process (fds, argv, comm, dispositions) as it was
         module = self._image_from_path(path)
-        host = WaliHost(self, wp)
+        host = WaliHost(self, wp, module)
         try:
             instance = instantiate(module, host.imports(), scheme=self.scheme,
                                    run_start=False, tier_up=self.tier_up)
@@ -304,10 +345,14 @@ class WaliRuntime:
         self.kernel.call(wp.proc, "execve", path, argv, envp)
         raise ExecveImage(module, path, host, instance)
 
-    # ---- reporting ----
+    # ---- process table ----
 
-    def breakdown(self, wp: WaliProcess) -> dict:
-        """Fig. 7 data: share of time in app vs kernel vs WALI."""
-        kernel_ns = self.kernel.kernel_time_ns.get(wp.proc.tgid, 0)
-        wali_ns = wp.wali_time_ns
-        return {"kernel_ns": kernel_ns, "wali_ns": wali_ns}
+    def _track(self, wp: WaliProcess) -> None:
+        with self._processes_lock:
+            self.processes.append(wp)
+
+    def release(self, pid: int) -> None:
+        """Drop the process of a task the kernel reaped."""
+        with self._processes_lock:
+            self.processes = [wp for wp in self.processes
+                              if wp.proc.pid != pid]

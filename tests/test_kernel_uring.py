@@ -378,7 +378,7 @@ class TestRingThroughWali:
 
     def test_event_echo_ring_mode_loopback(self):
         wp = self._echo("loopback")
-        counts = wp.host.call_counts
+        counts = wp.call_counts
         assert counts["io_uring_setup"] == 1
         assert counts["io_uring_enter"] >= 1
         # the point of the ring: no per-op read/write/accept crossings
@@ -409,7 +409,7 @@ class TestRingThroughWali:
             wp = rt.load(build("event_echo"), argv=argv)
             assert wp.run() == 0
             assert b"echoes=300" in rt.kernel.console_output()
-            totals[label] = sum(wp.host.call_counts.values())
+            totals[label] = sum(wp.call_counts.values())
         assert totals["ring"] * 3 <= totals["epoll"], totals
 
     def test_memcached_ring_serving_mode(self):

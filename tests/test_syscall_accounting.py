@@ -87,8 +87,8 @@ def test_every_view_of_one_run_agrees():
     assert f"ServiceNs:\t{service}\n" in status
 
     # the WALI cell counts one crossing per kernel-bound guest call
-    assert wp.host.call_counts["pread64"] == counts["pread64"]
-    assert wp.host.stats()["calls"] == sum(wp.host.call_counts.values())
+    assert wp.call_counts["pread64"] == counts["pread64"]
+    assert wp.host.stats()["calls"] == sum(wp.call_counts.values())
 
 
 def test_wali_time_ignores_sibling_thread_kernel_time():
@@ -114,6 +114,6 @@ def test_wali_time_ignores_sibling_thread_kernel_time():
     t.join()
     # the sibling's 20 ms landed in the group's kernel time meanwhile
     assert k.kernel_time_ns[wp.proc.tgid] >= 20_000_000
-    assert wp.host.call_wali_ns["getpid"] >= 39_000_000
+    assert wp.call_wali_ns["getpid"] >= 39_000_000
     k.call(sibling, "exit", 0)
 

@@ -1,15 +1,18 @@
-"""How a WALI process is made: one constructor and one attach step behind
-load, fork, thread spawn and WASI-over-WALI, cloned instances relinked to
-their own host, and process-changing calls that fail without side effects.
+"""How a WALI process is made and released: one constructor and one attach
+step behind load, fork, thread spawn and WASI-over-WALI, a host that binds
+only its image's imports, cloned instances relinked to their own host,
+process-changing calls that fail without side effects, one accounting store
+per process, and release from ``WaliRuntime.processes`` at reap.
 """
 
 import pytest
 
-from repro.apps import with_libc
+from repro.apps import build, install_all, with_libc
 from repro.cc import compile_source
 from repro.kernel.errno import EACCES
 from repro.kernel.mm import AddressSpace
-from repro.wali import WaliRuntime
+from repro.wali import MODULE, WaliHost, WaliRuntime
+from repro.wali.host import ENGINE_COST_CALLS
 from repro.wasi import wasi_over_wali
 from repro.wasm import I32, I64, ModuleBuilder, encode_module, instantiate
 
@@ -41,8 +44,10 @@ def table_module():
     return mb.build()
 
 
-def process_of(rt, pid):
-    return next(wp for wp in rt.processes if wp.proc.pid == pid)
+def process_of(made, pid):
+    """The process of ``pid`` among those made (``wali_processes``): a
+    thread that has exited is reaped, and gone from ``rt.processes``."""
+    return next(wp for wp in made if wp.proc.pid == pid)
 
 
 def joined(wp):
@@ -51,26 +56,26 @@ def joined(wp):
     return wp
 
 
-def spawn(rt, wp, slot):
-    return process_of(rt, rt.spawn_thread(wp, THREAD_FLAGS, slot, 0))
+def spawn(rt, made, wp, slot):
+    return process_of(made, rt.spawn_thread(wp, THREAD_FLAGS, slot, 0))
 
 
 # ---- one constructor, one attach ----
 
-def by_load(rt):
+def by_load(rt, made):
     return rt.load(table_module())
 
 
-def by_fork(rt):
+def by_fork(rt, made):
     wp = rt.load(table_module())
-    return joined(process_of(rt, rt.fork(wp)))
+    return joined(process_of(made, rt.fork(wp)))
 
 
-def by_thread(rt):
-    return joined(spawn(rt, rt.load(table_module()), RETURN))
+def by_thread(rt, made):
+    return joined(spawn(rt, made, rt.load(table_module()), RETURN))
 
 
-def by_wasi(rt):
+def by_wasi(rt, made):
     host, wp = wasi_over_wali(rt)
     mb = ModuleBuilder("wasi-app")
     mb.add_memory(1, 16)
@@ -79,12 +84,12 @@ def by_wasi(rt):
 
 
 FIELDS = {"rt", "proc", "module", "host", "instance", "machine", "pool",
-          "sigv", "wali_time_ns", "exit_status", "trap", "thread"}
+          "sigv", "cells", "exit_status", "trap", "thread"}
 
 
 @pytest.mark.parametrize("route", [by_load, by_fork, by_thread, by_wasi])
-def test_every_route_builds_the_same_process(route):
-    wp = route(WaliRuntime())
+def test_every_route_builds_the_same_process(route, wali_processes):
+    wp = route(WaliRuntime(), wali_processes)
     assert set(vars(wp)) == FIELDS
     assert wp.host.wp is wp
     assert wp.machine.instance is wp.instance
@@ -97,11 +102,11 @@ def test_every_route_builds_the_same_process(route):
 
 # ---- relinking a clone to its own host ----
 
-def test_thread_spawn_leaves_the_parents_table_alone():
+def test_thread_spawn_leaves_the_parents_table_alone(wali_processes):
     rt = WaliRuntime()
     wp = rt.load(table_module())
     own = wp.instance.funcs[GETTID_IMPORT]
-    child = joined(spawn(rt, wp, RETURN))
+    child = joined(spawn(rt, wali_processes, wp, RETURN))
     assert child.instance.table is wp.instance.table
     assert child.instance.funcs[GETTID_IMPORT] is not own
     # the parent's funcref still reaches the parent's host
@@ -109,14 +114,15 @@ def test_thread_spawn_leaves_the_parents_table_alone():
     assert own.fn() == wp.proc.pid
 
 
-def test_fork_from_a_thread_relinks_every_host_funcref():
+def test_fork_from_a_thread_relinks_every_host_funcref(wali_processes):
     rt = WaliRuntime()
     wp = rt.load(table_module())
-    forker = spawn(rt, wp, WAIT_THEN_FORK)
-    other = joined(spawn(rt, wp, RETURN))
+    forker = spawn(rt, wali_processes, wp, WAIT_THEN_FORK)
+    other = joined(spawn(rt, wali_processes, wp, RETURN))
     wp.instance.memory.store_i32(0, 1)      # let the forker fork
     joined(forker)
-    (child,) = [p for p in rt.processes if p not in (wp, forker, other)]
+    (child,) = [p for p in wali_processes
+                if p not in (wp, forker, other)]
     joined(child)
     # the shared table holds the leader's funcref; the child's copy must
     # call the child's host, whichever host the entry came from
@@ -139,7 +145,8 @@ def test_bad_thread_entry_starts_no_task(fn):
                 kernel.sched.live_pids())
 
     before = state()
-    clone = wp.host.imports()["wali"]["SYS_clone"]
+    # the image does not import SYS_clone: a host with no image binds it
+    clone = WaliHost(rt, wp).imports()["wali"]["SYS_clone"]
     assert clone.fn(THREAD_FLAGS, 0, fn, 0) == -EACCES
     assert state() == before
 
@@ -186,7 +193,7 @@ export func _start() {
     assert rt.kernel.vfs.read_file("/keep") == b"x"
 
 
-def test_fork_copies_the_address_space_once(monkeypatch):
+def test_fork_copies_the_address_space_once(monkeypatch, wali_processes):
     copies = []
     copy = AddressSpace.fork_copy
 
@@ -196,7 +203,96 @@ def test_fork_copies_the_address_space_once(monkeypatch):
 
     monkeypatch.setattr(AddressSpace, "fork_copy", counted)
     rt = WaliRuntime()
-    child = by_fork(rt)
+    child = by_fork(rt, wali_processes)
     (space,) = copies
     assert child.proc.mm is child.pool.space is space
     assert space.grow_hook == child.pool._ensure_backing
+
+
+# ---- a host binds its image's imports ----
+
+SH_PIPELINE = b"echo thin kernel > /tmp/f\ncat /tmp/f | wc\nexit 0\n"
+
+
+def wali_imports(module):
+    return {im.name for im in module.imports if im.module == MODULE}
+
+
+def run_shell(rt):
+    """Run mini_sh over a pipeline: it forks, and its children execve."""
+    install_all(rt, ["echo", "cat", "wc"])
+    rt.kernel.vfs.write_file("/tmp/in", SH_PIPELINE)
+    root = rt.load(build("mini_sh"), argv=["mini_sh", "/tmp/in"])
+    assert root.run() == 0
+    assert rt.kernel.console_output() == b"1 12\n"
+    return root
+
+
+def test_every_host_binds_exactly_its_images_imports(monkeypatch):
+    bound = []
+    imports = WaliHost.imports
+
+    def recording(host):
+        ns = imports(host)
+        bound.append((host.image, set(ns[MODULE])))
+        return ns
+
+    monkeypatch.setattr(WaliHost, "imports", recording)
+    rt = WaliRuntime()
+    rt.load(build("mini_sqlite"))
+    run_shell(rt)
+    for image, names in bound:
+        assert names == wali_imports(image), image.name
+    images = [image.name for image, _ in bound]
+    # the load, each forked child of the shell, and each execve'd tool
+    assert images.count("mini_sqlite") == 1
+    assert images.count("mini_sh") >= 3
+    assert {"/bin/cat.wasm", "/bin/wc.wasm"} <= set(images)
+
+
+# ---- one accounting store per process ----
+
+def test_accounting_outlives_execve():
+    rt = WaliRuntime()
+    install_all(rt, ["echo"])
+    wp = rt.load(compile_source(with_libc(r"""
+buffer argvv[12];
+export func _start() {
+    var pid: i64 = SYS_getpid();
+    store32(argvv, "/bin/echo.wasm");
+    store32(argvv + 4, "after");
+    store32(argvv + 8, 0);
+    execve("/bin/echo.wasm", argvv, 0);
+    exit(9);
+}
+"""), name="first"), argv=["first"])
+    assert wp.run() == 0
+    assert wp.module.name == "/bin/echo.wasm"
+    assert b"after" in rt.kernel.console_output()
+    counts = wp.call_counts
+    # the first image's calls, then echo's
+    assert counts["getpid"] == 1 and counts["execve"] == 1
+    assert counts["write"] >= 1
+    assert wp.wali_time_ns == sum(
+        ns for name, (_, ns) in wp.cells.items()
+        if name not in ENGINE_COST_CALLS) > 0
+
+
+# ---- release at reap ----
+
+def test_an_exited_thread_leaves_the_runtime(wali_processes):
+    rt = WaliRuntime()
+    wp = rt.load(table_module())
+    child = joined(spawn(rt, wali_processes, wp, RETURN))
+    assert child.proc.pid not in rt.kernel.processes
+    assert rt.processes == [wp]
+
+
+def test_a_shell_holds_only_unreaped_processes(wali_processes):
+    rt = WaliRuntime()
+    root = run_shell(rt)
+    assert len(wali_processes) >= 3        # the pipeline forked
+    # every child was waited for; the root is a zombie nobody waits for
+    assert rt.processes == [root]
+    live = rt.kernel.processes
+    assert all(live.get(wp.proc.pid) is wp.proc for wp in rt.processes)

@@ -15,7 +15,7 @@ from repro.kernel.calls.fs import Stat
 from repro.kernel.errno import EINVAL
 from repro.wali import (
     AUTO_PASSTHROUGH, GUEST_LAYOUT, Layout, SYSCALLS, SecurityPolicy,
-    WaliRuntime, coverage_report, handler_loc, implemented_names,
+    WaliHost, WaliRuntime, coverage_report, handler_loc, implemented_names,
 )
 from repro.wasm import I32, I64, ModuleBuilder, Trap
 from repro.wasm.errors import GuestExit, TrapOutOfBounds, TrapSyscall
@@ -73,14 +73,15 @@ class TestSpec:
 
 def bare_process():
     """A fresh runtime with one loaded, never started, one-page guest, and
-    its ``wali`` imports: tests call the HostFuncs directly with raw
-    (unsigned) Wasm values, as the interpreter does."""
+    every ``wali`` import, bound by a host with no image (the guest
+    imports none): tests call the HostFuncs directly with raw (unsigned)
+    Wasm values, as the interpreter does."""
     mb = ModuleBuilder("bare")
     mb.add_memory(1)
     mb.func("_start", params=[], results=[], export=True).end()
     rt = WaliRuntime()
     wp = rt.load(mb.build())
-    return rt, wp, wp.host.imports()["wali"]
+    return rt, wp, WaliHost(rt, wp).imports()["wali"]
 
 
 def sys_call(ns, name, *raw):
@@ -859,6 +860,5 @@ export func _start() {
         stats = wp.host.stats()
         assert stats["calls"] >= 200
         assert stats["zero_copy_translations"] >= 200
-        bd = rt.breakdown(wp)
-        assert bd["kernel_ns"] > 0
-        assert bd["wali_ns"] >= 0
+        assert rt.kernel.kernel_time_ns[wp.proc.tgid] > 0
+        assert wp.wali_time_ns >= 0

@@ -310,7 +310,7 @@ def test_22_proc_exit_and_layering_proof(h):
     # the kernel counted exactly the calls the WALI host counted
     counts = h.rt.kernel.syscall_counts
     assert counts["exit_group"] == 1 and counts["openat"] >= 2
-    assert Counter(counts) == Counter(h.wp.host.call_counts)
+    assert Counter(counts) == Counter(h.wp.call_counts)
     # and the WASI layer holds no kernel object to reach around WALI with
     assert not any(isinstance(v, (Kernel, Process))
                    for v in vars(h.host).values())
