@@ -6,9 +6,10 @@ paper's WAMR interp-vs-AoT split and §3.3's safepoint discussion):
 1. **interpreter vs compiled tier**: the explicit-state interpreter is what
    makes fork/reentrancy possible; the compiled tier is several times
    faster but cannot fork (engine restriction, §3.6 item 5).  WALI runs
-   both (``tier_up="leaves"``): host-free looping leaves compiled,
-   everything that can reach a syscall interpreted.  The native tier
-   compiles every function (``tier_up="all"``).  This bench quantifies
+   both (``tier_up="fork_free"``): every function that reaches no fork,
+   clone or ``execve`` import compiled, the paths to those calls
+   interpreted.  The native tier compiles every function
+   (``tier_up="all"``).  This bench quantifies
    the gap on a compute kernel and on a full guest workload.
 2. **zero-copy vs struct-copy syscall paths** (§3.2): compares a pure
    passthrough (write) against a layout-converting call (fstat) to show the
@@ -78,13 +79,13 @@ def test_ablation_interp_vs_compiled(benchmark):
         "",
         "Full workload (mini-lua, scale 300):",
         f"  WALI tier (mixed): {wali.run_s * 1000:8.1f} ms (forkable, "
-        "signal-reentrant; host-free looping leaves compiled)",
+        "signal-reentrant; fork-free functions compiled)",
         f"  compiled tier:     {native.run_s * 1000:8.1f} ms (every "
         "function compiled; fork fails — engine restriction, §3.6 item 5)",
         "",
         "The interpreter's explicit machine state buys fork and safepoint "
         "reentrancy; mixed mode pays it only in functions that can reach "
-        "a syscall.",
+        "a fork, clone or execve.",
     ]
     save_report("ablation_tiers.txt", "\n".join(out))
     assert speedup > 1.5
@@ -117,7 +118,7 @@ def test_ablation_zero_copy_vs_struct_copy(benchmark):
         f"  fstat (kstat ABI conversion): {fstat_ns:8.0f} ns "
         f"({fstat_ns / max(write_ns, 1):.1f}x)",
         "",
-        f"zero-copy translations so far: {host.zero_copy_calls}; "
+        f"zero-copy translations so far: {wp.zero_copy_calls}; "
         f"struct-copy calls: {wp.struct_copy_calls}",
         "paper §3.2: <10% of calls take the copy path; its premium is why "
         "WALI keeps a dedicated portable layout for the few "

@@ -245,7 +245,10 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         tracepoints (exit carries ``-errno`` in ``arg``, 0 on success) and
         makes the kernel's four accounting writes: ``kernel_time_ns[tgid]``,
         ``proc.rusage.stime_ns``, the ``syscall.<name>`` counter cell and
-        the latency histogram.  The histogram splits the elapsed time into
+        the latency histogram.  The first two charge the whole call, from
+        entry to after the last of the exit bookkeeping (histogram, counter,
+        tracepoint, perf sample), so none of it lands in the caller's WALI
+        time.  The histogram splits the elapsed time into
         *service* (inside the handler) and *runnable-wait* (queued for a
         CPU slot, read back from ``sched_wait_ns``), so tail-latency reports
         can separate kernel cost from contention.
@@ -281,10 +284,9 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
                 else:
                     bd.drop_pending()  # error paths forfeit unsettled cost
             self.sched.syscall_exit(proc)
-            dt = _time.perf_counter_ns() - t0
-            self.kernel_time_ns[tgid] += dt
-            proc.rusage.stime_ns += dt
             if trace is not None:
+                # the histogram's span ends at the scheduler's exit
+                dt = _time.perf_counter_ns() - t0
                 wait = self.sched_wait_ns.get(tgid, 0) - w0
                 trace.record_syscall(name, dt - wait, wait)
                 trace.counters.inc(counter)
@@ -295,6 +297,10 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
             perf = self.perf
             if perf.active:
                 perf.on_syscall(proc)
+            # the kernel's time is the whole call, its bookkeeping included
+            dt = _time.perf_counter_ns() - t0
+            self.kernel_time_ns[tgid] += dt
+            proc.rusage.stime_ns += dt
 
     @property
     def syscall_counts(self) -> Counter:

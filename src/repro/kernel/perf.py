@@ -55,9 +55,11 @@ ring.  Decode captures with :func:`decode_perf_records`.
 from __future__ import annotations
 
 import struct
+import sys
 import threading
 from typing import List, NamedTuple, Tuple
 
+from ..wasm.interp import COMPILED_FILE
 from .errno import EINVAL, ENOTTY, KernelError
 from .eventpoll import EPOLLIN, BoundedRing, WaitQueue
 from .trace import TRACEPOINT_IDS
@@ -202,13 +204,17 @@ class PerfRing(BoundedRing):
         return encode_lost(count)
 
 
-def _walk_frames(proc) -> Tuple[str, ...]:
+def _walk_frames(proc, tick: bool = False) -> Tuple[str, ...]:
     """The guest wasm call stack, outermost first.
 
-    Best effort: syscall-driven samples walk the *calling* task's own
-    machine (parked inside the host import call, every frame's pc
-    committed — a consistent snapshot); tick-driven samples may race a
-    running interpreter, so any surprise degrades to a single ``?``.
+    The interpreter's frames come from the task's machine; while compiled
+    code runs (``machine.native_depth``), the compiled frames follow them,
+    read off the Python stack of the task's host thread
+    (:func:`_compiled_frames`).  Best effort: syscall-driven samples walk
+    the *calling* task's own machine and thread (parked inside the host
+    import call, every frame's pc committed — a consistent snapshot);
+    tick-driven samples (``tick``) may race a running interpreter, so any
+    surprise degrades to a single ``?``.
     """
     machine = getattr(proc, "machine", None)
     if machine is None:
@@ -218,9 +224,30 @@ def _walk_frames(proc) -> Tuple[str, ...]:
         for frame in machine.frames:
             name = getattr(frame[0], "name", None)
             names.append(name if name else "?")
+        if machine.native_depth:
+            names += _compiled_frames(proc, tick)
         return tuple(names)
     except Exception:
         return ("?",)
+
+
+def _compiled_frames(proc, tick: bool) -> List[str]:
+    """The compiled wasm frames (code filed as ``<wasm:NAME>``) on the
+    task's host thread, outermost first: the caller's own stack for a
+    syscall-driven sample, which runs in the task's thread, and that
+    thread's stack from ``sys._current_frames()`` for a tick."""
+    if tick:
+        frame = sys._current_frames().get(proc.se.host_thread)
+    else:
+        frame = sys._getframe()
+    names = []
+    while frame is not None:
+        filename = frame.f_code.co_filename
+        if filename.startswith(COMPILED_FILE):
+            names.append(filename[len(COMPILED_FILE):-1])
+        frame = frame.f_back
+    names.reverse()
+    return names
 
 
 class SamplingPerfEvent:
@@ -282,8 +309,9 @@ class SamplingPerfEvent:
     def matches(self, pid: int) -> bool:
         return self.scope == -1 or self.scope == pid
 
-    def opportunity(self, proc) -> None:
-        """One opportunity for ``proc``; sample if the period elapsed."""
+    def opportunity(self, proc, tick: bool = False) -> None:
+        """One opportunity for ``proc``; sample if the period elapsed.
+        ``tick``: a scheduler tick, taken on another task's thread."""
         if not self.enabled:
             return
         with self._lock:
@@ -304,7 +332,7 @@ class SamplingPerfEvent:
         nice = se.nice if se is not None else 0
         vrt = se.vruntime_ns if se is not None else 0
         record = encode_sample(now, proc.pid, nice, vrt,
-                               _walk_frames(proc))
+                               _walk_frames(proc, tick))
         self.samples += 1
         self.ring.push(record)
 
@@ -494,7 +522,7 @@ class PerfSubsystem:
         for proc in list(running):
             for event in self._sampling:
                 if event.enabled and event.matches(proc.pid):
-                    event.opportunity(proc)
+                    event.opportunity(proc, tick=True)
 
     # ---- reporting (/proc/perf) ----
 

@@ -6,7 +6,7 @@ Four ways to run the same application image:
 tier    startup work                 execution                       base mem
 ======  ===========================  ==============================  ========
 native  link + bind compiled code    ``tier_up="all"``, no sandbox   ~2 MB
-wali    decode + validate + link     ``tier_up="leaves"``            ~4 MB
+wali    decode + validate + link     ``tier_up="fork_free"``         ~4 MB
 qemu    translate to guest binary    decode-on-fetch emulator        ~6 MB
 docker  assemble image + namespaces  ``tier_up="all"``, near-native  ~30 MB
 ======  ===========================  ==============================  ========
@@ -14,10 +14,11 @@ docker  assemble image + namespaces  ``tier_up="all"``, near-native  ~30 MB
 Every tier loads the image into a :class:`~repro.wali.WaliRuntime` over
 its own kernel and runs it with :meth:`~repro.wali.WaliProcess.run`; the
 tiers differ in the compiled tier's rule (``docs/perf.md``, "The compiled
-tier").  Under ``"leaves"``, host-free looping leaves run compiled and
-everything that can reach a syscall runs interpreted.  Under ``"all"``
-every function is compiled, so a ``fork`` fails with EAGAIN: the native
-and docker tiers run only workloads that do not fork.  The qemu tier
+tier").  Under ``"fork_free"``, every function that reaches no fork,
+clone or ``execve`` import runs compiled, syscalls included, and the
+paths to those calls run interpreted, so the wali tier forks.  Under
+``"all"`` every function is compiled, so a ``fork`` fails with EAGAIN:
+the native and docker tiers run only workloads that do not fork.  The qemu tier
 emulates every function.
 
 Startup and run times are *measured* (the work is real: validation,
@@ -84,7 +85,7 @@ class Workload:
 
 # tier -> (safepoint scheme, tier-up rule) of the runtime it loads into
 _LOAD = {"native": ("none", "all"), "docker": ("none", "all"),
-         "wali": ("loop", "leaves"), "qemu": ("none", None)}
+         "wali": ("loop", "fork_free"), "qemu": ("none", None)}
 
 
 def _load(tier: str, kernel: Kernel, module: Module, workload: Workload,

@@ -29,7 +29,9 @@ Implementation shape mirrors the paper:
   ``wali_ns`` is the handler's wall time minus the kernel time the calling
   thread spent inside it.  The cells outlive every image the process runs;
   ``call_counts``, ``call_wali_ns``, ``struct_copy_calls``,
-  ``wali_time_ns`` and :meth:`WaliHost.stats` are views of them.
+  ``wali_time_ns`` and :meth:`WaliHost.stats` are views of them.  The
+  translation counters ``zero_copy_calls`` and ``fixed_elides`` live next
+  to the cells, on the process, for the same reason.
 """
 
 from __future__ import annotations
@@ -105,9 +107,6 @@ class WaliHost:
         self.policy = runtime.policy
         # the module whose ``wali`` imports this host binds; None binds all
         self.image = image
-        self.zero_copy_calls = 0
-        # per-SQE/CQE address translations skipped via registered buffers
-        self.fixed_elides = 0
 
     # ------------------------------------------------------------------
     # translation helpers (§3.2 address-space translation)
@@ -136,7 +135,7 @@ class WaliHost:
 
     def view(self, ptr: int, length: int):
         """Zero-copy translated view of guest memory."""
-        self.zero_copy_calls += 1
+        self.wp.zero_copy_calls += 1
         return self.mem.read(ptr, length)
 
     def copy_out(self, ptr: int, data: bytes) -> None:
@@ -603,7 +602,7 @@ class WaliHost:
                     if slot is not None:
                         sqe.data = bytes(self.mem.read_bytes(
                             slot[0], min(length, slot[1])))
-                        self.fixed_elides += 1
+                        self.wp.fixed_elides += 1
                     # a bad index falls through: the kernel op EINVALs
                 else:
                     # outbound payloads are snapshot at submission (§3.2
@@ -627,7 +626,7 @@ class WaliHost:
                     # registered slot: cqe.addr was translated at
                     # register time, so this lands without per-CQE work
                     self.mem.write(cqe.addr, cqe.data)
-                    self.fixed_elides += 1
+                    self.wp.fixed_elides += 1
                 elif cqe.addr:
                     self.copy_out(cqe.addr, cqe.data)
             self.copy_out(
@@ -1079,9 +1078,9 @@ class WaliHost:
         return {
             "calls": sum(counts.values()),
             "unique_syscalls": len(counts),
-            "zero_copy_translations": self.zero_copy_calls,
+            "zero_copy_translations": wp.zero_copy_calls,
             "struct_copy_calls": wp.struct_copy_calls,
-            "fixed_buffer_elides": self.fixed_elides,
+            "fixed_buffer_elides": wp.fixed_elides,
             "wali_time_ns": wp.wali_time_ns,
         }
 

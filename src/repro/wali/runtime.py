@@ -34,8 +34,8 @@ The routes differ only in where the instance comes from:
   app's instance.
 
 **Accounting.** ``WaliProcess.cells`` is the process's one WALI store,
-kept across ``execve``; :mod:`repro.wali.host` describes its writer and
-views.
+kept across ``execve`` with the translation counters beside it;
+:mod:`repro.wali.host` describes its writer and views.
 
 **Relink.** A cloned instance shares its parent's function list, so it is
 pointed at the child's ``wali`` imports with :func:`repro.wasm.relink`, by
@@ -99,6 +99,10 @@ class WaliProcess:
         # the WALI layer's accounting, for every image this process runs:
         # syscall name -> [calls, wali_ns]
         self.cells: Dict[str, List[int]] = {}
+        # zero-copy address translations, and the per-SQE/CQE translations
+        # that registered buffers skipped
+        self.zero_copy_calls = 0
+        self.fixed_elides = 0
         self.host = WaliHost(runtime, self, module)
         self.exit_status: Optional[int] = None
         self.trap: Optional[Trap] = None
@@ -214,14 +218,15 @@ class WaliRuntime:
     def __init__(self, kernel: Optional[Kernel] = None,
                  arch: str = "x86_64", scheme: str = "loop",
                  policy: Optional[SecurityPolicy] = None,
-                 tier_up: Optional[str] = "leaves"):
+                 tier_up: Optional[str] = "fork_free"):
         self.kernel = kernel if kernel is not None else Kernel(machine=arch)
         self.arch = arch
         self.scheme = scheme
         self.policy = policy
-        # the compiled tier's rule (wasm/compile.py): "leaves" runs looping
-        # leaf functions compiled, "all" every function (a fork under a
-        # compiled frame then fails); None keeps every function interpreted
+        # the compiled tier's rule (wasm/compile.py): "fork_free" runs every
+        # function that reaches no fork, clone or execve import compiled,
+        # "all" every function (a fork under a compiled frame then fails);
+        # None keeps every function interpreted
         self.tier_up = tier_up
         # processes whose task is not reaped; release replaces the list,
         # so a reader iterating it sees a snapshot

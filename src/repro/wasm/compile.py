@@ -24,13 +24,17 @@ interpreter enters compiled code at ``CALL_NATIVE``.
 
 :func:`compiled_functions` picks what tiers up by one of two rules:
 
-* ``"leaves"`` (the WALI default): a compiled activation lives on the
-  Python call stack, so it cannot be forked (cf. §3.6 item 5).  Only
-  *leaves* — functions whose static call graph reaches no import — that
-  contain a loop run compiled; everything that can reach a syscall stays
-  interpreted.
+* ``"fork_free"`` (the WALI default): a compiled activation lives on the
+  Python call stack, so it cannot be forked (cf. §3.6 item 5).  Every
+  *fork-free* function (:func:`fork_free_functions`) runs compiled: one
+  whose static call graph reaches no fork, clone or ``execve`` import.
+  Every other syscall is called from compiled code.
 * ``"all"``: every defined function (the Fig. 8 native and docker
   tiers).  A ``fork`` made under a compiled frame fails with EAGAIN.
+
+A trap inside compiled code leaves ``Machine.steps`` exact: every source
+line records the steps pending there (``f.pending``, by line), which the
+interpreter adds at ``CALL_NATIVE`` (:meth:`Machine._retire_trap`).
 
 ``docs/perf.md``, "The compiled tier", has the rules.
 """
@@ -40,16 +44,16 @@ from __future__ import annotations
 import math
 import struct
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from .binary import encode_module
 from .errors import Trap, TrapUnreachable
 from .interp import (
-    HostFunc, _atomic_add, _atomic_cas, _clz, _ctz, _fceil, _fdiv, _ffloor,
-    _fmax, _fmin, _fnearest, _fsqrt, _ftrunc, _idiv_s, _irem_s, _rotl, _sext,
-    _trunc, _udiv, _urem,
+    COMPILED_FILE, HostFunc, _atomic_add, _atomic_cas, _clz, _ctz, _fceil,
+    _fdiv, _ffloor, _fmax, _fmin, _fnearest, _fsqrt, _ftrunc, _idiv_s,
+    _irem_s, _rotl, _sext, _trunc, _udiv, _urem,
 )
-from .module import Module
+from .module import KIND_FUNC, Module
 from .types import F64, MASK32, MASK64, signed32, signed64
 
 _BINOPS32 = {
@@ -199,7 +203,9 @@ class _FnCompiler:
     (branch, return, call, loop entry, the end of a block or of an ``if``
     arm) adds them.  The loop header's poll op is added on each edge into
     the header, so ``m.steps`` is exact whenever the poll hook, a callee or
-    the host runs.
+    the host runs.  Each emitted line records ``self.pend`` as it stands
+    there (the op the line executes included), so a trap raised on a line
+    adds what was pending (:attr:`line_pend`).
     """
 
     def __init__(self, module: Module, func_idx: int, scheme: str):
@@ -212,6 +218,7 @@ class _FnCompiler:
         self.w = 2 if scheme == "all" else 1
         self.pend = 0
         self.lines: List[str] = []
+        self.pends: List[int] = []     # self.pend at each line of lines
         self.indent = 1
         self.height = 0
         self.ctrls: List[_Ctrl] = []
@@ -223,6 +230,7 @@ class _FnCompiler:
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
+        self.pends.append(self.pend)
 
     def push_expr(self, expr: str) -> None:
         self.emit(f"s{self.height} = {expr}")
@@ -594,8 +602,8 @@ class _FnCompiler:
         self.flush()
         if self.scheme in ("func", "all"):
             self.poll()
-        entry = self.lines
-        self.lines = []
+        entry, entry_pends = self.lines, self.pends
+        self.lines, self.pends = [], []
         self.compile_body(self.fn.body)
         if not self.dead:
             self.tick()          # the flat ``ret`` that ends the body
@@ -619,6 +627,9 @@ class _FnCompiler:
             prelude.append(
                 f"    l{n_params + i} = " +
                 ("0.0" if t == F64 else "0"))
+        # the steps pending at each source line (1-based, the header first)
+        self.line_pend = ([0] * (1 + len(prelude)) + entry_pends +
+                          self.pends)
         return "\n".join([header] + prelude + entry + self.lines)
 
 
@@ -661,15 +672,18 @@ for _name, _fmt in (("P2", "<H"), ("P4", "<I"), ("P8", "<Q"),
 def _define(m: Module, idxs, scheme: str) -> tuple:
     """Compile functions ``idxs`` of ``m`` into one namespace (where
     compiled functions call each other by name); returns it with the
-    indices that failed to compile."""
+    indices that failed to compile.  Each function's code is filed as
+    ``<wasm:NAME>`` (:data:`~repro.wasm.interp.COMPILED_FILE`), which is how
+    a trap and the perf stack walk find compiled frames."""
     scope = dict(_HELPERS)
     failed = set()
     n_imp = m.num_imported_funcs
     for i in idxs:
         try:
-            src = _FnCompiler(m, i, scheme).source()
-            exec(compile(src, f"<wasm:{m.funcs[i - n_imp].name or i}>",
-                         "exec"), scope)
+            fc = _FnCompiler(m, i, scheme)
+            filename = f"{COMPILED_FILE}{m.funcs[i - n_imp].name or i}>"
+            exec(compile(fc.source(), filename, "exec"), scope)
+            scope[f"_f{i}"].pending = tuple(fc.line_pend)
         except (Trap, IndexError, SyntaxError):
             # a construct the compiler lacks, or nesting past Python's
             # static block limit
@@ -691,14 +705,14 @@ _CACHE: Dict[tuple, Dict[int, Callable]] = {}
 _CACHE_MAX = 64
 _CACHE_LOCK = threading.Lock()
 
-RULES = ("leaves", "all")
+RULES = ("fork_free", "all")
 
 
 def compiled_functions(m: Module, scheme: str,
                        rule: str) -> Dict[int, Callable]:
     """The compiled bodies of the functions of ``m`` that ``rule`` tiers
-    up, by function index: under ``"leaves"`` the leaves that contain a
-    loop (:func:`leaf_functions`), under ``"all"`` every defined function.
+    up, by function index: under ``"fork_free"`` every fork-free function
+    (:func:`fork_free_functions`), under ``"all"`` every defined function.
     Each is ``f(machine, *args)``.  A function that fails to compile, and
     every function that calls it, stays interpreted.
 
@@ -725,7 +739,7 @@ def _compile(m: Module, scheme: str, rule: str) -> Dict[int, Callable]:
     if rule == "all":
         entries = range(n_imp, n_imp + len(m.funcs))
     else:
-        entries = [i for i, loop in leaf_functions(m).items() if loop]
+        entries = fork_free_functions(m)
 
     def closure(i: int, seen: set) -> set:
         if i >= n_imp and i not in seen:
@@ -743,8 +757,13 @@ def _compile(m: Module, scheme: str, rule: str) -> Dict[int, Callable]:
 
 
 # --------------------------------------------------------------------------
-# the leaf rule: functions that can never enter the host
+# the fork-free rule: functions under which no fork, clone or execve starts
 # --------------------------------------------------------------------------
+
+# the imports that copy or replace the calling process
+FORK_IMPORTS = frozenset({"SYS_fork", "SYS_vfork", "SYS_clone", "SYS_clone3",
+                          "SYS_execve"})
+
 
 def _walk(body: list):
     for instr in body:
@@ -757,41 +776,41 @@ def _walk(body: list):
                 yield from _walk(instr[3])
 
 
-def leaf_functions(m: Module) -> Dict[int, bool]:
-    """Every *leaf* of ``m``, mapped to whether its own body has a loop.
+def fork_free_functions(m: Module) -> Set[int]:
+    """The indices of the *fork-free* functions of ``m``.
 
-    A defined function is a leaf when its static call graph reaches no
-    import and no cycle, and contains no ``call_indirect``,
-    ``memory.grow`` or atomic op.  A leaf can therefore never enter the
-    host (no syscall, fork, execve or signal re-entry starts inside it),
-    and its compiled form recurses no deeper than its call graph.
+    A defined function is fork-free when its static call graph contains
+    no cycle, ``call_indirect``, ``memory.grow`` or atomic op, and reaches
+    no import in :data:`FORK_IMPORTS`.  No fork, clone or ``execve`` can
+    start inside one, so no process copy or image replacement meets a
+    compiled activation but one made from a signal handler, which the
+    runtime refuses; and its compiled form recurses no deeper than its
+    call graph.
     """
-    n_imp = m.num_imported_funcs
+    imported = m.imported(KIND_FUNC)
+    n_imp = len(imported)
     facts = {}
     for i, fn in enumerate(m.funcs):
-        calls, pure, loop = set(), True, False
+        calls, pure = set(), True
         for instr in _walk(fn.body):
             op = instr[0]
             if op == "call":
                 calls.add(instr[1])
-            elif op == "loop":
-                loop = True
             elif op in ("call_indirect", "memory.grow") or ".atomic." in op:
                 pure = False
-        facts[n_imp + i] = (calls, pure, loop)
+        facts[n_imp + i] = (calls, pure)
     state: Dict[int, Optional[bool]] = {}   # None: on the DFS path
 
-    def leaf(i: int) -> bool:
+    def fork_free(i: int) -> bool:
         if i < n_imp:
-            return False
+            return imported[i].name not in FORK_IMPORTS
         if i in state:
             return bool(state[i])            # a cycle reads None
         state[i] = None
-        calls, pure, _ = facts[i]
-        ok = pure
+        calls, ok = facts[i]
         for c in calls:
-            ok = leaf(c) and ok
+            ok = fork_free(c) and ok
         state[i] = ok
         return ok
 
-    return {i: facts[i][2] for i in facts if leaf(i)}
+    return {i for i in facts if fork_free(i)}

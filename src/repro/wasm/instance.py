@@ -145,7 +145,7 @@ def instantiate(module: Module, imports: Optional[dict] = None,
                 tier_up: Optional[str] = None) -> Instance:
     """Link and initialise a module; returns a live :class:`Instance`.
 
-    ``tier_up`` names the rule, ``"leaves"`` or ``"all"``, by which
+    ``tier_up`` names the rule, ``"fork_free"`` or ``"all"``, by which
     functions get compiled bodies that the interpreter calls directly
     (:func:`repro.wasm.compile.compiled_functions`); None keeps every
     function interpreted."""

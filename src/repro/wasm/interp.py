@@ -46,17 +46,21 @@ on the Python stack, so running out of it is :class:`TrapStackExhausted`
 at ``CALL_NATIVE``.  While a compiled body runs,
 ``Machine.native_depth`` is nonzero: the host, or a signal handler
 entered from a compiled safepoint, runs above Python frames that fork
-cannot copy.  Under the WALI default (``tier_up="leaves"``) only
-host-free leaves are compiled, so fork, ``execve`` and the WALI crossing
-see plain machine state.  A machine with ``fuel`` set runs every function
-interpreted instead.
+cannot copy.  Under the WALI default (``tier_up="fork_free"``) only
+functions that reach no fork, clone or ``execve`` import are compiled,
+so those calls see plain machine state; a ``fork`` from a signal handler
+above a compiled frame is refused.  Compiled frames are Python frames
+filed as ``<wasm:NAME>`` (:data:`COMPILED_FILE`): the perf stack walk
+reads them off the task's thread.  A machine with ``fuel`` set runs
+every function interpreted instead.
 
 ``Machine.steps`` counts instructions retired (the perf ``instructions``
 counter).  ``run`` keeps it, and the fuel limit, in locals and writes it
 back to the machine before every host call, compiled call and safepoint
 hook and when it returns or raises; a nested ``run`` inside a host call
 continues from, and leaves behind, the exact count, and a compiled body
-adds the steps the interpreter would have retired.
+adds the steps the interpreter would have retired, up to the trapping op
+when it traps (:meth:`Machine._retire_trap`).
 
 Values are Python ints in unsigned representation (i32 in ``[0, 2**32)``,
 i64 in ``[0, 2**64)``) and Python floats for f64.
@@ -78,6 +82,9 @@ from .flatten import FlatCode
 from .types import FuncType, I32, I64, MASK32, MASK64, signed32, signed64
 
 MAX_FRAMES = 2000
+
+# the file name prefix of a compiled function's code: ``<wasm:NAME>``
+COMPILED_FILE = "<wasm:"
 
 # One engine-wide lock serialises guest atomic RMW operations (the threads
 # proposal subset used by the guest libc's mutexes), on both tiers.
@@ -710,7 +717,7 @@ class Machine:
                     pc = target
                     continue
                 if k == CALL_NATIVE and fuel is None:
-                    # a compiled leaf retires its own steps into
+                    # a compiled body retires its own steps into
                     # self.steps; under fuel it runs interpreted instead
                     native, code = imm
                     n = code.n_params
@@ -727,6 +734,9 @@ class Machine:
                     except RecursionError:
                         # compiled calls recurse on the Python stack
                         raise TrapStackExhausted("compiled tier") from None
+                    except Trap as exc:
+                        self._retire_trap(exc)
+                        raise
                     finally:
                         self.native_depth -= 1
                         stop = limit - self.steps + pc
@@ -760,13 +770,32 @@ class Machine:
         finally:
             self.steps = limit - stop + pc
 
+    def _retire_trap(self, exc: Trap) -> None:
+        """Add the steps the innermost compiled frame under ``exc`` had
+        pending on the line that raised it (``pending``, recorded per line
+        by :mod:`.compile`), so a trap leaves ``steps`` exact.  Once per
+        trap: every enclosing ``CALL_NATIVE`` sees it again, and the frames
+        between had retired their steps before they called."""
+        if getattr(exc, "retired", False):
+            return
+        exc.retired = True
+        tb, last = exc.__traceback__, None
+        while tb is not None:
+            if tb.tb_frame.f_code.co_filename.startswith(COMPILED_FILE):
+                last = tb
+            tb = tb.tb_next
+        if last is not None:
+            frame = last.tb_frame
+            native = frame.f_globals[frame.f_code.co_name]
+            self.steps += native.pending[last.tb_lineno - 1]
+
     def _slow_op(self, k: int, imm) -> bool:
         """Execute an out-of-line kind; True when it pushed a wasm frame."""
         stack = self.stack
         inst = self.instance
         mem = inst.memory
         if k == CALL_INDIRECT or k == CALL_NATIVE:
-            if k == CALL_NATIVE:     # under fuel: run the leaf interpreted
+            if k == CALL_NATIVE:     # under fuel: run it interpreted
                 code = imm[1]
             else:
                 callee = self._resolve_indirect(stack.pop(), imm)

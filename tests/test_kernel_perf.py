@@ -496,6 +496,11 @@ class TestGuestStacks:
         rt = WaliRuntime()
         module = compile_source(_SHAPE_SOURCE, name="shape")
         wp = rt.load(module, argv=["shape"])
+        # the levels run compiled: their frames come off the Python stack
+        names = [f.name for f in module.funcs]
+        n_imp = module.num_imported_funcs
+        for name in ("lvl1", "lvl2", "lvl3"):
+            assert wp.instance.funcs[n_imp + names.index(name)].native
         attr = PerfAttr(type=PERF_TYPE_SAMPLING, sample_freq=1000,
                         ring_capacity=64)
         event = rt.kernel.perf.open_event(wp.proc, attr, wp.proc.pid,
@@ -514,6 +519,35 @@ class TestGuestStacks:
             assert not r.is_lost_marker
         f = from_samples(recs)
         assert list(f) == [("_start", "lvl1", "lvl2", "lvl3")]
+
+    def test_tick_sample_reads_the_tasks_thread(self):
+        """A tick-driven sample runs on another task's thread: it reads
+        the sampled task's compiled frames off that task's thread."""
+        from repro.apps import with_libc
+        from repro.cc import compile_source
+        from repro.kernel import SIGKILL
+        from repro.kernel.perf import _walk_frames
+        from repro.wali import WaliRuntime
+
+        rt = WaliRuntime()
+        wp = rt.load(compile_source(with_libc(r"""
+buffer flag[4];
+func spin() { while (load32(flag) == 0) { } }
+export func _start() { SYS_getpid(); spin(); }
+"""), name="spin"))
+        wp.start_in_thread()
+        deadline = time.monotonic() + 10
+        while wp.machine.native_depth == 0:
+            assert time.monotonic() < deadline, "never entered spin"
+            time.sleep(0.001)
+        try:
+            assert _walk_frames(wp.proc, tick=True) == ("_start", "spin")
+        finally:
+            rt.kernel.call(rt.kernel.process(1), "kill", wp.proc.pid,
+                           SIGKILL)
+            wp.join(5)
+        assert not wp.thread.is_alive()
+        rt.kernel.trace.close()
 
     def test_capture_deterministic_across_runs(self):
         assert self._capture() == self._capture()

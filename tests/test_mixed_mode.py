@@ -1,14 +1,16 @@
 """Mixed-mode execution: the compiled tier under the interpreter.
 
-A *leaf* reaches no import through its static call graph, so it can
-never enter the host; under ``tier_up="leaves"`` (the WALI default) the
-leaves that contain a loop run compiled, called straight from the
-interpreter, and under ``"all"`` every function does.  These tests pin
-what that may not change: outputs, exit statuses and ``Machine.steps``
-match the interpreter exactly under both rules; each instance (fork
-child, thread, ``execve`` image) runs the shared compiled code on its own
-memory and globals; signals still land at loop safepoints inside a
-compiled leaf; and a fork above a compiled frame fails.
+A *fork-free* function reaches no fork, clone or ``execve`` import
+through its static call graph; under ``tier_up="fork_free"`` (the WALI
+default) every fork-free function runs compiled, syscalls and all,
+called straight from the interpreter, and under ``"all"`` every function
+does.  These tests pin what that may not change: outputs, exit statuses
+and ``Machine.steps`` match the interpreter exactly under both rules;
+each instance (fork child, thread, ``execve`` image) runs the shared
+compiled code on its own memory and globals; signals still land at loop
+safepoints inside compiled code; the guests' fork, clone and execve
+paths stay interpreted, so they still fork; and a fork from a signal
+handler above a compiled frame fails.
 """
 
 import struct
@@ -24,7 +26,10 @@ from repro.kernel import SIGKILL, SIGUSR1
 from repro.kernel.errno import EAGAIN
 from repro.wali import WaliRuntime
 from repro.wasm import F64, I32, ModuleBuilder, Trap, instantiate
-from repro.wasm.compile import compiled_functions, leaf_functions
+from repro.wasm.compile import (
+    FORK_IMPORTS, compiled_functions, fork_free_functions,
+)
+from repro.wasm.module import KIND_FUNC
 from repro.wasm.flatten import SAFEPOINT_SCHEMES
 from repro.wasm.interp import WasmFunc
 
@@ -63,11 +68,14 @@ def _steps(module, func, args, tier_up, scheme="loop", fuel=None):
 
 
 class TestLeafRule:
-    def test_leaves_reach_no_import_indirect_call_grow_or_cycle(self):
+    def test_fork_free_reaches_no_fork_import_indirect_call_grow_or_cycle(
+            self):
         mb = ModuleBuilder("rule")
         mb.add_memory(1, 2)
         mb.add_table(1)
         mb.import_func("env", "host", params=[], results=[])
+        for name in sorted(FORK_IMPORTS):
+            mb.import_func("wali", name, params=[], results=[I32])
         leaf = mb.func("leaf", results=[I32])
         with leaf.loop():
             leaf.i32_const(0).br_if(0)
@@ -82,6 +90,13 @@ class TestLeafRule:
         above_host = mb.func("above_host")
         above_host.call("calls_host")
         above_host.end()
+        for name in sorted(FORK_IMPORTS):
+            fn = mb.func(f"calls_{name}")
+            fn.call(name).op("drop")
+            fn.end()
+        above_fork = mb.func("above_fork")
+        above_fork.call("calls_host").call("calls_SYS_fork")
+        above_fork.end()
         indirect = mb.func("indirect")
         indirect.i32_const(0).call_indirect([], [])
         indirect.end()
@@ -97,28 +112,30 @@ class TestLeafRule:
         rec.end()
         module = mb.build()
         idx = mb.func_index
-        assert leaf_functions(module) == {idx("leaf"): True,
-                                          idx("calls_leaf"): False}
-        # only the looping leaf runs compiled from the interpreter
-        assert set(compiled_functions(module, "loop", "leaves")) == \
-            {idx("leaf")}
+        free = {idx(n) for n in ("leaf", "calls_leaf", "calls_host",
+                                 "above_host")}
+        assert fork_free_functions(module) == free
+        # every fork-free function runs compiled, looping or not
+        assert set(compiled_functions(module, "loop", "fork_free")) == free
         n_imp = module.num_imported_funcs
         assert set(compiled_functions(module, "loop", "all")) == \
             set(range(n_imp, n_imp + len(module.funcs)))
         with pytest.raises(ValueError):
             compiled_functions(module, "loop", True)
+        with pytest.raises(ValueError):
+            compiled_functions(module, "loop", "leaves")
 
     def test_two_modules_with_one_name_never_share_compiled_code(self):
         three, five = _sum_module("app", 3), _sum_module("app", 5)
         assert three.name == five.name
         f = three.num_imported_funcs + 1
-        assert compiled_functions(three, "loop", "leaves")[f] is not \
-            compiled_functions(five, "loop", "leaves")[f]
-        assert instantiate(three, tier_up="leaves").invoke("w", 10) == 135
-        assert instantiate(five, tier_up="leaves").invoke("w", 10) == 225
+        assert compiled_functions(three, "loop", "fork_free")[f] is not \
+            compiled_functions(five, "loop", "fork_free")[f]
+        assert instantiate(three, tier_up="fork_free").invoke("w", 10) == 135
+        assert instantiate(five, tier_up="fork_free").invoke("w", 10) == 225
 
     def test_compiled_function_names_do_not_shadow_helpers(self):
-        """Compiled leaves share one namespace with the code generator's
+        """Compiled functions share one namespace with the code generator's
         helpers: function 8 (``_f8``) must not replace a memory accessor."""
         mb = ModuleBuilder("names")
         mb.add_memory(1, 1)
@@ -144,7 +161,7 @@ class TestLeafRule:
         w.end()
         module = mb.build()
         assert mb.func_index("g8") == 8
-        assert instantiate(module, tier_up="leaves").invoke("w", 3) == 31.5
+        assert instantiate(module, tier_up="fork_free").invoke("w", 3) == 31.5
         assert instantiate(module).invoke("w", 3) == 31.5
         inst = instantiate(module, tier_up="all")
         assert inst.invoke("w", 3) == 31.5
@@ -160,7 +177,7 @@ class TestLeafRule:
         def load(chunk):
             try:
                 for k, module in chunk:
-                    got = instantiate(module, tier_up="leaves").invoke(
+                    got = instantiate(module, tier_up="fork_free").invoke(
                         "w", 4)
                     assert got == 6 * k, (k, got)
             except Exception as exc:  # reported by the main thread
@@ -185,13 +202,13 @@ class TestLeafRule:
         from repro.wasm import decode_module, encode_module
 
         image = encode_module(_sum_module("app", 7))
-        for rule in ("leaves", "all"):
+        for rule in ("fork_free", "all"):
             first = compiled_functions(decode_module(image), "loop", rule)
             assert compiled_functions(decode_module(image), "loop",
                                       rule) is first
         # the cache key holds the rule: the two rules never share a table
         assert first is not compiled_functions(decode_module(image), "loop",
-                                               "leaves")
+                                               "fork_free")
 
 
 class TestSteps:
@@ -199,7 +216,7 @@ class TestSteps:
     def test_compiled_leaf_retires_the_interpreters_steps(self, scheme):
         module = _sum_module("steps", 3)
         want = _steps(module, "w", [50], None, scheme)
-        for rule in ("leaves", "all"):
+        for rule in ("fork_free", "all"):
             assert _steps(module, "w", [50], rule, scheme) == want
         assert want[0] == 3 * 49 * 50 // 2
 
@@ -224,20 +241,20 @@ class TestSteps:
         module = mb.build()
         want = _steps(module, "w", [10], None, scheme)
         assert want[0] == 12
-        for rule in ("leaves", "all"):
+        for rule in ("fork_free", "all"):
             assert _steps(module, "w", [10], rule, scheme) == want
 
     def test_fuel_runs_leaves_interpreted(self):
         module = _sum_module("fuel", 3)
         _, total = _steps(module, "w", [20], None)
         # a machine with fuel is an interpreter-only reference...
-        for rule in ("leaves", "all"):
+        for rule in ("fork_free", "all"):
             assert _steps(module, "w", [20], rule, fuel=10 ** 9) == \
                 _steps(module, "w", [20], None)
         # ...whose fuel trap lands on the same step as without tier-up
         for fuel in (3, total // 2, total - 1):
             traps = []
-            for tier_up in (None, "leaves", "all"):
+            for tier_up in (None, "fork_free", "all"):
                 inst = instantiate(module, tier_up=tier_up)
                 inst.machine.fuel = fuel
                 with pytest.raises(Trap) as ei:
@@ -248,14 +265,14 @@ class TestSteps:
     def test_poll_hook_sees_exact_steps_inside_a_compiled_leaf(self):
         module = _sum_module("polls", 3)
         seen = {}
-        for tier_up in (None, "leaves", "all"):
+        for tier_up in (None, "fork_free", "all"):
             inst = instantiate(module, tier_up=tier_up)
             machine = inst.machine
             counts = seen[tier_up] = []
             machine.poll_hook = lambda m=machine, c=counts: c.append(
                 (m.steps, m.native_depth))
             inst.invoke("w", 6)
-        for rule in ("leaves", "all"):
+        for rule in ("fork_free", "all"):
             assert [s for s, _ in seen[rule]] == [s for s, _ in seen[None]]
             assert {d for _, d in seen[rule]} == {1}
         assert {d for _, d in seen[None]} == {0}
@@ -302,7 +319,7 @@ def _run_app(app, tier_up, made):
 @pytest.mark.parametrize("app", sorted(GUESTS))
 def test_wali_guest_identical_with_tier_up(app, wali_processes):
     want, none = _run_app(app, None, wali_processes)
-    got, native = _run_app(app, "leaves", wali_processes)
+    got, native = _run_app(app, "fork_free", wali_processes)
     assert none == 0 and native > 0
     assert got == want
     assert want[1] == 0 and want[0]
@@ -312,6 +329,101 @@ def test_wali_guest_identical_with_tier_up(app, wali_processes):
         got, native = _run_app(app, "all", wali_processes)
         assert native == len(build(app).funcs)
         assert got == want
+
+
+# compiled functions per guest, out of its defined functions: the sqlite,
+# echo and lua guests run fully compiled; the shell's fork and exec paths
+# stay interpreted, and so do memcached's clone and its atomic mutexes
+COMPILED = {"mini_sqlite": (35, 35), "event_echo": (48, 48),
+            "mini_lua": (28, 28), "mini_sh": (30, 35),
+            "mini_memcached": (46, 60)}
+
+
+def _reaches_fork(module):
+    """The defined functions whose static call graph reaches an import in
+    ``FORK_IMPORTS``."""
+    names = [im.name for im in module.imported(KIND_FUNC)]
+    n_imp = len(names)
+
+    def calls(body):
+        for instr in body:
+            if instr[0] == "call":
+                yield instr[1]
+            elif instr[0] in ("block", "loop", "if"):
+                for arm in instr[2:]:
+                    yield from calls(arm)
+
+    graph = {n_imp + i: set(calls(fn.body))
+             for i, fn in enumerate(module.funcs)}
+    reach = {i for i in range(n_imp) if names[i] in FORK_IMPORTS}
+    grew = True
+    while grew:
+        new = {i for i, cs in graph.items() if cs & reach} - reach
+        reach |= new
+        grew = bool(new)
+    return {i for i in reach if i >= n_imp}
+
+
+@pytest.mark.parametrize("app", sorted(COMPILED))
+def test_fork_free_compiles_every_function_off_the_fork_paths(app):
+    module = build(app)
+    compiled = set(compiled_functions(module, "loop", "fork_free"))
+    assert (len(compiled), len(module.funcs)) == COMPILED[app]
+    forking = _reaches_fork(module)
+    assert not compiled & forking
+    if app in ("mini_sh", "mini_memcached"):
+        assert forking
+    inst = WaliRuntime().load(module).instance
+    n_imp = module.num_imported_funcs
+    assert {i for i, f in enumerate(inst.funcs) if i >= n_imp and
+            f.native is not None} == compiled
+
+
+def test_shell_pipeline_forks_under_fork_free(wali_processes):
+    rt = WaliRuntime()
+    install_all(rt, ["echo", "cat", "wc"])
+    rt.kernel.vfs.write_file("/tmp/in", b"echo a b c | wc\nexit 0\n")
+    assert rt.run(build("mini_sh"), argv=["mini_sh", "/tmp/in"]) == 0
+    assert rt.kernel.console_output() == b"1 6\n"
+    assert rt.kernel.syscall_counts["fork"] >= 2
+    assert rt.kernel.syscall_counts["execve"] == 2
+    assert rt.kernel.counters.get("wali.fork_refused") == 0
+
+
+@pytest.mark.parametrize("mode", [[], ["-u"]], ids=["threaded", "ring"])
+def test_memcached_serves_under_fork_free(mode):
+    from repro.kernel import AF_INET, SOCK_STREAM
+
+    rt = WaliRuntime()
+    server = rt.load(build("mini_memcached"),
+                     argv=["memcached", "11215", *mode])
+    server.start_in_thread()
+    deadline = time.monotonic() + 10
+    while b"ready" not in rt.kernel.console_output():
+        assert time.monotonic() < deadline, "server did not come up"
+        time.sleep(0.01)
+    k = rt.kernel
+    cp = k.create_process(["pyclient"])
+    fd = k.call(cp, "socket", AF_INET, SOCK_STREAM)
+    k.call(cp, "connect", fd, ("127.0.0.1", 11215))
+
+    def request(line):
+        k.call(cp, "sendto", fd, line)
+        out = b""
+        while not out.endswith(b"\n"):
+            data, _ = k.call(cp, "recvfrom", fd, 256)
+            assert data
+            out += data
+        return out.strip()
+
+    assert request(b"set k v1\n") == b"STORED"
+    assert request(b"get k\n") == b"VALUE v1"
+    assert request(b"shutdown\n") == b"BYE"
+    server.join(5)
+    assert not server.thread.is_alive()
+    # the threaded mode clones one worker per client
+    assert k.syscall_counts.get("clone", 0) == (0 if mode else 1)
+    assert k.counters.get("wali.fork_refused") == 0
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ profile all read that cell.  The WALI layer keeps one ``[calls, wali_ns]``
 cell per syscall name.  These tests pin that the views of one run give the
 same numbers, that the syscall trace stream of a fixed guest run is
 byte-stable, and that WALI time is charged against the calling thread's
-own kernel time.
+own kernel time, all of ``Kernel.call`` included.
 """
 
 import threading
@@ -20,7 +20,7 @@ from repro.kernel import (
     PERF_TYPE_COUNTER, Kernel, KernelTrace, PerfAttr,
 )
 from repro.metrics import profile_app
-from repro.wali import WaliRuntime
+from repro.wali import WaliHost, WaliRuntime
 
 GOLDEN_TRACE = Path(__file__).parent / "data" / "sqlite_syscall_trace.bin"
 SCRIPT = workload_script(6, 12)
@@ -117,3 +117,24 @@ def test_wali_time_ignores_sibling_thread_kernel_time():
     assert wp.call_wali_ns["getpid"] >= 39_000_000
     k.call(sibling, "exit", 0)
 
+
+def test_kernel_exit_bookkeeping_is_kernel_time(monkeypatch):
+    """The bookkeeping ``Kernel.call`` does after the handler (histogram,
+    counter, tracepoint, perf sample) is kernel time: it lands in
+    ``stime_ns``, not in the calling WALI cell."""
+    rt = WaliRuntime()
+    wp = rt.load(build("true"), argv=["true"])
+    getpid = WaliHost(rt, wp).imports()["wali"]["SYS_getpid"].fn
+    trace = rt.kernel.trace
+    record = trace.record_syscall
+
+    def slow_record(*args):
+        time.sleep(0.002)
+        record(*args)
+
+    monkeypatch.setattr(trace, "record_syscall", slow_record)
+    stime = wp.proc.rusage.stime_ns
+    assert getpid() == wp.proc.pid
+    assert wp.call_counts["getpid"] == 1
+    assert wp.call_wali_ns["getpid"] < 1_000_000
+    assert wp.proc.rusage.stime_ns - stime >= 2_000_000

@@ -84,7 +84,8 @@ def by_wasi(rt, made):
 
 
 FIELDS = {"rt", "proc", "module", "host", "instance", "machine", "pool",
-          "sigv", "cells", "exit_status", "trap", "thread"}
+          "sigv", "cells", "zero_copy_calls", "fixed_elides", "exit_status",
+          "trap", "thread"}
 
 
 @pytest.mark.parametrize("route", [by_load, by_fork, by_thread, by_wasi])
@@ -296,3 +297,29 @@ def test_a_shell_holds_only_unreaped_processes(wali_processes):
     assert rt.processes == [root]
     live = rt.kernel.processes
     assert all(live.get(wp.proc.pid) is wp.proc for wp in rt.processes)
+
+
+def test_translation_counters_outlive_execve():
+    """``zero_copy_translations`` counts every image's writes, like the
+    cells do: 5 one-byte writes, then echo's."""
+    rt = WaliRuntime()
+    install_all(rt, ["echo"])
+    wp = rt.load(compile_source(with_libc(r"""
+buffer argvv[12];
+export func _start() {
+    var i: i32 = 0;
+    while (i < 5) { write(1, "x", 1); i = i + 1; }
+    store32(argvv, "/bin/echo.wasm");
+    store32(argvv + 4, "after");
+    store32(argvv + 8, 0);
+    execve("/bin/echo.wasm", argvv, 0);
+    exit(9);
+}
+"""), name="first"), argv=["first"])
+    assert wp.run() == 0
+    assert wp.module.name == "/bin/echo.wasm"
+    writes = wp.call_counts["write"]
+    assert writes > 5
+    stats = wp.host.stats()
+    assert stats["zero_copy_translations"] == writes
+    assert stats["calls"] == sum(wp.call_counts.values())
