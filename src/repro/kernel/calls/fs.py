@@ -162,12 +162,14 @@ class FSCalls:
         file = proc.fdtable.get(fd)
         if not file.readable_mode:
             raise KernelError(EBADF, "fd not open for reading")
-        data = self._blocking_io(proc, file, lambda: file.read(length))
-        if file.kind == OpenFile.KIND_REG:
+        if file.kind != OpenFile.KIND_REG:
+            return self._blocking_io(proc, file, lambda: file.read(length))
+        data = file.read(length)     # a regular file never blocks
+        if self.storage_latency_ns_per_4k:
             self.storage_charge(len(data))
-            if file.flags & O_DIRECT and file.inode is not None \
-                    and file.inode.mapping is not None:
-                file.inode.mapping.evict_clean()  # bypass the page cache
+        if file.flags & O_DIRECT and file.inode is not None \
+                and file.inode.mapping is not None:
+            file.inode.mapping.evict_clean()  # bypass the page cache
         return data
 
     def sys_write(self, proc: Process, fd: int, data) -> int:
@@ -175,16 +177,19 @@ class FSCalls:
         if not file.writable_mode:
             raise KernelError(EBADF, "fd not open for writing")
         data = bytes(data)
+        if file.kind == OpenFile.KIND_REG:
+            total = file.write(data) if data else 0   # it never blocks
+            if self.storage_latency_ns_per_4k:
+                self.storage_charge(total)
+            self._write_through(file)
+            return total
         total = 0
         while total < len(data):
             n = self._blocking_io(
                 proc, file, lambda: file.write(data[total:]))
             total += n
             if file.kind not in (OpenFile.KIND_PIPE_W, OpenFile.KIND_SOCK):
-                break  # regular files/devices write everything in one step
-        if file.kind == OpenFile.KIND_REG:
-            self.storage_charge(total)
-            self._write_through(file)
+                break  # devices write everything in one step
         return total
 
     def sys_pread64(self, proc: Process, fd: int, length: int,
@@ -193,7 +198,8 @@ class FSCalls:
         if not file.readable_mode:
             raise KernelError(EBADF)
         data = file.pread(length, offset)
-        self.storage_charge(len(data))
+        if self.storage_latency_ns_per_4k:
+            self.storage_charge(len(data))
         if file.kind == OpenFile.KIND_REG and file.flags & O_DIRECT \
                 and file.inode is not None \
                 and file.inode.mapping is not None:
@@ -205,7 +211,8 @@ class FSCalls:
         if not file.writable_mode:
             raise KernelError(EBADF)
         n = file.pwrite(bytes(data), offset)
-        self.storage_charge(n)
+        if self.storage_latency_ns_per_4k:
+            self.storage_charge(n)
         if file.kind == OpenFile.KIND_REG:
             self._write_through(file)
         return n

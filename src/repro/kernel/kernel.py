@@ -8,8 +8,9 @@ dispatches through it.
 
 ``Kernel.call`` is the kernel layer's one accounting writer.  Per syscall it
 adds the elapsed time to ``kernel_time_ns[tgid]`` (Fig. 7, ``/proc/<pid>/
-status`` ``ServiceNs``) and to the calling thread's ``rusage.stime_ns``, bumps
-the ``syscall.<name>`` counter cell, and records the service/wait latency
+status`` ``ServiceNs``) and to the calling thread's ``rusage.stime_ns``, and
+makes one bookkeeping call, ``KernelTrace.record_syscall``, which bumps the
+``syscall.<name>`` counter cell and records the service/wait latency
 histogram.  Every other per-syscall view is read from those:
 ``syscall_counts``, the Fig. 2 profile, perf counting events and guest
 ``perf stat`` all read the counter cells.
@@ -245,7 +246,8 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         tracepoints (exit carries ``-errno`` in ``arg``, 0 on success) and
         makes the kernel's four accounting writes: ``kernel_time_ns[tgid]``,
         ``proc.rusage.stime_ns``, the ``syscall.<name>`` counter cell and
-        the latency histogram.  The first two charge the whole call, from
+        the latency histogram, the last two in one call,
+        ``trace.record_syscall``.  The first two charge the whole call, from
         entry to after the last of the exit bookkeeping (histogram, counter,
         tracepoint, perf sample), so none of it lands in the caller's WALI
         time.  The histogram splits the elapsed time into
@@ -288,8 +290,7 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
                 # the histogram's span ends at the scheduler's exit
                 dt = _time.perf_counter_ns() - t0
                 wait = self.sched_wait_ns.get(tgid, 0) - w0
-                trace.record_syscall(name, dt - wait, wait)
-                trace.counters.inc(counter)
+                trace.record_syscall(name, dt - wait, wait, counter)
                 # re-read: the handler may have switched tracing on
                 if trace.enabled or trace.probes is not None:
                     trace.emit("syscall_exit", pid=proc.pid, arg=-err,
@@ -324,14 +325,15 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
     # ------------------------------------------------------------------
 
     def wait_event(self, proc: Process, scan: Callable, waitqueues=(),
-                   timeout_ns: Optional[int] = None):
+                   timeout_ns: Optional[int] = None, scanned: bool = False):
         """Block until ``scan()`` returns non-None, and return that.
 
         The one blocking loop.  The first ``scan`` runs before anything
         is subscribed, so a call that is already satisfied (or polls
-        with a zero timeout) allocates nothing.  Otherwise ``proc.kick``
-        is subscribed to every queue in ``waitqueues`` and the task
-        rescans, then sleeps on the scheduler
+        with a zero timeout) allocates nothing; ``scanned`` says the
+        caller made that first scan itself, and it failed.  Otherwise
+        ``proc.kick`` is subscribed to every queue in ``waitqueues`` and
+        the task rescans, then sleeps on the scheduler
         (:meth:`~repro.kernel.sched.Scheduler.sleep`, a schedule point)
         until a kick or the safety slice, and rescans again.  A
         deliverable signal, or the task leaving the running state, raises
@@ -348,8 +350,8 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         wqs = None  # subscribed waitqueues, once the first scan failed
         slept_out = False
         try:
+            result = None if scanned else scan()
             while True:
-                result = scan()
                 if result is not None:
                     # a kick that landed during the scan was a real wake
                     if slept_out and not proc.kicked:
@@ -374,9 +376,10 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
                     wqs = [wq for wq in waitqueues if wq is not None]
                     for wq in wqs:
                         wq.subscribe(proc.kick)
-                    continue
-                slept_out = not self.sched.sleep(proc, wait_s) \
-                    and wait_s == _SAFETY_SLICE_S
+                else:
+                    slept_out = not self.sched.sleep(proc, wait_s) \
+                        and wait_s == _SAFETY_SLICE_S
+                result = scan()
         finally:
             if wqs is not None:
                 proc.waiting_thread = None
@@ -384,11 +387,14 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
                     wq.unsubscribe(proc.kick)
 
     def _blocking_io(self, proc: Process, file: OpenFile, step: Callable):
-        """Run a non-blocking I/O step, waiting while it would block.
+        """Run a non-blocking I/O step on a file that can block, waiting
+        while it would block.
 
         ``EAGAIN`` means "would block": re-raise for O_NONBLOCK files,
         else wait on the file's readiness waitqueue and retry.  ``EPIPE``
-        generates SIGPIPE, like Linux.
+        generates SIGPIPE, like Linux.  The first attempt is the first
+        scan :meth:`wait_event` would make, so a step that completes
+        never enters the wait loop, and no step runs twice.
         """
         def attempt():
             try:
@@ -400,12 +406,17 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
                     return None
                 raise
 
-        return self.wait_event(proc, attempt, (file.wait_queue(),))
+        result = attempt()
+        if result is None:
+            result = self.wait_event(proc, attempt, (file.wait_queue(),),
+                                     scanned=True)
+        return result
 
     def storage_charge(self, nbytes: int) -> None:
-        """Burn the storage device's simulated service time (kernel time)."""
+        """Burn the storage device's simulated service time (kernel time);
+        callers skip it when ``storage_latency_ns_per_4k`` is 0."""
         cost = self.storage_latency_ns_per_4k
-        if not cost or nbytes <= 0:
+        if nbytes <= 0:
             return
         total = cost * ((nbytes + 4095) // 4096)
         deadline = _time.perf_counter_ns() + total

@@ -329,6 +329,8 @@ class KernelTrace:
 
     def __init__(self, capacity: int = TRACE_DEFAULT_CAPACITY):
         self.counters = CounterRegistry()
+        # the registry's cells, bumped in place by record_syscall
+        self._cells = self.counters._counts
         self.buffer = TraceBuffer(capacity, self.counters)
         self.enabled = False
         self.mask = set(TRACEPOINTS)
@@ -421,18 +423,24 @@ class KernelTrace:
         if not self.probes:
             self.probes = None
 
-    def record_syscall(self, name: str, service_ns: int,
-                       wait_ns: int) -> None:
-        """Always-on per-syscall latency accounting (service vs wait)."""
+    def record_syscall(self, name: str, service_ns: int, wait_ns: int,
+                       counter: Optional[str] = None) -> None:
+        """Always-on per-syscall accounting, the kernel's one bookkeeping
+        call per syscall: bumps the ``syscall.<name>`` counter cell
+        (``counter`` is its key, when the caller holds it) and the
+        service and wait latency histograms (the :func:`hist_bucket`
+        bucket, computed inline)."""
+        self._cells[counter or "syscall." + name] += 1
         hist = self.service_hist.get(name)
         if hist is None:
             hist = self.service_hist[name] = [0] * HIST_BUCKETS
-        hist[hist_bucket(service_ns)] += 1
+        hist[min(service_ns.bit_length(), HIST_BUCKETS - 1)
+             if service_ns > 0 else 0] += 1
         if wait_ns > 0:
             whist = self.wait_hist.get(name)
             if whist is None:
                 whist = self.wait_hist[name] = [0] * HIST_BUCKETS
-            whist[hist_bucket(wait_ns)] += 1
+            whist[min(wait_ns.bit_length(), HIST_BUCKETS - 1)] += 1
 
     # ---- control (the /proc/trace_ctl command language) ----
 

@@ -32,6 +32,13 @@ Implementation shape mirrors the paper:
   ``wali_time_ns`` and :meth:`WaliHost.stats` are views of them.  The
   translation counters ``zero_copy_calls`` and ``fixed_elides`` live next
   to the cells, on the process, for the same reason.
+* A crossing is **one frame per layer**: compiled guest code calls the
+  ``HostFunc.fn`` that :meth:`WaliHost._instrument` built (with no policy
+  test when the runtime has no policy), the handler calls ``Kernel.call``
+  through ``WaliHost.k`` (a ``functools.partial`` built once per host),
+  and the generated handlers and the hot ``read``/``write``/``pread64``/
+  ``pwrite64`` convert signs inline.  ``tests/test_crossing_cost.py``
+  pins the Python calls per crossing.
 """
 
 from __future__ import annotations
@@ -85,7 +92,10 @@ _GETRANDOM_MAX = 33554431
 
 # how each argument kind (spec.py) reaches the kernel: a Python expression
 # over the raw Wasm value; ``_`` arguments are dropped
-_KIND_EXPR = {"i": "signed32({})", "u": "{}", "l": "signed64({})",
+_KIND_EXPR = {"i": "(({} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000",
+              "u": "{}",
+              "l": "(({} & 0xFFFFFFFFFFFFFFFF) ^ 0x8000000000000000)"
+                   " - 0x8000000000000000",
               "p": "path_arg(name, {})"}
 
 # what a host can bind, by import name: the spec entries and the support
@@ -107,6 +117,8 @@ class WaliHost:
         self.policy = runtime.policy
         # the module whose ``wali`` imports this host binds; None binds all
         self.image = image
+        # ``k(name, *args)``: the kernel entry of every handler
+        self.k = functools.partial(self.kernel.call, self.proc)
 
     # ------------------------------------------------------------------
     # translation helpers (§3.2 address-space translation)
@@ -136,10 +148,10 @@ class WaliHost:
     def view(self, ptr: int, length: int):
         """Zero-copy translated view of guest memory."""
         self.wp.zero_copy_calls += 1
-        return self.mem.read(ptr, length)
+        return self.wp.instance.memory.read(ptr, length)
 
     def copy_out(self, ptr: int, data: bytes) -> None:
-        self.mem.write(ptr, data)
+        self.wp.instance.memory.write(ptr, data)
 
     def u32_list(self, ptr: int) -> List[int]:
         """Read a NULL-terminated array of u32 pointers (argv/envp style)."""
@@ -163,9 +175,6 @@ class WaliHost:
         if ptr == 0:
             return None
         return Layout.decode_timespec(self.mem.read_bytes(ptr, 16))
-
-    def k(self, name: str, *args, **kwargs):
-        return self.kernel.call(self.proc, name, *args, **kwargs)
 
     # ------------------------------------------------------------------
     # import-object construction
@@ -195,18 +204,24 @@ class WaliHost:
         return {MODULE: ns}
 
     def _instrument(self, name: str, method):
-        """Wrap a handler with errno conversion + time split accounting."""
+        """Wrap a handler with errno conversion + time split accounting.
+
+        The interposition point (§6): under a policy, which may deny
+        (trap) or inject errno faults, the policy check runs first inside
+        the handler; with none, the handler has no policy test."""
         cell = self.wp.cells.setdefault(name, [0, 0])
         rusage = self.proc.rusage
+        if self.policy is not None:
+            check, handler = self.policy.check, method
+
+            def method(*raw):
+                check(name)
+                return handler(*raw)
 
         def call(*raw):
             t0 = _time.perf_counter_ns()
             k0 = rusage.stime_ns
             try:
-                # interposition point (§6): policies may deny (trap) or
-                # inject errno faults before the handler runs
-                if self.policy is not None:
-                    self.policy.check(name)
                 res = method(*raw)
                 return 0 if res is None else res
             except KernelError as exc:
@@ -222,22 +237,32 @@ class WaliHost:
     # explicit handlers: file I/O
     # ------------------------------------------------------------------
 
+    # the hot handlers convert signs inline, as the generated ones do
     def w_read(self, fd, buf, count):
-        data = self.k("read", signed32(fd), signed32(count))
+        data = self.k("read", ((fd & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000,
+                      ((count & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)
         self.copy_out(buf, data)
         return len(data)
 
     def w_write(self, fd, buf, count):
-        return self.k("write", signed32(fd), self.view(buf, count))
+        return self.k("write",
+                      ((fd & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000,
+                      self.view(buf, count))
 
     def w_pread64(self, fd, buf, count, offset):
-        data = self.k("pread64", signed32(fd), count, signed64(offset))
+        data = self.k("pread64",
+                      ((fd & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000, count,
+                      ((offset & 0xFFFFFFFFFFFFFFFF) ^ 0x8000000000000000)
+                      - 0x8000000000000000)
         self.copy_out(buf, data)
         return len(data)
 
     def w_pwrite64(self, fd, buf, count, offset):
-        return self.k("pwrite64", signed32(fd), self.view(buf, count),
-                      signed64(offset))
+        return self.k("pwrite64",
+                      ((fd & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000,
+                      self.view(buf, count),
+                      ((offset & 0xFFFFFFFFFFFFFFFF) ^ 0x8000000000000000)
+                      - 0x8000000000000000)
 
     def w_readv(self, fd, iov, iovcnt):
         vecs = self.iovecs(iov, iovcnt)
@@ -1092,14 +1117,15 @@ def _handler_factory(kinds: str):
 
     The source is generated once per distinct kinds string, so every
     argument's converter is fixed before the first call and a call runs
-    no loop over its arguments: ``"iu_"`` becomes
-    ``lambda a0, a1, a2: k(name, signed32(a0), a1)``."""
+    no loop over its arguments: ``"iu_"`` becomes ``lambda a0, a1, a2:
+    k(name, ((a0 & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000, a1)``.  The
+    sign conversion masks first: WASI-over-WALI passes plain negative
+    ints such as ``AT_FDCWD``."""
     params = [f"a{i}" for i in range(len(kinds))]
     args = "".join(f", {_KIND_EXPR[kind].format(a)}"
                    for kind, a in zip(kinds, params) if kind != "_")
     return eval(f"lambda k, path_arg, name: "
-                f"lambda {', '.join(params)}: k(name{args})",
-                {"signed32": signed32, "signed64": signed64})
+                f"lambda {', '.join(params)}: k(name{args})", {})
 
 
 # generated, not written (the paper's >85% story): every spec entry

@@ -68,8 +68,8 @@ class VirtualSigTable:
         proc = self.proc
 
         def poll():
-            # cheap fast path: nothing pending and unblocked
-            if not proc.pending.any_deliverable(proc.blocked_mask):
+            # fast path, in this frame: nothing pending and unblocked
+            if not proc.pending.bits & ~proc.blocked_mask:
                 return
             self.drain(machine, table)
 

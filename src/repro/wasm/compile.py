@@ -17,10 +17,13 @@ There is one calling convention: every compiled function is
 ``f(machine, *args)`` for the calling
 :class:`~repro.wasm.interp.Machine`.  It retires the interpreter's exact
 step count (one ``m.steps += n`` per basic-block exit, ``n`` its flat
-ops), polls the machine's ``poll_hook`` at safepoints, calls compiled
-callees directly as ``_f<index>(m, ...)``, and reaches imports and
-``call_indirect`` targets through the machine (:func:`_call`).  The
-interpreter enters compiled code at ``CALL_NATIVE``.
+ops), polls the machine's ``poll_hook`` at safepoints and calls compiled
+callees directly as ``_f<index>(m, ...)``.  A ``call`` of an import reads
+the import slot when it runs; a :class:`~repro.wasm.interp.HostFunc` is
+called as ``.fn(*args)`` with its result masked inline, so a WALI syscall
+costs the host no engine frame.  ``call_indirect`` targets, and imports
+that are not host functions, go through the machine (:func:`_call`).
+The interpreter enters compiled code at ``CALL_NATIVE``.
 
 :func:`compiled_functions` picks what tiers up by one of two rules:
 
@@ -54,7 +57,7 @@ from .interp import (
     _irem_s, _rotl, _sext, _trunc, _udiv, _urem,
 )
 from .module import KIND_FUNC, Module
-from .types import F64, MASK32, MASK64, signed32, signed64
+from .types import F64, I32, I64, MASK32, MASK64, signed32, signed64
 
 _BINOPS32 = {
     "i32.add": "({a} + {b}) & 0xFFFFFFFF",
@@ -78,10 +81,6 @@ _BINOPS32 = {
     "i32.gt_u": "1 if {a} > {b} else 0",
     "i32.le_u": "1 if {a} <= {b} else 0",
     "i32.ge_u": "1 if {a} >= {b} else 0",
-    "i32.lt_s": "1 if _sgn32({a}) < _sgn32({b}) else 0",
-    "i32.gt_s": "1 if _sgn32({a}) > _sgn32({b}) else 0",
-    "i32.le_s": "1 if _sgn32({a}) <= _sgn32({b}) else 0",
-    "i32.ge_s": "1 if _sgn32({a}) >= _sgn32({b}) else 0",
 }
 _BINOPS64 = {
     "i64.add": "({a} + {b}) & 0xFFFFFFFFFFFFFFFF",
@@ -105,11 +104,14 @@ _BINOPS64 = {
     "i64.gt_u": "1 if {a} > {b} else 0",
     "i64.le_u": "1 if {a} <= {b} else 0",
     "i64.ge_u": "1 if {a} >= {b} else 0",
-    "i64.lt_s": "1 if _sgn64({a}) < _sgn64({b}) else 0",
-    "i64.gt_s": "1 if _sgn64({a}) > _sgn64({b}) else 0",
-    "i64.le_s": "1 if _sgn64({a}) <= _sgn64({b}) else 0",
-    "i64.ge_s": "1 if _sgn64({a}) >= _sgn64({b}) else 0",
 }
+# signed compares: operands are canonical unsigned values, so flipping
+# both sign bits orders them as signed
+for _w, _bit, _ops in ((32, "0x80000000", _BINOPS32),
+                       (64, "0x8000000000000000", _BINOPS64)):
+    for _op, _sym in (("lt", "<"), ("gt", ">"), ("le", "<="), ("ge", ">=")):
+        _ops[f"i{_w}.{_op}_s"] = \
+            f"1 if ({{a}} ^ {_bit}) {_sym} ({{b}} ^ {_bit}) else 0"
 _BINOPSF = {
     "f64.add": "{a} + {b}", "f64.sub": "{a} - {b}", "f64.mul": "{a} * {b}",
     "f64.div": "_fdiv({a}, {b})", "f64.min": "_fmin({a}, {b})",
@@ -434,11 +436,11 @@ class _FnCompiler:
             return
         if name == "call":
             idx = instr[1]
-            direct = idx >= self.m.num_imported_funcs
-            self.uses_funcs |= not direct
-            self._compile_call(self.m.func_type(idx),
-                               f"_f{idx}" if direct else f"fns[{idx}]",
-                               direct)
+            if idx >= self.m.num_imported_funcs:
+                self._compile_call(self.m.func_type(idx), f"_f{idx}", True)
+            else:
+                self.uses_funcs = True
+                self._compile_import_call(self.m.func_type(idx), idx)
             return
         if name == "call_indirect":
             self.height -= 1
@@ -575,23 +577,51 @@ class _FnCompiler:
                       f"{pack}(data, {a}, {v} & {mask})")
         self.emit(f"else: mem.store_int({a}, {v}, {size})")
 
-    def _compile_call(self, ft, callee: str, direct: bool) -> None:
-        """A call of ``callee``: a compiled function, called directly, or
-        (not ``direct``) an expression naming a host or table function,
-        called through :func:`_call`.  The caller's steps are retired
-        first, so the callee and the host see an exact count."""
+    def _call_args(self, ft) -> str:
+        """Pop ``ft``'s arguments and retire the caller's steps, so the
+        callee and the host see an exact count; returns the arguments."""
         n = len(ft.params)
         args = ", ".join(f"s{self.height - n + i}" for i in range(n))
         self.height -= n
         self.flush()
+        return args
+
+    def _compile_call(self, ft, callee: str, direct: bool) -> None:
+        """A call of ``callee``: a compiled function, called directly, or
+        (not ``direct``) an expression naming a table function, called
+        through :func:`_call`."""
+        args = self._call_args(ft)
         if direct:
-            call = f"{callee}(m{', ' + args if n else ''})"
+            call = f"{callee}(m{', ' + args if args else ''})"
         else:
-            call = f"_call(m, {callee}, ({args}{',' if n else ''}))"
+            call = f"_call(m, {callee}, ({args}{',' if args else ''}))"
         if ft.results:
             self.push_expr(call)
         else:
             self.emit(call)
+
+    def _compile_import_call(self, ft, idx: int) -> None:
+        """A call of import ``idx``, read from ``fns`` when it runs: a
+        :class:`HostFunc` is called as ``.fn(*args)`` and its result
+        masked inline, as :meth:`Machine._call_host` does; any other
+        import (another instance's exported function) goes through
+        :func:`_call`."""
+        args = self._call_args(ft)
+        load = f"(_h := fns[{idx}]).__class__"
+        slow = f"_call(m, _h, ({args}{',' if args else ''}))"
+        host = f"_h.fn({args})"
+        if not ft.results:
+            self.emit(f"if {load} is not HostFunc: {slow}")
+            self.emit(f"elif {host} is not None: "
+                      f"raise Trap('host-result-mismatch', _h.name)")
+            return
+        t = ft.results[0]
+        if t == I32 or t == I64:
+            mask = "0xFFFFFFFF" if t == I32 else "0xFFFFFFFFFFFFFFFF"
+            host = f"({host} or 0) & {mask}"
+        else:
+            host = f"float({host} or 0.0)"
+        self.push_expr(f"{host} if {load} is HostFunc else {slow}")
 
     def source(self) -> str:
         n_params = len(self.ft.params)
@@ -634,9 +664,10 @@ class _FnCompiler:
 
 
 def _call(m, callee, args: tuple):
-    """Call a host or table function from compiled code: a host function
-    through the interpreter's own host-call routine, a defined one by its
-    compiled body, else interpreted on the machine."""
+    """Call a table function, or an import that is not a
+    :class:`HostFunc`, from compiled code: a host function through the
+    interpreter's own host-call routine, a defined one by its compiled
+    body, else interpreted on the machine."""
     if callee.__class__ is HostFunc:
         stack = m.stack
         stack += args
@@ -656,7 +687,7 @@ _HELPERS = {
     "_fceil": _fceil, "_ffloor": _ffloor, "_ftrunc": _ftrunc,
     "_fnearest": _fnearest, "_f64_from_bits": _f64_from_bits,
     "_call": _call, "_atomic_add": _atomic_add, "_atomic_cas": _atomic_cas,
-    "Trap": Trap,
+    "HostFunc": HostFunc, "Trap": Trap,
     "TrapUnreachable": TrapUnreachable,
 }
 # struct accessors of inlined memory access, upper case so that no helper
@@ -780,8 +811,10 @@ def fork_free_functions(m: Module) -> Set[int]:
     """The indices of the *fork-free* functions of ``m``.
 
     A defined function is fork-free when its static call graph contains
-    no cycle, ``call_indirect``, ``memory.grow`` or atomic op, and reaches
-    no import in :data:`FORK_IMPORTS`.  No fork, clone or ``execve`` can
+    no cycle, ``call_indirect`` or ``memory.grow``, and reaches no import
+    in :data:`FORK_IMPORTS`.  Atomic ops are admitted: compiled code runs
+    them through the interpreter's own helpers, under the one engine-wide
+    atomic lock.  No fork, clone or ``execve`` can
     start inside one, so no process copy or image replacement meets a
     compiled activation but one made from a signal handler, which the
     runtime refuses; and its compiled form recurses no deeper than its
@@ -796,7 +829,7 @@ def fork_free_functions(m: Module) -> Set[int]:
             op = instr[0]
             if op == "call":
                 calls.add(instr[1])
-            elif op in ("call_indirect", "memory.grow") or ".atomic." in op:
+            elif op in ("call_indirect", "memory.grow"):
                 pure = False
         facts[n_imp + i] = (calls, pure)
     state: Dict[int, Optional[bool]] = {}   # None: on the DFS path

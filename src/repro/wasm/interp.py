@@ -40,10 +40,11 @@ of a function with a compiled body (``WasmFunc.native``, see
 :func:`repro.wasm.compile.compiled_functions`) decodes to ``CALL_NATIVE``,
 which runs the compiled body as one Python call.  That is the one place
 the interpreter enters compiled code: compiled code calls compiled
-callees directly and reaches the host through :meth:`Machine._call_host`,
-the routine the interpreter's own host calls use.  Compiled calls recurse
-on the Python stack, so running out of it is :class:`TrapStackExhausted`
-at ``CALL_NATIVE``.  While a compiled body runs,
+callees directly, and calls a host import's ``HostFunc.fn`` itself, with
+the result masking (and the void-result trap) of
+:meth:`Machine._call_host`, the interpreter's host-call routine.
+Compiled calls recurse on the Python stack, so running out of it is
+:class:`TrapStackExhausted` at ``CALL_NATIVE``.  While a compiled body runs,
 ``Machine.native_depth`` is nonzero: the host, or a signal handler
 entered from a compiled safepoint, runs above Python frames that fork
 cannot copy.  Under the WALI default (``tier_up="fork_free"``) only

@@ -191,6 +191,33 @@ def test_pipe_write_wakes_blocked_reader(k, call):
     assert time.monotonic() - t0 < 0.025
 
 
+@pytest.mark.parametrize("nonblocking", [False, True])
+def test_blocking_io_runs_its_first_step_once(monkeypatch, k, nonblocking):
+    """A read that would block makes its first attempt once: the wait
+    loop starts from that attempt, not from a scan of its own.  A pending
+    signal ends a blocking wait at once (EINTR); O_NONBLOCK ends it before
+    any wait (EAGAIN)."""
+    from repro.kernel.errno import EAGAIN
+    from repro.kernel.fdtable import OpenFile
+    from repro.kernel.vfs import O_NONBLOCK
+
+    proc = k.create_process(["reader"], stdio=False)
+    r, w = k.call(proc, "pipe2", O_NONBLOCK if nonblocking else 0)
+    steps = []
+    read = OpenFile.read
+
+    def counted(self, length):
+        steps.append(length)
+        return read(self, length)
+
+    monkeypatch.setattr(OpenFile, "read", counted)
+    proc.generate_signal(SIGUSR1)
+    with pytest.raises(KernelError) as ei:
+        k.call(proc, "read", r, 16)
+    assert ei.value.errno == (EAGAIN if nonblocking else EINTR)
+    assert steps == [16]
+
+
 def test_pipe_read_wakes_blocked_writer(k):
     """Draining a full pipe wakes a writer blocked on it."""
     proc = k.create_process(["writer"], stdio=False)

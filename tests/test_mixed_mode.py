@@ -25,7 +25,7 @@ from repro.cc import compile_source
 from repro.kernel import SIGKILL, SIGUSR1
 from repro.kernel.errno import EAGAIN
 from repro.wali import WaliRuntime
-from repro.wasm import F64, I32, ModuleBuilder, Trap, instantiate
+from repro.wasm import F64, I32, I64, ModuleBuilder, Trap, instantiate
 from repro.wasm.compile import (
     FORK_IMPORTS, compiled_functions, fork_free_functions,
 )
@@ -70,6 +70,9 @@ def _steps(module, func, args, tier_up, scheme="loop", fuel=None):
 class TestLeafRule:
     def test_fork_free_reaches_no_fork_import_indirect_call_grow_or_cycle(
             self):
+        """A fork-free function may call any import but the fork family
+        and may use atomic ops, but has no cycle, ``call_indirect`` or
+        ``memory.grow`` in its call graph."""
         mb = ModuleBuilder("rule")
         mb.add_memory(1, 2)
         mb.add_table(1)
@@ -90,6 +93,9 @@ class TestLeafRule:
         above_host = mb.func("above_host")
         above_host.call("calls_host")
         above_host.end()
+        atomic = mb.func("atomic", results=[I32])
+        atomic.i32_const(0).i32_const(1).op("i32.atomic.rmw.add", 2, 0)
+        atomic.end()
         for name in sorted(FORK_IMPORTS):
             fn = mb.func(f"calls_{name}")
             fn.call(name).op("drop")
@@ -113,7 +119,7 @@ class TestLeafRule:
         module = mb.build()
         idx = mb.func_index
         free = {idx(n) for n in ("leaf", "calls_leaf", "calls_host",
-                                 "above_host")}
+                                 "above_host", "atomic")}
         assert fork_free_functions(module) == free
         # every fork-free function runs compiled, looping or not
         assert set(compiled_functions(module, "loop", "fork_free")) == free
@@ -333,10 +339,11 @@ def test_wali_guest_identical_with_tier_up(app, wali_processes):
 
 # compiled functions per guest, out of its defined functions: the sqlite,
 # echo and lua guests run fully compiled; the shell's fork and exec paths
-# stay interpreted, and so do memcached's clone and its atomic mutexes
+# stay interpreted, and so does memcached's clone (its atomic mutexes
+# and the request path above them run compiled)
 COMPILED = {"mini_sqlite": (35, 35), "event_echo": (48, 48),
             "mini_lua": (28, 28), "mini_sh": (30, 35),
-            "mini_memcached": (46, 60)}
+            "mini_memcached": (57, 60)}
 
 
 def _reaches_fork(module):
@@ -578,3 +585,145 @@ export func _start() {
     assert wp.instance is not old
     assert any(isinstance(f, WasmFunc) and f.native is not None
                for f in wp.instance.funcs)
+
+
+# --------------------------------------------------------------------------
+# imports called from compiled code
+# --------------------------------------------------------------------------
+# Compiled code calls a HostFunc import's ``fn`` itself and masks the
+# result inline; every case must come out as the interpreter's does.
+
+TIERS = (None, "fork_free")
+
+
+def _import_caller(imports):
+    """A module with one import ``env.NAME`` per ``(NAME, params,
+    results)`` in ``imports`` and, for each, an inner function that calls
+    it (compiled under ``fork_free``) and an export ``NAME`` that calls
+    the inner one from the interpreter."""
+    mb = ModuleBuilder("imports")
+    for name, params, results in imports:
+        mb.import_func("env", name, params=params, results=results)
+    for name, params, results in imports:
+        inner = mb.func(f"inner_{name}", params=params, results=results)
+        for i in range(len(params)):
+            inner.local_get(i)
+        inner.call(name)
+        inner.end()
+        outer = mb.func(f"run_{name}", params=params, results=results,
+                        export=True)
+        for i in range(len(params)):
+            outer.local_get(i)
+        outer.call(f"inner_{name}")
+        outer.end()
+    return mb.build(), mb.func_index
+
+
+def _outcomes(module, index, env, name, args=(), link=None):
+    """(result or trap kind, steps) of ``run_NAME`` under each tier;
+    ``link(instance, tier_up)`` may rewrite the instance's import slots."""
+    out = []
+    for tier_up in TIERS:
+        inst = instantiate(module, {"env": env}, tier_up=tier_up)
+        if link is not None:
+            link(inst, tier_up)
+        compiled = inst.funcs[index(f"inner_{name}")].native is not None
+        assert compiled == (tier_up is not None)
+        try:
+            got = inst.invoke(f"run_{name}", *args)
+        except Trap as exc:
+            got = ("trap", exc.kind)
+        out.append((got, inst.machine.steps))
+    return out
+
+
+def test_void_import_that_returns_a_value_traps_on_both_tiers():
+    module, index = _import_caller([("void", [], [])])
+    got = _outcomes(module, index, {"void": lambda: 5}, "void")
+    assert got[0][0] == ("trap", "host-result-mismatch")
+    assert got[1] == got[0]
+
+
+@pytest.mark.parametrize("name, results, value, want", [
+    ("neg32", [I32], -9, 2**32 - 9),
+    ("neg64", [I64], -9, 2**64 - 9),
+    ("none32", [I32], None, 0),
+    ("none64", [I64], None, 0),
+    ("nonef", [F64], None, 0.0),
+    ("big32", [I32], 2**40 + 3, 3),
+])
+def test_import_results_are_masked_on_both_tiers(name, results, value, want):
+    module, index = _import_caller([(name, [], results)])
+    got = _outcomes(module, index, {name: lambda: value}, name)
+    assert got[0][0] == want and type(got[0][0]) is type(want)
+    assert got[1] == got[0]
+
+
+def test_import_bound_to_another_instances_function_runs_from_compiled():
+    """An import slot that holds another instance's exported wasm function
+    (not a HostFunc) is called through the generic call path.  Linking
+    takes only host functions, so the test fills the slot itself."""
+    lib = ModuleBuilder("lib")
+    double = lib.func("double", params=[I32], results=[I32], export=True)
+    double.local_get(0).local_get(0).op("i32.add")
+    double.end()
+    lib = lib.build()
+    module, index = _import_caller([("double", [I32], [I32])])
+
+    def link(inst, tier_up):
+        fn = instantiate(lib, tier_up=tier_up).func_by_name("double")
+        assert (fn.native is not None) == (tier_up is not None)
+        inst.funcs[index("double")] = fn
+
+    got = _outcomes(module, index, {"double": lambda x: 0}, "double", (21,),
+                    link)
+    assert got[0][0] == 42
+    assert got[1] == got[0]
+
+
+POLICY_GUEST = r"""
+func probe(n: i32) -> i32 {
+    var ok: i32 = 0;
+    var i: i32 = 0;
+    while (i < n) {
+        if (write(1, "x", 1) == 1) { ok = ok + 1; }
+        i = i + 1;
+    }
+    return ok;
+}
+func denied() -> i64 { return SYS_getpid(); }
+export func _start() {
+    var ok: i32 = probe(5);
+    if (ok == 5) { denied(); }
+    exit(ok);
+}
+"""
+
+
+def _policy_run(policy, tier_up):
+    rt = WaliRuntime(policy=policy, tier_up=tier_up)
+    module = _guest(POLICY_GUEST, "policy")
+    wp = rt.load(module)
+    status = wp.run()
+    names = {f.name: i for i, f in
+             enumerate(module.funcs, module.num_imported_funcs)}
+    compiled = [wp.instance.funcs[names[n]].native is not None
+                for n in ("probe", "denied")]
+    assert compiled == [tier_up is not None] * 2
+    trap = wp.trap.kind if wp.trap is not None else None
+    return status, trap, rt.kernel.console_output(), wp.machine.steps
+
+
+def test_policy_denies_and_injects_from_compiled_code():
+    from repro.kernel.errno import EIO
+    from repro.wali import FaultInjector, SecurityPolicy
+
+    deny = [_policy_run(SecurityPolicy(deny={"getpid"}), t) for t in TIERS]
+    assert deny[0][1] == "syscall-denied" and deny[0][2] == b"xxxxx"
+    assert deny[1] == deny[0]
+    injectors = [FaultInjector(failures={"write": (EIO, 3)})
+                 for _ in TIERS]
+    inject = [_policy_run(inj, t) for inj, t in zip(injectors, TIERS)]
+    assert inject[0][:3] == (4, None, b"xxxx")
+    assert inject[1] == inject[0]
+    assert [inj.injected for inj in injectors] == [[("write", 3)]] * 2

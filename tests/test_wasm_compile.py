@@ -171,8 +171,8 @@ def test_compiled_recursion_exhausts_the_stack():
 
 
 def test_host_calls_from_compiled():
-    """Both tiers call imports through one routine: it masks the result,
-    and a void import that returns a value traps."""
+    """Both tiers mask an import's result alike, and a void import that
+    returns a value traps."""
     mb = ModuleBuilder("t")
     mb.import_func("env", "triple", params=[I32], results=[I32])
     mb.import_func("env", "void", params=[], results=[])
@@ -444,6 +444,35 @@ def test_differential_division(a, b, op):
     except Trap as exc:
         e2 = exc.kind
     assert (r1, e1) == (r2, e2)
+
+
+# the sign boundary of each width: compiled signed compares flip the sign
+# bit of both operands instead of converting them
+_SIGN_EDGE = {I32: [0, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF],
+              I64: [0, 2**63 - 1, 2**63, 2**64 - 1]}
+_SIGNED = {"lt_s": lambda a, b: a < b, "gt_s": lambda a, b: a > b,
+           "le_s": lambda a, b: a <= b, "ge_s": lambda a, b: a >= b}
+
+
+@pytest.mark.parametrize("t", [I32, I64])
+def test_differential_signed_compares_at_the_sign_boundary(t):
+    bits = 32 if t == I32 else 64
+    mb = ModuleBuilder("cmp")
+    for op in _SIGNED:
+        f = mb.func(op, params=[t, t], results=[I32], export=True)
+        f.local_get(0).local_get(1).op(f"{t}.{op}")
+        f.end()
+    module = mb.build()
+
+    def signed(x):
+        return x - (1 << bits) if x >> (bits - 1) else x
+
+    for op, ref in _SIGNED.items():
+        interp, compiled = both_tiers(module, op)
+        for a in _SIGN_EDGE[t]:
+            for b in _SIGN_EDGE[t]:
+                want = int(ref(signed(a), signed(b)))
+                assert interp(a, b) == compiled(a, b) == want, (op, a, b)
 
 
 def test_native_tier_runs_f64_helpers_like_the_compiled_tier():
