@@ -199,9 +199,18 @@ class FileMapping:
             return
         fs = self.fs
         bs = fs.disk.block_size
+        first = max(offset, 0) // bs
+        if first == (end - 1) // bs and first in self.resident:
+            # a hit inside one resident block takes no lock: the lock
+            # never covered the caller's read of the cached bytes, and a
+            # clean block evicted meanwhile keeps valid bytes
+            counters = fs.counters
+            if counters is not None and not fs._quiet:
+                counters._counts["block.cache_hit"] += 1
+            return
         hits = misses = 0
         with fs._lock:
-            for idx in range(max(offset, 0) // bs, (end - 1) // bs + 1):
+            for idx in range(first, (end - 1) // bs + 1):
                 if idx in self.resident:
                     hits += 1
                     continue

@@ -8,10 +8,10 @@ dispatches through it.
 
 ``Kernel.call`` is the kernel layer's one accounting writer.  Per syscall it
 adds the elapsed time to ``kernel_time_ns[tgid]`` (Fig. 7, ``/proc/<pid>/
-status`` ``ServiceNs``) and to the calling thread's ``rusage.stime_ns``, and
-makes one bookkeeping call, ``KernelTrace.record_syscall``, which bumps the
-``syscall.<name>`` counter cell and records the service/wait latency
-histogram.  Every other per-syscall view is read from those:
+status`` ``ServiceNs``) and to the calling thread's ``rusage.stime_ns``,
+bumps the ``syscall.<name>`` counter cell and records the service/wait
+latency histograms, all in its own frame.  Every other per-syscall view is
+read from those:
 ``syscall_counts``, the Fig. 2 profile, perf counting events and guest
 ``perf stat`` all read the counter cells.
 
@@ -27,7 +27,8 @@ slice out and then finds its scan satisfied is a lost wakeup, counted in
 ``sched.safety_net_wakeups`` (``docs/sched.md``, "Blocking and
 wakeups").  ``Kernel.call`` itself acquires a CPU slot on entry and
 honors preemption on exit, so syscall latency under load includes
-*runnable-wait* (contention), accounted separately in ``sched_wait_ns``.
+*runnable-wait* (contention), accounted per task in ``proc.se.wait_ns``
+(the histograms' wait) and per thread group in ``sched_wait_ns``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .errno import EAGAIN, EINTR, ENOSYS, EPIPE, KernelError
 from .fdtable import FDTable, OpenFile
 from .process import Process, STATE_RUNNING
 from .signals import SIGPIPE
+from .trace import HIST_BUCKETS
 from .vfs import (
     Inode, NullDevice, O_RDWR, RandomDevice, S_IFCHR, TTYDevice, VFS,
     ZeroDevice,
@@ -242,65 +244,79 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
 
         The call holds a CPU slot from ``Scheduler.syscall_enter`` to
         ``syscall_exit``; block-layer cost accrued by the handler settles
-        before the exit.  It emits the ``syscall_enter``/``syscall_exit``
-        tracepoints (exit carries ``-errno`` in ``arg``, 0 on success) and
-        makes the kernel's four accounting writes: ``kernel_time_ns[tgid]``,
-        ``proc.rusage.stime_ns``, the ``syscall.<name>`` counter cell and
-        the latency histogram, the last two in one call,
-        ``trace.record_syscall``.  The first two charge the whole call, from
-        entry to after the last of the exit bookkeeping (histogram, counter,
-        tracepoint, perf sample), so none of it lands in the caller's WALI
-        time.  The histogram splits the elapsed time into
-        *service* (inside the handler) and *runnable-wait* (queued for a
-        CPU slot, read back from ``sched_wait_ns``), so tail-latency reports
-        can separate kernel cost from contention.
+        before the exit when it returns, and is dropped when it raises.
+        It emits the ``syscall_enter``/``syscall_exit`` tracepoints (exit
+        carries ``-errno`` in ``arg``, 0 on success) and makes the
+        kernel's four accounting writes, all in this frame:
+        ``kernel_time_ns[tgid]``, ``proc.rusage.stime_ns``, the
+        ``syscall.<name>`` counter cell and the latency histograms.  The
+        first two charge the whole call, from entry to after the last of
+        the exit bookkeeping (histograms, counter, tracepoint, perf
+        sample), so none of it lands in the caller's WALI time.  The
+        histograms split the elapsed time into *service* (inside the
+        handler) and *runnable-wait* (this task queued for a CPU slot,
+        read from its own ``proc.se.wait_ns``: a sibling thread's wait is
+        not this call's), so tail-latency reports can separate kernel
+        cost from contention.
         """
         entry = self._syscalls.get(name)
         if entry is None:
             raise KernelError(ENOSYS, name)
         method, counter = entry
         trace = self.trace
-        tgid = proc.tgid
+        se = proc.se
         t0 = _time.perf_counter_ns()
-        w0 = self.sched_wait_ns.get(tgid, 0) if trace is not None else 0
+        w0 = se.wait_ns
         self.sched.syscall_enter(proc)
         err = 0
-        returned = False
         if trace is not None and (trace.enabled or trace.probes is not None):
             trace.emit("syscall_enter", pid=proc.pid, info=name)
         try:
-            result = method(proc, *args, **kwargs)
-            returned = True
-            return result
-        except KernelError as exc:
-            err = exc.errno
-            raise
-        finally:
+            result = method(proc, *args, **kwargs) if kwargs \
+                else method(proc, *args)
+        except BaseException as exc:
+            if isinstance(exc, KernelError):
+                err = exc.errno
             bd = self.blockdev
             if bd is not None and bd.tls.pending:
-                if returned:
-                    # accrued disk time is settled here, at syscall exit,
-                    # parking the task on the scheduler like any blocking
-                    # primitive (the I/O wait is a schedule point)
-                    bd.settle(self, proc)
-                else:
-                    bd.drop_pending()  # error paths forfeit unsettled cost
+                bd.drop_pending()  # error paths forfeit unsettled cost
+            raise
+        else:
+            bd = self.blockdev
+            if bd is not None and bd.tls.pending:
+                # accrued disk time is settled here, at syscall exit,
+                # parking the task on the scheduler like any blocking
+                # primitive (the I/O wait is a schedule point)
+                bd.settle(self, proc)
+            return result
+        finally:
             self.sched.syscall_exit(proc)
             if trace is not None:
-                # the histogram's span ends at the scheduler's exit
+                # the histograms' span ends at the scheduler's exit
                 dt = _time.perf_counter_ns() - t0
-                wait = self.sched_wait_ns.get(tgid, 0) - w0
-                trace.record_syscall(name, dt - wait, wait, counter)
+                wait = se.wait_ns - w0
+                service = dt - wait
+                trace.cells[counter] += 1
+                hist = trace.service_hist.get(name)
+                if hist is None:
+                    hist = trace.service_hist[name] = [0] * HIST_BUCKETS
+                hist[min(service.bit_length(), HIST_BUCKETS - 1)
+                     if service > 0 else 0] += 1
+                if wait > 0:
+                    hist = trace.wait_hist.get(name)
+                    if hist is None:
+                        hist = trace.wait_hist[name] = [0] * HIST_BUCKETS
+                    hist[min(wait.bit_length(), HIST_BUCKETS - 1)] += 1
                 # re-read: the handler may have switched tracing on
                 if trace.enabled or trace.probes is not None:
                     trace.emit("syscall_exit", pid=proc.pid, arg=-err,
-                               info=name, args=(-err, dt - wait, wait))
+                               info=name, args=(-err, service, wait))
             perf = self.perf
             if perf.active:
                 perf.on_syscall(proc)
             # the kernel's time is the whole call, its bookkeeping included
             dt = _time.perf_counter_ns() - t0
-            self.kernel_time_ns[tgid] += dt
+            self.kernel_time_ns[proc.tgid] += dt
             proc.rusage.stime_ns += dt
 
     @property

@@ -324,13 +324,14 @@ class KernelTrace:
     :meth:`emit` is then two attribute loads and a set test, the
     compiled-in-but-off cost the overhead benchmark bounds.  The
     latency histograms are always on: one log2 bucket increment per
-    syscall, cheap enough to never gate.
+    syscall, cheap enough to never gate, which ``Kernel.call`` makes
+    itself (with the ``syscall.<name>`` bump of :attr:`cells`).
     """
 
     def __init__(self, capacity: int = TRACE_DEFAULT_CAPACITY):
         self.counters = CounterRegistry()
-        # the registry's cells, bumped in place by record_syscall
-        self._cells = self.counters._counts
+        # the registry's cells: Kernel.call bumps ``syscall.<name>`` here
+        self.cells = self.counters._counts
         self.buffer = TraceBuffer(capacity, self.counters)
         self.enabled = False
         self.mask = set(TRACEPOINTS)
@@ -422,25 +423,6 @@ class KernelTrace:
             del self.probes[point]
         if not self.probes:
             self.probes = None
-
-    def record_syscall(self, name: str, service_ns: int, wait_ns: int,
-                       counter: Optional[str] = None) -> None:
-        """Always-on per-syscall accounting, the kernel's one bookkeeping
-        call per syscall: bumps the ``syscall.<name>`` counter cell
-        (``counter`` is its key, when the caller holds it) and the
-        service and wait latency histograms (the :func:`hist_bucket`
-        bucket, computed inline)."""
-        self._cells[counter or "syscall." + name] += 1
-        hist = self.service_hist.get(name)
-        if hist is None:
-            hist = self.service_hist[name] = [0] * HIST_BUCKETS
-        hist[min(service_ns.bit_length(), HIST_BUCKETS - 1)
-             if service_ns > 0 else 0] += 1
-        if wait_ns > 0:
-            whist = self.wait_hist.get(name)
-            if whist is None:
-                whist = self.wait_hist[name] = [0] * HIST_BUCKETS
-            whist[min(wait_ns.bit_length(), HIST_BUCKETS - 1)] += 1
 
     # ---- control (the /proc/trace_ctl command language) ----
 

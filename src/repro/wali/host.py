@@ -228,8 +228,9 @@ class WaliHost:
                 return -exc.errno
             finally:
                 cell[0] += 1
-                cell[1] += max(_time.perf_counter_ns() - t0
-                               - (rusage.stime_ns - k0), 0)
+                dt = _time.perf_counter_ns() - t0 - (rusage.stime_ns - k0)
+                if dt > 0:
+                    cell[1] += dt
 
         return call
 

@@ -10,8 +10,8 @@ spawned, its own Python thread).  Every process has one lifecycle:
   that binds every name);
 * **attach** -- :meth:`WaliProcess.attach` binds an instance to it, with a
   machine and an mmap pool.  It is the only code that sets the instance,
-  machine, pool, virtual sigtable and poll hook, and the kernel task's
-  ``machine``/``mm``;
+  machine, pool, virtual sigtable, poll hook and poll gate (the task's
+  pending signals), and the kernel task's ``machine``/``mm``;
 * **release** -- :meth:`WaliRuntime.release` drops the process from
   ``WaliRuntime.processes`` once the kernel reaps its task: when ``wait4``
   returns it, or when an auto-reaped thread's run ends.  The zombie a
@@ -128,6 +128,8 @@ class WaliProcess:
             self.proc.mm = pool.space
         self.sigv = VirtualSigTable(self.proc)
         machine.poll_hook = self.sigv.make_poll_hook(machine, instance.table)
+        # the hook has work only while a signal is pending
+        machine.poll_gate = self.proc.pending
 
     def load_image(self) -> None:
         """Instantiate ``module`` over this process's host and attach it."""

@@ -63,7 +63,9 @@ class VirtualSigTable:
 
         ``table`` is the instance funcref table used to resolve handler
         tokens; resolution happens at delivery time so re-registration in a
-        handler takes effect immediately.
+        handler takes effect immediately.  The machine's poll gate is
+        ``proc.pending``, so safepoints call the hook only while some
+        signal is pending.
         """
         proc = self.proc
 

@@ -17,13 +17,16 @@ There is one calling convention: every compiled function is
 ``f(machine, *args)`` for the calling
 :class:`~repro.wasm.interp.Machine`.  It retires the interpreter's exact
 step count (one ``m.steps += n`` per basic-block exit, ``n`` its flat
-ops), polls the machine's ``poll_hook`` at safepoints and calls compiled
+ops), polls the machine's ``poll_hook`` at safepoints while its
+``poll_gate`` reads nonzero, as the interpreter does, and calls compiled
 callees directly as ``_f<index>(m, ...)``.  A ``call`` of an import reads
 the import slot when it runs; a :class:`~repro.wasm.interp.HostFunc` is
 called as ``.fn(*args)`` with its result masked inline, so a WALI syscall
 costs the host no engine frame.  ``call_indirect`` targets, and imports
 that are not host functions, go through the machine (:func:`_call`).
-The interpreter enters compiled code at ``CALL_NATIVE``.
+The interpreter enters compiled code at ``CALL_NATIVE``, and
+:meth:`~repro.wasm.interp.Machine.invoke` runs a compiled entry function
+(``_start``, a signal handler) without interpreting it.
 
 :func:`compiled_functions` picks what tiers up by one of two rules:
 
@@ -37,7 +40,8 @@ The interpreter enters compiled code at ``CALL_NATIVE``.
 
 A trap inside compiled code leaves ``Machine.steps`` exact: every source
 line records the steps pending there (``f.pending``, by line), which the
-interpreter adds at ``CALL_NATIVE`` (:meth:`Machine._retire_trap`).
+interpreter adds where it entered compiled code
+(:meth:`Machine._retire_trap`).
 
 ``docs/perf.md``, "The compiled tier", has the rules.
 """
@@ -196,8 +200,8 @@ class _FnCompiler:
 
     The generated function takes ``m``, the calling
     :class:`~repro.wasm.interp.Machine`, and reaches memory, globals,
-    functions and the poll hook through ``m.instance`` and ``m.poll_hook``
-    when it is entered.
+    functions and the poll hook through ``m.instance``, ``m.poll_hook`` and
+    ``m.poll_gate`` when it is entered.
 
     The body retires the interpreter's step count: ``self.pend`` holds the
     flat ops (:mod:`.flatten`) of the code emitted since the last
@@ -257,7 +261,7 @@ class _FnCompiler:
 
     def poll(self) -> None:
         self.polls = True
-        self.emit("if hook is not None: hook()")
+        self.emit("if gate.bits and hook is not None: hook()")
 
     # ---- branch plumbing ----
 
@@ -651,7 +655,7 @@ class _FnCompiler:
         if self.uses_funcs:
             prelude.append("    fns = inst.funcs")
         if self.polls:
-            prelude.append("    hook = m.poll_hook")
+            prelude += ["    hook = m.poll_hook", "    gate = m.poll_gate"]
         prelude.append("    _br = 0")
         for i, t in enumerate(self.fn.locals):
             prelude.append(

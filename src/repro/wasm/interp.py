@@ -6,9 +6,11 @@ demands of an engine (§3 of the paper):
 
 * **fork** — a running guest can be duplicated by deep-copying machine state
   (used by the 1-to-1 process model's ``fork`` passthrough);
-* **safepoints** — the ``poll`` pseudo-instruction is a cheap hook check, and
-  the signal-delivery hook can *re-enter* the same machine to run a guest
-  signal handler (a nested ``run`` bounded by the current frame depth);
+* **safepoints** — the ``poll`` pseudo-instruction is a cheap hook check,
+  gated by ``Machine.poll_gate`` (the hook runs only while the gate's
+  ``bits`` is nonzero), and the signal-delivery hook can *re-enter* the
+  same machine to run a guest signal handler (a nested ``run`` bounded by
+  the current frame depth);
 * **suspension** — host code always sees a consistent machine (the pc is
   committed to the frame before any host call).
 
@@ -38,19 +40,21 @@ tier's decode-on-fetch view) is dispatched the same way.
 **The compiled tier.**  The interpreter is not the only tier: a ``call``
 of a function with a compiled body (``WasmFunc.native``, see
 :func:`repro.wasm.compile.compiled_functions`) decodes to ``CALL_NATIVE``,
-which runs the compiled body as one Python call.  That is the one place
-the interpreter enters compiled code: compiled code calls compiled
-callees directly, and calls a host import's ``HostFunc.fn`` itself, with
-the result masking (and the void-result trap) of
-:meth:`Machine._call_host`, the interpreter's host-call routine.
+which runs the compiled body as one Python call, and :meth:`Machine.invoke`
+of such a function (a program's ``_start``, a signal handler, a thread
+entry) runs its body through :meth:`Machine.run` without interpreting
+it.  Both enter compiled code through :meth:`Machine._call_native`;
+compiled code calls compiled callees directly, and calls a host import's
+``HostFunc.fn`` itself, with the result masking (and the void-result
+trap) of :meth:`Machine._call_host`, the interpreter's host-call routine.
 Compiled calls recurse on the Python stack, so running out of it is
-:class:`TrapStackExhausted` at ``CALL_NATIVE``.  While a compiled body runs,
-``Machine.native_depth`` is nonzero: the host, or a signal handler
-entered from a compiled safepoint, runs above Python frames that fork
-cannot copy.  Under the WALI default (``tier_up="fork_free"``) only
-functions that reach no fork, clone or ``execve`` import are compiled,
-so those calls see plain machine state; a ``fork`` from a signal handler
-above a compiled frame is refused.  Compiled frames are Python frames
+:class:`TrapStackExhausted` where the interpreter entered compiled code.
+While a compiled body runs, ``Machine.native_depth`` is nonzero: the
+host, or a signal handler entered from a compiled safepoint, runs above
+Python frames that fork cannot copy.  Under the WALI default
+(``tier_up="fork_free"``) only functions that reach no fork, clone or
+``execve`` import are compiled, so those calls see plain machine state;
+a ``fork`` from a signal handler above a compiled frame is refused.  Compiled frames are Python frames
 filed as ``<wasm:NAME>`` (:data:`COMPILED_FILE`): the perf stack walk
 reads them off the task's thread.  A machine with ``fuel`` set runs
 every function interpreted instead.
@@ -435,6 +439,17 @@ def decode(code: FlatCode, funcs) -> list:
 _STEP_WINDOW = 1 << 29
 
 
+class _AlwaysPoll:
+    """The default poll gate: its ``bits`` always reads nonzero, so a
+    generic hook runs at every safepoint."""
+
+    __slots__ = ()
+    bits = 1
+
+
+ALWAYS_POLL = _AlwaysPoll()
+
+
 class Machine:
     """One thread of Wasm execution (the paper's instance-per-thread unit)."""
 
@@ -444,6 +459,10 @@ class Machine:
         # frame: [code, pc, locals, stack_base]
         self.frames: List[list] = []
         self.poll_hook: Optional[Callable[[], None]] = None
+        # a safepoint calls the hook only while ``poll_gate.bits`` is
+        # nonzero: an embedder whose hook has work only then (WALI: a
+        # pending signal) sets a gate that reads 0 when it has none
+        self.poll_gate = ALWAYS_POLL
         self.steps = 0
         self.fuel: Optional[int] = None
         self.max_frames = MAX_FRAMES
@@ -455,12 +474,16 @@ class Machine:
 
     def invoke(self, func, args=()):
         """Call a function (by ``WasmFunc``/``HostFunc`` or index) to
-        completion; returns the single result or ``None``."""
+        completion; returns the single result or ``None``.  A function
+        with a compiled body runs it (through :meth:`run`) unless fuel
+        is set."""
         if isinstance(func, int):
             func = self.instance.funcs[func]
         if isinstance(func, HostFunc):
             res = func.fn(*args)
             return res
+        if func.native is not None and self.fuel is None:
+            return self.run(native=func.native, args=args)
         depth = len(self.frames)
         self._push_frame(func.code, list(args))
         self.run(depth)
@@ -479,7 +502,7 @@ class Machine:
         m = Machine(new_instance)
         m.stack = list(self.stack)
         m.frames = [[f[0], f[1], list(f[2]), f[3]] for f in self.frames]
-        m.poll_hook = None  # rebound by the new process
+        m.poll_hook = None  # rebound by the new process, with its gate
         m.steps = self.steps
         m.fuel = self.fuel
         m.max_frames = self.max_frames
@@ -492,8 +515,12 @@ class Machine:
             raise TrapStackExhausted(f"{len(self.frames)} frames")
         self.frames.append([code, 0, args + code.zero_locals, len(self.stack)])
 
-    def run(self, min_depth: int = 0) -> None:
-        """Execute until the frame stack drops back to ``min_depth``."""
+    def run(self, min_depth: int = 0, native=None, args=()):
+        """Execute until the frame stack drops back to ``min_depth``; or,
+        given a compiled body ``native``, run it on ``args`` and return
+        its result (:meth:`invoke` of a compiled function)."""
+        if native is not None:
+            return self._call_native(native, args)
         frames = self.frames
         if len(frames) <= min_depth:
             return
@@ -504,6 +531,7 @@ class Machine:
         mem = inst.memory
         data = None if mem is None else mem.data
         hook = self.poll_hook
+        gate = self.poll_gate
         max_frames = self.max_frames
         fuel = self.fuel
         limit = self.steps + _STEP_WINDOW if fuel is None else fuel
@@ -601,7 +629,7 @@ class Machine:
                     pc = target
                     continue
                 if k == POLL:
-                    if hook is not None:
+                    if gate.bits and hook is not None:
                         frame[1] = pc
                         self.steps = limit - stop + pc
                         try:
@@ -729,17 +757,9 @@ class Machine:
                         args = ()
                     frame[1] = pc
                     self.steps = limit - stop + pc
-                    self.native_depth += 1
                     try:
-                        res = native(self, *args)
-                    except RecursionError:
-                        # compiled calls recurse on the Python stack
-                        raise TrapStackExhausted("compiled tier") from None
-                    except Trap as exc:
-                        self._retire_trap(exc)
-                        raise
+                        res = self._call_native(native, args)
                     finally:
-                        self.native_depth -= 1
                         stop = limit - self.steps + pc
                     if code.n_results:
                         stack.append(res)
@@ -770,6 +790,23 @@ class Machine:
             raise
         finally:
             self.steps = limit - stop + pc
+
+    def _call_native(self, native, args):
+        """Run a compiled body on this machine: the one place the
+        interpreter enters compiled code.  A compiled body retires its
+        own steps into ``self.steps``, up to the trapping op when it
+        traps."""
+        self.native_depth += 1
+        try:
+            return native(self, *args)
+        except RecursionError:
+            # compiled calls recurse on the Python stack
+            raise TrapStackExhausted("compiled tier") from None
+        except Trap as exc:
+            self._retire_trap(exc)
+            raise
+        finally:
+            self.native_depth -= 1
 
     def _retire_trap(self, exc: Trap) -> None:
         """Add the steps the innermost compiled frame under ``exc`` had

@@ -9,13 +9,17 @@ to the crossing fails here even when no timing moves.
 The crossing is one frame per layer: the compiled function calls the
 import's ``HostFunc.fn`` directly (no engine glue), the WALI handler
 calls ``Kernel.call`` through ``WaliHost.k``, and ``Kernel.call`` makes
-the scheduler's enter and exit calls, the handler call and one
-bookkeeping call (``KernelTrace.record_syscall``).  What is left is the
-handler's own work.  ``read`` and ``pread64`` read one resident byte of
-a ``/data`` file (a page-cache hit); ``write`` goes to ``/dev/null``.
+the scheduler's enter and exit calls and the handler call, and keeps
+its books (counter cell, latency histograms) in its own frame.  What is
+left is the handler's own work.  ``read`` and ``pread64`` read one
+resident byte of a ``/data`` file (a page-cache hit, counted without a
+call); ``write`` goes to ``/dev/null``; ``futex`` wakes a word nobody
+waits on; ``ppoll`` polls one pipe that holds a byte, with a zero
+timeout.
 """
 
 import gc
+import struct
 import sys
 
 import pytest
@@ -28,19 +32,24 @@ from repro.wasm.interp import HostFunc
 
 # Python calls per crossing, below the compiled function's own frame:
 #   getpid  fn, passthrough, Kernel.call, syscall_enter, sys_getpid,
-#           syscall_exit, record_syscall
+#           syscall_exit
 #   read    fn, w_read, Kernel.call, syscall_enter, sys_read,
 #           FDTable.get, readable_mode, OpenFile.read, ensure_resident,
-#           the cache-hit counter (2), _reg_content, syscall_exit,
-#           record_syscall, copy_out, LinearMemory.write and its check
-COUNTS = {"getpid": 7, "read": 17, "pread64": 17, "write": 17, "fstat": 18,
-          "lseek": 10, "stat": 32}
+#           _reg_content, syscall_exit, copy_out, LinearMemory.write and
+#           its check
+COUNTS = {"getpid": 6, "getuid": 6, "read": 14, "pread64": 14, "write": 16,
+          "fstat": 17, "lseek": 9, "stat": 31, "futex": 12, "ppoll": 27}
 
 # comprehensions that CPython 3.12 runs inline, without a frame
 _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 
 PATH = b"/data/crossing\0"
 PATH_PTR = 1024
+POLLFD_PTR = 2048      # one pollfd: the pipe's read end, POLLIN
+TIMESPEC_PTR = 2064    # a zero timeout
+FUTEX_PTR = 2096
+FUTEX_WAKE = 1
+POLLIN = 1
 
 
 def _module():
@@ -94,11 +103,17 @@ def guest():
     wp = rt.load(_module(), argv=["crossing"])
     data = k.call(wp.proc, "openat", AT_FDCWD, PATH[:-1].decode(), O_RDWR)
     null = k.call(wp.proc, "openat", AT_FDCWD, "/dev/null", O_RDWR)
-    wp.instance.memory.write(PATH_PTR, PATH)
-    args = {"getpid": (), "read": (data, 0, 1),
+    r, w = k.call(wp.proc, "pipe2", 0)
+    k.call(wp.proc, "write", w, b"x")
+    mem = wp.instance.memory
+    mem.write(PATH_PTR, PATH)
+    mem.write(POLLFD_PTR, struct.pack("<ihh", r, POLLIN, 0))
+    args = {"getpid": (), "getuid": (), "read": (data, 0, 1),
             "pread64": (data, 0, 1, 4096), "write": (null, 0, 1),
             "fstat": (data, 0), "lseek": (data, 0, 0),
-            "stat": (PATH_PTR, 0)}
+            "stat": (PATH_PTR, 0),
+            "futex": (FUTEX_PTR, FUTEX_WAKE, 1, 0, 0, 0),
+            "ppoll": (POLLFD_PTR, 1, TIMESPEC_PTR, 0)}
     return rt, wp, args
 
 

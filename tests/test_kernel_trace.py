@@ -226,12 +226,22 @@ class TestHistograms:
         assert hist_bucket(1024) == 11
         assert hist_bucket(1 << 70) == 63  # clamps
 
-    def test_record_syscall_splits_service_and_wait(self):
-        t = KernelTrace()
-        t.record_syscall("read", 1000, 0)
-        t.record_syscall("read", 1500, 3000)
-        assert sum(t.service_hist["read"]) == 2
-        assert sum(t.wait_hist["read"]) == 1  # zero wait not recorded
+    def test_kernel_call_splits_service_and_wait(self, k, proc,
+                                                 monkeypatch):
+        """``Kernel.call`` books the task's runnable wait during the call
+        in the wait histogram, and the rest of its time as service."""
+        k.call(proc, "getppid")
+        enter = k.sched.syscall_enter
+
+        def queued(p):      # as if the task waited 3 µs for a CPU slot
+            enter(p)
+            p.se.wait_ns += 3000
+
+        monkeypatch.setattr(k.sched, "syscall_enter", queued)
+        k.call(proc, "getppid")
+        assert sum(k.trace.service_hist["getppid"]) == 2
+        wait = k.trace.wait_hist["getppid"]  # zero wait not recorded
+        assert sum(wait) == 1 and wait[hist_bucket(3000)] == 1
 
     def test_histograms_always_on(self, k, proc):
         assert not k.trace.enabled

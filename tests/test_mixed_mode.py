@@ -9,8 +9,10 @@ and ``Machine.steps`` match the interpreter exactly under both rules;
 each instance (fork child, thread, ``execve`` image) runs the shared
 compiled code on its own memory and globals; signals still land at loop
 safepoints inside compiled code; the guests' fork, clone and execve
-paths stay interpreted, so they still fork; and a fork from a signal
-handler above a compiled frame fails.
+paths stay interpreted, so they still fork; a fork from a signal
+handler above a compiled frame fails; a compiled ``_start`` runs
+compiled; and a WALI safepoint calls its hook only while a signal is
+pending.
 """
 
 import struct
@@ -31,7 +33,7 @@ from repro.wasm.compile import (
 )
 from repro.wasm.module import KIND_FUNC
 from repro.wasm.flatten import SAFEPOINT_SCHEMES
-from repro.wasm.interp import WasmFunc
+from repro.wasm.interp import ALWAYS_POLL, WasmFunc
 
 
 def _sum_module(name: str, k: int):
@@ -441,6 +443,9 @@ def _guest(source, name):
     return compile_source(with_libc(source), name=name)
 
 
+TIER_RULES = (None, "fork_free", "all")
+
+
 def test_fork_child_and_thread_run_a_leaf_on_their_own_state():
     rt = WaliRuntime()
     module = _guest(r"""
@@ -561,6 +566,115 @@ export func _start() {
     assert not wp.thread.is_alive()
     assert wp.exit_status == 1
     assert rt.kernel.counters.get("wali.fork_refused") == 0
+
+
+# --------------------------------------------------------------------------
+# the compiled entry and the gated safepoint
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("app", ["event_echo", "mini_lua", "mini_sqlite"])
+def test_entry_of_a_compiled_guest_runs_compiled(app, wali_processes):
+    """``_start`` of a fully compiled guest runs its compiled body: the
+    interpreter decodes, so retires, none of the guest's ops, and
+    output, status and steps are the interpreter's."""
+    want, _ = _run_app(app, None, wali_processes)
+    first = len(wali_processes)
+    got, _ = _run_app(app, "fork_free", wali_processes)
+    assert got == want
+    funcs = [f for f in wali_processes[first].instance.funcs
+             if isinstance(f, WasmFunc)]
+    assert all(f.native is not None for f in funcs)
+    assert [f for f in funcs if f.code.decoded is not None] == []
+
+
+SIGNALS = r"""
+global i: i32 = 0;
+global at: i32 = 0;
+global hits: i32 = 0;
+func on_usr1(sig: i32) { at = i; hits = hits + 1; }
+"""
+
+
+def _wali_run(source, name, tier_up, gate=None):
+    """Run ``source`` under ``tier_up``; returns ``(status, steps, hook
+    calls)``.  ``gate`` replaces the machine's poll gate."""
+    rt = WaliRuntime(tier_up=tier_up)
+    wp = rt.load(_guest(SIGNALS + source, name))
+    hook, calls = wp.machine.poll_hook, []
+
+    def counted():
+        calls.append(1)
+        hook()
+
+    wp.machine.poll_hook = counted
+    if gate is not None:
+        wp.machine.poll_gate = gate
+    assert (wp.instance.exports["_start"].native is not None) == \
+        (tier_up is not None)
+    return wp.run(), wp.machine.steps, len(calls)
+
+
+def test_wali_safepoints_skip_the_hook_with_nothing_pending():
+    """A WALI machine's safepoints call the poll hook only while a signal
+    is pending: a compiled loop with none calls it 0 times, though with
+    the default gate it would at each of its loop headers."""
+    source = r"""
+export func _start() {
+    while (i < 1000) { i = i + 1; }
+    exit(i - 1000);
+}
+"""
+    for tier_up in (None, "fork_free"):
+        assert _wali_run(source, "idle", tier_up)[::2] == (0, 0)
+        assert _wali_run(source, "idle", tier_up, ALWAYS_POLL)[2] > 1000
+
+
+def test_signal_raised_mid_loop_lands_at_the_next_loop_header():
+    source = r"""
+export func _start() {
+    signal(SIGUSR1, funcref(on_usr1));
+    while (i < 10) {
+        if (i == 3) { SYS_kill(i32(SYS_getpid()), SIGUSR1); }
+        i = i + 1;
+    }
+    exit(at * 16 + hits);
+}
+"""
+    runs = [_wali_run(source, "midloop", t) for t in TIER_RULES]
+    assert runs[0][0] == 4 * 16 + 1
+    assert [r[:2] for r in runs] == [runs[0][:2]] * len(runs)
+    # the hook ran once, at the one header that had a signal pending
+    assert [r[2] for r in runs] == [1] * len(runs)
+
+
+def test_blocked_signal_waits_for_sigprocmask_to_unblock_it():
+    source = r"""
+export func _start() {
+    signal(SIGUSR1, funcref(on_usr1));
+    sigblock(SIGUSR1);
+    SYS_kill(i32(SYS_getpid()), SIGUSR1);
+    while (i < 10) { i = i + 1; }
+    var before: i32 = hits;
+    sigunblock(SIGUSR1);
+    exit(before * 64 + at * 2 + hits);
+}
+"""
+    runs = [_wali_run(source, "blocked", t) for t in TIER_RULES]
+    assert runs[0][0] == 10 * 2 + 1
+    assert [r[:2] for r in runs] == [runs[0][:2]] * len(runs)
+
+
+def test_trap_in_a_compiled_entry_leaves_steps_exact():
+    source = r"""
+export func _start() {
+    var s: i32 = 0;
+    while (i < 5) { s = s + i; i = i + 1; }
+    exit(s / (i - 5));
+}
+"""
+    runs = [_wali_run(source, "trap", t) for t in TIER_RULES]
+    assert runs[0][0] == 128 + 6
+    assert [r[:2] for r in runs] == [runs[0][:2]] * len(runs)
 
 
 def test_execve_image_gets_its_own_leaves():

@@ -17,8 +17,9 @@ from repro.apps import build
 from repro.apps.sqlite import workload_script
 from repro.kernel import (
     AT_FDCWD, CLONE_FILES, CLONE_SIGHAND, CLONE_THREAD, CLONE_VM, O_RDONLY,
-    PERF_TYPE_COUNTER, Kernel, KernelTrace, PerfAttr,
+    PERF_TYPE_COUNTER, Kernel, KernelTrace, PerfAttr, hist_bucket,
 )
+from repro.kernel.sched import SCHED_BLOCKED
 from repro.metrics import profile_app
 from repro.wali import WaliHost, WaliRuntime
 
@@ -118,21 +119,65 @@ def test_wali_time_ignores_sibling_thread_kernel_time():
     k.call(sibling, "exit", 0)
 
 
-def test_kernel_exit_bookkeeping_is_kernel_time(monkeypatch):
+def test_runnable_wait_is_the_calling_tasks_own(monkeypatch):
+    """A sibling thread's wait for a CPU slot during this task's call is
+    the sibling's runnable wait, not this call's: the latency histograms
+    split each call with the task's own ``se.wait_ns``, while the group's
+    ``sched_wait_ns`` (the Fig. 7 view) still sees every thread's."""
+    inside = threading.Event()
+
+    def slow_getppid(self, proc):
+        inside.set()
+        time.sleep(0.03)            # holds the one CPU slot meanwhile
+        return 1
+
+    monkeypatch.setattr(Kernel, "sys_getppid", slow_getppid)
+    k = Kernel(sched="cpus=1")
+    leader = k.create_process(["leader"])
+    sibling = k.call(leader, "clone",
+                     CLONE_VM | CLONE_FILES | CLONE_SIGHAND | CLONE_THREAD)
+    other = k.create_process(["other"])
+
+    def run(proc, name, *args):
+        t = threading.Thread(target=k.call, args=(proc, name, *args))
+        t.start()
+        return t
+
+    # the leader sleeps 80 ms; meanwhile another process holds the slot
+    # in a 30 ms call, and the sibling queues for it behind that call
+    sleeper = run(leader, "nanosleep", 80_000_000)
+    deadline = time.monotonic() + 5
+    while leader.se.state != SCHED_BLOCKED:
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    holder = run(other, "getppid")
+    assert inside.wait(5)
+    queued = run(sibling, "getpid")
+    for t in (holder, queued, sleeper):
+        t.join(5)
+    tgid = leader.tgid
+    assert sibling.se.wait_ns >= 10_000_000
+    assert k.sched_wait_ns[tgid] >= sibling.se.wait_ns
+    # the sibling's wait is booked on its own getpid...
+    assert sum(k.trace.wait_hist["getpid"][hist_bucket(10_000_000):]) == 1
+    # ...and none of it on the leader's nanosleep
+    naps = k.trace.wait_hist.get("nanosleep", [])
+    assert sum(naps[hist_bucket(10_000_000):]) == 0
+    assert sum(k.trace.service_hist["nanosleep"]
+               [hist_bucket(60_000_000):]) == 1
+    k.call(sibling, "exit", 0)
+
+
+def test_kernel_exit_bookkeeping_is_kernel_time():
     """The bookkeeping ``Kernel.call`` does after the handler (histogram,
     counter, tracepoint, perf sample) is kernel time: it lands in
     ``stime_ns``, not in the calling WALI cell."""
     rt = WaliRuntime()
     wp = rt.load(build("true"), argv=["true"])
     getpid = WaliHost(rt, wp).imports()["wali"]["SYS_getpid"].fn
-    trace = rt.kernel.trace
-    record = trace.record_syscall
-
-    def slow_record(*args):
-        time.sleep(0.002)
-        record(*args)
-
-    monkeypatch.setattr(trace, "record_syscall", slow_record)
+    # a slow probe on the exit tracepoint: the last of the bookkeeping
+    rt.kernel.trace.add_probe("syscall_exit",
+                              lambda pid, arg, info: time.sleep(0.002))
     stime = wp.proc.rusage.stime_ns
     assert getpid() == wp.proc.pid
     assert wp.call_counts["getpid"] == 1
