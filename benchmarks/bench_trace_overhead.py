@@ -1,24 +1,23 @@
 """Observability-layer overhead over the memcached echo workload.
 
-Three kernel configurations run the identical guest binaries
+Two kernel configurations run the identical guest binaries
 (mini-memcached + its client, every request a blocking round trip):
 
-* ``ablated``  — ``Kernel(trace="off")``: the tracing subsystem does not
-  exist.  This is the pre-observability baseline.
 * ``disabled`` — the default ``Kernel()``: tracepoints compiled in but
   tracing off.  Every emit site pays two attribute loads and a set
   test; the always-on latency histograms pay one log2-bucket increment
-  per syscall.  **The contract this benchmark enforces: ≤10% slower
-  than ablated** (min-of-rounds, so timing noise cancels).
+  per syscall.  It records no trace events.
 * ``enabled``  — ``Kernel(trace="on")`` with the full tracepoint mask
   and the wq_wake hook attached: every event is stamped, packed and
-  pushed through the ring.  Reported for scale; no bound asserted (the
-  ring exists to be cheap enough to *leave compiled in*, not to be
-  free while recording everything).
+  pushed through the ring.
 
-Quick mode (``REPRO_BENCH_QUICK=1``) shrinks op counts for CI smoke and
-relaxes the bound — tiny runs are dominated by boot cost and timer
-noise, not the per-syscall path this benchmark isolates.
+The report prices full-mask recording against the disabled kernel; no
+timing bound is asserted.  The disabled cost itself is gated exactly,
+in Python calls rather than seconds, by ``tests/test_crossing_cost.py``
+(per syscall crossing) and ``tests/test_op_cost.py`` (per sqlite and
+echo op).
+
+Quick mode (``REPRO_BENCH_QUICK=1``) shrinks op counts for CI smoke.
 """
 
 import time
@@ -34,11 +33,8 @@ QUICK = quick_mode()
 
 NOPS = 30 if QUICK else 120
 ROUNDS = 2 if QUICK else 3
-# the disabled-but-compiled-in budget (acceptance: ≤10% at full scale)
-MAX_DISABLED_OVERHEAD = 1.35 if QUICK else 1.10
 
 CONFIGS = [
-    ("ablated", "off"),
     ("disabled", None),
     ("enabled", "on"),
 ]
@@ -46,7 +42,7 @@ CONFIGS = [
 
 def _echo_run_s(trace_spec):
     """One memcached server+client session; wall seconds of the client."""
-    kernel = Kernel(trace=trace_spec) if trace_spec is not None else Kernel()
+    kernel = Kernel(trace=trace_spec)
     rt = WaliRuntime(kernel=kernel)
     server = rt.load(build("mini_memcached"), argv=["memcached", "11211"])
     server.start_in_thread()
@@ -62,10 +58,8 @@ def _echo_run_s(trace_spec):
     server.join(5)
     assert status == 0, f"client failed with trace={trace_spec!r}"
     assert b"client ok" in rt.kernel.console_output()
-    events = 0
-    if kernel.trace is not None:
-        events = kernel.trace.counters["trace.events"]
-        kernel.trace.close()
+    events = kernel.counters["trace.events"]
+    kernel.trace.close()
     return elapsed, events
 
 
@@ -82,32 +76,29 @@ def test_trace_overhead(benchmark):
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    base = results["ablated"]["best_s"]
+    base = results["disabled"]["best_s"]
     rows = []
     for label, _ in CONFIGS:
         r = results[label]
         rows.append((label, f"{r['best_s'] * 1e3:8.1f}",
                      f"{r['best_s'] / base:5.2f}x",
                      r["events"]))
-    disabled_ratio = results["disabled"]["best_s"] / base
     enabled_ratio = results["enabled"]["best_s"] / base
     out = [
-        table(["config", "best ms", "vs ablated", "trace events"], rows),
+        table(["config", "best ms", "vs disabled", "trace events"], rows),
         "",
         f"{2 * NOPS} blocking round trips, best of {ROUNDS} rounds",
-        f"disabled-but-compiled-in overhead: "
-        f"{(disabled_ratio - 1) * 100:+.1f}% (budget +10%)",
-        f"full-mask recording overhead:      "
-        f"{(enabled_ratio - 1) * 100:+.1f}%",
+        f"full-mask recording overhead: {(enabled_ratio - 1) * 100:+.1f}%",
         "",
         "tracepoints stay compiled into every hot path (sched grants,",
         "waitqueue wakes, syscall dispatch); disabled they cost two",
-        "attribute loads and a set test — the observability layer is",
-        "always one `echo on > /proc/trace_ctl` away.",
+        "attribute loads and a set test, gated in Python calls by",
+        "tests/test_crossing_cost.py and tests/test_op_cost.py — the",
+        "observability layer is always one `echo on > /proc/trace_ctl` away.",
     ]
     save_report("trace_overhead.txt", "\n".join(out))
 
-    assert disabled_ratio <= MAX_DISABLED_OVERHEAD, results
-    # full recording must actually have recorded something
+    # full recording must actually have recorded something, and the
+    # disabled kernel nothing
     assert results["enabled"]["events"] > 0, results
-    assert results["ablated"]["events"] == 0, results
+    assert results["disabled"]["events"] == 0, results

@@ -7,8 +7,10 @@ Also home of three fixtures:
 
 * ``lost_wakeup_guard`` (autouse) fails any test whose kernels recorded a
   ``sched.safety_net_wakeups`` count: a blocked task that woke only
-  because its safety slice ran out.  Every kernel counts it, including
-  one booted with tracing ablated (``Kernel(trace="off")``).
+  because its safety slice ran out.  Every kernel counts it, tracing on
+  or off.  At teardown it also closes every kernel's trace and fails the
+  test if a ``wq_wake`` hook is still installed, so no test's tracer
+  outlives it in ``kernel/eventpoll.py``'s process-global hook list.
 * ``wan_seed``: every test that builds a WAN backend derives its
   impairment seed from here, so jitter/loss/reorder decisions are
   bit-reproducible run-to-run (per-flow RNG streams in
@@ -30,11 +32,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "src"))
 
 @pytest.fixture(autouse=True)
 def lost_wakeup_guard(monkeypatch):
-    """Fail the test if a kernel it built lost a wakeup.
+    """Fail the test if a kernel it built lost a wakeup, or if a tracer
+    it enabled stays hooked into every ``WaitQueue.wake``.
 
     ``Kernel.wait_event`` counts every wait that only its 50 ms safety
     slice ended: the awaited state changed, but nothing kicked the task.
     """
+    from repro.kernel import eventpoll
     from repro.kernel.kernel import Kernel
 
     kernels = []
@@ -46,6 +50,13 @@ def lost_wakeup_guard(monkeypatch):
 
     monkeypatch.setattr(Kernel, "__init__", tracking_init)
     yield
+    for k in kernels:
+        k.trace.close()
+    if eventpoll._wake_hooks:
+        leaked = len(eventpoll._wake_hooks)
+        eventpoll._wake_hooks.clear()
+        pytest.fail(f"{leaked} wq_wake hook(s) left installed by a trace "
+                    "the test enabled and never closed")
     lost = sum(k.counters.get("sched.safety_net_wakeups") for k in kernels)
     if lost:
         pytest.fail(f"{lost} wakeup(s) recovered only by the safety slice "

@@ -62,6 +62,7 @@ from typing import Dict, List, Optional, Set
 
 from .errno import EINVAL, ENOSPC, KernelError
 from .eventpoll import EPOLLIN, WaitQueue
+from .trace import KernelTrace
 from .vfs import CharDevice, Inode, S_IFREG
 
 BLOCKFS_MAGIC = "repro-blockfs-1"
@@ -204,9 +205,8 @@ class FileMapping:
             # a hit inside one resident block takes no lock: the lock
             # never covered the caller's read of the cached bytes, and a
             # clean block evicted meanwhile keeps valid bytes
-            counters = fs.counters
-            if counters is not None and not fs._quiet:
-                counters._counts["block.cache_hit"] += 1
+            if not fs._quiet:
+                fs.counters._counts["block.cache_hit"] += 1
             return
         hits = misses = 0
         with fs._lock:
@@ -381,8 +381,7 @@ class BlockFS:
         self.disk = disk if disk is not None else Disk()
         self.mountpoint = "/" + mountpoint.strip("/") \
             if mountpoint.strip("/") else "/data"
-        self.trace = trace
-        self.counters = trace.counters if trace is not None else None
+        self.set_trace(trace or KernelTrace())
         self.meta_blocks = max(4, self.disk.nblocks // 256)
         self.data_start = 1 + 2 * self.meta_blocks
         if self.data_start >= self.disk.nblocks:
@@ -417,18 +416,15 @@ class BlockFS:
 
     def set_trace(self, trace) -> None:
         self.trace = trace
-        self.counters = trace.counters if trace is not None else None
+        self.counters = trace.counters
 
     def _count(self, name: str, n: int = 1) -> None:
-        if self.counters is not None and not self._quiet:
+        if not self._quiet:
             self.counters.inc(name, n)
 
     def _emit(self, point: str, arg: int = 0, info: str = "") -> None:
-        if self.trace is not None and not self._quiet:
+        if not self._quiet:
             self.trace.emit(point, arg=arg, info=info)
-
-    def _counter_get(self, name: str) -> int:
-        return self.counters.get(name) if self.counters is not None else 0
 
     # ------------------------------------------------------------------
     # cost accrual & settlement (the scheduler-charged disk model)
@@ -847,15 +843,15 @@ class BlockFS:
                 f"dirty_pages: {self._ndirty}",
                 f"disk_reads: {d.reads} disk_writes: {d.writes} "
                 f"seeks: {d.seeks} lost_writes: {d.lost_writes}",
-                f"cache_hits: {self._counter_get('block.cache_hit')} "
-                f"cache_misses: {self._counter_get('block.cache_miss')}",
+                f"cache_hits: {self.counters.get('block.cache_hit')} "
+                f"cache_misses: {self.counters.get('block.cache_miss')}",
                 f"writeback_pages: "
-                f"{self._counter_get('block.writeback_pages')} "
-                f"commits: {self._counter_get('block.commits')} "
-                f"fsyncs: {self._counter_get('block.fsync')}",
+                f"{self.counters.get('block.writeback_pages')} "
+                f"commits: {self.counters.get('block.commits')} "
+                f"fsyncs: {self.counters.get('block.fsync')}",
                 f"foreground_writeback: "
-                f"{self._counter_get('block.foreground_writeback')} "
-                f"io_wait_ns: {self._counter_get('block.io_wait_ns')}",
+                f"{self.counters.get('block.foreground_writeback')} "
+                f"io_wait_ns: {self.counters.get('block.io_wait_ns')}",
                 f"dirty_ratio: {self.dirty_ratio} "
                 f"dirty_background_ratio: {self.dirty_background_ratio}",
                 f"dirty_expire_centisecs: {self.dirty_expire_centisecs} "
@@ -965,11 +961,10 @@ class DropCachesDevice(CharDevice):
 # spec-string factory (mirrors create_backend / create_scheduler)
 # ----------------------------------------------------------------------
 
-def create_blockfs(spec, trace=None) -> Optional[BlockFS]:
+def create_blockfs(spec, trace: Optional[KernelTrace] = None) -> BlockFS:
     """Build the kernel's block layer from a spec.
 
-    ``None`` → a default 8 MiB disk mounted at ``/data``; ``"off"`` /
-    ``"none"`` → no block layer (the VFS stays purely memory-backed);
+    ``None`` → a default 8 MiB disk mounted at ``/data``;
     ``"block:blocks=4096,bs=4096,seek_us=100,read_us=20,write_us=20,
     mount=/data,daemon=1,dirty_ratio=20,..."`` → a tuned instance; a
     :class:`Disk` remounts an existing image; a :class:`BlockFS` passes
@@ -978,15 +973,13 @@ def create_blockfs(spec, trace=None) -> Optional[BlockFS]:
     if spec is None:
         return BlockFS(Disk(), trace=trace)
     if isinstance(spec, BlockFS):
-        if trace is not None and spec.trace is None:
+        if trace:
             spec.set_trace(trace)
         return spec
     if isinstance(spec, Disk):
         return BlockFS(spec, trace=trace)
     if isinstance(spec, str):
         body = spec.strip()
-        if body.lower() in ("off", "none"):
-            return None
         if body.lower() == "block":
             return BlockFS(Disk(), trace=trace)
         if body.lower().startswith("block:"):

@@ -74,9 +74,8 @@ class EventCalls:
     # ---- epoll ----
 
     def sys_epoll_create1(self, proc: Process, flags: int = 0) -> int:
-        counters = self.trace.counters if self.trace is not None else None
         file = OpenFile(OpenFile.KIND_EPOLL, 0,
-                        obj=EventPoll(counters=counters),
+                        obj=EventPoll(counters=self.counters),
                         path="anon_inode:[eventpoll]")
         return proc.fdtable.install(file,
                                     cloexec=bool(flags & EPOLL_CLOEXEC))

@@ -227,7 +227,7 @@ class FSCalls:
         contract: O_DIRECT is about the cache, not durability).
         """
         node = file.inode
-        if node is None or node.mapping is None or self.blockdev is None:
+        if node is None or node.mapping is None:
             return
         if file.flags & (O_SYNC | O_DSYNC):
             self.blockdev.fsync_inode(
@@ -562,25 +562,23 @@ class FSCalls:
     # ---- sync family (real durability through the block layer) ----
 
     def sys_sync(self, proc: Process) -> int:
-        if self.blockdev is not None:
-            self.blockdev.sync_all()
+        self.blockdev.sync_all()
         return 0
 
     def sys_syncfs(self, proc: Process, fd: int) -> int:
         proc.fdtable.get(fd)
-        if self.blockdev is not None:
-            self.blockdev.sync_all()
+        self.blockdev.sync_all()
         return 0
 
     def sys_fsync(self, proc: Process, fd: int) -> int:
         file = proc.fdtable.get(fd)
-        if self.blockdev is not None and file.inode is not None:
+        if file.inode is not None:
             self.blockdev.fsync_inode(file.inode)
         return 0
 
     def sys_fdatasync(self, proc: Process, fd: int) -> int:
         file = proc.fdtable.get(fd)
-        if self.blockdev is not None and file.inode is not None:
+        if file.inode is not None:
             self.blockdev.fsync_inode(file.inode, datasync=True)
         return 0
 
@@ -594,7 +592,7 @@ class FSCalls:
         file = proc.fdtable.get(fd)
         if file.kind != OpenFile.KIND_REG:
             raise KernelError(EINVAL, "sync_file_range on non-regular fd")
-        if self.blockdev is not None and file.inode is not None:
+        if file.inode is not None:
             self.blockdev.flush_inode(file.inode)
         return 0
 

@@ -65,7 +65,7 @@ class MemCalls:
                   mem_reader: Optional[Callable] = None) -> int:
         writebacks = self._mm(proc).msync(addr, length)
         self._apply_writebacks(writebacks, mem_reader)
-        if flags & MS_SYNC and self.blockdev is not None:
+        if flags & MS_SYNC:
             # MS_SYNC means durable on return: fsync each touched file
             # through the block layer, same contract as file durability
             synced = set()

@@ -367,7 +367,7 @@ class EventPoll:
     N watched files only ever happens at registration time, never per wait.
     """
 
-    def __init__(self, counters=None):
+    def __init__(self, counters):
         self.items: Dict[int, _Interest] = {}
         self._ready: Dict[int, int] = {}  # fd -> hinted events
         self.wq = WaitQueue()  # epoll fds are themselves pollable
@@ -449,8 +449,7 @@ class EventPoll:
         never lost — at worst a recheck is already scheduled.
         """
         if self._dirty:
-            if self.counters is not None:
-                self.counters.inc("epoll.wake_coalesced")
+            self.counters.inc("epoll.wake_coalesced")
             return
         self._dirty = True
         self.wq.wake(EPOLLIN)

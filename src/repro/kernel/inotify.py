@@ -41,6 +41,7 @@ from typing import Dict
 
 from .errno import EINVAL, ENOTDIR, KernelError
 from .eventpoll import EPOLLHUP, BoundedRing
+from .trace import KernelTrace
 
 # event mask bits (Linux values)
 IN_ACCESS = 0x00000001
@@ -145,7 +146,7 @@ class _EventQueue(BoundedRing):
 
     def __init__(self, capacity: int, trace):
         super().__init__(capacity)
-        self.trace = trace   # kernel observability; None outside a kernel
+        self.trace = trace   # kernel observability
 
     def marker(self, first: InotifyEvent, count: int) -> InotifyEvent:
         return InotifyEvent(-1, IN_Q_OVERFLOW)
@@ -154,23 +155,19 @@ class _EventQueue(BoundedRing):
         return tail.same_as(ev)  # like inotify_merge
 
     def on_keep(self, ev: InotifyEvent) -> None:
-        if self.trace is not None:
-            self.trace.counters.inc("inotify.enqueued")
-            self.trace.emit("inotify_enqueue", arg=ev.mask,
-                            info=ev.name[:16])
+        self.trace.counters.inc("inotify.enqueued")
+        self.trace.emit("inotify_enqueue", arg=ev.mask, info=ev.name[:16])
 
     def on_drop(self, ev: InotifyEvent) -> None:
-        if self.trace is not None:
-            self.trace.counters.inc("inotify.dropped")
-            self.trace.emit("inotify_overflow", arg=ev.mask,
-                            info=ev.name[:16])
+        self.trace.counters.inc("inotify.dropped")
+        self.trace.emit("inotify_overflow", arg=ev.mask, info=ev.name[:16])
 
 
 class Inotify:
     """One inotify instance (the object behind the fd)."""
 
     def __init__(self, max_queued: int = MAX_QUEUED_EVENTS, trace=None):
-        self.queue = _EventQueue(max_queued, trace)
+        self.queue = _EventQueue(max_queued, trace or KernelTrace())
         self.wq = self.queue.wq
         self.watches: Dict[int, Watch] = {}
         self._by_inode: Dict[int, Watch] = {}    # id(inode) -> watch

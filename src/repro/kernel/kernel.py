@@ -72,7 +72,7 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         from .net import create_backend
         from .perf import PerfSubsystem
         from .sched import create_scheduler
-        from .trace import CounterRegistry, create_trace
+        from .trace import create_trace
 
         self.machine = machine
         self.ncpus = ncpus
@@ -83,25 +83,19 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         # /data models a disk in more detail (docs/block.md).
         self.storage_latency_ns_per_4k = storage_latency_ns_per_4k
         self.vfs = VFS()
-        # kernel observability (kernel/trace.py): tracepoints, the shared
-        # counter registry, and per-syscall latency histograms.  Specs:
-        # None = compiled in but disabled, "on" = enabled from boot,
-        # "off"/"none" = ablated entirely (no /proc/trace* files either).
-        # Created before the scheduler and the net backend so both can
-        # pick up their trace/counter sinks at construction time.
+        # kernel observability (kernel/trace.py): tracepoints, the one
+        # counter registry every layer writes, and per-syscall latency
+        # histograms.  Specs: None = compiled in but disabled, "on" =
+        # enabled from boot.  Created before the scheduler and the net
+        # backend so both can pick up their trace/counter sinks.
         self.trace = create_trace(trace)
-        # the counter registry, kept even when tracing is ablated so that
-        # correctness counters (sched.safety_net_wakeups,
-        # wali.fork_refused) count on every kernel
-        self.counters = self.trace.counters if self.trace is not None \
-            else CounterRegistry()
+        self.counters = self.trace.counters
         # network device model: a backend spec string ("loopback",
         # "wan:latency_ms=5,loss=0.01", "host:optin=1"), a NetBackend
         # instance, or None for the default loopback stack (kernel/net/).
         self.net = create_backend(net_backend)
         self.net.trace = self.trace
-        self.net.counters = \
-            self.trace.counters if self.trace is not None else None
+        self.net.counters = self.counters
         self.processes: Dict[int, Process] = {}
         self.table_lock = threading.RLock()
         self._next_pid = 1
@@ -132,7 +126,7 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         self.sched_wait_ns: Dict[int, int] = defaultdict(int)
 
         # CPU model: a run queue with `ncpus` slots and time slices; spec
-        # strings ("cpus=1,slice_us=50", "off") or a Scheduler instance
+        # strings ("cpus=1,slice_us=50") or a Scheduler instance
         self.sched = create_scheduler(sched, ncpus_default=ncpus,
                                       kernel=self)
 
@@ -144,9 +138,9 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
 
         # block layer (kernel/block.py): a disk + page cache + writeback
         # under the VFS's regular files at its mountpoint (default
-        # /data).  Specs: None = default 8 MiB disk, "off"/"none" =
-        # purely memory-backed VFS, "block:blocks=...,seek_us=...",
-        # a Disk (remount an image), or a BlockFS instance.
+        # /data).  Specs: None = default 8 MiB disk,
+        # "block:blocks=...,seek_us=...", a Disk (remount an image), or
+        # a BlockFS instance.
         self.blockdev = create_blockfs(block, trace=self.trace)
 
         self.console = TTYDevice()
@@ -174,8 +168,7 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         v.mknod_device("/dev/urandom", RandomDevice())
         v.mknod_device("/dev/tty", self.console)
         v.mknod_device("/dev/console", self.console)
-        if self.blockdev is not None:
-            self.blockdev.mount(v)
+        self.blockdev.mount(v)
         procfs.register_base(self)
 
     def _make_init(self) -> Process:
@@ -269,7 +262,7 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         w0 = se.wait_ns
         self.sched.syscall_enter(proc)
         err = 0
-        if trace is not None and (trace.enabled or trace.probes is not None):
+        if trace.enabled or trace.probes is not None:
             trace.emit("syscall_enter", pid=proc.pid, info=name)
         try:
             result = method(proc, *args, **kwargs) if kwargs \
@@ -277,40 +270,37 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         except BaseException as exc:
             if isinstance(exc, KernelError):
                 err = exc.errno
-            bd = self.blockdev
-            if bd is not None and bd.tls.pending:
-                bd.drop_pending()  # error paths forfeit unsettled cost
+            if self.blockdev.tls.pending:
+                self.blockdev.drop_pending()  # errors forfeit unsettled cost
             raise
         else:
-            bd = self.blockdev
-            if bd is not None and bd.tls.pending:
+            if self.blockdev.tls.pending:
                 # accrued disk time is settled here, at syscall exit,
                 # parking the task on the scheduler like any blocking
                 # primitive (the I/O wait is a schedule point)
-                bd.settle(self, proc)
+                self.blockdev.settle(self, proc)
             return result
         finally:
             self.sched.syscall_exit(proc)
-            if trace is not None:
-                # the histograms' span ends at the scheduler's exit
-                dt = _time.perf_counter_ns() - t0
-                wait = se.wait_ns - w0
-                service = dt - wait
-                trace.cells[counter] += 1
-                hist = trace.service_hist.get(name)
+            # the histograms' span ends at the scheduler's exit
+            dt = _time.perf_counter_ns() - t0
+            wait = se.wait_ns - w0
+            service = dt - wait
+            trace.cells[counter] += 1
+            hist = trace.service_hist.get(name)
+            if hist is None:
+                hist = trace.service_hist[name] = [0] * HIST_BUCKETS
+            hist[min(service.bit_length(), HIST_BUCKETS - 1)
+                 if service > 0 else 0] += 1
+            if wait > 0:
+                hist = trace.wait_hist.get(name)
                 if hist is None:
-                    hist = trace.service_hist[name] = [0] * HIST_BUCKETS
-                hist[min(service.bit_length(), HIST_BUCKETS - 1)
-                     if service > 0 else 0] += 1
-                if wait > 0:
-                    hist = trace.wait_hist.get(name)
-                    if hist is None:
-                        hist = trace.wait_hist[name] = [0] * HIST_BUCKETS
-                    hist[min(wait.bit_length(), HIST_BUCKETS - 1)] += 1
-                # re-read: the handler may have switched tracing on
-                if trace.enabled or trace.probes is not None:
-                    trace.emit("syscall_exit", pid=proc.pid, arg=-err,
-                               info=name, args=(-err, service, wait))
+                    hist = trace.wait_hist[name] = [0] * HIST_BUCKETS
+                hist[min(wait.bit_length(), HIST_BUCKETS - 1)] += 1
+            # re-read: the handler may have switched tracing on
+            if trace.enabled or trace.probes is not None:
+                trace.emit("syscall_exit", pid=proc.pid, arg=-err,
+                           info=name, args=(-err, service, wait))
             perf = self.perf
             if perf.active:
                 perf.on_syscall(proc)
@@ -322,12 +312,10 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
     @property
     def syscall_counts(self) -> Counter:
         """Per-syscall invocation counts, read from the ``syscall.<name>``
-        counter cells (a copy; empty when tracing is ablated)."""
-        if self.trace is None:
-            return Counter()
+        counter cells (a copy)."""
         return Counter({
             name[8:]: value
-            for name, value in self.trace.counters.snapshot().items()
+            for name, value in self.counters.snapshot().items()
             if name.startswith("syscall.")})
 
     def has_syscall(self, name: str) -> bool:
@@ -372,9 +360,7 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
                     # a kick that landed during the scan was a real wake
                     if slept_out and not proc.kicked:
                         self.counters.inc("sched.safety_net_wakeups")
-                        if self.trace is not None:
-                            self.trace.emit("safety_net_wakeup",
-                                            pid=proc.pid)
+                        self.trace.emit("safety_net_wakeup", pid=proc.pid)
                     return result
                 if proc.has_deliverable_signal() or \
                         proc.state != STATE_RUNNING:

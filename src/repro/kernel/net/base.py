@@ -26,6 +26,7 @@ from ..errno import EAGAIN, ENOTCONN, EPIPE, KernelError
 from ..eventpoll import (
     EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP, WaitQueue,
 )
+from ..trace import KernelTrace
 
 AF_UNIX = 1
 AF_INET = 2
@@ -306,9 +307,9 @@ class NetBackend:
     def __init__(self):
         self._taps: List[PacketTap] = []
         # kernel observability (kernel/trace.py): the owning Kernel
-        # assigns these after create_backend; None when standalone
-        self.trace = None
-        self.counters = None
+        # rebinds these to its own after create_backend
+        self.trace = KernelTrace()
+        self.counters = self.trace.counters
 
     # -- packet capture --
 
@@ -328,11 +329,9 @@ class NetBackend:
                     payload: bytes) -> None:
         # every wire commitment flows through here (inline and delay-line
         # paths), so this is also the net_deliver observability seam
-        if self.counters is not None:
-            self.counters.inc("net.deliver")
-            self.counters.inc("net.deliver_bytes", len(payload))
-        if self.trace is not None:
-            self.trace.emit("net_deliver", arg=len(payload), info=kind)
+        self.counters.inc("net.deliver")
+        self.counters.inc("net.deliver_bytes", len(payload))
+        self.trace.emit("net_deliver", arg=len(payload), info=kind)
         if not self._taps:
             return
         src = getattr(sender, "addr", None) or ("", 0)

@@ -215,21 +215,17 @@ class WanBackend(LoopbackBackend):
             # the WAN ate it; senders never hear about it — but the
             # observability layer does (this drop went uncounted before
             # the shared counter registry existed)
-            if self.counters is not None:
-                self.counters.inc("net.drop")
-            if self.trace is not None:
-                self.trace.emit("net_drop", arg=len(payload[1]),
-                                info="loss")
+            self.counters.inc("net.drop")
+            self.trace.emit("net_drop", arg=len(payload[1]), info="loss")
             return
         duplicated = self.dup > 0 and rng.random() < self.dup
         # one reorder roll per datagram: a duplicate shares its
         # original's fate, so the copy always rides right behind
         reordered = self.reorder > 0 and rng.random() < self.reorder
-        if self.counters is not None:
-            if duplicated:
-                self.counters.inc("net.dup")
-            if reordered:
-                self.counters.inc("net.reorder")
+        if duplicated:
+            self.counters.inc("net.dup")
+        if reordered:
+            self.counters.inc("net.reorder")
         for _ in range(2 if duplicated else 1):
             with target.lock:
                 queued = self._transmit(sender, target, "dgram", payload,

@@ -368,9 +368,7 @@ class CountingPerfEvent:
             point = config[len("tracepoint:"):]
             if point not in TRACEPOINT_IDS:
                 raise KernelError(EINVAL, f"unknown tracepoint {point!r}")
-            trace = perf.kernel.trace if perf.kernel is not None else None
-            if trace is None:
-                raise KernelError(EINVAL, "tracing is ablated")
+            trace = perf.kernel.trace
 
             def probe(pid: int, arg: int, info) -> None:
                 if self.scope == -1 or self.scope == pid:
@@ -389,20 +387,17 @@ class CountingPerfEvent:
     def _raw(self) -> int:
         if self._probe is not None:
             return self._hits
-        if self.config == "instructions":
-            kernel = self.perf.kernel
-            total = 0
-            if kernel is not None:
-                for p in list(kernel.processes.values()):
-                    if self.scope != -1 and p.pid != self.scope:
-                        continue
-                    m = getattr(p, "machine", None)
-                    if m is not None:
-                        total += getattr(m, "steps", 0)
-            return total
         kernel = self.perf.kernel
-        trace = kernel.trace if kernel is not None else None
-        return trace.counters.get(self.config) if trace is not None else 0
+        if self.config == "instructions":
+            total = 0
+            for p in list(kernel.processes.values()):
+                if self.scope != -1 and p.pid != self.scope:
+                    continue
+                m = getattr(p, "machine", None)
+                if m is not None:
+                    total += getattr(m, "steps", 0)
+            return total
+        return kernel.counters.get(self.config)
 
     def value(self) -> int:
         if self.enabled:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time as _time
 
-from .errno import ENODEV, KernelError
+from .errno import KernelError
 from .fdtable import OpenFile
 from .process import STATE_RUNNING
 from .vfs import CharDevice
@@ -51,10 +51,7 @@ class TraceControlDevice(CharDevice):
         self.kernel = kernel
 
     def write(self, data: bytes) -> int:
-        trace = self.kernel.trace
-        if trace is None:
-            raise KernelError(ENODEV, "tracing is ablated")
-        trace.control(data.decode(errors="replace"))
+        self.kernel.trace.control(data.decode(errors="replace"))
         return len(data)
 
     def read(self, length: int) -> bytes:
@@ -87,74 +84,55 @@ def register_base(kernel) -> None:
     v.add_proc_file("/proc/inotify", lambda p: _inotify_stats(kernel))
     v.mkdirs("/proc/net")
     v.add_proc_file("/proc/net/sockstat", lambda p: _sockstat(kernel))
-    if kernel.trace is not None:
-        v.add_proc_file(
-            "/proc/trace",
-            lambda p: kernel.trace.status_text().encode())
-        v.add_proc_file(
-            "/proc/trace_format",
-            lambda p: kernel.trace.format_text().encode())
-        v.mknod_device("/proc/trace_ctl", TraceControlDevice(kernel))
-        v.add_special_file("/proc/trace_pipe",
-                           lambda proc, flags: _open_trace_pipe(
-                               kernel, flags))
-    perf = getattr(kernel, "perf", None)
-    if perf is not None:
-        from .perf import PerfMaxRateDevice
-        v.add_proc_file("/proc/perf",
-                        lambda p: perf.status_text().encode())
-        v.mkdirs("/proc/sys/kernel")
-        v.mknod_device("/proc/sys/kernel/perf_event_max_sample_rate",
-                       PerfMaxRateDevice(perf))
+    trace = kernel.trace
+    v.add_proc_file("/proc/trace", lambda p: trace.status_text().encode())
+    v.add_proc_file("/proc/trace_format",
+                    lambda p: trace.format_text().encode())
+    v.mknod_device("/proc/trace_ctl", TraceControlDevice(kernel))
+    v.add_special_file(
+        "/proc/trace_pipe",
+        lambda proc, flags: OpenFile(OpenFile.KIND_TRACE, flags,
+                                     obj=trace.buffer,
+                                     path="/proc/trace_pipe"))
+    from .perf import PerfMaxRateDevice
+    perf = kernel.perf
+    v.add_proc_file("/proc/perf", lambda p: perf.status_text().encode())
+    v.mkdirs("/proc/sys/kernel")
+    v.mknod_device("/proc/sys/kernel/perf_event_max_sample_rate",
+                   PerfMaxRateDevice(perf))
     from .net.wan import WanBackend, WanKnobDevice, _WAN_KNOBS
     if isinstance(kernel.net, WanBackend):
         v.mkdirs("/proc/sys/net/wan")
         for knob in _WAN_KNOBS:
             v.mknod_device(f"/proc/sys/net/wan/{knob}",
                            WanKnobDevice(kernel.net, knob))
-    bd = getattr(kernel, "blockdev", None)
-    if bd is not None:
-        from .block import DropCachesDevice, VMKnobDevice
-        v.add_proc_file("/proc/block", lambda p: bd.stats_text().encode())
-        v.mkdirs("/proc/sys/vm")
-        for knob in ("dirty_ratio", "dirty_background_ratio",
-                     "dirty_expire_centisecs", "dirty_writeback_centisecs"):
-            v.mknod_device(f"/proc/sys/vm/{knob}", VMKnobDevice(bd, knob))
-        v.mknod_device("/proc/sys/vm/drop_caches", DropCachesDevice(bd))
-
-
-def _open_trace_pipe(kernel, flags: int) -> OpenFile:
-    if kernel.trace is None:
-        raise KernelError(ENODEV, "tracing is ablated")
-    return OpenFile(OpenFile.KIND_TRACE, flags, obj=kernel.trace.buffer,
-                    path="/proc/trace_pipe")
+    from .block import DropCachesDevice, VMKnobDevice
+    bd = kernel.blockdev
+    v.add_proc_file("/proc/block", lambda p: bd.stats_text().encode())
+    v.mkdirs("/proc/sys/vm")
+    for knob in ("dirty_ratio", "dirty_background_ratio",
+                 "dirty_expire_centisecs", "dirty_writeback_centisecs"):
+        v.mknod_device(f"/proc/sys/vm/{knob}", VMKnobDevice(bd, knob))
+    v.mknod_device("/proc/sys/vm/drop_caches", DropCachesDevice(bd))
 
 
 # ----------------------------------------------------------------------
 # generators (each runs once per open; keep them allocation-light)
 # ----------------------------------------------------------------------
 
-def _counters(kernel):
-    return kernel.trace.counters if kernel.trace is not None else None
-
-
-def _get(kernel, name: str) -> int:
-    c = _counters(kernel)
-    return c.get(name) if c is not None else 0
-
-
 def _sched_debug(kernel) -> bytes:
     sched = kernel.sched
+    c = kernel.counters
     lines = [
         sched.describe(),
         f"running: {sched.running_pids()} "
         f"runnable: {sched.runnable_pids()} "
         f"blocked: {sched.blocked_pids()}",
-        f"switches: {_get(kernel, 'sched.switch')} "
-        f"wakeups: {_get(kernel, 'sched.wakeup')} "
-        f"preemptions: {_get(kernel, 'sched.preempt')} "
-        f"migrations: {_get(kernel, 'sched.migrate')} "
-        f"steals: {_get(kernel, 'sched.steal')}",
+        f"switches: {c.get('sched.switch')} "
+        f"wakeups: {c.get('sched.wakeup')} "
+        f"preemptions: {c.get('sched.preempt')} "
+        f"migrations: {c.get('sched.migrate')} "
+        f"steals: {c.get('sched.steal')}",
     ]
     for rq in sched.cpu_snapshot():
         cur = rq["current"] if rq["current"] is not None else "-"
@@ -176,38 +154,41 @@ def _sched_debug(kernel) -> bytes:
 
 
 def _uring_stats(kernel) -> bytes:
+    c = kernel.counters
     return (
         f"crossings: {kernel.syscall_counts.get('io_uring_enter', 0)}\n"
-        f"sqes_submitted: {_get(kernel, 'uring.submitted')}\n"
-        f"cqes_completed: {_get(kernel, 'uring.completed')}\n"
-        f"cq_overflows: {_get(kernel, 'uring.cq_overflow')}\n"
-        f"link_cancels: {_get(kernel, 'uring.link_cancel')}\n"
-        f"multishot_cqes: {_get(kernel, 'uring.multishot_cqes')}\n"
-        f"buffers_registered: {_get(kernel, 'uring.buffers_registered')}\n"
-        f"fixed_completions: {_get(kernel, 'uring.fixed_completions')}\n"
-        f"sqpoll_submitted: {_get(kernel, 'uring.sqpoll_submitted')}\n"
-        f"sqpoll_polls: {_get(kernel, 'uring.sqpoll_polls')}\n"
-        f"sqpoll_idles: {_get(kernel, 'uring.sqpoll_idles')}\n"
-        f"sqpoll_wakeups: {_get(kernel, 'uring.sqpoll_wakeups')}\n"
+        f"sqes_submitted: {c.get('uring.submitted')}\n"
+        f"cqes_completed: {c.get('uring.completed')}\n"
+        f"cq_overflows: {c.get('uring.cq_overflow')}\n"
+        f"link_cancels: {c.get('uring.link_cancel')}\n"
+        f"multishot_cqes: {c.get('uring.multishot_cqes')}\n"
+        f"buffers_registered: {c.get('uring.buffers_registered')}\n"
+        f"fixed_completions: {c.get('uring.fixed_completions')}\n"
+        f"sqpoll_submitted: {c.get('uring.sqpoll_submitted')}\n"
+        f"sqpoll_polls: {c.get('uring.sqpoll_polls')}\n"
+        f"sqpoll_idles: {c.get('uring.sqpoll_idles')}\n"
+        f"sqpoll_wakeups: {c.get('uring.sqpoll_wakeups')}\n"
     ).encode()
 
 
 def _inotify_stats(kernel) -> bytes:
+    c = kernel.counters
     return (
-        f"enqueued: {_get(kernel, 'inotify.enqueued')}\n"
-        f"dropped: {_get(kernel, 'inotify.dropped')}\n"
+        f"enqueued: {c.get('inotify.enqueued')}\n"
+        f"dropped: {c.get('inotify.dropped')}\n"
     ).encode()
 
 
 def _sockstat(kernel) -> bytes:
+    c = kernel.counters
     return (
         f"backend: {kernel.net.describe()}\n"
-        f"delivered: {_get(kernel, 'net.deliver')}\n"
-        f"delivered_bytes: {_get(kernel, 'net.deliver_bytes')}\n"
-        f"dropped: {_get(kernel, 'net.drop')}\n"
-        f"reordered: {_get(kernel, 'net.reorder')}\n"
-        f"duplicated: {_get(kernel, 'net.dup')}\n"
-        f"epoll_wakes_coalesced: {_get(kernel, 'epoll.wake_coalesced')}\n"
+        f"delivered: {c.get('net.deliver')}\n"
+        f"delivered_bytes: {c.get('net.deliver_bytes')}\n"
+        f"dropped: {c.get('net.drop')}\n"
+        f"reordered: {c.get('net.reorder')}\n"
+        f"duplicated: {c.get('net.dup')}\n"
+        f"epoll_wakes_coalesced: {c.get('epoll.wake_coalesced')}\n"
     ).encode()
 
 

@@ -60,6 +60,7 @@ from collections import defaultdict
 from typing import Callable, Dict, List, Optional
 
 from .errno import EINVAL, KernelError
+from .trace import KernelTrace
 
 # ---- nice levels and load weights (Linux sched_prio_to_weight) -----------
 
@@ -158,10 +159,10 @@ class CPURunQueue:
 class Scheduler:
     """Per-CPU run queues with ``ncpus`` slots and CFS-lite pick order.
 
-    ``ncpus <= 0`` means *unconstrained*: every task is granted a slot
-    immediately (the pre-scheduler behavior, useful as an ablation and
-    for workloads where contention modeling is unwanted:
-    ``Kernel(sched="off")``).
+    ``ncpus`` must be at least 1, like ``slice_us`` must be positive.  A
+    scheduler built without a kernel (tests drive one directly) keeps
+    its own :class:`~repro.kernel.trace.KernelTrace` until a kernel
+    adopts it.
 
     The scheduler never runs its own thread.  Grants happen inline when
     a slot frees (block / yield / exit / preemption), and the *waiters*
@@ -183,16 +184,18 @@ class Scheduler:
         if slice_us <= 0:
             raise KernelError(EINVAL, "slice_us must be > 0")
         self.ncpus = int(ncpus)
+        if self.ncpus < 1:
+            raise KernelError(EINVAL, "ncpus must be >= 1")
         self.slice_ns = int(slice_us * 1000)
         self.kernel = kernel
         # kernel observability (kernel/trace.py); the kernel creates its
         # KernelTrace before the scheduler, so this is safe at attach
-        self.trace = getattr(kernel, "trace", None)
+        self.trace = kernel.trace if kernel is not None else KernelTrace()
         self._now: Callable[[], int] = clock or _time.monotonic_ns
         self._cv = threading.Condition()
         self._procs: Dict[int, object] = {}    # live attached tasks
         self._running: Dict[int, object] = {}  # pid -> proc holding a slot
-        self._rqs = [CPURunQueue(i) for i in range(max(self.ncpus, 1))]
+        self._rqs = [CPURunQueue(i) for i in range(self.ncpus)]
         self._seq = 0
         self._nr_runnable = 0                  # across all queues
         self._nr_waiting = 0                   # threads blocked in acquire
@@ -381,8 +384,7 @@ class Scheduler:
         with self._cv:
             se = proc.se
             se.affinity = mask
-            if self.ncpus <= 0 or se.cpu < 0 \
-                    or self._cpu_allowed(se, se.cpu):
+            if se.cpu < 0 or self._cpu_allowed(se, se.cpu):
                 return
             now = self._now()
             if se.state == SCHED_RUNNABLE:
@@ -487,13 +489,11 @@ class Scheduler:
         return self._rqs[se.cpu if 0 <= se.cpu < len(self._rqs) else 0]
 
     def _cpu_allowed(self, se, cpu: int) -> bool:
-        if self.ncpus <= 0 or not se.affinity:
-            return True
-        return bool(se.affinity >> cpu & 1)
+        return not se.affinity or bool(se.affinity >> cpu & 1)
 
     def _eligible_cpus(self, se) -> List[int]:
-        if self.ncpus <= 0 or not se.affinity:
-            return list(range(max(self.ncpus, 1)))
+        if not se.affinity:
+            return list(range(self.ncpus))
         cpus = [c for c in range(self.ncpus) if se.affinity >> c & 1]
         return cpus or list(range(self.ncpus))
 
@@ -517,7 +517,7 @@ class Scheduler:
         old = se.cpu
         if old == cpu:
             return
-        if old >= 0 and self.ncpus > 0:
+        if old >= 0:
             shift = self._rqs[cpu].min_vruntime \
                 - self._rqs[old].min_vruntime
             se.vruntime_ns = max(0, se.vruntime_ns + shift)
@@ -526,11 +526,10 @@ class Scheduler:
                 self.nr_steals += 1
             else:
                 self.nr_migrations += 1
-            if self.trace is not None:
-                name = "sched_steal" if steal else "sched_migrate"
-                self.trace.counters.inc(
-                    "sched.steal" if steal else "sched.migrate")
-                self.trace.emit(name, pid=proc.pid, arg=cpu)
+            self.trace.counters.inc(
+                "sched.steal" if steal else "sched.migrate")
+            self.trace.emit("sched_steal" if steal else "sched_migrate",
+                            pid=proc.pid, arg=cpu)
         se.cpu = cpu
 
     def _unrun(self, proc) -> None:
@@ -552,9 +551,7 @@ class Scheduler:
         se = proc.se
         if se.state == SCHED_RUNNABLE and se.rq_seq >= 0:
             return  # already queued; never twice
-        if self.ncpus <= 0:
-            se.cpu = 0
-        elif repick or se.cpu < 0 or not self._cpu_allowed(se, se.cpu):
+        if repick or se.cpu < 0 or not self._cpu_allowed(se, se.cpu):
             self._migrate(proc, self._select_cpu(se))
         rq = self._rqs[se.cpu]
         se.state = SCHED_RUNNABLE
@@ -593,14 +590,13 @@ class Scheduler:
         if proc.pid not in self._procs:
             self._procs[proc.pid] = proc
         self._refresh(now)
-        if self.ncpus > 0:
-            self._migrate(proc, self._select_cpu(se))
-        rq = self._rqs[se.cpu if se.cpu >= 0 else 0]
+        self._migrate(proc, self._select_cpu(se))
+        rq = self._rqs[se.cpu]
         floor = rq.min_vruntime - self.slice_ns if was_blocked \
             else rq.min_vruntime
         se.vruntime_ns = max(se.vruntime_ns, floor)
         self._enqueue(proc, now, wakeup=was_blocked)
-        if was_blocked and self.trace is not None:
+        if was_blocked:
             self.trace.counters.inc("sched.wakeup")
             self.trace.emit("sched_wakeup", pid=proc.pid,
                             arg=se.vruntime_ns,
@@ -611,8 +607,6 @@ class Scheduler:
         running on one of its eligible CPUs by more than the wakeup
         granularity, mark that task for preemption at its next schedule
         point (or tick)."""
-        if self.ncpus <= 0:
-            return
         cpus = self._eligible_cpus(woken_se)
         if any(self._rqs[c].current is None for c in cpus):
             return  # a free eligible slot will serve the wakeup directly
@@ -687,11 +681,10 @@ class Scheduler:
             return best
         return None
 
-    def _grant(self, proc, rq: Optional[CPURunQueue], now: int) -> None:
+    def _grant(self, proc, rq: CPURunQueue, now: int) -> None:
         se = proc.se
         se.state = SCHED_RUNNING
-        if rq is not None:
-            rq.current = proc
+        rq.current = proc
         self._running[proc.pid] = proc
         # absent tasks (wait_since < 0) were executing user code the
         # whole time: no wall-clock stall to account
@@ -702,36 +695,26 @@ class Scheduler:
         self.wait_ns_by_tgid[proc.tgid] += waited
         se.granted_at_ns = now
         se.last_charge_ns = now
-        if self.trace is not None:
-            self.trace.counters.inc("sched.switch")
-            self.trace.emit("sched_switch", pid=proc.pid, arg=waited,
-                            args=(waited, se.vruntime_ns, se.nice, se.cpu))
+        self.trace.counters.inc("sched.switch")
+        self.trace.emit("sched_switch", pid=proc.pid, arg=waited,
+                        args=(waited, se.vruntime_ns, se.nice, se.cpu))
 
     def _dispatch(self, now: int) -> None:
         """Fill free CPU slots: each from its own queue first, then
         idle slots steal — no slot idles while affinity permits work."""
         granted = False
-        if self.ncpus <= 0:
-            rq = self._rqs[0]
-            while True:
+        for rq in self._rqs:
+            if rq.current is None:
                 proc = self._pick(rq)
-                if proc is None:
-                    break
-                self._grant(proc, None, now)
-                granted = True
-        else:
-            for rq in self._rqs:
-                if rq.current is None:
-                    proc = self._pick(rq)
-                    if proc is not None:
-                        self._grant(proc, rq, now)
-                        granted = True
-            for rq in self._rqs:
-                if rq.current is None and self._nr_runnable > 0:
-                    proc = self._steal_for(rq)
-                    if proc is not None:
-                        self._grant(proc, rq, now)
-                        granted = True
+                if proc is not None:
+                    self._grant(proc, rq, now)
+                    granted = True
+        for rq in self._rqs:
+            if rq.current is None and self._nr_runnable > 0:
+                proc = self._steal_for(rq)
+                if proc is not None:
+                    self._grant(proc, rq, now)
+                    granted = True
         self._update_min_vruntime()
         self._contended = self._nr_runnable > 0 or self._nr_waiting > 0
         if granted:
@@ -745,15 +728,6 @@ class Scheduler:
         self._update_min_vruntime()
 
     def _update_min_vruntime(self) -> None:
-        if self.ncpus <= 0:
-            rq = self._rqs[0]
-            cands = [p.se.vruntime_ns for p in self._running.values()]
-            head = self._peek(rq)
-            if head is not None:
-                cands.append(head)
-            if cands:
-                rq.min_vruntime = max(rq.min_vruntime, min(cands))
-            return
         for rq in self._rqs:
             cands = []
             if rq.current is not None:
@@ -781,10 +755,9 @@ class Scheduler:
         self._unrun(proc)
         se.need_resched = False
         proc.rusage.nivcsw += 1
-        if self.trace is not None:
-            self.trace.counters.inc("sched.preempt")
-            self.trace.emit("sched_preempt", pid=proc.pid, arg=ran,
-                            args=(ran, se.vruntime_ns))
+        self.trace.counters.inc("sched.preempt")
+        self.trace.emit("sched_preempt", pid=proc.pid, arg=ran,
+                        args=(ran, se.vruntime_ns))
         self._enqueue(proc, now)
         self._dispatch(now)
         return se.state != SCHED_RUNNING
@@ -807,16 +780,12 @@ class Scheduler:
                 self._unrun(proc)
                 se.need_resched = False
                 proc.rusage.nivcsw += 1
-                if self.trace is not None:
-                    self.trace.counters.inc("sched.preempt")
-                    self.trace.emit("sched_preempt", pid=proc.pid, arg=ran,
-                                    args=(ran, se.vruntime_ns))
+                self.trace.counters.inc("sched.preempt")
+                self.trace.emit("sched_preempt", pid=proc.pid, arg=ran,
+                                args=(ran, se.vruntime_ns))
                 self._enqueue(proc, now, absent=True)
-        k = self.kernel
-        if k is not None:
-            perf = getattr(k, "perf", None)
-            if perf is not None and perf.active:
-                perf.on_tick(self._running.values())
+        if self.kernel is not None and self.kernel.perf.active:
+            self.kernel.perf.on_tick(self._running.values())
         self._dispatch(now)
 
     def _steal_timeout_s(self, now: int) -> float:
@@ -884,21 +853,19 @@ class Scheduler:
 
 def create_scheduler(spec=None, ncpus_default: int = 1, kernel=None):
     """Resolve a scheduler spec: None (CPU count from the kernel), an
-    instance, ``"off"``, or ``"[sched:]cpus=N,slice_us=X"``."""
+    instance, or ``"[sched:]cpus=N,slice_us=X"``."""
     if spec is None:
         return Scheduler(ncpus=ncpus_default, kernel=kernel)
     if isinstance(spec, Scheduler):
         if kernel is not None and spec.kernel is None:
             spec.kernel = kernel
-            spec.trace = getattr(kernel, "trace", None)
+            spec.trace = kernel.trace
             spec.wait_ns_by_tgid = kernel.sched_wait_ns
             spec.blocked_ns_by_tgid = kernel.blocked_time_ns
         return spec
     text = str(spec)
     if text.startswith("sched:"):
         text = text[len("sched:"):]
-    if text in ("off", "none", "coop"):
-        return Scheduler(ncpus=0, kernel=kernel)
     opts = {}
     for item in text.split(","):
         if not item:

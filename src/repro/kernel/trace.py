@@ -299,15 +299,14 @@ class TraceBuffer(BoundedRing):
     def __init__(self, capacity: int = TRACE_DEFAULT_CAPACITY,
                  counters: Optional[CounterRegistry] = None):
         super().__init__(capacity)
-        self.counters = counters
+        self.counters = counters or CounterRegistry()
 
     def marker(self, first: TraceEvent, count: int) -> TraceEvent:
         return TraceEvent(first.ts_ns, TRACE_DROP_ID, TRACE_FLAG_DROP, 0,
                           count, "overflow")
 
     def on_drop(self, ev: TraceEvent) -> None:
-        if self.counters is not None:
-            self.counters.inc("trace.dropped")
+        self.counters.inc("trace.dropped")
 
     def close(self) -> None:
         pass  # shared ring: closing one trace_pipe fd must not clear it
@@ -319,10 +318,11 @@ class TraceBuffer(BoundedRing):
 class KernelTrace:
     """Per-kernel observability state: tracepoints, counters, histograms.
 
-    Constructed unconditionally by :class:`~repro.kernel.kernel.Kernel`
-    (unless ablated with ``trace="off"``); tracing starts *disabled* —
-    :meth:`emit` is then two attribute loads and a set test, the
-    compiled-in-but-off cost the overhead benchmark bounds.  The
+    Every :class:`~repro.kernel.kernel.Kernel` has one, and its
+    :attr:`counters` is the kernel's one counter registry; tracing
+    starts *disabled* — :meth:`emit` is then two attribute loads and a
+    set test, the compiled-in-but-off cost that
+    ``tests/test_crossing_cost.py`` pins per syscall.  The
     latency histograms are always on: one log2 bucket increment per
     syscall, cheap enough to never gate, which ``Kernel.call`` makes
     itself (with the ``syscall.<name>`` bump of :attr:`cells`).
@@ -538,18 +538,14 @@ class KernelTrace:
             self._wq_hook = None
 
 
-def create_trace(spec=None) -> Optional[KernelTrace]:
+def create_trace(spec=None) -> KernelTrace:
     """Resolve a trace spec: None (default, compiled in but disabled),
-    ``"off"`` (ablated entirely — the overhead baseline), ``"on"``
-    (enabled from boot), or a :class:`KernelTrace` instance."""
+    ``"on"`` (enabled from boot), or a :class:`KernelTrace` instance."""
     if spec is None:
         return KernelTrace()
     if isinstance(spec, KernelTrace):
         return spec
-    text = str(spec)
-    if text in ("off", "none"):
-        return None
-    if text == "on":
+    if spec == "on":
         trace = KernelTrace()
         trace.enable()
         return trace

@@ -91,6 +91,7 @@ from .eventpoll import (
     EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP, WaitQueue,
 )
 from .fdtable import OpenFile
+from .trace import KernelTrace
 
 # opcodes (a compact subset of the Linux set)
 IORING_OP_NOP = 0
@@ -310,9 +311,9 @@ class IoURing:
         # scan runs
         self.cq_avail_hook: Optional[Callable[[], int]] = None
         self._publish_lock = threading.Lock()
-        # kernel observability (kernel/trace.py); None outside a kernel
-        self.trace = trace
-        self.counters = trace.counters if trace is not None else None
+        # kernel observability (kernel/trace.py)
+        self.trace = trace or KernelTrace()
+        self.counters = self.trace.counters
 
     # ------------------------------------------------------------------
     # submission
@@ -326,10 +327,8 @@ class IoURing:
             raise KernelError(
                 EINVAL, f"batch of {len(sqes)} exceeds the SQ ring "
                         f"({self.sq_entries} entries)")
-        if self.counters is not None:
-            self.counters.inc("uring.submitted", len(sqes))
-        if self.trace is not None:
-            self.trace.emit("uring_submit", pid=proc.pid, arg=len(sqes))
+        self.counters.inc("uring.submitted", len(sqes))
+        self.trace.emit("uring_submit", pid=proc.pid, arg=len(sqes))
         with self._process_lock:
             self._chains = [c for c in self._chains if not c.done]
             for chain_sqes in _split_chains(sqes):
@@ -358,10 +357,8 @@ class IoURing:
         if not table or len(table) > URING_MAX_REG_BUFFERS:
             raise KernelError(EINVAL, f"buffer table size {len(table)}")
         self.buf_table = table
-        if self.counters is not None:
-            self.counters.inc("uring.buffers_registered", len(table))
-        if self.trace is not None:
-            self.trace.emit("uring_register", arg=len(table))
+        self.counters.inc("uring.buffers_registered", len(table))
+        self.trace.emit("uring_register", arg=len(table))
         return len(table)
 
     def _fixed_slot(self, idx: int) -> Optional[Tuple[int, int]]:
@@ -390,8 +387,7 @@ class IoURing:
             if res < 0 and chain.sqes:
                 # a failed link short-circuits the rest of the chain
                 for rest in chain.sqes:
-                    if self.counters is not None:
-                        self.counters.inc("uring.link_cancel")
+                    self.counters.inc("uring.link_cancel")
                     self._complete(CQE(rest.user_data, -ECANCELED))
                 chain.sqes = []
         chain.done = True
@@ -459,12 +455,11 @@ class IoURing:
                 return None  # device time still accruing
             if file.kind != OpenFile.KIND_REG or file.inode is None:
                 return -EINVAL, None, 0, 0
-            bd = getattr(chain.kernel, "blockdev", None)
-            if bd is None or file.inode.mapping is None:
+            if file.inode.mapping is None:
                 return 0, None, 0, 0  # nothing disk-backed: instant success
             # run the flush/commit now, but detach its device time from
             # the submitter: the CQE posts when the disk would be done
-            cost_ns = bd.fsync_for_uring(
+            cost_ns = chain.kernel.blockdev.fsync_for_uring(
                 file.inode, datasync=bool(sqe.off & IORING_FSYNC_DATASYNC))
             if cost_ns <= 0:
                 return 0, None, 0, 0
@@ -499,7 +494,7 @@ class IoURing:
             if exc.errno == EAGAIN:
                 return self._park(chain, file, _READ_WAKE)
             return -exc.errno, None, 0, 0
-        if fixed and self.counters is not None:
+        if fixed:
             self.counters.inc("uring.fixed_completions")
         if not multishot:
             return len(data), bytes(data), addr, cflags
@@ -537,10 +532,8 @@ class IoURing:
     def _multishot_cqe(self, chain: _Chain, sqe: SQE, res: int,
                        data: Optional[bytes] = None, addr: int = 0,
                        extra: int = 0, gated: bool = False) -> None:
-        if self.counters is not None:
-            self.counters.inc("uring.multishot_cqes")
-        if self.trace is not None:
-            self.trace.emit("uring_multishot", pid=chain.proc.pid, arg=res)
+        self.counters.inc("uring.multishot_cqes")
+        self.trace.emit("uring_multishot", pid=chain.proc.pid, arg=res)
         self._complete(CQE(sqe.user_data, res,
                            flags=IORING_CQE_F_MORE | extra, data=data,
                            addr=addr, src=chain if gated else None))
@@ -596,14 +589,11 @@ class IoURing:
                 self.overflow += 1
                 overflowed = True
             self.completed += 1
-        if self.counters is not None:
-            self.counters.inc("uring.completed")
-            if overflowed:
-                self.counters.inc("uring.cq_overflow")
-        if self.trace is not None:
-            self.trace.emit("uring_complete", arg=cqe.res)
-            if overflowed:
-                self.trace.emit("uring_overflow", arg=cqe.user_data)
+        self.counters.inc("uring.completed")
+        self.trace.emit("uring_complete", arg=cqe.res)
+        if overflowed:
+            self.counters.inc("uring.cq_overflow")
+            self.trace.emit("uring_overflow", arg=cqe.user_data)
         self.wq.wake(EPOLLIN)
 
     def _process_ready(self) -> None:
@@ -679,8 +669,7 @@ class IoURing:
             sqes.append(self.sq_queue.popleft())
         if not sqes:
             return 0
-        if self.counters is not None:
-            self.counters.inc("uring.sqpoll_submitted", len(sqes))
+        self.counters.inc("uring.sqpoll_submitted", len(sqes))
         for i in range(0, len(sqes), self.sq_entries):
             try:
                 self.submit(self.kernel, self.owner,
@@ -699,10 +688,8 @@ class IoURing:
 
     def sqpoll_kick(self) -> None:
         """IORING_ENTER_SQ_WAKEUP: one crossing re-arms a parked poller."""
-        if self.counters is not None:
-            self.counters.inc("uring.sqpoll_wakeups")
-        if self.trace is not None:
-            self.trace.emit("uring_sqpoll_wake")
+        self.counters.inc("uring.sqpoll_wakeups")
+        self.trace.emit("uring_sqpoll_wake")
         self.set_need_wakeup(False)
         self.sq_wq.wake(EPOLLIN)
 
@@ -796,8 +783,7 @@ class SQPoller:
                 finally:
                     sched.syscall_exit(proc)
                 self.polls += 1
-                if counters is not None:
-                    counters.inc("uring.sqpoll_polls")
+                counters.inc("uring.sqpoll_polls")
                 if n:
                     idle_since = None
                     continue
@@ -813,11 +799,9 @@ class SQPoller:
                 # that queued just before the flag went up saw it clear
                 # and will not kick, so we must not sleep on its SQEs.
                 ring.set_need_wakeup(True)
-                if counters is not None:
-                    counters.inc("uring.sqpoll_idles")
-                if ring.trace is not None:
-                    ring.trace.emit("uring_sqpoll_park", pid=proc.pid,
-                                    arg=self.polls)
+                counters.inc("uring.sqpoll_idles")
+                ring.trace.emit("uring_sqpoll_park", pid=proc.pid,
+                                arg=self.polls)
                 if ring.sq_pending() == 0 and not self._stop.is_set() \
                         and not ring.closed:
                     sched.sleep(proc, _SQPOLL_PARK_S)

@@ -67,12 +67,8 @@ def counter_snapshot(kernel) -> list:
     :class:`~repro.kernel.trace.CounterRegistry` cells ``/proc/uring``,
     ``/proc/inotify`` and ``/proc/net/sockstat`` render, so host-side
     reports can never drift from what a guest reads out of ``/proc``.
-    Empty when the kernel was built with tracing ablated
-    (``Kernel(trace="off")``).
     """
-    if kernel.trace is None:
-        return []
-    return list(kernel.trace.counters.snapshot().items())
+    return list(kernel.counters.snapshot().items())
 
 
 def measure_breakdown(app_name: str, module, argv=None, env=None,

@@ -6,9 +6,7 @@ modest syscall subset covers real software.
 
 Counts are ``Kernel.syscall_counts``, a view of the kernel's
 ``syscall.<name>`` counter cells: the same cells perf counting events and
-guest ``perf stat`` read, so the views cannot drift from each other.  A
-kernel built with tracing ablated (``Kernel(trace="off")``) has no counter
-cells, and its profiles are empty.
+guest ``perf stat`` read, so the views cannot drift from each other.
 """
 
 from __future__ import annotations

@@ -549,8 +549,9 @@ class TestObservability:
 
 class TestSpecParsing:
     def test_defaults_and_off(self):
-        assert create_blockfs("off") is None
-        assert create_blockfs("none") is None
+        for removed in ("off", "none"):
+            with pytest.raises(ValueError):
+                create_blockfs(removed)
         fs = create_blockfs(None)
         assert fs.mountpoint == "/data" and fs.disk.nblocks == 2048
 

@@ -172,14 +172,6 @@ class TestRunQueue:
         assert t2.se.vruntime_ns >= \
             sched.min_vruntime - sched.slice_ns > 0
 
-    def test_unconstrained_mode_grants_everyone(self):
-        sched, _ = make_sched(ncpus=0)
-        tasks = make_tasks(6)
-        for t in tasks:
-            sched.task_attach(t)
-        assert sched.running_pids() == [t.pid for t in tasks]
-        assert sched.runnable_pids() == []
-
 
 class TestTimeSlice:
     """Slice accounting and preemption at schedule points / ticks."""
@@ -349,16 +341,24 @@ class TestSpecParsing:
         assert s.ncpus == 1 and s.slice_ns == 50_000
         s = create_scheduler("sched:cpus=2,slice_us=250")
         assert s.ncpus == 2 and s.slice_ns == 250_000
-        assert create_scheduler("off").ncpus == 0
+        for removed in ("off", "none", "coop"):
+            with pytest.raises(KernelError) as exc:
+                create_scheduler(removed)
+            assert exc.value.errno == EINVAL, removed
         assert create_scheduler(None, ncpus_default=7).ncpus == 7
         inst = Scheduler(ncpus=3)
         assert create_scheduler(inst) is inst
 
     def test_bad_specs_rejected(self):
-        for bad in ("cpus=two", "slice_us=0", "warp=9", "slice_us=-5"):
+        for bad in ("cpus=two", "slice_us=0", "warp=9", "slice_us=-5",
+                    "cpus=0"):
             with pytest.raises(KernelError) as exc:
                 create_scheduler(bad)
             assert exc.value.errno == EINVAL, bad
+        for ncpus in (0, -1):
+            with pytest.raises(KernelError) as exc:
+                Scheduler(ncpus=ncpus)
+            assert exc.value.errno == EINVAL, ncpus
 
     def test_describe(self):
         assert Scheduler(ncpus=2, slice_us=50).describe() == \

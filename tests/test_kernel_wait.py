@@ -313,11 +313,11 @@ def test_epoll_keeps_a_mark_that_lands_inside_the_level_read(
         [(efd, EPOLLIN)]
 
 
-def test_lost_wakeups_count_with_tracing_ablated(monkeypatch):
-    """``sched.safety_net_wakeups`` counts on a ``trace="off"`` kernel
-    too, so the root conftest guard covers those kernels."""
-    k = Kernel(trace="off")
-    assert k.trace is None
+def test_lost_wakeups_count_with_tracing_disabled(monkeypatch):
+    """``sched.safety_net_wakeups`` counts while tracing is disabled (the
+    default), so the root conftest guard covers every kernel."""
+    k = Kernel()
+    assert not k.trace.enabled
     proc = k.create_process(["waiter"], stdio=False)
     monkeypatch.setattr("repro.kernel.kernel._SAFETY_SLICE_S", 0.001)
     scans = []

@@ -15,10 +15,7 @@ are not counted, since its Python code differs between CPython versions,
 and neither are comprehensions, which CPython 3.12 runs inline.  Every
 other frame is this repository's code, generated code included (WALI
 handlers, compiled guest functions).  The disk costs nothing and has no
-writeback daemon, so no step of the run waits on the wall clock.  A
-kernel that another test left tracing keeps a global waitqueue wake hook
-(``kernel/eventpoll.py``) that would fire inside these runs, so the test
-sets that list aside while it counts.
+writeback daemon, so no step of the run waits on the wall clock.
 """
 
 import gc
@@ -28,7 +25,7 @@ import sysconfig
 import pytest
 
 from repro.apps import build
-from repro.kernel import Kernel, eventpoll
+from repro.kernel import Kernel
 from repro.kernel.vfs import O_WRONLY
 from repro.wali import WaliRuntime
 
@@ -107,7 +104,6 @@ def _echo():
 
 @pytest.mark.parametrize("workload", [_sqlite, _echo],
                          ids=["sqlite", "echo"])
-def test_python_calls_per_op(workload, monkeypatch):
-    monkeypatch.setattr(eventpoll, "_wake_hooks", [])
+def test_python_calls_per_op(workload):
     counts = workload()
     assert counts == {name: COUNTS[name] for name in counts}
