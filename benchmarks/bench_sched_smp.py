@@ -103,7 +103,8 @@ def _churn_run():
             sched.task_wake(t)
     _settle(sched, tasks[:5])
     times = tuple(t.se.cpu_time_ns for t in tasks[:5])
-    return sched.nr_steals, sched.nr_migrations, times
+    c = sched.trace.counters
+    return c.get("sched.steal"), c.get("sched.migrate"), times
 
 
 def _wall_clock_section(lines):
@@ -151,8 +152,10 @@ def test_sched_smp_report():
     for n in CPU_POINTS:
         tp, sched = _sim_throughput(n)
         results[n] = tp
+        c = sched.trace.counters
         lines.append(f"{n:>5}  {tp:>9.2f}x1  {tp / results[1]:>7.2f}x  "
-                     f"{sched.nr_steals:>7}  {sched.nr_migrations:>11}")
+                     f"{c.get('sched.steal'):>7}  "
+                     f"{c.get('sched.migrate'):>11}")
     scaling = results[8] / results[1]
     lines += [
         "",
@@ -183,7 +186,8 @@ def test_sched_smp_report():
         f"all pinned to cpu0 {pinned:.2f} CPUs",
     ]
     assert pinned <= 1.01, f"pinned load leaked across CPUs: {pinned}"
-    assert sched.nr_steals == 0, "stealing violated the affinity mask"
+    assert sched.trace.counters.get("sched.steal") == 0, \
+        "stealing violated the affinity mask"
 
     _wall_clock_section(lines)
     save_report("sched_smp.txt", "\n".join(lines))

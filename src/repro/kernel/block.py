@@ -241,9 +241,7 @@ class FileMapping:
         bs = self.fs.disk.block_size
         if start % bs and start < old_len:
             self.ensure_resident((start // bs) * bs, bs)
-        if end % bs and end < old_len and (end // bs) != (start // bs):
-            self.ensure_resident((end // bs) * bs, bs)
-        elif end % bs and end < old_len:
+        if end % bs and end < old_len:
             self.ensure_resident((end // bs) * bs, bs)
         return start
 

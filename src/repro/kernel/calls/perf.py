@@ -31,9 +31,3 @@ class PerfCalls:
                         path="anon_inode:[perf_event]")
         return proc.fdtable.install(
             file, cloexec=bool(flags & PERF_FLAG_FD_CLOEXEC))
-
-    def _perf_event(self, proc: Process, fd: int):
-        file = proc.fdtable.get(fd)
-        if file.kind != OpenFile.KIND_PERF:
-            raise KernelError(EINVAL, f"fd {fd} is not a perf event fd")
-        return file.obj

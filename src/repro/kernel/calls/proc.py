@@ -13,7 +13,7 @@ from ..errno import (
 from ..process import (
     CLONE_FILES, CLONE_FS, CLONE_SIGHAND, CLONE_THREAD, CLONE_VM, CSIGNAL,
     Process, RLIM_INFINITY, STATE_DEAD, STATE_RUNNING, STATE_ZOMBIE,
-    WNOHANG, wait_status_exited, wait_status_signaled,
+    WNOHANG, wait_status_exited,
 )
 from ..signals import SIGCHLD, SIGKILL
 
@@ -98,9 +98,6 @@ class ProcCalls:
                     lwp.state == STATE_RUNNING:
                 lwp.generate_signal(SIGKILL)
         self._terminate(proc, wait_status_exited(status))
-
-    def terminate_by_signal(self, proc: Process, sig: int) -> None:
-        self._terminate(proc, wait_status_signaled(sig))
 
     def _terminate(self, proc: Process, wait_status: int) -> None:
         proc.exit_status = wait_status
@@ -342,18 +339,11 @@ class ProcCalls:
         self.sched.yield_now(proc)
         return 0
 
-    def _affinity_ncpus(self) -> int:
-        """CPUs the affinity syscalls validate against: the scheduler's
-        slot count when it is constrained (it may differ from the
-        machine description, e.g. ``Kernel(ncpus=4, sched="cpus=1")``),
-        else the machine's."""
-        return self.sched.ncpus if self.sched.ncpus > 0 else self.ncpus
-
     def sys_sched_getaffinity(self, proc: Process, pid: int) -> int:
         target = self.processes.get(pid or proc.pid)
         if target is None:
             raise KernelError(ESRCH, str(pid))
-        return target.se.affinity or (1 << self._affinity_ncpus()) - 1
+        return target.se.affinity or (1 << self.sched.ncpus) - 1
 
     def sys_sched_setaffinity(self, proc: Process, pid: int,
                               mask: int) -> int:
@@ -366,7 +356,7 @@ class ProcCalls:
         target = self.processes.get(pid or proc.pid)
         if target is None:
             raise KernelError(ESRCH, str(pid))
-        full = (1 << self._affinity_ncpus()) - 1
+        full = (1 << self.sched.ncpus) - 1
         if mask & full == 0:
             raise KernelError(EINVAL, "empty affinity mask")
         self.sched.set_affinity(target, mask & full)

@@ -29,6 +29,11 @@ wakeups").  ``Kernel.call`` itself acquires a CPU slot on entry and
 honors preemption on exit, so syscall latency under load includes
 *runnable-wait* (contention), accounted per task in ``proc.se.wait_ns``
 (the histograms' wait) and per thread group in ``sched_wait_ns``.
+
+The scheduler is the kernel's CPU model and its one CPU count
+(``sched.ncpus``: 4 unless ``sched="cpus=N"``), which ``/proc/cpuinfo``
+and the affinity syscalls read.  It also owns the per-thread-group
+tallies the kernel exposes as ``sched_wait_ns`` and ``blocked_time_ns``.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
              EventCalls, URingCalls, NotifyCalls, PerfCalls):
     """A self-contained virtual Linux kernel."""
 
-    def __init__(self, machine: str = X86_64, ncpus: int = 4,
+    def __init__(self, machine: str = X86_64,
                  rng_seed: int = 0xC0FFEE,
                  storage_latency_ns_per_4k: int = 0,
                  net_backend=None, sched=None, trace=None, block=None):
@@ -75,7 +80,6 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         from .trace import create_trace
 
         self.machine = machine
-        self.ncpus = ncpus
         # storage device model: simulated latency per 4 KiB of regular-file
         # I/O (0 = infinitely fast in-memory storage).  Used by benchmarks
         # so I/O-heavy workloads show realistic kernel-time shares (the
@@ -121,14 +125,15 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
 
         # accounting
         self.kernel_time_ns: Dict[int, int] = defaultdict(int)
-        self.blocked_time_ns: Dict[int, int] = defaultdict(int)
-        # runnable-but-waiting-for-a-CPU time (pure contention; ~0 idle)
-        self.sched_wait_ns: Dict[int, int] = defaultdict(int)
 
-        # CPU model: a run queue with `ncpus` slots and time slices; spec
-        # strings ("cpus=1,slice_us=50") or a Scheduler instance
-        self.sched = create_scheduler(sched, ncpus_default=ncpus,
-                                      kernel=self)
+        # CPU model: per-CPU run queues and time slices, and the kernel's
+        # one CPU count.  Specs: None = 4 CPUs, "cpus=1,slice_us=50", or
+        # a Scheduler instance
+        self.sched = create_scheduler(sched, kernel=self)
+        # the scheduler's per-tgid tallies: event sleeps, and
+        # runnable-but-waiting-for-a-CPU time (pure contention; ~0 idle)
+        self.blocked_time_ns = self.sched.blocked_ns_by_tgid
+        self.sched_wait_ns = self.sched.wait_ns_by_tgid
 
         # perf events (kernel/perf.py): sampling profiler + counting
         # events behind perf_event_open.  `perf.active` gates the
@@ -317,9 +322,6 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
             name[8:]: value
             for name, value in self.counters.snapshot().items()
             if name.startswith("syscall.")})
-
-    def has_syscall(self, name: str) -> bool:
-        return name in self._syscalls
 
     def implemented_syscalls(self) -> List[str]:
         return sorted(self._syscalls)

@@ -57,10 +57,6 @@ def wait_status_exited(code: int) -> int:
     return (code & 0xFF) << 8
 
 
-def wait_status_signaled(sig: int) -> int:
-    return sig & 0x7F
-
-
 class Rusage:
     """Resource usage accounting (getrusage / wait4)."""
 

@@ -70,7 +70,7 @@ def register_base(kernel) -> None:
         "/proc/cpuinfo",
         lambda p: b"".join(
             f"processor\t: {i}\nmodel name\t: repro-cpu\n\n".encode()
-            for i in range(kernel.ncpus)))
+            for i in range(kernel.sched.ncpus)))
     v.add_proc_file(
         "/proc/uptime",
         lambda p: f"{(_time.monotonic_ns() - kernel.boot_monotonic_ns) / 1e9:.2f} 0.00\n".encode())

@@ -45,6 +45,14 @@ scheduler: ``kernel_time_ns`` (service), ``blocked_time_ns`` (event
 sleeps) and ``sched_wait_ns`` (runnable-but-waiting) split every
 syscall's latency into kernel cost vs contention.
 
+Every way a task loses its CPU slot (block, yield, exit, preemption at
+a schedule point or tick, an affinity move, a same-thread hand-off)
+goes through :meth:`Scheduler._switch_out`, which charges the task,
+frees the slot and counts the switch once: ``nvcsw`` for a block or
+yield, ``nivcsw`` and the ``sched.preempt`` counter for everything
+involuntary, so ``sched.preempt`` equals the sum of every task's
+``nivcsw``.
+
 Observability: ``sched.migrate`` / ``sched.steal`` counters and
 ``sched_migrate`` / ``sched_steal`` tracepoints fire on every cross-CPU
 move; ``/proc/sched_debug`` renders one section per CPU (current task,
@@ -95,6 +103,7 @@ SCHED_BLOCKED = "blocked"    # off the run queue, parked on a waitqueue
 SCHED_DEAD = "dead"          # exited; owns nothing
 
 DEFAULT_SLICE_US = 2000.0    # 2 ms, between CFS min-granularity and latency
+DEFAULT_NCPUS = 4            # the kernel's CPU count unless a spec says cpus=N
 
 
 class SchedEntity:
@@ -104,7 +113,7 @@ class SchedEntity:
         "state", "vruntime_ns", "nice", "weight", "base_weight",
         "pi_weight", "cpu_time_ns", "wait_ns", "last_wait_ns",
         "blocked_ns", "wait_since_ns", "granted_at_ns", "last_charge_ns",
-        "need_resched", "depth", "host_thread", "rq_seq", "affinity",
+        "need_resched", "depth", "host_thread", "rq_entry", "affinity",
         "cpu", "migrations",
     )
 
@@ -125,7 +134,7 @@ class SchedEntity:
         self.need_resched = False
         self.depth = 0             # syscall nesting (>0 = inside kernel)
         self.host_thread = 0       # ident of the thread that last ran us
-        self.rq_seq = -1           # seq of our valid run-queue entry
+        self.rq_entry = None       # our run-queue heap entry, if queued
         self.affinity = 0          # 0 = default mask (all cpus)
         self.cpu = -1              # run queue we live on (-1: unplaced)
         self.migrations = 0        # cross-CPU moves (placement + steals)
@@ -146,12 +155,11 @@ class SchedEntity:
 class CPURunQueue:
     """One CPU slot: its current task and its private vruntime queue."""
 
-    __slots__ = ("index", "queue", "nr_runnable", "min_vruntime", "current")
+    __slots__ = ("index", "queue", "min_vruntime", "current")
 
     def __init__(self, index: int):
         self.index = index
-        self.queue: List[tuple] = []   # heap of (vruntime, seq, pid)
-        self.nr_runnable = 0           # valid (non-stale) entries
+        self.queue: List[tuple] = []   # heap of (vruntime, seq, proc)
         self.min_vruntime = 0          # this queue's own normalization base
         self.current = None            # the proc holding this slot
 
@@ -159,10 +167,13 @@ class CPURunQueue:
 class Scheduler:
     """Per-CPU run queues with ``ncpus`` slots and CFS-lite pick order.
 
-    ``ncpus`` must be at least 1, like ``slice_us`` must be positive.  A
-    scheduler built without a kernel (tests drive one directly) keeps
-    its own :class:`~repro.kernel.trace.KernelTrace` until a kernel
-    adopts it.
+    ``ncpus`` must be at least 1, like ``slice_us`` must be positive;
+    it is the kernel's one CPU count (``/proc/cpuinfo`` and the affinity
+    syscalls read it).  A scheduler built without a kernel (tests drive
+    one directly) keeps its own :class:`~repro.kernel.trace.KernelTrace`
+    until a kernel adopts it.  The scheduler owns the per-thread-group
+    runnable-wait and blocked-time tallies, which the kernel exposes as
+    ``sched_wait_ns`` and ``blocked_time_ns``.
 
     The scheduler never runs its own thread.  Grants happen inline when
     a slot frees (block / yield / exit / preemption), and the *waiters*
@@ -179,7 +190,8 @@ class Scheduler:
     it to run someone.
     """
 
-    def __init__(self, ncpus: int = 1, slice_us: float = DEFAULT_SLICE_US,
+    def __init__(self, ncpus: int = DEFAULT_NCPUS,
+                 slice_us: float = DEFAULT_SLICE_US,
                  kernel=None, clock: Optional[Callable[[], int]] = None):
         if slice_us <= 0:
             raise KernelError(EINVAL, "slice_us must be > 0")
@@ -200,15 +212,10 @@ class Scheduler:
         self._nr_runnable = 0                  # across all queues
         self._nr_waiting = 0                   # threads blocked in acquire
         self._contended = False                # lock-free fast-path hint
-        self.nr_steals = 0
-        self.nr_migrations = 0
-        # accounting sinks (shared with the kernel when attached)
-        if kernel is not None:
-            self.wait_ns_by_tgid = kernel.sched_wait_ns
-            self.blocked_ns_by_tgid = kernel.blocked_time_ns
-        else:
-            self.wait_ns_by_tgid = defaultdict(int)
-            self.blocked_ns_by_tgid = defaultdict(int)
+        # per-tgid runnable-wait and blocked ns (Kernel.sched_wait_ns and
+        # Kernel.blocked_time_ns)
+        self.wait_ns_by_tgid: Dict[int, int] = defaultdict(int)
+        self.blocked_ns_by_tgid: Dict[int, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
     # introspection (tests, /proc-style reporting)
@@ -241,26 +248,17 @@ class Scheduler:
             return sorted(p.pid for p in self._procs.values()
                           if p.se.state == SCHED_BLOCKED)
 
-    def total_vruntime_ns(self) -> int:
-        with self._cv:
-            return sum(p.se.vruntime_ns for p in self._procs.values())
-
     def cpu_snapshot(self) -> List[dict]:
         """Per-CPU state for ``/proc/sched_debug`` and the SMP tests."""
         with self._cv:
             out = []
             for rq in self._rqs:
-                queued = sorted(
-                    pid for (_, seq, pid) in rq.queue
-                    if (p := self._procs.get(pid)) is not None
-                    and p.se.rq_seq == seq
-                    and p.se.state == SCHED_RUNNABLE
-                    and p.se.cpu == rq.index)
+                queued = sorted(entry[2].pid for entry in rq.queue)
                 out.append({
                     "cpu": rq.index,
                     "current": rq.current.pid if rq.current is not None
                     else None,
-                    "nr_runnable": rq.nr_runnable,
+                    "nr_runnable": len(rq.queue),
                     "min_vruntime": rq.min_vruntime,
                     "queued": queued,
                 })
@@ -287,9 +285,7 @@ class Scheduler:
             se = proc.se
             now = self._now()
             if se.state == SCHED_RUNNING:
-                self._charge(proc, now)
-                self._unrun(proc)
-                proc.rusage.nvcsw += 1
+                self._switch_out(proc, now, True)
             elif se.state == SCHED_RUNNABLE:
                 self._dequeue(proc)
             elif se.state == SCHED_NEW:
@@ -321,14 +317,11 @@ class Scheduler:
             if se.state != SCHED_RUNNING or not self._has_runnable():
                 return
             now = self._now()
-            self._charge(proc, now)
+            self._switch_out(proc, now, True)
             # CFS yield: jump past the leftmost entity so equals go first
-            rq = self._rq_of(se)
-            head = self._peek(rq)
+            head = self._peek(self._rqs[se.cpu])
             if head is not None:
                 se.vruntime_ns = max(se.vruntime_ns, head)
-            self._unrun(proc)
-            proc.rusage.nvcsw += 1
             self._enqueue(proc, now)
             self._dispatch(now)
 
@@ -338,12 +331,10 @@ class Scheduler:
             se = proc.se
             now = self._now()
             if se.state == SCHED_RUNNING:
-                self._charge(proc, now)
-                self._unrun(proc)
+                self._switch_out(proc, now, None)
             elif se.state == SCHED_RUNNABLE:
                 self._dequeue(proc)
             se.state = SCHED_DEAD
-            se.need_resched = False
             self._procs.pop(proc.pid, None)
             self._dispatch(now)
 
@@ -395,10 +386,7 @@ class Scheduler:
                 if se.depth > 0:
                     se.need_resched = True  # moves at syscall exit
                 else:
-                    self._charge(proc, now)
-                    self._unrun(proc)
-                    proc.rusage.nivcsw += 1
-                    self._enqueue(proc, now, absent=True, repick=True)
+                    self._switch_out(proc, now, False, repick=True)
                     self._dispatch(now)
             # blocked/new tasks re-place themselves on wakeup
 
@@ -437,11 +425,7 @@ class Scheduler:
                         and (self._has_runnable()
                              or not self._cpu_allowed(se, se.cpu)):
                     now = self._now()
-                    self._charge(proc, now)
-                    self._unrun(proc)
-                    se.need_resched = False
-                    proc.rusage.nivcsw += 1
-                    self._enqueue(proc, now, absent=True)
+                    self._switch_out(proc, now, False)
                     self._dispatch(now)
 
     def sleep(self, proc, wait_s: float) -> bool:
@@ -485,9 +469,6 @@ class Scheduler:
             se.vruntime_ns += dt * NICE_0_WEIGHT // se.weight
             se.last_charge_ns = now
 
-    def _rq_of(self, se) -> CPURunQueue:
-        return self._rqs[se.cpu if 0 <= se.cpu < len(self._rqs) else 0]
-
     def _cpu_allowed(self, se, cpu: int) -> bool:
         return not se.affinity or bool(se.affinity >> cpu & 1)
 
@@ -503,7 +484,7 @@ class Scheduler:
         best, best_key = 0, None
         for c in self._eligible_cpus(se):
             rq = self._rqs[c]
-            load = rq.nr_runnable + (0 if rq.current is None else 1)
+            load = len(rq.queue) + (0 if rq.current is None else 1)
             key = (load, 0 if c == se.cpu else 1, c)
             if best_key is None or key < best_key:
                 best_key, best = key, c
@@ -522,23 +503,43 @@ class Scheduler:
                 - self._rqs[old].min_vruntime
             se.vruntime_ns = max(0, se.vruntime_ns + shift)
             se.migrations += 1
-            if steal:
-                self.nr_steals += 1
-            else:
-                self.nr_migrations += 1
             self.trace.counters.inc(
                 "sched.steal" if steal else "sched.migrate")
             self.trace.emit("sched_steal" if steal else "sched_migrate",
                             pid=proc.pid, arg=cpu)
         se.cpu = cpu
 
-    def _unrun(self, proc) -> None:
-        self._running.pop(proc.pid, None)
+    def _switch_out(self, proc, now: int, voluntary: Optional[bool],
+                    absent: bool = True, repick: bool = False) -> None:
+        """The one place a running task loses its CPU slot: charge its
+        run time, free the slot and count the context switch.
+
+        ``voluntary=True`` (block, yield) counts ``nvcsw``.
+        ``voluntary=False`` (preemption at a schedule point or tick, an
+        affinity move, a same-thread hand-off) counts ``nivcsw`` and the
+        ``sched.preempt`` counter, fires ``sched_preempt`` and requeues
+        the task (``absent`` and ``repick`` as for :meth:`_enqueue`).
+        ``None`` (exit) counts nothing.  The caller sets any other new
+        state and dispatches the freed slot.
+        """
         se = proc.se
-        if 0 <= se.cpu < len(self._rqs):
-            rq = self._rqs[se.cpu]
-            if rq.current is proc:
-                rq.current = None
+        self._charge(proc, now)
+        self._running.pop(proc.pid, None)
+        rq = self._rqs[se.cpu]
+        if rq.current is proc:
+            rq.current = None
+        se.need_resched = False
+        if voluntary:
+            proc.rusage.nvcsw += 1
+        elif voluntary is not None:
+            proc.rusage.nivcsw += 1
+            trace = self.trace
+            trace.cells["sched.preempt"] += 1
+            if trace.enabled or trace.probes is not None:
+                ran = now - se.granted_at_ns
+                trace.emit("sched_preempt", pid=proc.pid, arg=ran,
+                           args=(ran, se.vruntime_ns))
+            self._enqueue(proc, now, absent=absent, repick=repick)
 
     def _enqueue(self, proc, now: int, wakeup: bool = False,
                  absent: bool = False, repick: bool = False) -> None:
@@ -549,7 +550,7 @@ class Scheduler:
         ``repick`` forces a fresh placement decision (wakeups); plain
         requeues stay on their CPU unless affinity forbids it."""
         se = proc.se
-        if se.state == SCHED_RUNNABLE and se.rq_seq >= 0:
+        if se.rq_entry is not None:
             return  # already queued; never twice
         if repick or se.cpu < 0 or not self._cpu_allowed(se, se.cpu):
             self._migrate(proc, self._select_cpu(se))
@@ -557,20 +558,22 @@ class Scheduler:
         se.state = SCHED_RUNNABLE
         se.wait_since_ns = -1 if absent else now
         self._seq += 1
-        se.rq_seq = self._seq
-        heapq.heappush(rq.queue, (se.vruntime_ns, self._seq, proc.pid))
-        rq.nr_runnable += 1
+        se.rq_entry = (se.vruntime_ns, self._seq, proc)
+        heapq.heappush(rq.queue, se.rq_entry)
         self._nr_runnable += 1
         self._contended = True
         if wakeup:
             self._maybe_mark_preempt(se)
 
     def _dequeue(self, proc) -> None:
-        """Lazy removal: invalidate the heap entry via rq_seq."""
+        """Take a queued task off its run queue (queues hold no stale
+        entries: a task leaves its queue the moment it stops waiting)."""
         se = proc.se
-        if se.rq_seq >= 0:
-            se.rq_seq = -1
-            self._rq_of(se).nr_runnable -= 1
+        if se.rq_entry is not None:
+            queue = self._rqs[se.cpu].queue
+            queue.remove(se.rq_entry)
+            heapq.heapify(queue)
+            se.rq_entry = None
             self._nr_runnable -= 1
 
     def _place(self, proc, now: int, was_blocked: bool) -> None:
@@ -625,60 +628,36 @@ class Scheduler:
         return self._nr_runnable > 0
 
     def _peek(self, rq: CPURunQueue) -> Optional[int]:
-        """The queue head's vruntime, dropping stale entries."""
-        while rq.queue:
-            vrt, seq, pid = rq.queue[0]
-            proc = self._procs.get(pid)
-            if proc is not None and proc.se.rq_seq == seq \
-                    and proc.se.state == SCHED_RUNNABLE \
-                    and proc.se.cpu == rq.index:
-                return vrt
-            heapq.heappop(rq.queue)  # stale
-        return None
+        """The queue head's vruntime."""
+        return rq.queue[0][0] if rq.queue else None
 
     def _pick(self, rq: CPURunQueue):
-        """Pop this queue's lowest-vruntime valid task, or None."""
-        while rq.queue:
-            vrt, seq, pid = heapq.heappop(rq.queue)
-            proc = self._procs.get(pid)
-            if proc is None or proc.se.rq_seq != seq \
-                    or proc.se.state != SCHED_RUNNABLE \
-                    or proc.se.cpu != rq.index:
-                continue  # stale entry
-            proc.se.rq_seq = -1
-            rq.nr_runnable -= 1
-            self._nr_runnable -= 1
-            return proc
-        return None
+        """Pop this queue's lowest-vruntime task, or None."""
+        if not rq.queue:
+            return None
+        proc = heapq.heappop(rq.queue)[2]
+        proc.se.rq_entry = None
+        self._nr_runnable -= 1
+        return proc
 
     def _steal_for(self, rq: CPURunQueue):
         """Idle balance: pull the lowest-vruntime task this CPU may run
         from the busiest other queue.  Deterministic victim order:
         most-runnable first, then lowest index."""
-        victims = sorted(
-            (v for v in self._rqs if v is not rq and v.nr_runnable > 0),
-            key=lambda v: (-v.nr_runnable, v.index))
+        victims = sorted((v for v in self._rqs if v is not rq and v.queue),
+                         key=lambda v: (-len(v.queue), v.index))
         for v in victims:
-            best_key, best = None, None
-            for (vrt, seq, pid) in v.queue:
-                proc = self._procs.get(pid)
-                if proc is None:
-                    continue
-                se = proc.se
-                if se.rq_seq != seq or se.state != SCHED_RUNNABLE \
-                        or se.cpu != v.index:
-                    continue
-                if not self._cpu_allowed(se, rq.index):
-                    continue
-                if best_key is None or (vrt, seq) < best_key:
-                    best_key, best = (vrt, seq), proc
+            best = None
+            for entry in v.queue:  # (vruntime, seq) order; seq is unique
+                if self._cpu_allowed(entry[2].se, rq.index) \
+                        and (best is None or entry < best):
+                    best = entry
             if best is None:
                 continue
-            best.se.rq_seq = -1
-            v.nr_runnable -= 1
-            self._nr_runnable -= 1
-            self._migrate(best, rq.index, steal=True)
-            return best
+            proc = best[2]
+            self._dequeue(proc)
+            self._migrate(proc, rq.index, steal=True)
+            return proc
         return None
 
     def _grant(self, proc, rq: CPURunQueue, now: int) -> None:
@@ -751,14 +730,7 @@ class Scheduler:
             return False
         if not se.need_resched and now - se.granted_at_ns < self.slice_ns:
             return False
-        ran = now - se.granted_at_ns
-        self._unrun(proc)
-        se.need_resched = False
-        proc.rusage.nivcsw += 1
-        self.trace.counters.inc("sched.preempt")
-        self.trace.emit("sched_preempt", pid=proc.pid, arg=ran,
-                        args=(ran, se.vruntime_ns))
-        self._enqueue(proc, now)
+        self._switch_out(proc, now, False, absent=False)
         self._dispatch(now)
         return se.state != SCHED_RUNNING
 
@@ -776,14 +748,7 @@ class Scheduler:
                 continue
             ran = now - se.granted_at_ns
             if ran >= self.slice_ns or (se.need_resched and ran >= gran):
-                self._charge(proc, now)
-                self._unrun(proc)
-                se.need_resched = False
-                proc.rusage.nivcsw += 1
-                self.trace.counters.inc("sched.preempt")
-                self.trace.emit("sched_preempt", pid=proc.pid, arg=ran,
-                                args=(ran, se.vruntime_ns))
-                self._enqueue(proc, now, absent=True)
+                self._switch_out(proc, now, False)
         if self.kernel is not None and self.kernel.perf.active:
             self.kernel.perf.on_tick(self._running.values())
         self._dispatch(now)
@@ -822,10 +787,7 @@ class Scheduler:
                 ose = other.se
                 if other is not proc and ose.host_thread == me \
                         and ose.depth == 0:
-                    self._charge(other, now)
-                    self._unrun(other)
-                    other.rusage.nivcsw += 1
-                    self._enqueue(other, now, absent=True)
+                    self._switch_out(other, now, False)
             if se.state in (SCHED_NEW, SCHED_BLOCKED):
                 self._place(proc, now,
                             was_blocked=(se.state == SCHED_BLOCKED))
@@ -851,17 +813,15 @@ class Scheduler:
             se.host_thread = me
 
 
-def create_scheduler(spec=None, ncpus_default: int = 1, kernel=None):
-    """Resolve a scheduler spec: None (CPU count from the kernel), an
+def create_scheduler(spec=None, kernel=None):
+    """Resolve a scheduler spec: None (:data:`DEFAULT_NCPUS` CPUs), an
     instance, or ``"[sched:]cpus=N,slice_us=X"``."""
     if spec is None:
-        return Scheduler(ncpus=ncpus_default, kernel=kernel)
+        return Scheduler(kernel=kernel)
     if isinstance(spec, Scheduler):
         if kernel is not None and spec.kernel is None:
             spec.kernel = kernel
             spec.trace = kernel.trace
-            spec.wait_ns_by_tgid = kernel.sched_wait_ns
-            spec.blocked_ns_by_tgid = kernel.blocked_time_ns
         return spec
     text = str(spec)
     if text.startswith("sched:"):
@@ -873,7 +833,7 @@ def create_scheduler(spec=None, ncpus_default: int = 1, kernel=None):
         key, sep, value = item.partition("=")
         opts[key.strip()] = value.strip() if sep else "1"
     try:
-        cpus = int(opts.pop("cpus", ncpus_default))
+        cpus = int(opts.pop("cpus", DEFAULT_NCPUS))
         slice_us = float(opts.pop("slice_us", DEFAULT_SLICE_US))
     except ValueError as exc:
         raise KernelError(EINVAL, f"bad sched spec {spec!r}: {exc}")

@@ -141,10 +141,6 @@ class Inode:
         return (self.mode & S_IFMT) == S_IFCHR
 
     @property
-    def is_fifo(self) -> bool:
-        return (self.mode & S_IFMT) == S_IFIFO
-
-    @property
     def size(self) -> int:
         if self.data is not None:
             return len(self.data)
@@ -153,12 +149,6 @@ class Inode:
         return 0
 
     # ---- regular-file I/O ----
-
-    def read_at(self, offset: int, length: int) -> bytes:
-        assert self.data is not None
-        if self.mapping is not None:
-            self.mapping.ensure_resident(offset, length)
-        return bytes(self.data[offset : offset + length])
 
     def write_at(self, offset: int, buf: bytes) -> int:
         assert self.data is not None

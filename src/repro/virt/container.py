@@ -48,10 +48,6 @@ class Image:
     name: str
     layers: List[Layer] = field(default_factory=list)
 
-    def total_bytes(self) -> int:
-        return sum(len(data) for layer in self.layers
-                   for data in layer.files.values())
-
 
 def base_image(name: str = "repro-base", rootfs_mb: float = 24.0) -> Image:
     """A synthetic distribution base image (libraries, /etc, tools).

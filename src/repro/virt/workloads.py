@@ -54,12 +54,6 @@ def sqlite_workload(scale: int = 150) -> Workload:
     )
 
 
-def paho_script_workload(scale: int = 400) -> Workload:
-    """Frame encode/decode workload run standalone (no broker needed):
-    the mqtt client's checksum path driven by mini_lua arithmetic."""
-    return lua_workload(scale)
-
-
 def echo_workload(scale: int = 20, nclients: int = 50,
                   net: str = "loopback") -> Workload:
     """Many-client event-loop chat: one single-threaded guest drives

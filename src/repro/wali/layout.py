@@ -206,14 +206,6 @@ class Layout:
             struct.unpack_from("<BBHiIIQQ", data)
         return opcode, flags, fd, addr, length, off, user_data
 
-    @staticmethod
-    def encode_uring_sqe(opcode: int, flags: int, fd: int, addr: int,
-                         length: int, off: int, user_data: int) -> bytes:
-        return struct.pack("<BBHiIIQQ", opcode & 0xFF, flags & 0xFF, 0,
-                           fd, addr & 0xFFFFFFFF, length & 0xFFFFFFFF,
-                           off & 0xFFFFFFFFFFFFFFFF,
-                           user_data & 0xFFFFFFFFFFFFFFFF)
-
     # cqe (16 bytes): {u64 user_data, i32 res, u32 flags}
     URING_CQE_SIZE = 16
 
@@ -221,32 +213,6 @@ class Layout:
     def encode_uring_cqe(user_data: int, res: int, flags: int = 0) -> bytes:
         return struct.pack("<QiI", user_data & 0xFFFFFFFFFFFFFFFF, res,
                            flags & 0xFFFFFFFF)
-
-    @staticmethod
-    def decode_uring_cqe(data: bytes) -> Tuple[int, int, int]:
-        return struct.unpack_from("<QiI", data)
-
-    # inotify_event: {i32 wd, u32 mask, u32 cookie, u32 len, name[len]}
-    # (len includes the NUL padding to a 16-byte multiple, like Linux)
-    INOTIFY_EVENT_HDR = 16
-
-    @staticmethod
-    def decode_inotify_event(data: bytes, off: int = 0):
-        """One record at ``off``: ``(wd, mask, cookie, name, next_off)``."""
-        wd, mask, cookie, name_len = struct.unpack_from("<iIII", data, off)
-        start = off + Layout.INOTIFY_EVENT_HDR
-        name = bytes(data[start:start + name_len]).split(b"\x00", 1)[0]
-        return wd, mask, cookie, name.decode(), start + name_len
-
-    # signalfd_siginfo (128 bytes, leading fields):
-    # {u32 signo, i32 errno, i32 code, u32 pid, u32 uid, ...pad}
-    SIGNALFD_SIGINFO_SIZE = 128
-
-    @staticmethod
-    def decode_signalfd_siginfo(data: bytes):
-        """``(ssi_signo, ssi_code, ssi_pid, ssi_uid)``."""
-        signo, _errno, code, pid, uid = struct.unpack_from("<IiiII", data)
-        return signo, code, pid, uid
 
     # perf_event_attr (compact repro form, 24 bytes): {u32 type,
     # u32 config_ptr (NUL-terminated name in guest memory), u64
@@ -257,15 +223,6 @@ class Layout:
     def decode_perf_attr(data: bytes):
         """``(type, config_ptr, sample_freq, ring_capacity, disabled)``."""
         return struct.unpack_from("<IIQII", data)
-
-    @staticmethod
-    def encode_perf_attr(type: int, config_ptr: int, sample_freq: int,
-                         ring_capacity: int = 0,
-                         disabled: int = 0) -> bytes:
-        return struct.pack("<IIQII", type & 0xFFFFFFFF,
-                           config_ptr & 0xFFFFFFFF, sample_freq,
-                           ring_capacity & 0xFFFFFFFF,
-                           disabled & 0xFFFFFFFF)
 
     # ksigaction (portable WALI form): {u32 handler, u32 flags, u64 mask}
     SIGACTION_SIZE = 16

@@ -49,7 +49,8 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from typing import Dict, List, Optional, Union
+from functools import partial
+from typing import Callable, Dict, List, Optional, Union
 
 from ..kernel import Kernel
 from ..kernel.errno import EACCES, EAGAIN, ENOEXEC, KernelError
@@ -166,20 +167,24 @@ class WaliProcess:
 
     def run(self) -> int:
         """Run ``_start`` to completion in the calling thread."""
-        return self._run_loop(resume=False)
+        return self._run_loop()
 
-    def _run_loop(self, resume: bool) -> int:
+    def _run_loop(self, entry: Optional[Callable[[], object]] = None,
+                  exit_call: str = "exit_group") -> int:
+        """The one task runner: run ``entry``, else (and after an
+        ``execve``) the image's ``_start``, to its end, then leave the
+        kernel through ``exit_call`` with the status: the guest's exit
+        code, 0 when the entry returns, 134 on a trap."""
         status = 0
         while True:
             try:
-                if resume:
-                    resume = False
-                    self.machine.run(0)
-                else:
+                if entry is None:
                     start = self.instance.exports.get("_start")
                     if start is None:
                         raise WasmError("module has no _start export")
                     self.machine.invoke(start, [])
+                else:
+                    entry()
                 status = 0
             except GuestExit as exc:
                 status = exc.status
@@ -190,6 +195,7 @@ class WaliProcess:
                 if self.module.start is not None:
                     self.machine.invoke(
                         self.instance.funcs[self.module.start], [])
+                entry = None  # the new image runs from its _start
                 continue
             except Trap as exc:
                 self.trap = exc
@@ -197,15 +203,18 @@ class WaliProcess:
             break
         if self.proc.state == STATE_RUNNING:
             try:
-                self.rt.kernel.call(self.proc, "exit_group", status)
+                self.rt.kernel.call(self.proc, exit_call, status)
             except KernelError:
                 pass
         self.exit_status = status
         return status
 
     def start_in_thread(self, resume: bool = False) -> None:
+        """Run the process on its own host thread: ``_start``, or with
+        ``resume`` the machine's saved frames (a forked child)."""
+        entry = partial(self.machine.run, 0) if resume else None
         self.thread = threading.Thread(
-            target=self._run_loop, args=(resume,), daemon=True,
+            target=self._run_loop, args=(entry,), daemon=True,
             name=f"wali-pid{self.proc.pid}")
         self.thread.start()
 
@@ -222,7 +231,6 @@ class WaliRuntime:
                  policy: Optional[SecurityPolicy] = None,
                  tier_up: Optional[str] = "fork_free"):
         self.kernel = kernel if kernel is not None else Kernel(machine=arch)
-        self.arch = arch
         self.scheme = scheme
         self.policy = policy
         # the compiled tier's rule (wasm/compile.py): "fork_free" runs every
@@ -315,20 +323,8 @@ class WaliRuntime:
         self._track(child)
 
         def thread_main():
-            try:
-                child.machine.invoke(entry, [arg])
-                status = 0
-            except GuestExit as exc:
-                status = exc.status
-            except Trap as exc:
-                child.trap = exc
-                status = 128 + 6
-            if child_proc.state == STATE_RUNNING:
-                try:
-                    self.kernel.call(child_proc, "exit", status)
-                except KernelError:
-                    pass
-            child.exit_status = status
+            child._run_loop(partial(child.machine.invoke, entry, [arg]),
+                            "exit")
             if child_proc.state == STATE_DEAD:   # auto-reaped at exit
                 self.release(child_proc.pid)
 

@@ -56,9 +56,6 @@ class SyscallSpec:
         types = tuple(I64 if c == "l" else I32 for c in self.params)
         return FuncType(types, (I64,))
 
-    def available_on(self, arch: str) -> bool:
-        return self.name in ARCH_SYSCALLS.get(arch, {})
-
 
 def _build() -> Dict[str, SyscallSpec]:
     table = {}

@@ -77,9 +77,6 @@ class FuncBuilder:
     def local_set(self, i: int):
         return self.op("local.set", i)
 
-    def local_tee(self, i: int):
-        return self.op("local.tee", i)
-
     def global_get(self, i: int):
         return self.op("global.get", i)
 
@@ -192,12 +189,6 @@ class ModuleBuilder:
             Import(module, name, KIND_FUNC, self.type_index(ft)))
         self._func_names[local_name or name] = idx
         return idx
-
-    def import_memory(self, module: str, name: str, min_pages: int,
-                      max_pages=None) -> int:
-        self.module.imports.append(Import(
-            module, name, KIND_MEMORY, MemoryType(Limits(min_pages, max_pages))))
-        return self.module.num_imported_memories - 1
 
     # ---- definitions ----
 

@@ -75,10 +75,6 @@ class Instance:
     def invoke(self, name: str, *args):
         return self.machine.invoke(self.func_by_name(name), list(args))
 
-    def func_index_of(self, name: str) -> int:
-        obj = self.func_by_name(name)
-        return self.funcs.index(obj)
-
     # ---- fork support ----
 
     def clone(self) -> "Instance":

@@ -144,9 +144,6 @@ class Module:
     def num_tables(self) -> int:
         return self.num_imported_tables + len(self.tables)
 
-    def export_map(self) -> dict:
-        return {e.name: e for e in self.exports}
-
     def find_export(self, name: str, kind: str) -> Optional[Export]:
         for e in self.exports:
             if e.name == name and e.kind == kind:

@@ -86,16 +86,6 @@ MASK32 = 0xFFFFFFFF
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def wrap32(x: int) -> int:
-    """Wrap to unsigned 32-bit representation."""
-    return x & MASK32
-
-
-def wrap64(x: int) -> int:
-    """Wrap to unsigned 64-bit representation."""
-    return x & MASK64
-
-
 def signed32(x: int) -> int:
     """Reinterpret an unsigned 32-bit value as signed."""
     x &= MASK32

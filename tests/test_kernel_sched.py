@@ -6,6 +6,7 @@ fake clock (deterministic, no threads); the integration tests at the end
 exercise the real blocking paths through ``Kernel.call``.
 """
 
+import sys
 import threading
 import time
 
@@ -17,8 +18,9 @@ from repro.kernel import (
 )
 from repro.kernel.errno import EINVAL, EPERM, ESRCH
 from repro.kernel.sched import (
-    NICE_0_WEIGHT, SCHED_DEAD, SCHED_RUNNABLE, SCHED_RUNNING,
+    DEFAULT_NCPUS, NICE_0_WEIGHT, SCHED_DEAD, SCHED_RUNNABLE, SCHED_RUNNING,
 )
+from repro.kernel.vfs import AT_FDCWD, O_RDONLY
 
 SLICE_US = 100
 
@@ -345,7 +347,8 @@ class TestSpecParsing:
             with pytest.raises(KernelError) as exc:
                 create_scheduler(removed)
             assert exc.value.errno == EINVAL, removed
-        assert create_scheduler(None, ncpus_default=7).ncpus == 7
+        assert create_scheduler("cpus=7").ncpus == 7
+        assert create_scheduler(None).ncpus == DEFAULT_NCPUS
         inst = Scheduler(ncpus=3)
         assert create_scheduler(inst) is inst
 
@@ -369,7 +372,7 @@ class TestKernelIntegration:
     """The scheduler threaded through real syscalls and blocking paths."""
 
     def test_default_kernel_schedules_on_its_cpus(self):
-        kern = Kernel(ncpus=2)
+        kern = Kernel(sched="cpus=2")
         assert kern.sched.ncpus == 2
         proc = kern.create_process(["a"])
         kern.call(proc, "getpid")
@@ -389,6 +392,52 @@ class TestKernelIntegration:
             assert kern.call(a, "getpid") == a.pid
             assert kern.call(b, "getpid") == b.pid
         assert b.rusage.nivcsw > 0 or a.rusage.nivcsw > 0
+
+    def test_preempt_counter_is_the_sum_of_nivcsw(self):
+        """Every involuntary switch, whichever path takes the slot (here
+        the same-thread hand-off), counts once in the task's ``nivcsw``
+        and once in ``sched.preempt``."""
+        kern = Kernel(sched="cpus=1,slice_us=50")
+        a = kern.create_process(["a"])
+        b = kern.create_process(["b"])
+        for _ in range(10):
+            kern.call(a, "getpid")
+            kern.call(b, "getpid")
+        nivcsw = sum(p.rusage.nivcsw for p in kern.processes.values())
+        assert nivcsw > 0
+        assert kern.counters.get("sched.preempt") == nivcsw
+
+    def test_spinner_preemptions_are_each_counted_once(self):
+        """Four host threads on one slot, switching the interpreter lock
+        often: ticks, syscall-exit preemptions and hand-offs race, and
+        each switch still counts once on each side."""
+        kern = Kernel(sched="cpus=1,slice_us=50")
+        probe = kern.create_process(["probe"])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with BackgroundSpinners(kern, n=3) as spinners:
+                deadline = time.monotonic() + 5.0
+                while kern.counters.get("sched.preempt") < 4 and \
+                        time.monotonic() < deadline:
+                    kern.call(probe, "getpid")
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(p.se.state == SCHED_DEAD for p in spinners.procs)
+        tasks = [probe] + spinners.procs
+        nivcsw = sum(p.rusage.nivcsw for p in tasks)
+        assert nivcsw >= 4
+        assert kern.counters.get("sched.preempt") == nivcsw
+
+    def test_one_cpu_count(self):
+        """``/proc/cpuinfo``, the default affinity mask and the scheduler
+        report the same CPUs."""
+        kern = Kernel(sched="cpus=1")
+        proc = kern.create_process(["cpus"])
+        fd = kern.call(proc, "openat", AT_FDCWD, "/proc/cpuinfo", O_RDONLY)
+        cpuinfo = kern.call(proc, "read", fd, 4096)
+        assert cpuinfo.count(b"processor\t:") == kern.sched.ncpus == 1
+        assert kern.call(proc, "sched_getaffinity", 0) == 0b1
 
     def test_blocking_read_releases_the_cpu_slot(self):
         """A task blocked in-kernel must not pin its slot: another task
@@ -465,7 +514,7 @@ class TestKernelIntegration:
         assert exc.value.errno == EINVAL
 
     def test_affinity_lite_stores_and_validates(self):
-        kern = Kernel(ncpus=4)
+        kern = Kernel(sched="cpus=4")
         proc = kern.create_process(["aff"])
         assert kern.call(proc, "sched_getaffinity", 0) == 0b1111
         assert kern.call(proc, "sched_setaffinity", 0, 0b0110) == 0

@@ -137,7 +137,7 @@ class TestWorkStealing:
         sched.task_block(t2)         # cpu 1 idles, its queue empty
         assert t3.se.state == SCHED_RUNNING
         assert t3.se.cpu == 1        # stolen across
-        assert sched.nr_steals == 1
+        assert sched.trace.counters.get("sched.steal") == 1
         assert t3.se.migrations == 1
 
     def test_steal_respects_affinity(self):
@@ -152,7 +152,7 @@ class TestWorkStealing:
         # cpu 3 may not steal the pinned task: it stays queued on cpu 0
         assert pinned.se.state == SCHED_RUNNABLE
         assert pinned.se.cpu == 0
-        assert sched.nr_steals == 0
+        assert sched.trace.counters.get("sched.steal") == 0
         assert sched.cpu_snapshot()[3]["current"] is None
 
     def test_steal_takes_lowest_vruntime_eligible(self):
@@ -214,16 +214,15 @@ class TestWorkStealing:
 
 class TestAffinitySyscalls:
     def test_empty_effective_mask_rejected(self):
-        k = Kernel(ncpus=1)
+        k = Kernel(sched="cpus=1")
         p = k.create_process(["t"], stdio=False)
         with pytest.raises(KernelError) as ei:
             k.call(p, "sched_setaffinity", 0, 1 << 8)
         assert ei.value.errno == EINVAL
 
     def test_mask_validated_against_sched_cpus(self):
-        # the scheduler is the authority when constrained, not the
-        # machine description
-        k = Kernel(ncpus=4, sched="cpus=1,slice_us=100")
+        # the scheduler's CPU count is the kernel's only one
+        k = Kernel(sched="cpus=1,slice_us=100")
         p = k.create_process(["t"], stdio=False)
         with pytest.raises(KernelError):
             k.call(p, "sched_setaffinity", 0, 0b10)  # only cpu 1: invalid
@@ -231,7 +230,7 @@ class TestAffinitySyscalls:
         assert k.call(p, "sched_getaffinity", 0) == 0b01  # truncated
 
     def test_set_get_roundtrip_and_placement(self):
-        k = Kernel(ncpus=4)
+        k = Kernel(sched="cpus=4")
         p = k.create_process(["t"], stdio=False)
         assert k.call(p, "sched_getaffinity", 0) == 0b1111
         k.call(p, "sched_setaffinity", 0, 0b0100)

@@ -891,9 +891,13 @@ class TestUringRaceRegression:
         want = nmsgs * len(msg)
         got = [0] * nconns
         deadline = time.monotonic() + 30
+        rearm = []
         while any(g < want for g in got):
             assert time.monotonic() < deadline, got
-            _s, cqes = _enter(k, p, rfd, (), 1, 2_000_000_000)
+            # submit the re-arms and wait in one enter: a re-armed RECV
+            # whose socket already holds data completes inside the
+            # submitting enter, which returns its CQE
+            _s, cqes = _enter(k, p, rfd, rearm, 1, 2_000_000_000)
             rearm = []
             for c in cqes:
                 assert c.res > 0, (c.user_data, c.res)
@@ -901,9 +905,30 @@ class TestUringRaceRegression:
                 if got[c.user_data] < want:
                     rearm.append(SQE(IORING_OP_RECV, fd=afds[c.user_data],
                                      length=4096, user_data=c.user_data))
-            if rearm:
-                _enter(k, p, rfd, rearm)
         for t in threads:
             t.join(10)
         # exact byte totals: no lost wakeups, no duplicated completions
         assert got == [want] * nconns
+
+    def test_rearm_enter_returns_the_completion_it_makes(self):
+        """The stress test's stall, made deterministic: a send injected
+        between the enter that reaps a RECV's CQE and the enter that
+        re-arms it.  The re-armed RECV finds the data at submission and
+        completes inside that enter, whose reap returns the CQE; nothing
+        is left for a later wait, so a caller that drops a submitting
+        enter's CQEs loses the completion for good."""
+        k = Kernel()
+        p = k.create_process(["rearm"])
+        rfd = k.call(p, "io_uring_setup", 8)
+        a, b = _pair(k, p)
+        recv = SQE(IORING_OP_RECV, fd=a, length=64, user_data=3)
+        assert _enter(k, p, rfd, [recv]) == (1, [])  # parked
+        k.call(p, "sendto", b, b"first")
+        _s, cqes = _enter(k, p, rfd, (), 1, 2_000_000_000)
+        assert [(c.user_data, c.res) for c in cqes] == [(3, 5)]
+        k.call(p, "sendto", b, b"second!")  # lands before the re-arm
+        rearm = SQE(IORING_OP_RECV, fd=a, length=64, user_data=3)
+        _s, cqes = _enter(k, p, rfd, [rearm])
+        assert [(c.user_data, c.res, c.data) for c in cqes] == \
+            [(3, 7, b"second!")]
+        assert _enter(k, p, rfd, (), 0) == (0, [])

@@ -15,6 +15,7 @@ from repro.wali import MODULE, WaliHost, WaliRuntime
 from repro.wali.host import ENGINE_COST_CALLS
 from repro.wasi import wasi_over_wali
 from repro.wasm import I32, I64, ModuleBuilder, encode_module, instantiate
+from repro.wasm.errors import Trap
 
 THREAD_FLAGS = 0x10f00  # CLONE_VM|CLONE_FS|CLONE_FILES|CLONE_SIGHAND|CLONE_THREAD
 GETTID_IMPORT = 0
@@ -287,6 +288,25 @@ def test_an_exited_thread_leaves_the_runtime(wali_processes):
     child = joined(spawn(rt, wali_processes, wp, RETURN))
     assert child.proc.pid not in rt.kernel.processes
     assert rt.processes == [wp]
+
+
+def test_a_trapping_thread_ends_like_a_trapping_process(wali_processes):
+    """A thread entry that traps runs the process run loop's trap path:
+    the trap is kept, the status is 134, the thread exits and is reaped
+    and released, and the parent is untouched."""
+    mb = ModuleBuilder("trap-thread")
+    mb.add_memory(1, 16)
+    mb.add_table(1)
+    mb.func("boom", [I32]).op("unreachable").end()
+    mb.add_elem(0, [mb.func_index("boom")])
+    rt = WaliRuntime()
+    wp = rt.load(mb.build())
+    child = joined(spawn(rt, wali_processes, wp, 0))
+    assert isinstance(child.trap, Trap)
+    assert child.exit_status == 128 + 6
+    assert child.proc.pid not in rt.kernel.processes
+    assert rt.processes == [wp]
+    assert wp.trap is None and wp.exit_status is None
 
 
 def test_a_shell_holds_only_unreaped_processes(wali_processes):
