@@ -18,7 +18,6 @@ from .coreutils import (
 )
 from .event_echo import EVENT_ECHO_SOURCE
 from .ktop import KTOP_SOURCE
-from .libc import LIBC_SOURCE, with_libc
 from .lua import LUA_SOURCE
 from .memcached import MEMCACHED_CLIENT_SOURCE, MEMCACHED_SOURCE
 from .mqtt import MQTT_BENCH_SOURCE, MQTT_BROKER_SOURCE

@@ -8,7 +8,7 @@ for error messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 
 class CompileError(Exception):

@@ -428,9 +428,6 @@ class BlockFS:
     # cost accrual & settlement (the scheduler-charged disk model)
     # ------------------------------------------------------------------
 
-    def pending_ns(self) -> int:
-        return self.tls.pending
-
     def take_pending(self) -> int:
         ns = self.tls.pending
         self.tls.pending = 0
@@ -441,6 +438,15 @@ class BlockFS:
 
     def _add_pending(self, ns: int) -> None:
         self.tls.pending += ns
+
+    def reserve(self, ns: int) -> int:
+        """Reserve ``ns`` of device time on the single device-busy
+        timeline, behind what is already queued; returns when the
+        reservation ends (``time.monotonic_ns``)."""
+        with self._disk_lock:
+            end = max(_time.monotonic_ns(), self._busy_until_ns) + ns
+            self._busy_until_ns = end
+        return end
 
     def settle(self, kernel, proc) -> None:
         """Serve this thread's accrued device time: reserve a slot on the
@@ -455,11 +461,7 @@ class BlockFS:
         ns = self.take_pending()
         if ns <= 0:
             return
-        with self._disk_lock:
-            now = _time.monotonic_ns()
-            start = max(now, self._busy_until_ns)
-            end = start + ns
-            self._busy_until_ns = end
+        end = self.reserve(ns)
         waited0 = _time.monotonic_ns()
         if kernel is None or proc is None:
             rem = end - _time.monotonic_ns()
@@ -782,28 +784,6 @@ class BlockFS:
             return sum(n.mapping.evict_clean()
                        for n in self._inodes.values()
                        if n.mapping is not None)
-
-    # ------------------------------------------------------------------
-    # uring support
-    # ------------------------------------------------------------------
-
-    def fsync_for_uring(self, inode: Inode, datasync: bool = False) -> int:
-        """Run an fsync synchronously but *detach* its device time from
-        the submitting thread: reserve it on the busy timeline and
-        return the wall-clock ns until durability, so the ring can
-        complete the CQE asynchronously instead of parking the
-        submitter."""
-        before = self.pending_ns()
-        self.fsync_inode(inode, datasync=datasync, charge=True)
-        delta = self.pending_ns() - before
-        self.tls.pending = before
-        if delta <= 0:
-            return 0
-        with self._disk_lock:
-            now = _time.monotonic_ns()
-            start = max(now, self._busy_until_ns)
-            self._busy_until_ns = start + delta
-        return (start + delta) - now
 
     # ------------------------------------------------------------------
     # crash & teardown

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..errno import EBADF, EINVAL, ELOOP, EPERM, KernelError
+from ..errno import EINVAL, ELOOP, EPERM, KernelError
 from ..eventpoll import (
     EFD_CLOEXEC, EFD_NONBLOCK, EFD_SEMAPHORE, EPOLL_CLOEXEC, EPOLL_CTL_ADD,
     EPOLL_CTL_DEL, EPOLL_CTL_MOD, EventFD, EventPoll, TFD_CLOEXEC,

@@ -10,12 +10,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errno import (
-    EACCES, EBADF, EEXIST, EINVAL, EISDIR, ELOOP, ENOENT, ENOSYS, ENOTDIR,
-    ENOTEMPTY, ENOTTY, EPERM, ESPIPE, KernelError,
+    EACCES, EBADF, EEXIST, EINVAL, EISDIR, ELOOP, ENOENT, ENOTDIR, ENOTEMPTY,
+    ENOTTY, KernelError,
 )
 from ..fdtable import (
     F_DUPFD, F_DUPFD_CLOEXEC, F_GETFD, F_GETFL, F_SETFD, F_SETFL, FD_CLOEXEC,
-    OpenFile, Pipe, SEEK_CUR, SEEK_END, SEEK_SET,
+    OpenFile, Pipe,
 )
 from ..inotify import (
     IN_ATTRIB, IN_CREATE, fsnotify_content, fsnotify_inode_gone,
@@ -23,10 +23,9 @@ from ..inotify import (
 )
 from ..process import Process, RLIMIT_FSIZE, RLIM_INFINITY
 from ..vfs import (
-    AT_FDCWD, AT_REMOVEDIR, AT_SYMLINK_NOFOLLOW, DirEntry, Inode,
-    O_ACCMODE, O_APPEND, O_CLOEXEC, O_CREAT, O_DIRECT, O_DIRECTORY,
-    O_DSYNC, O_EXCL, O_NOFOLLOW, O_NONBLOCK, O_RDONLY, O_RDWR, O_SYNC,
-    O_TRUNC, O_WRONLY, S_IFDIR, S_IFIFO, S_IFLNK, S_IFMT, S_IFREG,
+    AT_FDCWD, AT_REMOVEDIR, AT_SYMLINK_NOFOLLOW, DirEntry, Inode, O_ACCMODE,
+    O_APPEND, O_CLOEXEC, O_CREAT, O_DIRECTORY, O_EXCL, O_NOFOLLOW, O_NONBLOCK,
+    O_RDONLY, O_TRUNC, O_WRONLY, S_IFDIR, S_IFIFO, S_IFMT, S_IFREG,
 )
 
 # ioctl requests we answer
@@ -160,28 +159,20 @@ class FSCalls:
         if length < 0:
             raise KernelError(EINVAL, "negative length")
         file = proc.fdtable.get(fd)
-        if not file.readable_mode:
-            raise KernelError(EBADF, "fd not open for reading")
         if file.kind != OpenFile.KIND_REG:
             return self._blocking_io(proc, file, lambda: file.read(length))
         data = file.read(length)     # a regular file never blocks
         if self.storage_latency_ns_per_4k:
             self.storage_charge(len(data))
-        if file.flags & O_DIRECT and file.inode is not None \
-                and file.inode.mapping is not None:
-            file.inode.mapping.evict_clean()  # bypass the page cache
         return data
 
     def sys_write(self, proc: Process, fd: int, data) -> int:
         file = proc.fdtable.get(fd)
-        if not file.writable_mode:
-            raise KernelError(EBADF, "fd not open for writing")
         data = bytes(data)
-        if file.kind == OpenFile.KIND_REG:
-            total = file.write(data) if data else 0   # it never blocks
+        if file.kind == OpenFile.KIND_REG or not data:
+            total = file.write(data)     # it never blocks
             if self.storage_latency_ns_per_4k:
                 self.storage_charge(total)
-            self._write_through(file)
             return total
         total = 0
         while total < len(data):
@@ -194,47 +185,16 @@ class FSCalls:
 
     def sys_pread64(self, proc: Process, fd: int, length: int,
                     offset: int) -> bytes:
-        file = proc.fdtable.get(fd)
-        if not file.readable_mode:
-            raise KernelError(EBADF)
-        data = file.pread(length, offset)
+        data = proc.fdtable.get(fd).pread(length, offset)
         if self.storage_latency_ns_per_4k:
             self.storage_charge(len(data))
-        if file.kind == OpenFile.KIND_REG and file.flags & O_DIRECT \
-                and file.inode is not None \
-                and file.inode.mapping is not None:
-            file.inode.mapping.evict_clean()
         return data
 
     def sys_pwrite64(self, proc: Process, fd: int, data, offset: int) -> int:
-        file = proc.fdtable.get(fd)
-        if not file.writable_mode:
-            raise KernelError(EBADF)
-        n = file.pwrite(bytes(data), offset)
+        n = proc.fdtable.get(fd).pwrite(bytes(data), offset)
         if self.storage_latency_ns_per_4k:
             self.storage_charge(n)
-        if file.kind == OpenFile.KIND_REG:
-            self._write_through(file)
         return n
-
-    def _write_through(self, file: OpenFile) -> None:
-        """Apply O_SYNC / O_DSYNC / O_DIRECT semantics after a write.
-
-        O_SYNC and O_DSYNC fsync (flush + metadata commit: durable);
-        O_DIRECT pushes data blocks straight through the cache *without*
-        a commit — on-disk data, uncommitted metadata, so the write is
-        still not crash-durable until an explicit fsync (the Linux
-        contract: O_DIRECT is about the cache, not durability).
-        """
-        node = file.inode
-        if node is None or node.mapping is None:
-            return
-        if file.flags & (O_SYNC | O_DSYNC):
-            self.blockdev.fsync_inode(
-                node, datasync=(file.flags & O_SYNC) != O_SYNC)
-        elif file.flags & O_DIRECT:
-            self.blockdev.flush_inode(node)
-            node.mapping.evict_clean()
 
     def sys_readv(self, proc: Process, fd: int, lengths: List[int]) -> bytes:
         return self.sys_read(proc, fd, sum(lengths))
@@ -537,8 +497,8 @@ class FSCalls:
         if length < 0:
             raise KernelError(EINVAL, "negative length")
         file = proc.fdtable.get(fd)
-        if file.kind != OpenFile.KIND_REG:
-            raise KernelError(EINVAL)
+        if file.kind != OpenFile.KIND_REG or not file.writable:
+            raise KernelError(EINVAL, "not a regular file open for writing")
         file.inode.truncate(length)
         return 0
 
@@ -571,16 +531,10 @@ class FSCalls:
         return 0
 
     def sys_fsync(self, proc: Process, fd: int) -> int:
-        file = proc.fdtable.get(fd)
-        if file.inode is not None:
-            self.blockdev.fsync_inode(file.inode)
-        return 0
+        return proc.fdtable.get(fd).fsync()
 
     def sys_fdatasync(self, proc: Process, fd: int) -> int:
-        file = proc.fdtable.get(fd)
-        if file.inode is not None:
-            self.blockdev.fsync_inode(file.inode, datasync=True)
-        return 0
+        return proc.fdtable.get(fd).fsync(datasync=True)
 
     def sys_sync_file_range(self, proc: Process, fd: int, offset: int = 0,
                             nbytes: int = 0, flags: int = 0) -> int:

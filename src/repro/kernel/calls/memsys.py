@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..errno import EBADF, EINVAL, ENOMEM, ENOSYS, KernelError
+from ..errno import EBADF, ENOMEM, KernelError
 from ..fdtable import OpenFile
-from ..mm import (
-    MAP_ANONYMOUS, MAP_FIXED, MAP_PRIVATE, MAP_SHARED, MapResult,
-    MREMAP_MAYMOVE, PROT_EXEC, PROT_READ, PROT_WRITE, WritebackSpec,
-)
+from ..mm import MAP_ANONYMOUS, MapResult, MREMAP_MAYMOVE, WritebackSpec
 from ..process import Process
 
 # msync(2) flags

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import random
 import threading
 import time as _time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..errno import EINVAL, EPERM, KernelError
 from ..process import Process

@@ -7,9 +7,10 @@ simulated-WAN, and host backends unchanged.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Tuple
 
-from ..errno import EBADF, EINVAL, ENOTSOCK, KernelError
+from ..errno import EINVAL, ENOTSOCK, KernelError
 from ..fdtable import OpenFile
 from ..net import SOCK_CLOEXEC, SOCK_DGRAM, SOCK_NONBLOCK, Socket
 from ..process import Process
@@ -44,17 +45,21 @@ class NetCalls:
         self.net.connect(self._sock(proc, fd), addr)
         return 0
 
-    def sys_accept4(self, proc: Process, fd: int, flags: int = 0) -> int:
-        listener_file = proc.fdtable.get(fd)
-        listener = self._sock(proc, fd)
-
-        def step():
-            return self.net.accept_step(listener)
-
-        conn = self._blocking_io(proc, listener_file, step)
+    def accept_step(self, proc: Process, listener: OpenFile,
+                    flags: int) -> int:
+        """The one accept step (``accept4`` and the ring's ACCEPT): take
+        one pending connection, EAGAIN when there is none, and install
+        it with ``SOCK_NONBLOCK``/``SOCK_CLOEXEC`` from ``flags``."""
+        conn = self.net.accept_step(listener.sock)
         file = OpenFile(OpenFile.KIND_SOCK, flags & SOCK_NONBLOCK, sock=conn)
         return proc.fdtable.install(file,
                                     cloexec=bool(flags & SOCK_CLOEXEC))
+
+    def sys_accept4(self, proc: Process, fd: int, flags: int = 0) -> int:
+        self._sock(proc, fd)
+        listener = proc.fdtable.get(fd)
+        return self._blocking_io(
+            proc, listener, partial(self.accept_step, proc, listener, flags))
 
     def sys_accept(self, proc: Process, fd: int) -> int:
         return self.sys_accept4(proc, fd, 0)

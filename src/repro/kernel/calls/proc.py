@@ -7,13 +7,12 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..errno import (
-    EAGAIN, ECHILD, EDEADLK, EINTR, EINVAL, ENOSYS, EPERM, ESRCH,
-    ETIMEDOUT, KernelError,
+    EAGAIN, ECHILD, EDEADLK, EINVAL, ENOSYS, EPERM, ESRCH, ETIMEDOUT,
+    KernelError,
 )
 from ..process import (
-    CLONE_FILES, CLONE_FS, CLONE_SIGHAND, CLONE_THREAD, CLONE_VM, CSIGNAL,
-    Process, RLIM_INFINITY, STATE_DEAD, STATE_RUNNING, STATE_ZOMBIE,
-    WNOHANG, wait_status_exited,
+    CLONE_FILES, CLONE_SIGHAND, CLONE_THREAD, CLONE_VM, CSIGNAL, Process,
+    STATE_DEAD, STATE_RUNNING, STATE_ZOMBIE, WNOHANG, wait_status_exited,
 )
 from ..signals import SIGCHLD, SIGKILL
 

@@ -12,7 +12,7 @@ from typing import Optional
 from ..errno import EAGAIN, EINVAL, EPERM, KernelError
 from ..process import Process
 from ..signals import (
-    NSIG, SIG_BLOCK, SIG_SETMASK, SIG_UNBLOCK, SIGKILL, SIGSTOP, SigAction,
+    SIG_BLOCK, SIG_SETMASK, SIG_UNBLOCK, SIGKILL, SIGSTOP, SigAction,
     check_signum, sig_bit,
 )
 

@@ -24,9 +24,7 @@ import time as _time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .errno import (
-    EAGAIN, EBADF, EEXIST, EINVAL, ENOENT, EPERM, KernelError,
-)
+from .errno import EAGAIN, EEXIST, EINVAL, ENOENT, EPERM, KernelError
 
 # epoll event bits (identical to the poll bits for the low ones, like Linux)
 EPOLLIN = 0x001

@@ -11,17 +11,21 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from .errno import (
-    EAGAIN, EBADF, EINVAL, EISDIR, ENOTDIR, EPIPE, ESPIPE, KernelError,
+    EAGAIN, EBADF, EINVAL, EISDIR, EPIPE, ESPIPE, KernelError,
 )
 from .eventpoll import (
     EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, WaitQueue,
 )
 from .inotify import IN_CLOSE_NOWRITE, IN_CLOSE_WRITE, fsnotify_content
 from .vfs import (
-    Inode, O_ACCMODE, O_APPEND, O_NONBLOCK, O_RDONLY, O_RDWR, O_WRONLY, VFS,
+    Inode, O_ACCMODE, O_APPEND, O_DIRECT, O_DSYNC, O_NONBLOCK, O_RDONLY,
+    O_RDWR, O_SYNC, O_WRONLY,
 )
 
 PIPE_BUF_CAPACITY = 65536
+
+# a write through a description opened with any of these goes on to disk
+_WRITE_THROUGH = O_SYNC | O_DSYNC | O_DIRECT
 
 # lseek whence
 SEEK_SET, SEEK_CUR, SEEK_END = 0, 1, 2
@@ -78,6 +82,13 @@ class OpenFile:
                  obj=None):
         self.kind = kind
         self.flags = flags
+        # the access mode is fixed when the description is made (F_SETFL
+        # cannot change it); sockets and pipes carry none in ``flags``
+        acc = flags & O_ACCMODE
+        self.readable = acc == O_RDONLY or acc == O_RDWR \
+            or kind == self.KIND_SOCK or kind == self.KIND_PIPE_R
+        self.writable = acc == O_WRONLY or acc == O_RDWR \
+            or kind == self.KIND_SOCK or kind == self.KIND_PIPE_W
         self.inode = inode
         self.pipe = pipe
         self.sock = sock
@@ -111,7 +122,7 @@ class OpenFile:
             # the fsnotify close hook: tail -F style watchers key on
             # IN_CLOSE_WRITE to know a writer finished its update
             fsnotify_content(self.inode,
-                             IN_CLOSE_WRITE if self.writable_mode
+                             IN_CLOSE_WRITE if self.writable
                              else IN_CLOSE_NOWRITE)
         if self.kind == self.KIND_PIPE_R:
             with self.pipe.lock:
@@ -126,38 +137,32 @@ class OpenFile:
         elif self.obj is not None:
             self.obj.close()
 
-    # ---- access-mode checks ----
-
-    @property
-    def readable_mode(self) -> bool:
-        if self.kind == self.KIND_SOCK:
-            return True
-        return (self.flags & O_ACCMODE) in (O_RDONLY, O_RDWR) or \
-            self.kind == self.KIND_PIPE_R
-
-    @property
-    def writable_mode(self) -> bool:
-        if self.kind == self.KIND_SOCK:
-            return True
-        return (self.flags & O_ACCMODE) in (O_WRONLY, O_RDWR) or \
-            self.kind == self.KIND_PIPE_W
-
     @property
     def nonblocking(self) -> bool:
         return bool(self.flags & O_NONBLOCK)
 
-    # ---- I/O ----
+    # ---- I/O: the one step per operation ----
+    #
+    # ``read``/``write``/``pread``/``pwrite`` are the whole of each
+    # operation on the description: the access mode, the page-cache
+    # fill, O_APPEND, O_DIRECT eviction and O_SYNC/O_DSYNC/O_DIRECT
+    # write-through.  The syscalls, ``readv``/``writev``, ``sendfile``
+    # and the io_uring ops all run them.  None of them blocks: a file
+    # that would block raises EAGAIN, and the caller waits with the
+    # blocking machinery (or parks the ring op).
 
     def read(self, length: int) -> bytes:
-        """Non-blocking read step; pipes raise EAGAIN when empty (the caller
-        in the kernel loops with the blocking machinery)."""
+        if not self.readable:
+            raise KernelError(EBADF, "fd not open for reading")
         if self.kind == self.KIND_REG:
-            if self.inode is not None and self.inode.generator is None \
-                    and self.inode.mapping is not None:
-                self.inode.mapping.ensure_resident(self.offset, length)
+            node = self.inode
+            if node.mapping is not None:   # never set on a procfs node
+                node.mapping.ensure_resident(self.offset, length)
             data = self._reg_content()
             out = bytes(data[self.offset : self.offset + length])
             self.offset += len(out)
+            if self.flags & O_DIRECT and node.mapping is not None:
+                node.mapping.evict_clean()  # bypass the page cache
             return out
         if self.kind == self.KIND_CHR:
             return self.inode.device.read(length)
@@ -190,18 +195,28 @@ class OpenFile:
     def pread(self, length: int, offset: int) -> bytes:
         if self.kind != self.KIND_REG:
             raise KernelError(ESPIPE)
-        if self.inode is not None and self.inode.generator is None \
-                and self.inode.mapping is not None:
-            self.inode.mapping.ensure_resident(offset, length)
-        data = self._reg_content()
-        return bytes(data[offset : offset + length])
+        if not self.readable:
+            raise KernelError(EBADF, "fd not open for reading")
+        node = self.inode
+        if node.mapping is not None:
+            node.mapping.ensure_resident(offset, length)
+        out = bytes(self._reg_content()[offset : offset + length])
+        if self.flags & O_DIRECT and node.mapping is not None:
+            node.mapping.evict_clean()
+        return out
 
-    def write(self, buf: bytes) -> int:
+    def write(self, buf) -> int:
+        if not self.writable:
+            raise KernelError(EBADF, "fd not open for writing")
+        if not buf:
+            return 0
         if self.kind == self.KIND_REG:
             if self.flags & O_APPEND:
                 self.offset = self.inode.size
             n = self.inode.write_at(self.offset, buf)
             self.offset += n
+            if self.flags & _WRITE_THROUGH:
+                self._write_through()
             return n
         if self.kind == self.KIND_CHR:
             return self.inode.device.write(bytes(buf))
@@ -230,7 +245,39 @@ class OpenFile:
     def pwrite(self, buf: bytes, offset: int) -> int:
         if self.kind != self.KIND_REG:
             raise KernelError(ESPIPE)
-        return self.inode.write_at(offset, buf)
+        if not self.writable:
+            raise KernelError(EBADF, "fd not open for writing")
+        n = self.inode.write_at(offset, buf)
+        if self.flags & _WRITE_THROUGH:
+            self._write_through()
+        return n
+
+    def _write_through(self) -> None:
+        """O_SYNC / O_DSYNC fsync after the write (flush + metadata
+        commit: durable); O_DIRECT pushes the data blocks straight
+        through the cache *without* a commit, so the write is not
+        crash-durable until an explicit fsync (the Linux contract:
+        O_DIRECT is about the cache, not durability)."""
+        node = self.inode
+        m = node.mapping
+        if m is None:
+            return
+        if self.flags & (O_SYNC | O_DSYNC):
+            m.fs.fsync_inode(node, datasync=(self.flags & O_SYNC) != O_SYNC)
+        else:
+            m.fs.flush_inode(node)
+            m.evict_clean()
+
+    def fsync(self, datasync: bool = False) -> int:
+        """The one fsync step (``fsync``, ``fdatasync``, the ring's
+        FSYNC).  As on Linux, regular files and directories sync and
+        every other fd fails with EINVAL."""
+        if self.kind != self.KIND_REG and self.kind != self.KIND_DIR:
+            raise KernelError(EINVAL, f"fsync on {self.kind}")
+        node = self.inode
+        if node.mapping is not None:
+            node.mapping.fs.fsync_inode(node, datasync=datasync)
+        return 0
 
     def seek(self, offset: int, whence: int) -> int:
         if self.kind not in (self.KIND_REG, self.KIND_DIR):

@@ -51,14 +51,11 @@ from .calls import (
 )
 from . import procfs
 from .errno import EAGAIN, EINTR, ENOSYS, EPIPE, KernelError
-from .fdtable import FDTable, OpenFile
+from .fdtable import OpenFile
 from .process import Process, STATE_RUNNING
 from .signals import SIGPIPE
 from .trace import HIST_BUCKETS
-from .vfs import (
-    Inode, NullDevice, O_RDWR, RandomDevice, S_IFCHR, TTYDevice, VFS,
-    ZeroDevice,
-)
+from .vfs import NullDevice, O_RDWR, RandomDevice, TTYDevice, VFS, ZeroDevice
 
 # wakeups are kick-driven; a blocked task still rescans once per slice,
 # so a lost kick costs latency, and shows up in sched.safety_net_wakeups

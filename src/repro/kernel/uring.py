@@ -207,7 +207,7 @@ class _Chain:
     """A linked run of SQEs; unlinked SQEs are chains of length one."""
 
     __slots__ = ("kernel", "proc", "sqes", "parked", "timer", "queued",
-                 "done", "expired", "gate")
+                 "done", "expired", "gate", "held")
 
     def __init__(self, kernel, proc, sqes: List[SQE]):
         self.kernel = kernel
@@ -219,6 +219,7 @@ class _Chain:
         self.done = False
         self.expired = False  # armed timer fired; complete on next advance
         self.gate = False     # multishot data CQE posted but not yet reaped
+        self.held = None      # head op's outcome, posted once the disk is done
 
 
 class _Parked:
@@ -368,14 +369,38 @@ class IoURing:
         return table[idx]
 
     def _advance(self, chain: _Chain) -> None:
-        """Run the chain head; on success keep going, on park stop."""
+        """Run the chain head; on success keep going, on park stop.
+
+        Device time an op accrues on the running thread (a cold read, a
+        write-through, an fsync) is taken off the thread and reserved on
+        the disk's busy timeline, and the op's CQE posts when the
+        reservation ends: no op parks the thread that runs it, whether
+        that is an ``io_uring_enter`` caller or the SQPOLL poller.
+        """
+        blockdev = chain.kernel.blockdev
+        tls = blockdev.tls
         while chain.sqes:
             sqe = chain.sqes[0]
-            outcome = self._try_op(chain, sqe)
-            if outcome is _RETRY:
-                continue  # just subscribed: re-check once (lost-edge race)
-            if outcome is None:
-                return  # parked: readiness will re-queue the chain
+            outcome = chain.held
+            if outcome is not None:
+                if not chain.expired:
+                    return  # the device is still busy with the op
+                chain.expired = False
+                chain.held = None
+            else:
+                before = tls.pending
+                outcome = self._try_op(chain, sqe)
+                if tls.pending > before:
+                    end = blockdev.reserve(tls.pending - before)
+                    tls.pending = before
+                    if type(outcome) is tuple:
+                        chain.held = outcome
+                        self._arm_timer(chain, end - _time.monotonic_ns())
+                        return
+                if outcome is _RETRY:
+                    continue  # just subscribed: re-check once (lost edge)
+                if outcome is None:
+                    return  # parked: readiness will re-queue the chain
             if chain.parked is not None:
                 chain.parked.detach()
                 chain.parked = None
@@ -397,7 +422,11 @@ class IoURing:
 
         Returns ``(res, data, addr, cqe_flags)`` when the op finished,
         ``None`` when it parked (readiness or a timer will re-queue the
-        chain), or ``_RETRY`` right after a waitqueue subscription.
+        chain), or ``_RETRY`` right after a waitqueue subscription.  The
+        I/O itself is the syscalls' own step (``OpenFile.read``/
+        ``write``/``fsync``, ``Kernel.accept_step``), so access modes,
+        write-through and accept flags behave as they do for the
+        syscalls.
         """
         op = sqe.opcode
         if op == IORING_OP_NOP:
@@ -420,52 +449,34 @@ class IoURing:
             except KernelError as exc:
                 return -exc.errno, None, 0, 0
             sqe._file = file  # pin: a close/reuse cannot redirect the op
-        if op in (IORING_OP_READ, IORING_OP_RECV, IORING_OP_READ_FIXED):
-            return self._try_read(chain, sqe, file)
-        if op in (IORING_OP_WRITE, IORING_OP_SEND):
-            if sqe.flags & IOSQE_FIXED_BUFFER \
-                    and self._fixed_slot(sqe.addr) is None:
-                return -EINVAL, None, 0, 0
-            payload = sqe.data if sqe.data is not None else b""
-            try:
-                # EPIPE surfaces as -EPIPE without SIGPIPE, like
-                # io_uring's MSG_NOSIGNAL-style sends
-                n = file.write(payload)
-            except KernelError as exc:
-                if exc.errno == EAGAIN:
-                    return self._park(chain, file, _WRITE_WAKE)
-                return -exc.errno, None, 0, 0
-            return n, None, 0, 0
-        if op == IORING_OP_ACCEPT:
-            return self._try_accept(chain, sqe, file)
         if op == IORING_OP_POLL_ADD:
             events = (sqe.off & 0xFFFFFFFF) or EPOLLIN
             mask = file.poll_events() & (events | EPOLLERR | EPOLLHUP)
             if mask:
                 return mask, None, 0, 0
             return self._park(chain, file, events | EPOLLERR | EPOLLHUP)
-        if op == IORING_OP_FSYNC:
-            if chain.expired:
-                # the deferred device time elapsed (posted from the
-                # deterministic _process_ready path, never the timer
-                # thread): the fsync itself already ran at submission
-                chain.expired = False
-                return 0, None, 0, 0
-            if chain.timer is not None:
-                return None  # device time still accruing
-            if file.kind != OpenFile.KIND_REG or file.inode is None:
-                return -EINVAL, None, 0, 0
-            if file.inode.mapping is None:
-                return 0, None, 0, 0  # nothing disk-backed: instant success
-            # run the flush/commit now, but detach its device time from
-            # the submitter: the CQE posts when the disk would be done
-            cost_ns = chain.kernel.blockdev.fsync_for_uring(
-                file.inode, datasync=bool(sqe.off & IORING_FSYNC_DATASYNC))
-            if cost_ns <= 0:
-                return 0, None, 0, 0
-            self._arm_timer(chain, cost_ns)
-            return None
-        raise AssertionError(f"unhandled opcode {op}")  # _FD_OPS is exhaustive
+        try:
+            if op == IORING_OP_ACCEPT:
+                return self._try_accept(chain, sqe, file)
+            if op == IORING_OP_FSYNC:
+                return file.fsync(bool(sqe.off & IORING_FSYNC_DATASYNC)), \
+                    None, 0, 0
+            if op == IORING_OP_WRITE or op == IORING_OP_SEND:
+                if sqe.flags & IOSQE_FIXED_BUFFER \
+                        and self._fixed_slot(sqe.addr) is None:
+                    return -EINVAL, None, 0, 0
+                # EPIPE surfaces as -EPIPE without SIGPIPE, like
+                # io_uring's MSG_NOSIGNAL-style sends
+                return file.write(sqe.data or b""), None, 0, 0
+            return self._try_read(chain, sqe, file)
+        except KernelError as exc:
+            if exc.errno == EAGAIN:
+                return self._park(chain, file, _WRITE_WAKE
+                                  if op == IORING_OP_WRITE
+                                  or op == IORING_OP_SEND else _READ_WAKE)
+            # terminal: errors complete without the MORE flag, ending a
+            # multishot sequence (Linux semantics)
+            return -exc.errno, None, 0, 0
 
     def _try_read(self, chain: _Chain, sqe: SQE, file):
         """READ / RECV / READ_FIXED, single-shot or multishot."""
@@ -488,12 +499,7 @@ class IoURing:
             # one unreaped data CQE per armed op: the completion target
             # (a single slot) is in use until the guest reaps it
             return None
-        try:
-            data = file.read(length)
-        except KernelError as exc:
-            if exc.errno == EAGAIN:
-                return self._park(chain, file, _READ_WAKE)
-            return -exc.errno, None, 0, 0
+        data = file.read(length)
         if fixed:
             self.counters.inc("uring.fixed_completions")
         if not multishot:
@@ -508,25 +514,17 @@ class IoURing:
         return None
 
     def _try_accept(self, chain: _Chain, sqe: SQE, file):
+        """ACCEPT (``sqe.length`` carries accept4's flags); multishot
+        drains every pending arrival, one CQE each, all flagged MORE."""
         if file.kind != OpenFile.KIND_SOCK:
             return -ENOTSOCK, None, 0, 0
         multishot = sqe.off & IORING_ACCEPT_MULTISHOT
         if multishot and (sqe.flags & IOSQE_IO_LINK or len(chain.sqes) > 1):
             return -EINVAL, None, 0, 0
         while True:
-            try:
-                conn = chain.kernel.net.accept_step(file.sock)
-            except KernelError as exc:
-                if exc.errno == EAGAIN:
-                    return self._park(chain, file, _READ_WAKE)
-                # terminal: errors complete without the MORE flag,
-                # ending a multishot sequence (Linux semantics)
-                return -exc.errno, None, 0, 0
-            newfile = OpenFile(OpenFile.KIND_SOCK, sqe.length, sock=conn)
-            nfd = chain.proc.fdtable.install(newfile)
+            nfd = chain.kernel.accept_step(chain.proc, file, sqe.length)
             if not multishot:
                 return nfd, None, 0, 0
-            # drain every pending arrival: one CQE each, all flagged MORE
             self._multishot_cqe(chain, sqe, nfd)
 
     def _multishot_cqe(self, chain: _Chain, sqe: SQE, res: int,

@@ -13,8 +13,8 @@ import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errno import (
-    EACCES, EBUSY, EEXIST, EINVAL, EISDIR, ELOOP, ENAMETOOLONG, ENOENT,
-    ENOSPC, ENOTDIR, ENOTEMPTY, EPERM, EXDEV, KernelError,
+    EEXIST, EINVAL, EISDIR, ELOOP, ENAMETOOLONG, ENOENT, ENOSPC, ENOTDIR,
+    ENOTEMPTY, EPERM, KernelError,
 )
 from .inotify import (
     IN_ATTRIB, IN_CREATE, IN_MODIFY, fsnotify, fsnotify_content,

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..wali import WaliRuntime
+from .profile import load_app
 
 
 @dataclass
@@ -75,15 +76,8 @@ def measure_breakdown(app_name: str, module, argv=None, env=None,
                       files=None, stdin: bytes = b"",
                       runtime: Optional[WaliRuntime] = None,
                       setup=None) -> RuntimeBreakdown:
-    rt = runtime or WaliRuntime()
-    for path, data in (files or {}).items():
-        rt.kernel.vfs.mkdirs(path.rsplit("/", 1)[0] or "/")
-        rt.kernel.vfs.write_file(path, data)
-    if stdin:
-        rt.kernel.console_feed(stdin)
-    if setup is not None:
-        setup(rt)
-    wp = rt.load(module, argv=argv or [app_name], env=env or {})
+    wp = load_app(app_name, module, argv, env, files, stdin, runtime, setup)
+    rt = wp.rt
     tgid = wp.proc.tgid
     k0 = rt.kernel.kernel_time_ns.get(tgid, 0)
     b0 = rt.kernel.blocked_time_ns.get(tgid, 0)

@@ -38,10 +38,12 @@ def profile_from_kernel(app_name: str, kernel) -> SyscallProfile:
     return SyscallProfile(app_name, kernel.syscall_counts)
 
 
-def profile_app(app_name: str, module, argv=None, env=None, files=None,
-                stdin: bytes = b"", runtime: Optional[WaliRuntime] = None,
-                setup=None) -> SyscallProfile:
-    """Run an app to completion; returns the profile of its syscalls."""
+def load_app(app_name: str, module, argv=None, env=None, files=None,
+             stdin: bytes = b"", runtime: Optional[WaliRuntime] = None,
+             setup=None):
+    """Load an app ready to run: on ``runtime`` (a fresh one by
+    default), with ``files`` written, ``stdin`` fed to the console and
+    ``setup(rt)`` called first.  Returns the loaded ``WaliProcess``."""
     rt = runtime or WaliRuntime()
     for path, data in (files or {}).items():
         rt.kernel.vfs.mkdirs(path.rsplit("/", 1)[0] or "/")
@@ -50,7 +52,15 @@ def profile_app(app_name: str, module, argv=None, env=None, files=None,
         rt.kernel.console_feed(stdin)
     if setup is not None:
         setup(rt)
-    wp = rt.load(module, argv=argv or [app_name], env=env or {})
+    return rt.load(module, argv=argv or [app_name], env=env or {})
+
+
+def profile_app(app_name: str, module, argv=None, env=None, files=None,
+                stdin: bytes = b"", runtime: Optional[WaliRuntime] = None,
+                setup=None) -> SyscallProfile:
+    """Run an app to completion; returns the profile of its syscalls."""
+    wp = load_app(app_name, module, argv, env, files, stdin, runtime, setup)
+    rt = wp.rt
     # diff of the kernel-wide counters: children of the same run
     # (pipelines, forked workers) are included automatically
     before = rt.kernel.syscall_counts

@@ -38,9 +38,7 @@ from ..kernel import Kernel
 from ..wali import WaliProcess, WaliRuntime
 from ..wasm import Module, decode_module, encode_module
 from ..wasm.types import PAGE_SIZE
-from .container import (
-    Container, ContainerRuntime, DOCKER_BASE_OVERHEAD_MB, base_image,
-)
+from .container import ContainerRuntime, DOCKER_BASE_OVERHEAD_MB, base_image
 from .emulator import emulate_instance
 
 TIERS = ("native", "wali", "docker", "qemu")

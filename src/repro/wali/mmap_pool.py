@@ -12,7 +12,7 @@ paper describes.
 
 from __future__ import annotations
 
-from ..kernel.mm import AddressSpace, MM_PAGE, page_align_up
+from ..kernel.mm import AddressSpace, page_align_up
 from ..wasm.memory import LinearMemory
 from ..wasm.types import PAGE_SIZE
 

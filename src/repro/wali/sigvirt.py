@@ -18,15 +18,14 @@ Delivery guarantees implemented here (per the paper):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
 
 from ..kernel.errno import EINVAL, KernelError
 from ..kernel.process import Process
 from ..kernel.signals import (
-    DFL_CONT, DFL_CORE, DFL_IGN, DFL_STOP, DFL_TERM, SA_NODEFER, SIG_DFL,
-    SIG_IGN, SIGKILL, SIGSTOP, SigAction, default_action, sig_bit,
+    DFL_CONT, DFL_IGN, DFL_STOP, SA_NODEFER, SIG_DFL, SIG_IGN, SIGKILL,
+    SIGSTOP, SigAction, default_action, sig_bit,
 )
-from ..wasm.errors import GuestExit, Trap, TrapIndirectCall
+from ..wasm.errors import GuestExit, TrapIndirectCall
 
 
 class VirtualSigTable:

@@ -11,7 +11,7 @@ maps between them.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..kernel import errno as E
 from ..wasm.types import I32, I64, FuncType

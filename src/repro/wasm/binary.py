@@ -17,8 +17,8 @@ from .module import (
     KIND_FUNC, KIND_GLOBAL, KIND_MEMORY, KIND_TABLE,
 )
 from .opcodes import (
-    BY_BYTE, OPS, IMM_BLOCK, IMM_BRTABLE, IMM_CALLIND, IMM_F64, IMM_I32,
-    IMM_I64, IMM_MEM2, IMM_MEMARG, IMM_MEMIDX, IMM_NONE, IMM_U32,
+    BY_BYTE, OPS, IMM_BRTABLE, IMM_CALLIND, IMM_F64, IMM_I32, IMM_I64,
+    IMM_MEM2, IMM_MEMARG, IMM_MEMIDX, IMM_NONE, IMM_U32,
 )
 from .types import (
     BYTE_VALTYPES, FuncType, GlobalType, Limits, MemoryType, TableType,

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 from .module import (
     DataSegment, ElemSegment, Export, Function, Global, Import, Module,
-    KIND_FUNC, KIND_GLOBAL, KIND_MEMORY, KIND_TABLE,
+    KIND_FUNC, KIND_GLOBAL, KIND_MEMORY,
 )
 from .opcodes import OPS, BLOCK_OPS
 from .types import (

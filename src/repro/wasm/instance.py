@@ -15,12 +15,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .compile import compiled_functions
-from .errors import LinkError, Trap
+from .errors import LinkError
 from .flatten import SAFEPOINT_SCHEMES, flatten_function
 from .interp import HostFunc, Machine, WasmFunc
 from .memory import LinearMemory
 from .module import Module, KIND_FUNC, KIND_GLOBAL, KIND_MEMORY, KIND_TABLE
-from .types import F64, MASK32, MASK64
+from .types import MASK32, MASK64
 from .validate import validate_module
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import struct
 
-from .errors import Trap, TrapOutOfBounds
-from .types import PAGE_SIZE, MASK32, MASK64, signed32, signed64
+from .errors import TrapOutOfBounds
+from .types import PAGE_SIZE
 
 
 class LinearMemory:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .types import FuncType, GlobalType, Limits, MemoryType, TableType
+from .types import FuncType, GlobalType, MemoryType, TableType
 
 # import/export kinds
 KIND_FUNC = "func"

@@ -10,7 +10,7 @@ the start function and active element segments, drops everything else
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from .module import Module, KIND_FUNC
 

@@ -7,7 +7,7 @@ small frozen dataclasses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 I32 = "i32"

@@ -15,7 +15,7 @@ from typing import List, Optional
 from .errors import ValidationError
 from .module import Module, KIND_FUNC, KIND_GLOBAL, KIND_MEMORY, KIND_TABLE
 from .opcodes import OPS
-from .types import F64, FUNCREF, I32, I64
+from .types import F64, I32, I64
 
 _UNKNOWN = "unknown"  # polymorphic stack slot (after unreachable code)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 # Zephyr-style error codes (negative errno, same numbering as Linux)
 ENOENT = 2

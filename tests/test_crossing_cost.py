@@ -34,10 +34,9 @@ from repro.wasm.interp import HostFunc
 #   getpid  fn, passthrough, Kernel.call, syscall_enter, sys_getpid,
 #           syscall_exit
 #   read    fn, w_read, Kernel.call, syscall_enter, sys_read,
-#           FDTable.get, readable_mode, OpenFile.read, ensure_resident,
-#           _reg_content, syscall_exit, copy_out, LinearMemory.write and
-#           its check
-COUNTS = {"getpid": 6, "getuid": 6, "read": 14, "pread64": 14, "write": 16,
+#           FDTable.get, OpenFile.read, ensure_resident, _reg_content,
+#           syscall_exit, copy_out, LinearMemory.write and its check
+COUNTS = {"getpid": 6, "getuid": 6, "read": 13, "pread64": 13, "write": 15,
           "fstat": 17, "lseek": 9, "stat": 31, "futex": 12, "ppoll": 27}
 
 # comprehensions that CPython 3.12 runs inline, without a frame

@@ -13,9 +13,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.kernel import (
     AT_FDCWD, AddressSpace, BlockFS, Disk, IN_ALL_EVENTS, IN_CLOSE_WRITE,
-    IN_NONBLOCK, IORING_OP_FSYNC, Kernel, KernelError, MAP_SHARED, O_CREAT,
-    O_DIRECT, O_RDONLY, O_RDWR, O_SYNC, O_WRONLY, PROT_READ, PROT_WRITE,
-    SQE, TRACEPOINTS, VFS, create_blockfs, decode_events,
+    IN_NONBLOCK, IORING_OP_FSYNC, IORING_OP_READ, IORING_OP_WRITE, Kernel,
+    KernelError, MAP_SHARED, O_CREAT, O_DIRECT, O_RDONLY, O_RDWR, O_SYNC,
+    O_WRONLY, PROT_READ, PROT_WRITE, SQE, TRACEPOINTS, VFS, create_blockfs,
+    decode_events,
 )
 from repro.kernel.calls.memsys import MS_SYNC
 from repro.kernel.errno import EINVAL, ENOENT, ENOSPC
@@ -485,6 +486,80 @@ class TestUringFsync:
             p, "io_uring_enter", ring,
             [SQE(IORING_OP_FSYNC, fd=efd, user_data=1)], 1, 1_000_000_000)
         assert cqes[0].res == -EINVAL
+
+    def test_fsync_fails_with_einval_on_a_pipe_and_an_eventfd(self):
+        """The syscalls and the ring share one fsync step, which follows
+        Linux: only regular files and directories sync."""
+        kern, _fs = _boot()
+        p = kern.create_process(["sync"])
+        r, w = kern.call(p, "pipe2", 0)
+        efd = kern.call(p, "eventfd2", 0, 0)
+        for fd in (r, w, efd):
+            for call in ("fsync", "fdatasync"):
+                with pytest.raises(KernelError) as ei:
+                    kern.call(p, call, fd)
+                assert ei.value.errno == EINVAL
+
+    def test_fsync_of_a_directory_completes(self):
+        kern, _fs = _boot()
+        p = kern.create_process(["ring"])
+        dfd = kern.call(p, "openat", AT_FDCWD, "/data", O_RDONLY)
+        ring = kern.call(p, "io_uring_setup", 8)
+        _sub, cqes = kern.call(
+            p, "io_uring_enter", ring,
+            [SQE(IORING_OP_FSYNC, fd=dfd, user_data=2)], 1, 1_000_000_000)
+        assert [(c.user_data, c.res) for c in cqes] == [(2, 0)]
+        assert kern.call(p, "fsync", dfd) == 0
+
+    def test_o_sync_write_commits_and_survives_a_crash(self):
+        """A ring WRITE runs write(2)'s step, write-through included."""
+        kern, fs = _boot()
+        p = kern.create_process(["ring"])
+        fd = kern.call(p, "openat", AT_FDCWD, "/data/s",
+                       O_CREAT | O_WRONLY | O_SYNC, 0o644)
+        ring = kern.call(p, "io_uring_setup", 8)
+        commits = kern.counters.get("block.commits")
+        _sub, cqes = kern.call(
+            p, "io_uring_enter", ring,
+            [SQE(IORING_OP_WRITE, fd=fd, data=b"sync-ring" * 100,
+                 user_data=3)], 1, 2_000_000_000)
+        assert [(c.user_data, c.res) for c in cqes] == [(3, 900)]
+        assert kern.counters.get("block.commits") - commits == 1
+        kern2 = _remount(fs.crash())
+        assert _read_or_none(kern2, "/data/s") == b"sync-ring" * 100
+
+    def test_cold_read_completes_async_like_fsync(self):
+        """A cold READ's device time is reserved on the disk timeline
+        like FSYNC's: the enter returns without the CQE and without
+        parking, and the CQE posts once the reservation ends.  Reads
+        are slow enough (25 ms a block) that the enter returns well
+        before the device is done."""
+        kern = Kernel(
+            block="block:seek_us=100,read_us=25000,write_us=50,daemon=0")
+        fs = kern.blockdev
+        p = kern.create_process(["ring"])
+        content = bytes(range(256)) * 32
+        fd = kern.call(p, "openat", AT_FDCWD, "/data/cold",
+                       O_CREAT | O_RDWR, 0o644)
+        kern.call(p, "write", fd, content)
+        kern.call(p, "fsync", fd)
+        kern.call(p, "lseek", fd, 0, 0)
+        fs.drop_caches()
+        ring = kern.call(p, "io_uring_setup", 8)
+        waited = kern.counters.get("block.io_wait_ns")
+        misses = kern.counters.get("block.cache_miss")
+        sub, cqes = kern.call(
+            p, "io_uring_enter", ring,
+            [SQE(IORING_OP_READ, fd=fd, length=len(content), user_data=9)],
+            0)
+        assert (sub, cqes) == (1, [])
+        assert kern.counters.get("block.cache_miss") - misses == 2
+        assert kern.counters.get("block.io_wait_ns") == waited
+        _sub, cqes = kern.call(p, "io_uring_enter", ring, [], 1,
+                               2_000_000_000)
+        assert time.monotonic_ns() >= fs._busy_until_ns
+        assert [(c.user_data, c.res, c.data) for c in cqes] == \
+            [(9, len(content), content)]
 
 
 # ---------------------------------------------------------------------------

@@ -411,3 +411,22 @@ class TestMetadata:
                      0o644)
         assert k.call(proc, "sendfile", dst, src, 0, 7) == 7
         assert k.vfs.read_file("/tmp/dst") == b"payload"
+
+    def test_sendfile_from_a_write_only_fd_is_ebadf(self, k, proc):
+        k.vfs.write_file("/tmp/wo", b"secret")
+        src = k.call(proc, "openat", AT_FDCWD, "/tmp/wo", O_WRONLY, 0)
+        dst = k.call(proc, "openat", AT_FDCWD, "/tmp/dst", O_CREAT | O_WRONLY,
+                     0o644)
+        for offset in (None, 0):
+            with pytest.raises(KernelError) as ei:
+                k.call(proc, "sendfile", dst, src, offset, 6)
+            assert ei.value.errno == EBADF
+        assert k.vfs.read_file("/tmp/dst") == b""
+
+    def test_ftruncate_needs_an_fd_open_for_writing(self, k, proc):
+        k.vfs.write_file("/tmp/ro", b"hello world")
+        fd = k.call(proc, "openat", AT_FDCWD, "/tmp/ro", O_RDONLY, 0)
+        with pytest.raises(KernelError) as ei:
+            k.call(proc, "ftruncate", fd, 2)
+        assert ei.value.errno == EINVAL
+        assert k.vfs.read_file("/tmp/ro") == b"hello world"

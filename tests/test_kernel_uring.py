@@ -21,6 +21,9 @@ from repro.kernel import (
 from repro.kernel.errno import (
     EBADF, ECANCELED, EINVAL, EPIPE, ETIME,
 )
+from repro.kernel.fdtable import F_GETFD, F_GETFL, FD_CLOEXEC
+from repro.kernel.net import SOCK_CLOEXEC, SOCK_NONBLOCK
+from repro.kernel.vfs import AT_FDCWD, O_NONBLOCK, O_RDONLY, O_WRONLY
 
 POLLIN = 1
 
@@ -168,6 +171,39 @@ class TestRingIO:
         kern.call(proc, "sendto", cfd, b"through accepted fd")
         data, _ = kern.call(proc, "recvfrom", sfd, 64)
         assert data == b"through accepted fd"
+
+    def test_accept_honours_accept4_flags(self, kern, proc):
+        """ACCEPT runs accept4's step: ``sqe.length`` carries its flags."""
+        fd = kern.call(proc, "io_uring_setup", 8)
+        lfd = kern.call(proc, "socket", AF_INET, SOCK_STREAM)
+        kern.call(proc, "bind", lfd, ("127.0.0.1", 9302))
+        kern.call(proc, "listen", lfd, 8)
+        _enter(kern, proc, fd, [SQE(IORING_OP_ACCEPT, fd=lfd,
+                                    length=SOCK_CLOEXEC | SOCK_NONBLOCK,
+                                    user_data=6)])
+        cfd = kern.call(proc, "socket", AF_INET, SOCK_STREAM)
+        kern.call(proc, "connect", cfd, ("127.0.0.1", 9302))
+        _sub, cqes = _enter(kern, proc, fd, [], 1, 2_000_000_000)
+        sfd = cqes[0].res
+        assert cqes[0].user_data == 6 and sfd > 0
+        assert kern.call(proc, "fcntl", sfd, F_GETFD) == FD_CLOEXEC
+        assert kern.call(proc, "fcntl", sfd, F_GETFL) & O_NONBLOCK
+
+    def test_read_and_write_respect_the_access_mode(self, kern, proc):
+        """READ on an O_WRONLY fd and WRITE on an O_RDONLY fd fail with
+        EBADF, as read(2) and write(2) do."""
+        kern.vfs.write_file("/tmp/mode", b"hello")
+        ro = kern.call(proc, "openat", AT_FDCWD, "/tmp/mode", O_RDONLY)
+        wo = kern.call(proc, "openat", AT_FDCWD, "/tmp/mode", O_WRONLY)
+        fd = kern.call(proc, "io_uring_setup", 8)
+        _sub, cqes = _enter(kern, proc, fd,
+                            [SQE(IORING_OP_READ, fd=wo, length=5,
+                                 user_data=1),
+                             SQE(IORING_OP_WRITE, fd=ro, data=b"XY",
+                                 user_data=2)], 2)
+        assert sorted((c.user_data, c.res) for c in cqes) == \
+            [(1, -EBADF), (2, -EBADF)]
+        assert kern.vfs.read_file("/tmp/mode") == b"hello"
 
     def test_write_epipe_has_no_sigpipe(self, kern, proc):
         """Ring sends fail with -EPIPE but never raise SIGPIPE (the
