@@ -1,9 +1,15 @@
 """The guest C library: mini-C source compiled against WALI imports.
 
 This is the repository's ``wali-musl`` analog (§4 "Coverage"): everything
-above the syscall boundary — malloc over mmap, string routines, buffered-ish
-stdio, process spawning, signals, futex-based mutexes and threads — is guest
+above the syscall boundary — malloc over mmap, string routines, stdio,
+process spawning, signals, futex-based mutexes and threads — is guest
 code inside the sandbox, written only against ``wali.*`` imports.
+
+stdio keeps no buffer of its own.  ``read_line`` follows bash's rule for
+input: a seekable fd is read a chunk at a time and seeked back to just past
+the newline, a pipe, socket or tty a byte at a time, so the fd offset
+after every call is where a byte-at-a-time reader leaves it and a child
+sharing the fd reads on from the next line.
 
 Applications concatenate :data:`LIBC_SOURCE` with their own source and
 compile with :func:`repro.cc.compile_source`.
@@ -383,17 +389,26 @@ func write(fd: i32, buf: i32, n: i32) -> i32 {
     return cret(SYS_write(fd, buf, n));
 }
 
-// read one line (up to n-1 bytes); returns length, -1 on EOF
+// read one line (up to n-1 bytes; the newline is consumed, not stored);
+// returns length, -1 on EOF.  A seekable fd is read in chunks and seeked
+// back to just past the newline, any other fd a byte at a time.
 func read_line(fd: i32, buf: i32, n: i32) -> i32 {
+    var pos: i64 = SYS_lseek(fd, i64(0), SEEK_CUR);
     var i: i32 = 0;
     while (i < n - 1) {
-        var r: i32 = read(fd, buf + i, 1);
-        if (r <= 0) {
+        var want: i32 = 1;
+        if (pos >= i64(0)) { want = n - 1 - i; }
+        var got: i32 = read(fd, buf + i, want);
+        if (got <= 0) {
             if (i == 0) { return -1; }
             break;
         }
-        if (load8u(buf + i) == 10) { break; }
-        i = i + 1;
+        var end: i32 = i + got;
+        while (i < end && load8u(buf + i) != 10) { i = i + 1; }
+        if (i < end) {
+            if (i + 1 < end) { SYS_lseek(fd, pos + i64(i + 1), SEEK_SET); }
+            break;
+        }
     }
     store8(buf + i, 0);
     return i;

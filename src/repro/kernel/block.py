@@ -705,6 +705,13 @@ class BlockFS:
         self._count("block.fsync")
         return pages
 
+    def fsync_dir(self) -> None:
+        """fsync of a directory on the mount: commit the tree, so every
+        entry under it is durable (a file's unflushed data is not)."""
+        with self._lock:
+            self._commit()
+        self._count("block.fsync")
+
     def flush_inode(self, inode: Inode, charge: bool = True) -> int:
         """Push a file's dirty pages without committing metadata (the
         ``sync_file_range`` / ``O_DIRECT`` write-through path)."""

@@ -208,7 +208,7 @@ class OpenFile:
     def write(self, buf) -> int:
         if not self.writable:
             raise KernelError(EBADF, "fd not open for writing")
-        if not buf:
+        if not buf and self.kind != self.KIND_EVENTFD:
             return 0
         if self.kind == self.KIND_REG:
             if self.flags & O_APPEND:
@@ -271,12 +271,18 @@ class OpenFile:
     def fsync(self, datasync: bool = False) -> int:
         """The one fsync step (``fsync``, ``fdatasync``, the ring's
         FSYNC).  As on Linux, regular files and directories sync and
-        every other fd fails with EINVAL."""
-        if self.kind != self.KIND_REG and self.kind != self.KIND_DIR:
-            raise KernelError(EINVAL, f"fsync on {self.kind}")
+        every other fd, a procfs file included, fails with EINVAL.  A
+        directory on the block mount commits the tree, so the entries
+        made under it survive a crash."""
         node = self.inode
-        if node.mapping is not None:
-            node.mapping.fs.fsync_inode(node, datasync=datasync)
+        if self.kind == self.KIND_REG and node.generator is None:
+            if node.mapping is not None:
+                node.mapping.fs.fsync_inode(node, datasync=datasync)
+        elif self.kind == self.KIND_DIR:
+            if node.sb is not None:
+                node.sb.fsync_dir()
+        else:
+            raise KernelError(EINVAL, f"fsync on {self.kind}")
         return 0
 
     def seek(self, offset: int, whence: int) -> int:

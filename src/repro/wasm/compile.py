@@ -61,7 +61,7 @@ from .interp import (
     _irem_s, _rotl, _sext, _trunc, _udiv, _urem,
 )
 from .module import KIND_FUNC, Module
-from .types import F64, I32, I64, MASK32, MASK64, signed32, signed64
+from .types import F64, I32, I64, MASK32, MASK64, FuncType, signed32, signed64
 
 _BINOPS32 = {
     "i32.add": "({a} + {b}) & 0xFFFFFFFF",
@@ -214,10 +214,13 @@ class _FnCompiler:
     adds what was pending (:attr:`line_pend`).
     """
 
-    def __init__(self, module: Module, func_idx: int, scheme: str):
+    def __init__(self, module: Module, func_idx: int, scheme: str,
+                 func_types: List[FuncType]):
         self.m = module
         self.idx = func_idx
-        self.fn = module.funcs[func_idx - module.num_imported_funcs]
+        self.func_types = func_types   # Module.func_types(), once a pass
+        self.n_imp = len(func_types) - len(module.funcs)
+        self.fn = module.funcs[func_idx - self.n_imp]
         self.ft = module.types[self.fn.type_idx]
         self.scheme = scheme
         # flat ops per instruction: "all" puts a poll before every op
@@ -440,11 +443,11 @@ class _FnCompiler:
             return
         if name == "call":
             idx = instr[1]
-            if idx >= self.m.num_imported_funcs:
-                self._compile_call(self.m.func_type(idx), f"_f{idx}", True)
+            if idx >= self.n_imp:
+                self._compile_call(self.func_types[idx], f"_f{idx}", True)
             else:
                 self.uses_funcs = True
-                self._compile_import_call(self.m.func_type(idx), idx)
+                self._compile_import_call(self.func_types[idx], idx)
             return
         if name == "call_indirect":
             self.height -= 1
@@ -713,9 +716,10 @@ def _define(m: Module, idxs, scheme: str) -> tuple:
     scope = dict(_HELPERS)
     failed = set()
     n_imp = m.num_imported_funcs
+    func_types = m.func_types()
     for i in idxs:
         try:
-            fc = _FnCompiler(m, i, scheme)
+            fc = _FnCompiler(m, i, scheme, func_types)
             filename = f"{COMPILED_FILE}{m.funcs[i - n_imp].name or i}>"
             exec(compile(fc.source(), filename, "exec"), scope)
             scope[f"_f{i}"].pending = tuple(fc.line_pend)

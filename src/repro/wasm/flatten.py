@@ -67,10 +67,12 @@ class _Label:
 
 
 class _Flattener:
-    def __init__(self, module: Module, fn: Function, scheme: str):
+    def __init__(self, module: Module, fn: Function, scheme: str,
+                 func_types: List[FuncType]):
         if scheme not in SAFEPOINT_SCHEMES:
             raise ValueError(f"unknown safepoint scheme {scheme!r}")
         self.m = module
+        self.func_types = func_types   # Module.func_types(), once a pass
         self.fn = fn
         self.scheme = scheme
         ft = module.types[fn.type_idx]
@@ -195,7 +197,7 @@ class _Flattener:
 
         if name == "call":
             idx = instr[1]
-            ft = self.m.func_type(idx)
+            ft = self.func_types[idx]
             self.height += len(ft.results) - len(ft.params)
             self.emit(("call", idx))
             return False
@@ -291,9 +293,11 @@ class _Flattener:
 
 def flatten_function(module: Module, fn: Function,
                      scheme: str = "loop") -> FlatCode:
-    return _Flattener(module, fn, scheme).run()
+    return _Flattener(module, fn, scheme, module.func_types()).run()
 
 
 def flatten_module(module: Module, scheme: str = "loop") -> List[FlatCode]:
     """Flat code for every *defined* function, in definition order."""
-    return [flatten_function(module, fn, scheme) for fn in module.funcs]
+    func_types = module.func_types()
+    return [_Flattener(module, fn, scheme, func_types).run()
+            for fn in module.funcs]

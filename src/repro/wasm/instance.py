@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from .compile import compiled_functions
 from .errors import LinkError
-from .flatten import SAFEPOINT_SCHEMES, flatten_function
+from .flatten import SAFEPOINT_SCHEMES, flatten_module
 from .interp import HostFunc, Machine, WasmFunc
 from .memory import LinearMemory
 from .module import Module, KIND_FUNC, KIND_GLOBAL, KIND_MEMORY, KIND_TABLE
@@ -193,10 +193,9 @@ def instantiate(module: Module, imports: Optional[dict] = None,
     # --- definitions ---
     native = compiled_functions(module, scheme, tier_up) \
         if tier_up is not None else {}
-    for idx, fn in enumerate(module.funcs, len(inst.funcs)):
-        ft = module.types[fn.type_idx]
-        code = flatten_function(module, fn, scheme)
-        inst.funcs.append(WasmFunc(ft, code, native.get(idx)))
+    for idx, code in enumerate(flatten_module(module, scheme),
+                               len(inst.funcs)):
+        inst.funcs.append(WasmFunc(code.functype, code, native.get(idx)))
 
     for mt in module.memories:
         if inst.memory is not None:

@@ -114,23 +114,23 @@ class Module:
     def num_imported_tables(self) -> int:
         return sum(1 for im in self.imports if im.kind == KIND_TABLE)
 
-    def func_type(self, func_idx: int) -> FuncType:
-        """Signature of function ``func_idx`` in the joint index space."""
-        n_imp = self.num_imported_funcs
-        if func_idx < n_imp:
-            imp = self.imported(KIND_FUNC)[func_idx]
-            return self.types[imp.desc]
-        return self.types[self.funcs[func_idx - n_imp].type_idx]
-
     @property
     def num_funcs(self) -> int:
         return self.num_imported_funcs + len(self.funcs)
 
-    def global_type(self, global_idx: int) -> GlobalType:
-        n_imp = self.num_imported_globals
-        if global_idx < n_imp:
-            return self.imported(KIND_GLOBAL)[global_idx].desc
-        return self.globals[global_idx - n_imp].type
+    def func_types(self) -> List[FuncType]:
+        """Every function's signature in the joint index space.  Built
+        afresh on each call, since decode, the builder and opt all grow a
+        module: a pass over the bodies builds it once and indexes it."""
+        return [self.types[im.desc] for im in self.imports
+                if im.kind == KIND_FUNC] + \
+            [self.types[fn.type_idx] for fn in self.funcs]
+
+    def global_types(self) -> List[GlobalType]:
+        """Every global's type in the joint index space (as
+        :meth:`func_types`)."""
+        return [im.desc for im in self.imports if im.kind == KIND_GLOBAL] \
+            + [g.type for g in self.globals]
 
     @property
     def num_globals(self) -> int:

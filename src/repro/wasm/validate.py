@@ -44,13 +44,23 @@ class _Ctrl:
 
 
 class _FuncValidator:
-    def __init__(self, module: Module, local_types: List[str],
-                 result: Optional[str], where: str):
+    """Checks the bodies of one module, one function at a time; the
+    module's index spaces are looked up once per module, not per use."""
+
+    def __init__(self, module: Module):
         self.m = module
+        self.funcs = module.func_types()
+        self.globals = module.global_types()
+        self.has_memory = module.num_memories > 0
+
+    def check_function(self, local_types: List[str], result: Optional[str],
+                       where: str, body: list):
         self.locals = local_types
         self.stack: List[str] = []
         self.ctrls: List[_Ctrl] = [_Ctrl("func", result, 0)]
         self.where = where
+        self.check_body(body)
+        self.finish()
 
     def fail(self, msg: str):
         raise ValidationError(f"{self.where}: {msg}")
@@ -162,9 +172,9 @@ class _FuncValidator:
             return
         if name == "call":
             idx = instr[1]
-            if idx >= self.m.num_funcs:
+            if idx >= len(self.funcs):
                 self.fail(f"call to undefined function {idx}")
-            ft = self.m.func_type(idx)
+            ft = self.funcs[idx]
             for t in reversed(ft.params):
                 self.pop(t)
             for t in ft.results:
@@ -209,9 +219,9 @@ class _FuncValidator:
             return
         if name.startswith("global."):
             idx = instr[1]
-            if idx >= self.m.num_globals:
+            if idx >= len(self.globals):
                 self.fail(f"global index {idx} out of range")
-            gt = self.m.global_type(idx)
+            gt = self.globals[idx]
             if name == "global.get":
                 self.push(gt.valtype)
             else:
@@ -224,7 +234,7 @@ class _FuncValidator:
             self.fail(f"unknown instruction {name!r}")
         if op.pops is None:
             self.fail(f"instruction {name!r} not allowed here")
-        if op.imm in ("memarg", "memidx", "mem2") and self.m.num_memories == 0:
+        if op.imm in ("memarg", "memidx", "mem2") and not self.has_memory:
             self.fail(f"{name} requires a memory")
         for t in reversed(op.pops):
             self.pop(t)
@@ -250,7 +260,7 @@ def _check_const(m: Module, instr: tuple, expect: str, where: str):
         if idx >= m.num_imported_globals:
             raise ValidationError(
                 f"{where}: const global.get must reference an imported global")
-        gt = m.global_type(idx)
+        gt = m.global_types()[idx]
         if gt.mutable or gt.valtype != expect:
             raise ValidationError(f"{where}: bad const global")
         return
@@ -286,7 +296,7 @@ def validate_module(m: Module) -> None:
     if m.start is not None:
         if m.start >= m.num_funcs:
             raise ValidationError("start function index out of range")
-        ft = m.func_type(m.start)
+        ft = m.func_types()[m.start]
         if ft.params or ft.results:
             raise ValidationError("start function must be [] -> []")
 
@@ -304,11 +314,10 @@ def validate_module(m: Module) -> None:
         _check_const(m, seg.offset, I32, f"data {di} offset")
 
     n_imp = m.num_imported_funcs
+    fv = _FuncValidator(m)
     for i, fn in enumerate(m.funcs):
         ft = m.types[fn.type_idx]
         local_types = list(ft.params) + list(fn.locals)
         result = ft.results[0] if ft.results else None
         where = f"func {n_imp + i}" + (f" ({fn.name})" if fn.name else "")
-        fv = _FuncValidator(m, local_types, result, where)
-        fv.check_body(fn.body)
-        fv.finish()
+        fv.check_function(local_types, result, where, fn.body)

@@ -1,12 +1,16 @@
 """Integration tests: the guest application suite end-to-end on WALI."""
 
+import functools
 import time
 
 import pytest
 
-from repro.apps import app_names, build, install_all
+from repro.apps import app_names, build, install_all, with_libc
 from repro.apps.lua import arith_benchmark_script, fib_script
 from repro.apps.sqlite import workload_script
+from repro.cc import compile_source
+from repro.kernel.errno import ESPIPE
+from repro.kernel.vfs import O_RDONLY
 from repro.wali import WaliRuntime
 
 
@@ -200,6 +204,131 @@ class TestShell:
         rt.kernel.vfs.write_file("/tmp/s.sh", b"# comment\necho ok\nexit 0\n")
         rt.run(build("mini_sh"), argv=["sh", "/tmp/s.sh"])
         assert rt.kernel.console_output() == b"ok\n"
+
+
+# libc read_line's contract, checked against the byte-at-a-time reader:
+# empty lines, NUL bytes, a line longer than 511 bytes, no final newline
+LINES = (b"one\n\n\nnul\x00byte\x00\n" + b"L" * 520 + b"\n"
+         + b"ab\ntail without newline")
+
+
+@functools.lru_cache(maxsize=None)
+def _read_line_guest():
+    """``rl N CALLS [PATH]``: CALLS read_line calls of size N on PATH
+    (stdin when absent).  After each it prints ``len pos\n``, the line's
+    bytes and ``\n``, where pos is ``lseek(fd, 0, SEEK_CUR)`` (-errno
+    when that fails); then it prints the bytes a plain read leaves."""
+    return compile_source(with_libc(r"""
+buffer line[600];
+
+func report(a: i32, b: i32) {
+    print_int(a);
+    print(" ");
+    print_int(b);
+    print("\n");
+}
+
+export func _start() {
+    __init_args();
+    var n: i32 = atoi(argv(1));
+    var calls: i32 = atoi(argv(2));
+    var fd: i32 = STDIN;
+    if (argc() > 3) { fd = open(argv(3), O_RDONLY, 0); }
+    var k: i32 = 0;
+    while (k < calls) {
+        var len: i32 = read_line(fd, line, n);
+        report(len, i32(SYS_lseek(fd, i64(0), SEEK_CUR)));
+        if (len > 0) { write_all(STDOUT, line, len); }
+        print("\n");
+        k = k + 1;
+    }
+    var r: i32 = read(fd, line, 600);
+    while (r > 0) {
+        write_all(STDOUT, line, r);
+        r = read(fd, line, 600);
+    }
+    exit(0);
+}
+"""), name="rl")
+
+
+def _byte_reader(data: bytes, n: int, calls: int):
+    """The byte-at-a-time read_line over ``data``: each call's
+    ``(length, bytes, offset after)``, then the bytes left unread."""
+    pos, out = 0, []
+    for _ in range(calls):
+        line = bytearray()
+        eof = False
+        while len(line) < n - 1:
+            if pos == len(data):
+                eof = not line
+                break
+            byte = data[pos]
+            pos += 1
+            if byte == 10:
+                break
+            line.append(byte)
+        out.append((-1 if eof else len(line), bytes(line), pos))
+    return out, data[pos:]
+
+
+def _parse(output: bytes, calls: int):
+    out = []
+    for _ in range(calls):
+        head, output = output.split(b"\n", 1)
+        length, pos = map(int, head.split())
+        line, output = output[:max(length, 0)], output[max(length, 0):]
+        assert output[:1] == b"\n"
+        out.append((length, line, pos))
+        output = output[1:]
+    return out, output
+
+
+class TestReadLine:
+    """read_line returns the same lines, and leaves the fd at the same
+    offset, on every kind of fd: a seekable file is read in chunks, a
+    pipe or tty a byte at a time."""
+
+    @pytest.mark.parametrize("calls", [3, len(LINES) + 2])
+    @pytest.mark.parametrize("n", [1, 2, 512])
+    @pytest.mark.parametrize("where", ["/tmp/lines", "/data/lines", "pipe",
+                                       "tty"])
+    def test_matches_the_byte_reader(self, where, n, calls):
+        rt = WaliRuntime()
+        k = rt.kernel
+        argv = ["rl", str(n), str(calls)]
+        if where.startswith("/"):
+            k.vfs.write_file(where, LINES)
+            argv.append(where)
+        elif where == "tty":
+            k.console_feed(LINES)
+        wp = rt.load(_read_line_guest(), argv=argv)
+        if where == "pipe":
+            r, w = k.call(wp.proc, "pipe2", 0)
+            assert k.call(wp.proc, "write", w, LINES) == len(LINES)
+            k.call(wp.proc, "dup2", r, 0)
+            k.call(wp.proc, "close", r)
+            k.call(wp.proc, "close", w)
+        assert wp.run() == 0
+        got, rest = _parse(k.console_output(), calls)
+        want, want_rest = _byte_reader(LINES, n, calls)
+        if not where.startswith("/"):   # lseek fails: ESPIPE
+            want = [(length, line, -ESPIPE) for length, line, _ in want]
+        assert got == want
+        # what read_line did not return is still in the file, pipe or tty
+        assert rest == want_rest
+
+    def test_shell_child_reads_on_from_a_seekable_script(self, rt):
+        """A child sharing the script fd reads the line after its own."""
+        install_all(rt, ["cat"])
+        k = rt.kernel
+        k.vfs.write_file("/tmp/s.sh", b"cat\nhello from the script\n")
+        wp = rt.load(build("mini_sh"), argv=["sh"])
+        fd = k.call(wp.proc, "open", "/tmp/s.sh", O_RDONLY)
+        k.call(wp.proc, "dup2", fd, 0)
+        k.call(wp.proc, "close", fd)
+        assert wp.run() == 0
+        assert k.console_output() == b"hello from the script\n"
 
 
 class TestNetworkApps:

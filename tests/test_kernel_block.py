@@ -338,6 +338,27 @@ class TestDurabilitySemantics:
         kern2 = _remount(fs.crash())
         assert _read_or_none(kern2, "/data/j") == b"journal"
 
+    def test_fsync_of_the_directory_makes_a_new_entry_durable(self):
+        kern, fs = _boot()
+        p = kern.create_process(["creat"])
+        fd = kern.call(p, "openat", AT_FDCWD, "/data/new",
+                       O_CREAT | O_WRONLY, 0o644)
+        kern.call(p, "close", fd)
+        dfd = kern.call(p, "openat", AT_FDCWD, "/data", O_RDONLY)
+        commits = kern.counters.get("block.commits")
+        assert kern.call(p, "fsync", dfd) == 0
+        assert kern.counters.get("block.commits") - commits == 1
+        kern2 = _remount(fs.crash())
+        assert _read_or_none(kern2, "/data/new") == b""
+
+    def test_fsync_of_a_directory_off_the_mount_commits_nothing(self):
+        kern, _fs = _boot()
+        p = kern.create_process(["tmpdir"])
+        dfd = kern.call(p, "openat", AT_FDCWD, "/tmp", O_RDONLY)
+        commits = kern.counters.get("block.commits")
+        assert kern.call(p, "fsync", dfd) == 0
+        assert kern.counters.get("block.commits") == commits
+
     def test_close_write_event_does_not_imply_durability(self):
         # IN_CLOSE_WRITE fires at close(2); durability needs fsync.  An
         # editor watching for close-write and assuming the save is on

@@ -264,6 +264,14 @@ class TestEventFD:
         assert kern.call(proc, "read", fd, 8) == (1).to_bytes(8, "little")
         assert kern.call(proc, "read", fd, 8) == (1).to_bytes(8, "little")
 
+    def test_short_writes_fail_with_einval(self, kern, proc):
+        """As on Linux, a write of fewer than 8 bytes, none included."""
+        fd = kern.call(proc, "eventfd2", 0, 0)
+        for data in (b"", b"\x01" * 7):
+            with pytest.raises(KernelError) as exc:
+                kern.call(proc, "write", fd, data)
+            assert exc.value.errno == EINVAL
+
     def test_epoll_readiness(self, kern, proc):
         fd = kern.call(proc, "eventfd2", 0, 0)
         ep = kern.call(proc, "epoll_create1", 0)

@@ -307,6 +307,13 @@ class TestProcfsAndDevices:
         fd = k.call(proc, "openat", AT_FDCWD, "/proc/self/mem", O_RDONLY, 0)
         assert k.call(proc, "read", fd, 64)
 
+    def test_fsync_of_a_procfs_file_is_einval(self, k, proc):
+        fd = k.call(proc, "openat", AT_FDCWD, "/proc/self/status",
+                    O_RDONLY, 0)
+        with pytest.raises(KernelError) as ei:
+            k.call(proc, "fsync", fd)
+        assert ei.value.errno == EINVAL
+
     def test_ioctl_tiocgwinsz(self, k, proc):
         rows, cols = k.call(proc, "ioctl", 0, 0x5413)
         assert (rows, cols) == (24, 80)
