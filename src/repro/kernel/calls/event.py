@@ -62,8 +62,6 @@ class EventCalls:
                             value_ns: int,
                             interval_ns: int = 0) -> Tuple[int, int]:
         """Arm/disarm; returns the previous (value_ns, interval_ns)."""
-        if value_ns < 0 or interval_ns < 0:
-            raise KernelError(EINVAL, "negative timer")
         return self._timerfd(proc, fd).settime(
             value_ns, interval_ns,
             absolute=bool(flags & TFD_TIMER_ABSTIME))

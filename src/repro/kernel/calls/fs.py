@@ -649,30 +649,23 @@ class FSCalls:
     def sys_pselect6(self, proc: Process, rfds: List[int], wfds: List[int],
                      timeout_ns: Optional[int]) -> Tuple[List[int], List[int]]:
         POLLIN, POLLOUT, POLLERR, POLLHUP = 1, 4, 8, 0x10
+        for fd in (*rfds, *wfds):
+            proc.fdtable.get(fd)   # a set naming a closed fd: EBADF
+
+        def events(fd):
+            try:
+                return proc.fdtable.get(fd).poll_events()
+            except KernelError:
+                return 0   # closed during the wait: never ready
 
         def scan():
-            r_ready, w_ready = [], []
-            for fd in rfds:
-                try:
-                    mask = proc.fdtable.get(fd).poll_events()
-                except KernelError:
-                    continue
-                if mask & (POLLIN | POLLHUP | POLLERR):
-                    r_ready.append(fd)
-            for fd in wfds:
-                try:
-                    mask = proc.fdtable.get(fd).poll_events()
-                except KernelError:
-                    continue
-                if mask & (POLLOUT | POLLERR):
-                    w_ready.append(fd)
-            if r_ready or w_ready:
-                return r_ready, w_ready
-            return None
+            r_ready = [fd for fd in rfds
+                       if events(fd) & (POLLIN | POLLHUP | POLLERR)]
+            w_ready = [fd for fd in wfds if events(fd) & (POLLOUT | POLLERR)]
+            return (r_ready, w_ready) if r_ready or w_ready else None
 
         return self.wait_event(
             proc, scan, self._poll_waitqueues(proc, list(rfds) + list(wfds)),
             timeout_ns) or ([], [])
 
-    def sys_select(self, proc, rfds, wfds, timeout_ns=None):
-        return self.sys_pselect6(proc, rfds, wfds, timeout_ns)
+    sys_select = sys_pselect6

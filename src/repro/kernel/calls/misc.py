@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-import threading
 import time as _time
 from dataclasses import dataclass
 from typing import Tuple
 
 from ..errno import EINVAL, EPERM, KernelError
 from ..process import Process
-from ..signals import SIGALRM
 
 CLOCK_REALTIME = 0
 CLOCK_MONOTONIC = 1
 CLOCK_PROCESS_CPUTIME_ID = 2
 CLOCK_MONOTONIC_RAW = 4
 CLOCK_BOOTTIME = 7
+
+ITIMER_REAL = 0
 
 
 @dataclass
@@ -73,46 +73,24 @@ class MiscCalls:
         return self.sys_nanosleep(proc, duration_ns)
 
     def sys_alarm(self, proc: Process, seconds: int) -> int:
-        """Schedule SIGALRM via a timer thread (delivered at safepoints).
-
-        A process has at most one alarm timer: re-arming or ``alarm(0)``
-        cancels it.  Returns the seconds left on the previous alarm,
-        rounded to the nearest second and at least 1 while it is pending,
-        like Linux's ``alarm_setitimer``.
-        """
-        with self.alarm_lock:
-            remaining = 0
-            if proc.alarm is not None:
-                proc.alarm.cancel()
-                left = proc.alarm_deadline_ns - _time.monotonic_ns()
-                if left > 0:
-                    remaining = max(1, (left + 500_000_000) // 1_000_000_000)
-            proc.alarm = None
-            if seconds:
-                proc.alarm = threading.Timer(
-                    seconds, self._fire_alarm, (proc,))
-                proc.alarm.daemon = True
-                proc.alarm.name = f"alarm-pid{proc.pid}"
-                proc.alarm_deadline_ns = _time.monotonic_ns() + \
-                    seconds * 1_000_000_000
-                proc.alarm.start()
-        return remaining
-
-    def _fire_alarm(self, proc: Process) -> None:
-        with self.alarm_lock:
-            # a timer cancelled just as its wait ended is no longer proc.alarm
-            if proc.alarm is threading.current_thread():
-                proc.alarm = None
-                proc.generate_signal(SIGALRM)
+        """Arm ITIMER_REAL for ``seconds`` (0 disarms it); returns the
+        seconds left on the old setting, rounded to the nearest and at
+        least 1 while it is pending, like Linux's ``alarm_setitimer``."""
+        left, _ = proc.real_timer.settime(seconds * 1_000_000_000)
+        return max(1, (left + 500_000_000) // 1_000_000_000) if left else 0
 
     def sys_setitimer(self, proc: Process, which: int, interval_ns: int,
-                      value_ns: int) -> int:
-        self.sys_alarm(proc, max(1, value_ns // 1_000_000_000)
-                       if value_ns else 0)
-        return 0
+                      value_ns: int) -> Tuple[int, int]:
+        """Returns the old ``(value, interval)``.  ITIMER_VIRTUAL and
+        ITIMER_PROF, which count CPU time, fail with EINVAL."""
+        if which != ITIMER_REAL:
+            raise KernelError(EINVAL, f"itimer {which}")
+        return proc.real_timer.settime(value_ns, interval_ns)
 
-    def sys_getitimer(self, proc: Process, which: int) -> int:
-        return 0
+    def sys_getitimer(self, proc: Process, which: int) -> Tuple[int, int]:
+        if which != ITIMER_REAL:
+            raise KernelError(EINVAL, f"itimer {which}")
+        return proc.real_timer.gettime()
 
     def sys_getrandom(self, proc: Process, length: int,
                       flags: int = 0) -> bytes:

@@ -114,7 +114,7 @@ class ProcCalls:
         # leave the run queue / free the CPU slot before anything else:
         # reaping below may wake other tasks that need the slot
         self.sched.task_exit(proc)
-        self.sys_alarm(proc, 0)
+        proc.real_timer.cancel()
         proc.fdtable.close_all() if not self._fdtable_shared(proc) else None
         proc.state = STATE_ZOMBIE
         # reparent children to init

@@ -20,11 +20,11 @@ of the kernel model; condition variables are only used for blocking.
 from __future__ import annotations
 
 import threading
-import time as _time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errno import EAGAIN, EEXIST, EINVAL, ENOENT, EPERM, KernelError
+from .timer import KTimer
 
 # epoll event bits (identical to the poll bits for the low ones, like Linux)
 EPOLLIN = 0x001
@@ -255,89 +255,28 @@ class EventFD:
         self.wq.wake(EPOLLHUP)
 
 
-class TimerFD:
-    """The timerfd object: expirations accumulate; reads drain them."""
+class TimerFD(KTimer):
+    """The timerfd object: a :class:`KTimer` whose expiry wakes its
+    waitqueue and whose expirations a read drains."""
 
     def __init__(self, clock_id: int = 0):
-        self.clock_id = clock_id
-        self.expirations = 0
-        self.interval_ns = 0
-        self.deadline_ns: Optional[int] = None  # monotonic target
         self.wq = WaitQueue()
-        self._timer: Optional[threading.Timer] = None
-        self._gen = 0  # invalidates in-flight timers after settime/close
-
-    def settime(self, value_ns: int, interval_ns: int = 0,
-                absolute: bool = False) -> Tuple[int, int]:
-        """Arm (or disarm with value 0); returns the previous setting."""
-        old = self.gettime()
-        self._gen += 1
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        self.expirations = 0
-        self.interval_ns = interval_ns
-        now = _time.monotonic_ns()
-        if value_ns <= 0:
-            # it_value of zero disarms (even with TFD_TIMER_ABSTIME)
-            self.deadline_ns = None
-            return old
-        if absolute:
-            value_ns -= now
-            if value_ns <= 0:
-                # an already-past absolute deadline expires immediately
-                self.expirations = 1
-                if interval_ns > 0:
-                    self.deadline_ns = now + interval_ns
-                    self._arm(interval_ns, self._gen)
-                else:
-                    self.deadline_ns = None
-                self.wq.wake(EPOLLIN)
-                return old
-        self.deadline_ns = now + value_ns
-        self._arm(value_ns, self._gen)
-        return old
-
-    def _arm(self, delay_ns: int, gen: int) -> None:
-        t = threading.Timer(delay_ns / 1e9, self._fire, args=(gen,))
-        t.daemon = True
-        self._timer = t
-        t.start()
-
-    def _fire(self, gen: int) -> None:
-        if gen != self._gen:
-            return  # superseded by a later settime/close
-        self.expirations += 1
-        if self.interval_ns > 0:
-            self.deadline_ns = _time.monotonic_ns() + self.interval_ns
-            self._arm(self.interval_ns, gen)
-        else:
-            self.deadline_ns = None
-        self.wq.wake(EPOLLIN)
-
-    def gettime(self) -> Tuple[int, int]:
-        """(remaining_value_ns, interval_ns) like timerfd_gettime."""
-        if self.deadline_ns is None:
-            return 0, self.interval_ns
-        return max(0, self.deadline_ns - _time.monotonic_ns()), \
-            self.interval_ns
+        super().__init__(lambda: self.wq.wake(EPOLLIN))
+        self.clock_id = clock_id
 
     def read_step(self) -> int:
         """Return and reset the expiration count; EAGAIN when zero."""
-        if self.expirations == 0:
+        with self.lock:
+            n, self.expirations = self.expirations, 0
+        if n == 0:
             raise KernelError(EAGAIN, "timer has not expired")
-        n = self.expirations
-        self.expirations = 0
         return n
 
     def poll_events(self) -> int:
         return EPOLLIN if self.expirations > 0 else 0
 
     def close(self) -> None:
-        self._gen += 1
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self.cancel()
         self.wq.wake(EPOLLHUP)
 
 

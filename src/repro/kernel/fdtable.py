@@ -287,6 +287,8 @@ class OpenFile:
 
     def seek(self, offset: int, whence: int) -> int:
         if self.kind not in (self.KIND_REG, self.KIND_DIR):
+            if self.kind == self.KIND_CHR and self.inode.device.seekable:
+                return 0   # /dev/null, /dev/zero, /dev/[u]random
             raise KernelError(ESPIPE)
         size = len(self._reg_content()) if self.kind == self.KIND_REG else 0
         if whence == SEEK_SET:

@@ -107,8 +107,6 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         # handlers can genuinely race on the same futex word (never held
         # while blocking or while holding the scheduler's condition)
         self.futex_lock = threading.Lock()
-        # guards each process's alarm timer against its own firing
-        self.alarm_lock = threading.Lock()
         self.syslog_buffer: List[str] = []
         self.rng = random.Random(rng_seed)
         self.boot_monotonic_ns = _time.monotonic_ns()

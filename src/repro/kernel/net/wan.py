@@ -28,11 +28,12 @@ matter how the scheduler interleaves the sending tasks (a single shared
 RNG made the draw *order*, and hence every outcome, timing-dependent).
 
 Delivery rides the same machinery :class:`~..eventpoll.TimerFD` uses —
-a daemon :class:`threading.Timer` that, on expiry, moves due payloads
-into the receive buffer and publishes ``EPOLLIN`` through the socket's
-:class:`~..eventpoll.WaitQueue` — so delayed readiness flows through
-``epoll_pwait``/``ppoll`` exactly like any other readiness edge, and
-edge-triggered interest fires once per arrival, not per send.
+one :class:`~..timer.KTimer` per receiving socket, whose expiry moves
+due payloads into the receive buffer and publishes ``EPOLLIN`` through
+the socket's :class:`~..eventpoll.WaitQueue` — so delayed readiness
+flows through ``epoll_pwait``/``ppoll`` exactly like any other
+readiness edge, and edge-triggered interest fires once per arrival, not
+per send.
 
 In-flight stream bytes stay charged against the receiver's
 :class:`~.base.StreamBuffer` window (``in_flight``), so the writer's
@@ -45,9 +46,11 @@ import random
 import threading
 import time as _time
 from collections import deque
+from functools import partial
 from typing import Tuple
 
 from ..eventpoll import EPOLLIN
+from ..timer import KTimer
 from ..vfs import CharDevice
 from .base import SOCK_DGRAM, Socket
 from .loopback import LoopbackBackend
@@ -157,24 +160,21 @@ class WanBackend(LoopbackBackend):
         peer.__dict__["_wan_last_at"] = deliver_at
         q.append((deliver_at, kind, payload))
         self._tap_record(kind, sender, peer, _payload_bytes(payload))
-        # one timer per drain cycle, not per payload: FIFO deadlines are
-        # monotonic, so while a timer is armed the head can only move
-        # later — _pump re-arms if anything remains after a drain
-        if not peer.__dict__.get("_wan_timer_armed", False):
-            peer.__dict__["_wan_timer_armed"] = True
-            self._arm(peer, deliver_at - now)
+        # one timer per receiving socket, armed per drain cycle, not per
+        # payload: FIFO deadlines are monotonic, so while it is armed the
+        # head can only move later — _pump re-arms if anything remains
+        timer = peer.__dict__.get("_wan_timer")
+        if timer is None:
+            timer = KTimer(partial(self._pump, peer))
+            peer.__dict__["_wan_timer"] = timer
+        if timer.deadline_ns is None:
+            timer.settime(deliver_at, absolute=True)
         return True
-
-    def _arm(self, peer: Socket, delay_ns: int) -> None:
-        t = threading.Timer(max(delay_ns, 0) / 1e9, self._pump, args=(peer,))
-        t.daemon = True
-        t.start()
 
     def _pump(self, peer: Socket) -> None:
         """Timer expiry: move every due payload into the receive side."""
         mask = 0
         with peer.lock:
-            peer.__dict__["_wan_timer_armed"] = False
             q = peer.__dict__.get("_wan_pending")
             now = _time.monotonic_ns()
             while q and q[0][0] <= now:
@@ -190,9 +190,8 @@ class WanBackend(LoopbackBackend):
                     peer.rx.set_eof()
                     mask |= payload
             if q:
-                # later payloads (or an early-firing Timer) still pending
-                peer.__dict__["_wan_timer_armed"] = True
-                self._arm(peer, q[0][0] - now)
+                # later payloads (or an early expiry) still pending
+                peer.__dict__["_wan_timer"].settime(q[0][0], absolute=True)
         if mask:
             peer.wq.wake(mask)
 

@@ -14,7 +14,8 @@ from typing import Dict, List, Optional
 from .fdtable import FDTable
 from .mm import AddressSpace
 from .sched import SchedEntity
-from .signals import PendingSignals, SigDispositions
+from .signals import SIGALRM, PendingSignals, SigDispositions
+from .timer import KTimer
 from .vfs import Inode
 
 # clone flags (linux values)
@@ -129,9 +130,8 @@ class Process:
 
         self.tid_address = 0
         self.robust_list = 0
-        # the pending alarm(2) timer, if any, and when it is due
-        self.alarm: Optional[threading.Timer] = None
-        self.alarm_deadline_ns = 0
+        # ITIMER_REAL (alarm, setitimer): its expiry raises SIGALRM
+        self.real_timer = KTimer(lambda: self.generate_signal(SIGALRM))
 
         # blocking syscalls sleep on this condition; kick() is its only
         # notifier, and the sticky `kicked` flag keeps a wake that lands

@@ -82,6 +82,7 @@ from __future__ import annotations
 import threading
 import time as _time
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from .errno import (
@@ -91,6 +92,7 @@ from .eventpoll import (
     EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP, WaitQueue,
 )
 from .fdtable import OpenFile
+from .timer import KTimer
 from .trace import KernelTrace
 
 # opcodes (a compact subset of the Linux set)
@@ -214,7 +216,7 @@ class _Chain:
         self.proc = proc
         self.sqes = sqes
         self.parked: Optional["_Parked"] = None
-        self.timer: Optional[threading.Timer] = None
+        self.timer: Optional[KTimer] = None  # armed, expiry not yet run
         self.queued = False   # already on the ready list
         self.done = False
         self.expired = False  # armed timer fired; complete on next advance
@@ -395,7 +397,8 @@ class IoURing:
                     tls.pending = before
                     if type(outcome) is tuple:
                         chain.held = outcome
-                        self._arm_timer(chain, end - _time.monotonic_ns())
+                        chain.timer = KTimer(partial(self._timer_fire, chain))
+                        chain.timer.settime(end, absolute=True)
                         return
                 if outcome is _RETRY:
                     continue  # just subscribed: re-check once (lost edge)
@@ -438,7 +441,8 @@ class IoURing:
                 chain.expired = False
                 return -ETIME, None, 0, 0
             if chain.timer is None:
-                self._arm_timer(chain, sqe.off)
+                chain.timer = KTimer(partial(self._timer_fire, chain))
+                chain.timer.settime(sqe.off)
             return None
         if op not in _FD_OPS:
             return -EINVAL, None, 0, 0
@@ -550,19 +554,14 @@ class IoURing:
         chain.parked.mask = mask
         return None
 
-    def _arm_timer(self, chain: _Chain, delay_ns: int) -> None:
-        timer = threading.Timer(delay_ns / 1e9, self._timer_fire,
-                                args=(chain,))
-        timer.daemon = True
-        chain.timer = timer
-        timer.start()
-
     def _timer_fire(self, chain: _Chain) -> None:
-        """Timer expiry (the timerfd discipline): mark-and-queue under
-        the ring lock only.  The completion itself — CQE content, link
-        cancellation, ordering against reaps — runs on a syscall-side
-        thread in ``_process_ready``, so expiry can never race a
-        concurrent ``_advance`` and CQE order stays deterministic."""
+        """The chain's :class:`KTimer` callback: mark-and-queue under the
+        ring lock only.  It runs outside the timer's lock, so ``close``
+        may cancel the timer while holding the ring lock.  The completion
+        itself — CQE content, link cancellation, ordering against reaps —
+        runs on a syscall-side thread in ``_process_ready``, so expiry can
+        never race a concurrent ``_advance`` and CQE order stays
+        deterministic."""
         with self._lock:
             if self.closed or chain.done:
                 return

@@ -513,6 +513,10 @@ class VFS:
 class CharDevice:
     """Base class for character devices (/dev/null and friends)."""
 
+    # lseek on a seekable device returns 0, as on Linux's /dev/null,
+    # /dev/zero and /dev/[u]random; on any other it fails with ESPIPE
+    seekable = False
+
     def read(self, length: int) -> bytes:
         return b""
 
@@ -521,15 +525,19 @@ class CharDevice:
 
 
 class NullDevice(CharDevice):
-    pass
+    seekable = True
 
 
 class ZeroDevice(CharDevice):
+    seekable = True
+
     def read(self, length: int) -> bytes:
         return b"\x00" * length
 
 
 class RandomDevice(CharDevice):
+    seekable = True
+
     def __init__(self, seed: int = 0x5EED):
         import random
         self._rng = random.Random(seed)

@@ -82,7 +82,8 @@ STRUCT_CALLS = frozenset({
     "sendmsg", "recvmsg", "poll", "ppoll", "select", "pselect6", "utimensat",
     "epoll_ctl", "epoll_pwait", "epoll_wait", "timerfd_settime",
     "timerfd_gettime", "io_uring_setup", "io_uring_enter",
-    "io_uring_register", "signalfd4", "perf_event_open",
+    "io_uring_register", "signalfd4", "perf_event_open", "setitimer",
+    "getitimer",
 })
 
 _WINSIZE = struct.Struct("<HHHH")
@@ -814,13 +815,24 @@ class WaliHost:
                       self.timespec_at(timeout_ptr))
 
     def w_setitimer(self, which, new_ptr, old_ptr):
-        value_ns = 0
-        if new_ptr:
-            # itimerval: interval timeval + value timeval
-            sec, usec = struct.unpack_from(
-                "<qq", self.mem.read_bytes(new_ptr + 16, 16))
-            value_ns = sec * 10**9 + usec * 1000
-        return self.k("setitimer", which, 0, value_ns)
+        # itimerval: {timeval interval, timeval value}
+        isec, iusec, sec, usec = struct.unpack(
+            "<qqqq", self.mem.read_bytes(new_ptr, 32)) if new_ptr else [0] * 4
+        self._put_itimerval(old_ptr, *self.k(
+            "setitimer", signed32(which), isec * 10**9 + iusec * 1000,
+            sec * 10**9 + usec * 1000))
+        return 0
+
+    def w_getitimer(self, which, curr_ptr):
+        self._put_itimerval(curr_ptr, *self.k("getitimer", signed32(which)))
+        return 0
+
+    def _put_itimerval(self, ptr, value_ns, interval_ns):
+        if ptr:
+            # whole µs, rounded up so a pending timer never reads as 0
+            self.copy_out(ptr, struct.pack(
+                "<qqqq", *divmod(-(-interval_ns // 1000), 10**6),
+                *divmod(-(-value_ns // 1000), 10**6)))
 
     # ------------------------------------------------------------------
     # process model (§3.1) — stateful: instance-per-thread / fork

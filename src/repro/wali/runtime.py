@@ -132,12 +132,6 @@ class WaliProcess:
         # the hook has work only while a signal is pending
         machine.poll_gate = self.proc.pending
 
-    def load_image(self) -> None:
-        """Instantiate ``module`` over this process's host and attach it."""
-        self.attach(instantiate(self.module, self.host.imports(),
-                                scheme=self.rt.scheme,
-                                tier_up=self.rt.tier_up))
-
     # views of the cells
 
     @property
@@ -250,6 +244,12 @@ class WaliRuntime:
         self.kernel.vfs.mkdirs(path.rsplit("/", 1)[0] or "/")
         self.kernel.vfs.write_file(path, encode_module(module), mode=0o755)
 
+    def instantiate(self, module: Module, imports: dict,
+                    run_start: bool = True) -> Instance:
+        """Instantiate any image (WASI ones too) as this runtime runs it."""
+        return instantiate(module, imports, scheme=self.scheme,
+                           run_start=run_start, tier_up=self.tier_up)
+
     def load(self, program: Union[str, Module],
              argv: Optional[List[str]] = None,
              env: Optional[Dict[str, str]] = None,
@@ -263,7 +263,7 @@ class WaliRuntime:
             argv = argv if argv is not None else [module.name or "app"]
         proc = self.kernel.create_process(argv, env or {}, cwd=cwd)
         wp = WaliProcess(self, proc, module)
-        wp.load_image()
+        wp.attach(self.instantiate(module, wp.host.imports()))
         self._track(wp)
         return wp
 
@@ -341,8 +341,8 @@ class WaliRuntime:
         module = self._image_from_path(path)
         host = WaliHost(self, wp, module)
         try:
-            instance = instantiate(module, host.imports(), scheme=self.scheme,
-                                   run_start=False, tier_up=self.tier_up)
+            instance = self.instantiate(module, host.imports(),
+                                        run_start=False)
         except (ValidationError, LinkError) as exc:
             raise KernelError(ENOEXEC, f"{path}: {exc}") from exc
         self.kernel.call(wp.proc, "execve", path, argv, envp)

@@ -123,8 +123,8 @@ def _build() -> Dict[str, SyscallSpec]:
         ("rt_sigaction", "iuu_", True), ("rt_sigprocmask", "iuu_"),
         ("rt_sigpending", "u_"), ("rt_sigsuspend", "u_"),
         ("rt_sigreturn", ""), ("rt_sigtimedwait", "uuu_"),
-        ("sigaltstack", "__"), ("pause", ""), ("alarm", "i"),
-        ("setitimer", "iu_"), ("getitimer", "i_"),
+        ("sigaltstack", "__"), ("pause", ""), ("alarm", "u"),
+        ("setitimer", "iuu"), ("getitimer", "iu"),
         # fd-based synchronous signal consumption (vs sigvirt delivery)
         ("signalfd4", "iu_u"),
     ])

@@ -11,7 +11,7 @@ Also hosts the Table 1 porting matrix machinery.
 from typing import Dict, Optional
 
 from ..wali import MODULE as WALI_MODULE, WaliProcess, WaliRuntime
-from ..wasm import Module, instantiate
+from ..wasm import Module
 from .host import WasiHost
 from .porting import (
     FEATURE_OF_SYSCALL, PortingRow, WASI_SYSCALLS, WASIX_SYSCALLS,
@@ -41,7 +41,7 @@ def run_wasi_module(module: Module, runtime: Optional[WaliRuntime] = None,
     status (134 on a trap, like a WALI app)."""
     rt = runtime or WaliRuntime()
     host, wp = wasi_over_wali(rt, argv, env, preopens)
-    wp.attach(instantiate(module, host.imports(), scheme=rt.scheme))
+    wp.attach(rt.instantiate(module, host.imports()))
     return wp.run()
 
 

@@ -3,6 +3,7 @@ semantics, epoll (level/edge/oneshot), eventfd, timerfd, signalfd, and
 the waitqueue-driven ppoll/pselect6 rewrite (POLLHUP/POLLERR for closed
 peers, prompt wakeups without timeout-sliced rescans)."""
 
+import sys
 import threading
 import time
 
@@ -13,7 +14,7 @@ from repro.kernel import (
     EPOLLET, EPOLLHUP, EPOLLIN, EPOLLONESHOT, EPOLLOUT, Kernel,
     KernelError, O_CREAT, O_NONBLOCK, O_RDWR, SFD_NONBLOCK,
     SIGNALFD_SIGINFO_SIZE, SIGKILL, SIGTERM, SIGUSR1, SIGUSR2, SOCK_STREAM,
-    decode_siginfo, sig_bit,
+    TimerFD, decode_siginfo, sig_bit,
 )
 from repro.kernel.errno import (
     EAGAIN, EBADF, EEXIST, EINVAL, ELOOP, ENOENT, EPERM,
@@ -333,6 +334,45 @@ class TestTimerFD:
         with pytest.raises(KernelError) as exc:
             kern.call(proc, "timerfd_create", 99, 0)
         assert exc.value.errno == EINVAL
+
+    def test_concurrent_reads_lose_no_expiry_and_period_does_not_drift(self):
+        """Expiries land while four threads drain the count.  A periodic
+        timer's deadline advances by whole intervals from the first, so
+        it has counted ``(deadline - first) / interval`` expirations, and
+        every one of them is either read or still pending."""
+        tfd, interval = TimerFD(), 1_000_000
+        first = time.monotonic_ns() + interval
+        stop = threading.Event()
+        drained = []
+
+        def reader():
+            n = 0
+            while not stop.is_set():
+                try:
+                    n += tfd.read_step()
+                except KernelError:
+                    pass
+            drained.append(n)
+
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            tfd.settime(first, interval, absolute=True)
+            for t in readers:
+                t.start()
+            time.sleep(0.3)
+            stop.set()
+            for t in readers:
+                t.join(5)
+            assert not any(t.is_alive() for t in readers)
+            with tfd.lock:
+                total = (tfd.deadline_ns - first) // interval
+                assert total == sum(drained) + tfd.expirations
+            assert total >= 10
+        finally:
+            sys.setswitchinterval(switch)
+            tfd.close()
 
 
 class TestSignalFD:

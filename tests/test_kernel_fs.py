@@ -118,6 +118,18 @@ class TestSeekAndP:
             k.call(proc, "pread64", r, 1, 0)
         assert ei.value.errno == ESPIPE
 
+    def test_lseek_on_memory_devices_returns_zero(self, k, proc):
+        """Linux's /dev/null, /dev/zero and /dev/[u]random accept any seek
+        and report offset 0; the tty stays unseekable."""
+        for dev in ("/dev/null", "/dev/zero", "/dev/random", "/dev/urandom"):
+            fd = k.call(proc, "openat", AT_FDCWD, dev, O_RDWR, 0)
+            for offset, whence in ((0, 1), (4096, 0), (-7, 2)):
+                assert k.call(proc, "lseek", fd, offset, whence) == 0
+        fd = k.call(proc, "openat", AT_FDCWD, "/dev/tty", O_RDWR, 0)
+        with pytest.raises(KernelError) as ei:
+            k.call(proc, "lseek", fd, 0, 1)
+        assert ei.value.errno == ESPIPE
+
     def test_sparse_write_zero_fills(self, k, proc):
         fd = k.call(proc, "openat", AT_FDCWD, "/tmp/sp", O_CREAT | O_RDWR,
                     0o644)
@@ -360,6 +372,18 @@ class TestPoll:
         k.call(proc, "write", w, b"x")
         rr, ww = k.call(proc, "pselect6", [r], [w], 0)
         assert rr == [r] and ww == [w]
+
+    def test_select_on_a_closed_fd_is_ebadf(self, k, proc):
+        """Linux fails the whole call, even when another fd is ready."""
+        r, w = k.call(proc, "pipe2", 0)
+        k.call(proc, "write", w, b"x")
+        closed = k.call(proc, "dup", r)
+        k.call(proc, "close", closed)
+        for rfds, wfds in (([r, closed], []), ([r], [closed])):
+            for call in ("pselect6", "select"):
+                with pytest.raises(KernelError) as ei:
+                    k.call(proc, call, rfds, wfds, 0)
+                assert ei.value.errno == EBADF
 
 
 class TestMetadata:

@@ -1,6 +1,7 @@
 """Kernel edge cases: time, uname, getdents paging, tracing, procfs
 lifecycle, and cross-layer stress (signals under load, deep pipelines)."""
 
+import struct
 import threading
 import time
 
@@ -11,7 +12,10 @@ from repro.cc import compile_source
 from repro.kernel import (
     AT_FDCWD, Kernel, KernelError, O_RDONLY, SIGALRM, SIGUSR1, sig_bit,
 )
-from repro.wali import WaliRuntime
+from repro.kernel.calls.misc import ITIMER_REAL
+from repro.kernel.errno import EINVAL
+from repro.wali import WaliHost, WaliProcess, WaliRuntime
+from repro.wasm import ModuleBuilder, instantiate
 
 
 @pytest.fixture
@@ -79,7 +83,7 @@ class TestAlarm:
         for _ in range(5):
             k.call(proc, "alarm", 5)
         k.call(proc, "alarm", 0)
-        assert proc.alarm is None
+        assert k.call(proc, "getitimer", ITIMER_REAL) == (0, 0)
         started = set(threading.enumerate()) - before
         for t in started:
             t.join(1)
@@ -87,15 +91,95 @@ class TestAlarm:
 
     def test_alarm_delivers_sigalrm(self, k, proc):
         k.call(proc, "alarm", 1)
-        proc.alarm.join(5)
-        assert proc.pending.bits & sig_bit(SIGALRM)
+        assert _pending_within(proc, SIGALRM, 5)
 
     def test_exit_cancels_the_alarm(self, k, proc):
+        before = set(threading.enumerate())
         k.call(proc, "alarm", 5)
-        timer = proc.alarm
+        started = set(threading.enumerate()) - before
+        assert started   # the armed timer's thread
         k.call(proc, "exit_group", 0)
-        timer.join(1)
-        assert not timer.is_alive()
+        for t in started:
+            t.join(1)
+        assert not [t for t in started if t.is_alive()]
+
+
+def _pending_within(proc, sig, seconds):
+    deadline = time.monotonic() + seconds
+    while not proc.pending.bits & sig_bit(sig):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+class TestIntervalTimer:
+    """ITIMER_REAL: one timer per task behind alarm, setitimer and
+    getitimer, honouring sub-second values and the interval."""
+
+    def test_periodic_timer_raises_sigalrm_again(self, k, proc):
+        old = k.call(proc, "setitimer", ITIMER_REAL, 10_000_000, 10_000_000)
+        assert old == (0, 0)
+        assert _pending_within(proc, SIGALRM, 0.1)
+        proc.pending.bits &= ~sig_bit(SIGALRM)
+        assert _pending_within(proc, SIGALRM, 0.1)
+        k.call(proc, "setitimer", ITIMER_REAL, 0, 0)
+
+    def test_getitimer_reads_remaining_and_interval(self, k, proc):
+        k.call(proc, "setitimer", ITIMER_REAL, 250_000_000, 1_000_000_000)
+        value, interval = k.call(proc, "getitimer", ITIMER_REAL)
+        assert 0 < value <= 1_000_000_000
+        assert interval == 250_000_000
+        old = k.call(proc, "setitimer", ITIMER_REAL, 0, 0)
+        assert 0 < old[0] <= value and old[1] == 250_000_000
+        assert k.call(proc, "getitimer", ITIMER_REAL) == (0, 0)
+
+    def test_alarm_and_setitimer_share_the_timer(self, k, proc):
+        k.call(proc, "alarm", 3)
+        value, interval = k.call(proc, "getitimer", ITIMER_REAL)
+        assert 2_000_000_000 < value <= 3_000_000_000 and interval == 0
+        k.call(proc, "setitimer", ITIMER_REAL, 0, 1_400_000_000)
+        assert k.call(proc, "alarm", 0) == 1
+
+    def test_other_timers_are_einval(self, k, proc):
+        for which in (1, 2):   # ITIMER_VIRTUAL, ITIMER_PROF
+            with pytest.raises(KernelError) as exc:
+                k.call(proc, "setitimer", which, 0, 10_000_000)
+            assert exc.value.errno == EINVAL
+            with pytest.raises(KernelError) as exc:
+                k.call(proc, "getitimer", which)
+            assert exc.value.errno == EINVAL
+        assert not proc.pending.bits & sig_bit(SIGALRM)
+
+    def test_guest_setitimer_old_value_and_getitimer(self):
+        rt = WaliRuntime()
+        wp = WaliProcess(rt, rt.kernel.create_process(["t"], {}))
+        wp.attach(instantiate(_memory_module()))
+        ns = WaliHost(rt, wp).imports()["wali"]
+        mem = wp.instance.memory
+        new, old, cur = 64, 128, 192
+        # {interval 0 s 250000 µs, value 2 s 500000 µs}
+        mem.write(new, struct.pack("<qqqq", 0, 250_000, 2, 500_000))
+        assert ns["SYS_setitimer"].fn(ITIMER_REAL, new, old) == 0
+        assert struct.unpack("<qqqq", mem.read_bytes(old, 32)) == (0,) * 4
+        assert ns["SYS_getitimer"].fn(ITIMER_REAL, cur) == 0
+        isec, iusec, sec, usec = struct.unpack("<qqqq",
+                                               mem.read_bytes(cur, 32))
+        assert (isec, iusec) == (0, 250_000)
+        assert 0 < sec * 10**6 + usec <= 2_500_000
+        mem.write(new, bytes(32))   # disarm, reading the old setting
+        assert ns["SYS_setitimer"].fn(ITIMER_REAL, new, old) == 0
+        isec, iusec, sec, usec = struct.unpack("<qqqq",
+                                               mem.read_bytes(old, 32))
+        assert (isec, iusec) == (0, 250_000)
+        assert 0 < sec * 10**6 + usec <= 2_500_000
+        assert ns["SYS_getitimer"].fn(5, cur) == -EINVAL
+
+
+def _memory_module():
+    mb = ModuleBuilder("itimer")
+    mb.add_memory(1, 1)
+    return mb.build()
 
 
 class TestDirentPaging:

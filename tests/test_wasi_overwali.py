@@ -362,6 +362,14 @@ def test_guest_module_hello_over_wali():
     assert rt.kernel.console_output() == b"hi from wasi\n"
 
 
+def test_wasi_app_runs_compiled(wali_processes):
+    """A WASI app tiers up like a WALI app: ``_start`` reaches no fork,
+    so under the default rule it gets a compiled body."""
+    status = run_wasi_module(_exiting_app(lambda f: None), WaliRuntime())
+    assert status == 0
+    assert wali_processes[-1].instance.exports["_start"].native is not None
+
+
 def _exiting_app(body):
     mb = ModuleBuilder("wasi-exit")
     mb.import_func(MODULE, "fd_write", [I32, I32, I32, I32], [I32])
