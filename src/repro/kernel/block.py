@@ -913,10 +913,10 @@ class VMKnobDevice(CharDevice):
         self.fs = fs
         self.name = name
 
-    def read(self, length: int) -> bytes:
+    def read_step(self, length: int) -> bytes:
         return f"{getattr(self.fs, self.name)}\n".encode()[:length]
 
-    def write(self, data: bytes) -> int:
+    def write_step(self, data: bytes) -> int:
         try:
             value = int(data.split()[0])
         except (ValueError, IndexError):
@@ -934,10 +934,10 @@ class DropCachesDevice(CharDevice):
     def __init__(self, fs: BlockFS):
         self.fs = fs
 
-    def read(self, length: int) -> bytes:
+    def read_step(self, length: int) -> bytes:
         return b"0\n"[:length]
 
-    def write(self, data: bytes) -> int:
+    def write_step(self, data: bytes) -> int:
         self.fs.drop_caches()
         return len(data)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..errno import EINVAL, ELOOP, EPERM, KernelError
+from ..errno import EINVAL, ELOOP, KernelError
 from ..eventpoll import (
     EFD_CLOEXEC, EFD_NONBLOCK, EFD_SEMAPHORE, EPOLL_CLOEXEC, EPOLL_CTL_ADD,
     EPOLL_CTL_DEL, EPOLL_CTL_MOD, EventFD, EventPoll, TFD_CLOEXEC,
@@ -18,7 +18,7 @@ from ..eventpoll import (
 )
 from ..fdtable import OpenFile
 from ..process import Process
-from ..vfs import O_NONBLOCK, O_RDONLY, O_RDWR
+from ..vfs import O_NONBLOCK, O_RDWR
 
 
 class EventCalls:
@@ -30,8 +30,7 @@ class EventCalls:
                      flags: int = 0) -> int:
         efd = EventFD(initval & 0xFFFFFFFF,
                       semaphore=bool(flags & EFD_SEMAPHORE))
-        file = OpenFile(OpenFile.KIND_EVENTFD,
-                        O_RDWR | (O_NONBLOCK if flags & EFD_NONBLOCK else 0),
+        file = OpenFile(O_RDWR | (O_NONBLOCK if flags & EFD_NONBLOCK else 0),
                         obj=efd, path="anon_inode:[eventfd]")
         return proc.fdtable.install(file,
                                     cloexec=bool(flags & EFD_CLOEXEC))
@@ -46,34 +45,30 @@ class EventCalls:
         if clock_id not in (0, 1, 7):  # REALTIME, MONOTONIC, BOOTTIME
             raise KernelError(EINVAL, f"timerfd clock {clock_id}")
         tfd = TimerFD(clock_id)
-        file = OpenFile(OpenFile.KIND_TIMERFD,
-                        O_RDONLY | (O_NONBLOCK if flags & TFD_NONBLOCK else 0),
+        file = OpenFile(O_RDWR | (O_NONBLOCK if flags & TFD_NONBLOCK else 0),
                         obj=tfd, path="anon_inode:[timerfd]")
         return proc.fdtable.install(file,
                                     cloexec=bool(flags & TFD_CLOEXEC))
 
-    def _timerfd(self, proc: Process, fd: int) -> TimerFD:
-        file = proc.fdtable.get(fd)
-        if file.kind != OpenFile.KIND_TIMERFD:
-            raise KernelError(EINVAL, f"fd {fd} is not a timerfd")
-        return file.obj
-
     def sys_timerfd_settime(self, proc: Process, fd: int, flags: int,
                             value_ns: int,
                             interval_ns: int = 0) -> Tuple[int, int]:
-        """Arm/disarm; returns the previous (value_ns, interval_ns)."""
-        return self._timerfd(proc, fd).settime(
-            value_ns, interval_ns,
-            absolute=bool(flags & TFD_TIMER_ABSTIME))
+        """Arm/disarm; returns the previous (value_ns, interval_ns).  An
+        absolute deadline is on the timer's clock: it arms as the delay
+        from now, and a past one expires at once."""
+        tfd = proc.fdtable.get_obj(fd, TimerFD)
+        if flags & TFD_TIMER_ABSTIME and value_ns > 0:
+            value_ns = max(1, value_ns - self.sys_clock_gettime(
+                proc, tfd.clock_id))
+        return tfd.settime(value_ns, interval_ns)
 
     def sys_timerfd_gettime(self, proc: Process, fd: int) -> Tuple[int, int]:
-        return self._timerfd(proc, fd).gettime()
+        return proc.fdtable.get_obj(fd, TimerFD).gettime()
 
     # ---- epoll ----
 
     def sys_epoll_create1(self, proc: Process, flags: int = 0) -> int:
-        file = OpenFile(OpenFile.KIND_EPOLL, 0,
-                        obj=EventPoll(counters=self.counters),
+        file = OpenFile(O_RDWR, obj=EventPoll(counters=self.counters),
                         path="anon_inode:[eventpoll]")
         return proc.fdtable.install(file,
                                     cloexec=bool(flags & EPOLL_CLOEXEC))
@@ -83,24 +78,16 @@ class EventCalls:
             raise KernelError(EINVAL, "epoll_create size must be positive")
         return self.sys_epoll_create1(proc, 0)
 
-    def _epoll(self, proc: Process, epfd: int) -> EventPoll:
-        file = proc.fdtable.get(epfd)
-        if file.kind != OpenFile.KIND_EPOLL:
-            raise KernelError(EINVAL, f"fd {epfd} is not an epoll fd")
-        return file.obj
-
     def sys_epoll_ctl(self, proc: Process, epfd: int, op: int, fd: int,
                       events: int = 0, data: Optional[int] = None) -> int:
         """``data`` is the epoll_event user datum; defaults to ``fd``."""
-        ep = self._epoll(proc, epfd)
+        ep = proc.fdtable.get_obj(epfd, EventPoll)
         if fd == epfd:
             raise KernelError(ELOOP, "epoll fd cannot watch itself")
         target = proc.fdtable.get(fd)  # EBADF if closed
         if data is None:
             data = fd
         if op == EPOLL_CTL_ADD:
-            if target.kind in (OpenFile.KIND_REG, OpenFile.KIND_DIR):
-                raise KernelError(EPERM, "regular files cannot be epolled")
             ep.add(fd, target, events, data)
         elif op == EPOLL_CTL_MOD:
             ep.modify(fd, events, data)
@@ -117,7 +104,7 @@ class EventCalls:
         """Returns ``[(data, revents)]``, at most ``maxevents`` entries."""
         if maxevents <= 0:
             raise KernelError(EINVAL, "maxevents must be positive")
-        ep = self._epoll(proc, epfd)
+        ep = proc.fdtable.get_obj(epfd, EventPoll)
         old_mask = proc.blocked_mask
         if sigmask is not None:
             proc.blocked_mask = sigmask

@@ -15,17 +15,19 @@ from ..errno import (
 )
 from ..fdtable import (
     F_DUPFD, F_DUPFD_CLOEXEC, F_GETFD, F_GETFL, F_SETFD, F_SETFL, FD_CLOEXEC,
-    OpenFile, Pipe,
+    OpenFile, Pipe, PipeReader, PipeWriter,
 )
 from ..inotify import (
     IN_ATTRIB, IN_CREATE, fsnotify_content, fsnotify_inode_gone,
     fsnotify_move, fsnotify_name,
 )
+from ..net import HostSocket, Socket
+from ..perf import CountingPerfEvent, SamplingPerfEvent
 from ..process import Process, RLIMIT_FSIZE, RLIM_INFINITY
 from ..vfs import (
-    AT_FDCWD, AT_REMOVEDIR, AT_SYMLINK_NOFOLLOW, DirEntry, Inode, O_ACCMODE,
-    O_APPEND, O_CLOEXEC, O_CREAT, O_DIRECTORY, O_EXCL, O_NOFOLLOW, O_NONBLOCK,
-    O_RDONLY, O_TRUNC, O_WRONLY, S_IFDIR, S_IFIFO, S_IFMT, S_IFREG,
+    AT_FDCWD, AT_REMOVEDIR, AT_SYMLINK_NOFOLLOW, CharDevice, DirEntry, Inode,
+    O_ACCMODE, O_APPEND, O_CLOEXEC, O_CREAT, O_DIRECTORY, O_EXCL, O_NOFOLLOW,
+    O_NONBLOCK, O_RDONLY, O_TRUNC, O_WRONLY, S_IFDIR, S_IFIFO, S_IFMT, S_IFREG,
 )
 
 # ioctl requests we answer
@@ -36,6 +38,9 @@ FIONBIO = 0x5421
 
 # SYNC_FILE_RANGE_WAIT_BEFORE | _WRITE | _WAIT_AFTER
 SYNC_FILE_RANGE_FLAGS = 0x7
+
+# the fds a write(2) keeps writing to until it has written everything
+_STREAMS = (PipeWriter, Socket, HostSocket)
 
 
 @dataclass
@@ -126,17 +131,12 @@ class FSCalls:
             return proc.fdtable.install(node.opener(proc, flags),
                                         cloexec=bool(flags & O_CLOEXEC))
         accmode = flags & O_ACCMODE
-        if node.is_dir:
-            if accmode != O_RDONLY:
-                raise KernelError(EISDIR, path)
-            kind = OpenFile.KIND_DIR
-        elif node.is_chr:
-            kind = OpenFile.KIND_CHR
-        else:
-            kind = OpenFile.KIND_REG
+        if node.is_dir and accmode != O_RDONLY:
+            raise KernelError(EISDIR, path)
         if flags & O_TRUNC and node.is_file and accmode != O_RDONLY:
             node.truncate(0)
-        file = OpenFile(kind, flags, inode=node, path=path)
+        # a char device is the object of its fds; other nodes have none
+        file = OpenFile(flags, inode=node, obj=node.device, path=path)
         if node.generator is not None:
             file.set_proc_content(node.generator(proc))
         return proc.fdtable.install(file, cloexec=bool(flags & O_CLOEXEC))
@@ -159,7 +159,7 @@ class FSCalls:
         if length < 0:
             raise KernelError(EINVAL, "negative length")
         file = proc.fdtable.get(fd)
-        if file.kind != OpenFile.KIND_REG:
+        if file.obj is not None:
             return self._blocking_io(proc, file, lambda: file.read(length))
         data = file.read(length)     # a regular file never blocks
         if self.storage_latency_ns_per_4k:
@@ -169,7 +169,7 @@ class FSCalls:
     def sys_write(self, proc: Process, fd: int, data) -> int:
         file = proc.fdtable.get(fd)
         data = bytes(data)
-        if file.kind == OpenFile.KIND_REG or not data:
+        if file.obj is None or not data:
             total = file.write(data)     # it never blocks
             if self.storage_latency_ns_per_4k:
                 self.storage_charge(total)
@@ -179,7 +179,7 @@ class FSCalls:
             n = self._blocking_io(
                 proc, file, lambda: file.write(data[total:]))
             total += n
-            if file.kind not in (OpenFile.KIND_PIPE_W, OpenFile.KIND_SOCK):
+            if not isinstance(file.obj, _STREAMS):
                 break  # devices write everything in one step
         return total
 
@@ -253,12 +253,11 @@ class FSCalls:
     def sys_pipe2(self, proc: Process, flags: int = 0) -> Tuple[int, int]:
         pipe = Pipe()
         cloexec = bool(flags & O_CLOEXEC)
+        nonblock = flags & O_NONBLOCK
         r = proc.fdtable.install(
-            OpenFile(OpenFile.KIND_PIPE_R, flags & O_NONBLOCK, pipe=pipe),
-            cloexec)
+            OpenFile(O_RDONLY | nonblock, obj=PipeReader(pipe)), cloexec)
         w = proc.fdtable.install(
-            OpenFile(OpenFile.KIND_PIPE_W, flags & O_NONBLOCK, pipe=pipe),
-            cloexec)
+            OpenFile(O_WRONLY | nonblock, obj=PipeWriter(pipe)), cloexec)
         return r, w
 
     def sys_pipe(self, proc: Process) -> Tuple[int, int]:
@@ -316,7 +315,7 @@ class FSCalls:
         its ``d_off``: the position after it.  EINVAL when the next entry
         does not fit; an empty list at the end of the directory."""
         file = proc.fdtable.get(fd)
-        if file.kind != OpenFile.KIND_DIR:
+        if not file.is_dir:
             raise KernelError(ENOTDIR, str(fd))
         if file._dir_snapshot is None:
             file._dir_snapshot = self.vfs.readdir(file.inode)
@@ -497,7 +496,7 @@ class FSCalls:
         if length < 0:
             raise KernelError(EINVAL, "negative length")
         file = proc.fdtable.get(fd)
-        if file.kind != OpenFile.KIND_REG or not file.writable:
+        if file.obj is not None or not file.writable:
             raise KernelError(EINVAL, "not a regular file open for writing")
         file.inode.truncate(length)
         return 0
@@ -544,10 +543,9 @@ class FSCalls:
         if offset < 0 or nbytes < 0 or flags & ~SYNC_FILE_RANGE_FLAGS:
             raise KernelError(EINVAL, "sync_file_range arguments")
         file = proc.fdtable.get(fd)
-        if file.kind != OpenFile.KIND_REG:
+        if file.obj is not None or file.is_dir:
             raise KernelError(EINVAL, "sync_file_range on non-regular fd")
-        if file.inode is not None:
-            self.blockdev.flush_inode(file.inode)
+        self.blockdev.flush_inode(file.inode)
         return 0
 
     # ---- ioctl & advisory no-ops ----
@@ -569,20 +567,21 @@ class FSCalls:
     def sys_ioctl(self, proc: Process, fd: int, request: int,
                   arg: int = 0) -> object:
         file = proc.fdtable.get(fd)
+        obj = file.obj
         if request == TIOCGWINSZ:
-            if file.kind != OpenFile.KIND_CHR:
+            if not isinstance(obj, CharDevice):
                 raise KernelError(ENOTTY)
             return (24, 80)  # rows, cols
         if request == TCGETS:
-            if file.kind != OpenFile.KIND_CHR:
+            if not isinstance(obj, CharDevice):
                 raise KernelError(ENOTTY)
             return 0
         if request == FIONREAD:
-            if file.kind == OpenFile.KIND_PIPE_R:
-                return len(file.pipe.buf)
-            if file.kind == OpenFile.KIND_SOCK:
-                return len(file.sock.rbuf)
-            if file.kind == OpenFile.KIND_REG:
+            if isinstance(obj, PipeReader):
+                return len(obj.pipe.buf)
+            if isinstance(obj, (Socket, HostSocket)):
+                return len(obj.rbuf)
+            if obj is None:   # a directory's size is 0
                 return max(file.inode.size - file.offset, 0)
             return 0
         if request == FIONBIO:
@@ -591,8 +590,8 @@ class FSCalls:
             else:
                 file.flags &= ~O_NONBLOCK
             return 0
-        if file.kind == OpenFile.KIND_PERF:
-            return file.obj.ioctl(request, arg)
+        if isinstance(obj, (CountingPerfEvent, SamplingPerfEvent)):
+            return obj.ioctl(request, arg)
         raise KernelError(ENOTTY, f"ioctl 0x{request:x}")
 
     # ---- poll ----
@@ -602,11 +601,11 @@ class FSCalls:
         wqs = []
         for fd in fds:
             try:
-                wq = proc.fdtable.get(fd).wait_queue()
+                obj = proc.fdtable.get(fd).obj
             except KernelError:
                 continue
-            if wq is not None and wq not in wqs:
-                wqs.append(wq)
+            if obj is not None and obj.wq is not None and obj.wq not in wqs:
+                wqs.append(obj.wq)
         return wqs
 
     def sys_ppoll(self, proc: Process, fds: List[Tuple[int, int]],
@@ -647,9 +646,14 @@ class FSCalls:
         return self.sys_ppoll(proc, fds, timeout_ns)
 
     def sys_pselect6(self, proc: Process, rfds: List[int], wfds: List[int],
-                     timeout_ns: Optional[int]) -> Tuple[List[int], List[int]]:
-        POLLIN, POLLOUT, POLLERR, POLLHUP = 1, 4, 8, 0x10
-        for fd in (*rfds, *wfds):
+                     efds: List[int], timeout_ns: Optional[int]
+                     ) -> Tuple[List[int], List[int], List[int]]:
+        """The ready fds of the read, write and exception sets.  Like
+        Linux's ``do_select``, it polls each fd: ready to read on
+        POLLIN/HUP/ERR, to write on POLLOUT/ERR, exceptional on POLLPRI."""
+        POLLIN, POLLPRI, POLLOUT, POLLERR, POLLHUP = 1, 2, 4, 8, 0x10
+        fds = [*rfds, *wfds, *efds]
+        for fd in fds:
             proc.fdtable.get(fd)   # a set naming a closed fd: EBADF
 
         def events(fd):
@@ -659,13 +663,14 @@ class FSCalls:
                 return 0   # closed during the wait: never ready
 
         def scan():
-            r_ready = [fd for fd in rfds
-                       if events(fd) & (POLLIN | POLLHUP | POLLERR)]
-            w_ready = [fd for fd in wfds if events(fd) & (POLLOUT | POLLERR)]
-            return (r_ready, w_ready) if r_ready or w_ready else None
+            ready = ([fd for fd in rfds
+                      if events(fd) & (POLLIN | POLLHUP | POLLERR)],
+                     [fd for fd in wfds if events(fd) & (POLLOUT | POLLERR)],
+                     [fd for fd in efds if events(fd) & POLLPRI])
+            return ready if any(ready) else None
 
         return self.wait_event(
-            proc, scan, self._poll_waitqueues(proc, list(rfds) + list(wfds)),
-            timeout_ns) or ([], [])
+            proc, scan, self._poll_waitqueues(proc, fds),
+            timeout_ns) or ([], [], [])
 
     sys_select = sys_pselect6

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..errno import EBADF, ENOMEM, KernelError
-from ..fdtable import OpenFile
 from ..mm import MAP_ANONYMOUS, MapResult, MREMAP_MAYMOVE, WritebackSpec
 from ..process import Process
 
@@ -34,7 +33,7 @@ class MemCalls:
         inode = None
         if not flags & MAP_ANONYMOUS:
             file = proc.fdtable.get(fd)
-            if file.kind != OpenFile.KIND_REG:
+            if file.obj is not None or file.is_dir:
                 raise KernelError(EBADF, "mmap of non-regular fd")
             inode = file.inode
             if inode is not None and inode.mapping is not None:

@@ -17,6 +17,8 @@ CLOCK_BOOTTIME = 7
 
 ITIMER_REAL = 0
 
+TIMER_ABSTIME = 1
+
 
 @dataclass
 class UtsName:
@@ -70,6 +72,11 @@ class MiscCalls:
 
     def sys_clock_nanosleep(self, proc: Process, clock_id: int, flags: int,
                             duration_ns: int) -> int:
+        """Sleep ``duration_ns``, or with TIMER_ABSTIME until that time on
+        ``clock_id`` (a past time returns at once)."""
+        now = self.sys_clock_gettime(proc, clock_id)  # EINVAL: no such clock
+        if flags & TIMER_ABSTIME and duration_ns >= 0:
+            duration_ns = max(0, duration_ns - now)
         return self.sys_nanosleep(proc, duration_ns)
 
     def sys_alarm(self, proc: Process, seconds: int) -> int:
@@ -123,8 +130,7 @@ class MiscCalls:
         from ..fdtable import OpenFile
         from ..vfs import O_RDWR
         node = Inode(S_IFREG | 0o600, proc.euid, proc.egid)
-        file = OpenFile(OpenFile.KIND_REG, O_RDWR, inode=node,
-                        path=f"memfd:{name}")
+        file = OpenFile(O_RDWR, inode=node, path=f"memfd:{name}")
         return proc.fdtable.install(file)
 
     # eventfd2 / timerfd / epoll live in the event mixin (calls/event.py),

@@ -12,8 +12,11 @@ from typing import List, Optional, Tuple
 
 from ..errno import EINVAL, ENOTSOCK, KernelError
 from ..fdtable import OpenFile
-from ..net import SOCK_CLOEXEC, SOCK_DGRAM, SOCK_NONBLOCK, Socket
+from ..net import (
+    SOCK_CLOEXEC, SOCK_DGRAM, SOCK_NONBLOCK, HostSocket, Socket,
+)
 from ..process import Process
+from ..vfs import O_RDWR
 
 
 class NetCalls:
@@ -21,15 +24,14 @@ class NetCalls:
 
     def _sock(self, proc: Process, fd: int) -> Socket:
         file = proc.fdtable.get(fd)
-        if file.kind != OpenFile.KIND_SOCK:
+        if not isinstance(file.obj, (Socket, HostSocket)):
             raise KernelError(ENOTSOCK, str(fd))
-        return file.sock
+        return file.obj
 
     def sys_socket(self, proc: Process, family: int, type_: int,
                    protocol: int = 0) -> int:
         sock = self.net.socket(family, type_)
-        flags = type_ & SOCK_NONBLOCK
-        file = OpenFile(OpenFile.KIND_SOCK, flags, sock=sock)
+        file = OpenFile(O_RDWR | type_ & SOCK_NONBLOCK, obj=sock)
         return proc.fdtable.install(file,
                                     cloexec=bool(type_ & SOCK_CLOEXEC))
 
@@ -50,8 +52,8 @@ class NetCalls:
         """The one accept step (``accept4`` and the ring's ACCEPT): take
         one pending connection, EAGAIN when there is none, and install
         it with ``SOCK_NONBLOCK``/``SOCK_CLOEXEC`` from ``flags``."""
-        conn = self.net.accept_step(listener.sock)
-        file = OpenFile(OpenFile.KIND_SOCK, flags & SOCK_NONBLOCK, sock=conn)
+        conn = self.net.accept_step(listener.obj)
+        file = OpenFile(O_RDWR | flags & SOCK_NONBLOCK, obj=conn)
         return proc.fdtable.install(file,
                                     cloexec=bool(flags & SOCK_CLOEXEC))
 
@@ -101,8 +103,8 @@ class NetCalls:
     def sys_socketpair(self, proc: Process, family: int,
                        type_: int) -> Tuple[int, int]:
         a, b = self.net.socketpair(family, type_)
-        fa = proc.fdtable.install(OpenFile(OpenFile.KIND_SOCK, 0, sock=a))
-        fb = proc.fdtable.install(OpenFile(OpenFile.KIND_SOCK, 0, sock=b))
+        fa = proc.fdtable.install(OpenFile(O_RDWR, obj=a))
+        fb = proc.fdtable.install(OpenFile(O_RDWR, obj=b))
         return fa, fb
 
     def sys_setsockopt(self, proc: Process, fd: int, level: int,

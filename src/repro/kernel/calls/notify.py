@@ -18,7 +18,7 @@ from ..inotify import (
 )
 from ..process import Process
 from ..signals import SFD_CLOEXEC, SFD_NONBLOCK, SignalFD
-from ..vfs import O_NONBLOCK, O_RDONLY
+from ..vfs import O_NONBLOCK, O_RDONLY, O_RDWR
 
 
 class NotifyCalls:
@@ -30,7 +30,6 @@ class NotifyCalls:
         if flags & ~(IN_CLOEXEC | IN_NONBLOCK):
             raise KernelError(EINVAL, f"inotify_init1 flags {flags:#o}")
         file = OpenFile(
-            OpenFile.KIND_INOTIFY,
             O_RDONLY | (O_NONBLOCK if flags & IN_NONBLOCK else 0),
             obj=Inotify(trace=self.trace), path="anon_inode:inotify")
         return proc.fdtable.install(file,
@@ -39,21 +38,15 @@ class NotifyCalls:
     def sys_inotify_init(self, proc: Process) -> int:
         return self.sys_inotify_init1(proc, 0)
 
-    def _inotify(self, proc: Process, fd: int) -> Inotify:
-        file = proc.fdtable.get(fd)
-        if file.kind != OpenFile.KIND_INOTIFY:
-            raise KernelError(EINVAL, f"fd {fd} is not an inotify fd")
-        return file.obj
-
     def sys_inotify_add_watch(self, proc: Process, fd: int, path: str,
                               mask: int) -> int:
-        ino = self._inotify(proc, fd)
+        ino = proc.fdtable.get_obj(fd, Inotify)
         node = self.vfs.resolve(path, proc.cwd or self.vfs.root,
                                 follow=not mask & IN_DONT_FOLLOW, proc=proc)
         return ino.add_watch(node, mask)
 
     def sys_inotify_rm_watch(self, proc: Process, fd: int, wd: int) -> int:
-        self._inotify(proc, fd).rm_watch(wd)
+        proc.fdtable.get_obj(fd, Inotify).rm_watch(wd)
         return 0
 
     # ---- signalfd ----
@@ -64,15 +57,11 @@ class NotifyCalls:
             raise KernelError(EINVAL, f"signalfd4 flags {flags:#o}")
         if fd != -1:
             # update the mask of an existing signalfd in place
-            file = proc.fdtable.get(fd)
-            if file.kind != OpenFile.KIND_SIGNALFD:
-                raise KernelError(EINVAL, f"fd {fd} is not a signalfd")
-            file.obj.set_mask(mask)
+            proc.fdtable.get_obj(fd, SignalFD).set_mask(mask)
             return fd
         sfd = SignalFD(proc, mask)
         file = OpenFile(
-            OpenFile.KIND_SIGNALFD,
-            O_RDONLY | (O_NONBLOCK if flags & SFD_NONBLOCK else 0),
+            O_RDWR | (O_NONBLOCK if flags & SFD_NONBLOCK else 0),
             obj=sfd, path="anon_inode:[signalfd]")
         return proc.fdtable.install(file,
                                     cloexec=bool(flags & SFD_CLOEXEC))

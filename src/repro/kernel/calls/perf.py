@@ -4,7 +4,7 @@ The event object (:mod:`repro.kernel.perf`) carries the whole fd
 surface (``wq`` / ``poll_events`` / ``read_step`` / ``ioctl`` /
 ``close``); this mixin only validates the attribute block and installs
 the description.  The ioctl dispatch lives in ``calls/fs.py`` (the
-generic ``sys_ioctl`` routes ``KIND_PERF`` fds to the event object).
+generic ``sys_ioctl`` routes a perf event's fd to the event object).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from ..errno import EINVAL, KernelError
 from ..fdtable import OpenFile
 from ..perf import PERF_FLAG_FD_CLOEXEC, PerfAttr
 from ..process import Process
-from ..vfs import O_RDONLY
+from ..vfs import O_RDWR
 
 
 class PerfCalls:
@@ -27,7 +27,7 @@ class PerfCalls:
         if flags & ~PERF_FLAG_FD_CLOEXEC:
             raise KernelError(EINVAL, f"perf_event_open flags {flags:#x}")
         event = self.perf.open_event(proc, attr, pid, cpu, group_fd, flags)
-        file = OpenFile(OpenFile.KIND_PERF, O_RDONLY, obj=event,
+        file = OpenFile(O_RDWR, obj=event,
                         path="anon_inode:[perf_event]")
         return proc.fdtable.install(
             file, cloexec=bool(flags & PERF_FLAG_FD_CLOEXEC))

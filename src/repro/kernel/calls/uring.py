@@ -32,19 +32,13 @@ class URingCalls:
         ring = IoURing(entries, trace=self.trace, setup_flags=flags)
         ring.kernel = self
         ring.owner = proc  # SQPOLL submissions resolve fds in this table
-        file = OpenFile(OpenFile.KIND_URING, O_RDWR, obj=ring,
+        file = OpenFile(O_RDWR, obj=ring,
                         path="anon_inode:[io_uring]")
         fd = proc.fdtable.install(file)
         if flags & IORING_SETUP_SQPOLL:
             idle = sq_thread_idle_ms if sq_thread_idle_ms else 1.0
             ring.sqpoll = SQPoller(self, ring, idle_ms=idle).start()
         return fd
-
-    def _uring(self, proc: Process, fd: int) -> IoURing:
-        file = proc.fdtable.get(fd)
-        if file.kind != OpenFile.KIND_URING:
-            raise KernelError(EINVAL, f"fd {fd} is not an io_uring fd")
-        return file.obj
 
     def sys_io_uring_enter(self, proc: Process, fd: int,
                            sqes: Sequence[SQE] = (),
@@ -59,7 +53,7 @@ class URingCalls:
         reaped (default: the CQ ring size).  A timeout returns whatever
         completed; a deliverable signal interrupts with ``EINTR``.
         """
-        ring = self._uring(proc, fd)
+        ring = proc.fdtable.get_obj(fd, IoURing)
         if min_complete > ring.cq_entries:
             # Linux's bound: more completions than the CQ ring can hold
             # can never arrive in one wait — reject instead of hanging
@@ -89,7 +83,7 @@ class URingCalls:
 
     def sys_io_uring_register(self, proc: Process, fd: int, opcode: int,
                               value=0, nr_args: int = 0) -> int:
-        ring = self._uring(proc, fd)
+        ring = proc.fdtable.get_obj(fd, IoURing)
         if opcode == IORING_REGISTER_RING:
             ring.registrations[opcode] = value
             return 0

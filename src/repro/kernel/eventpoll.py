@@ -109,7 +109,34 @@ class WaitQueue:
         return len(self._waiters)
 
 
-class BoundedRing:
+class FileOps:
+    """The object behind every fd but a regular file's or a directory's
+    (``OpenFile.obj``): it reads, writes and polls itself, as a Linux
+    file does through its ``f_op``.  ``read_step(length)`` returns bytes
+    and ``write_step(buf)`` the bytes taken; a step that would block
+    raises EAGAIN and the caller waits on ``wq``.  ``close()`` runs when
+    the last description goes.  The defaults are a Linux file's without
+    the op: read and write fail with EINVAL, the file is always ready
+    and has no waitqueue (epoll refuses it), close does nothing, and
+    lseek fails with ESPIPE unless ``seekable`` (then it returns 0)."""
+
+    wq: Optional[WaitQueue] = None
+    seekable = False
+
+    def read_step(self, length: int) -> bytes:
+        raise KernelError(EINVAL, f"{type(self).__name__} has no read")
+
+    def write_step(self, buf: bytes) -> int:
+        raise KernelError(EINVAL, f"{type(self).__name__} has no write")
+
+    def poll_events(self) -> int:
+        return EPOLLIN | EPOLLOUT
+
+    def close(self) -> None:
+        pass
+
+
+class BoundedRing(FileOps):
     """A bounded record stream behind an epollable fd: the one overflow
     discipline of ``/proc/trace_pipe``, perf sample fds and inotify fds.
 
@@ -217,24 +244,32 @@ class BoundedRing:
             self._overflow = None
 
 
-class EventFD:
-    """The eventfd object: a 64-bit kernel counter with readiness."""
+class EventFD(FileOps):
+    """The eventfd object: a 64-bit kernel counter with readiness, read
+    and written as 8 little-endian bytes."""
+
+    seekable = True
 
     def __init__(self, initval: int = 0, semaphore: bool = False):
         self.count = initval
         self.semaphore = semaphore
         self.wq = WaitQueue()
 
-    def read_step(self) -> int:
+    def read_step(self, length: int) -> bytes:
         """Consume the counter (or one, in semaphore mode); EAGAIN if zero."""
+        if length < 8:
+            raise KernelError(EINVAL, "buffer smaller than 8 bytes")
         if self.count == 0:
             raise KernelError(EAGAIN, "eventfd counter is zero")
         val = 1 if self.semaphore else self.count
         self.count -= val
         self.wq.wake(EPOLLOUT)
-        return val
+        return val.to_bytes(8, "little")
 
-    def write_step(self, value: int) -> None:
+    def write_step(self, buf: bytes) -> int:
+        if len(buf) < 8:
+            raise KernelError(EINVAL, "eventfd write needs 8 bytes")
+        value = int.from_bytes(buf[:8], "little")
         if value >= EVENTFD_MAX + 1:
             raise KernelError(EINVAL, "eventfd value too large")
         if self.count + value > EVENTFD_MAX:
@@ -242,6 +277,7 @@ class EventFD:
         self.count += value
         if value:
             self.wq.wake(EPOLLIN)
+        return 8
 
     def poll_events(self) -> int:
         mask = 0
@@ -255,22 +291,28 @@ class EventFD:
         self.wq.wake(EPOLLHUP)
 
 
-class TimerFD(KTimer):
+class TimerFD(KTimer, FileOps):
     """The timerfd object: a :class:`KTimer` whose expiry wakes its
-    waitqueue and whose expirations a read drains."""
+    waitqueue and whose expirations a read drains as 8 bytes.  Its
+    deadline is on the host's clock; ``timerfd_settime`` turns an
+    absolute deadline on ``clock_id`` into a delay."""
+
+    seekable = True
 
     def __init__(self, clock_id: int = 0):
         self.wq = WaitQueue()
         super().__init__(lambda: self.wq.wake(EPOLLIN))
         self.clock_id = clock_id
 
-    def read_step(self) -> int:
+    def read_step(self, length: int) -> bytes:
         """Return and reset the expiration count; EAGAIN when zero."""
+        if length < 8:
+            raise KernelError(EINVAL, "buffer smaller than 8 bytes")
         with self.lock:
             n, self.expirations = self.expirations, 0
         if n == 0:
             raise KernelError(EAGAIN, "timer has not expired")
-        return n
+        return n.to_bytes(8, "little")
 
     def poll_events(self) -> int:
         return EPOLLIN if self.expirations > 0 else 0
@@ -296,13 +338,15 @@ class _Interest:
         self.marks = 0         # readiness marks so far (EventPoll._unready)
 
 
-class EventPoll:
+class EventPoll(FileOps):
     """A Linux-semantics epoll instance.
 
     The interest list maps fd -> :class:`_Interest`.  Readiness arrives via
     waitqueue callbacks, which place the fd on the ready list; polling all
     N watched files only ever happens at registration time, never per wait.
     """
+
+    seekable = True
 
     def __init__(self, counters):
         self.items: Dict[int, _Interest] = {}
@@ -330,7 +374,8 @@ class EventPoll:
                 self._purge(fd, stale)
             else:
                 raise KernelError(EEXIST, f"fd {fd} already watched")
-        wq = file.wait_queue()
+        # a regular file, a directory or a char device has no waitqueue
+        wq = file.obj.wq if file.obj is not None else None
         if wq is None:
             raise KernelError(EPERM, "file does not support epoll")
         item = _Interest(fd, file, events, data)
@@ -360,18 +405,14 @@ class EventPoll:
         item = self.items.pop(fd, None)
         if item is None:
             raise KernelError(ENOENT, f"fd {fd} not watched")
-        wq = item.file.wait_queue()
-        if wq is not None and item.callback is not None:
-            wq.unsubscribe(item.callback)
+        item.file.obj.wq.unsubscribe(item.callback)
         self._ready.pop(fd, None)
 
     def _purge(self, fd: int, item: _Interest) -> None:
         """Silently drop a stale interest entry (its description closed)."""
         if self.items.get(fd) is item:
             del self.items[fd]
-        wq = item.file.wait_queue()
-        if wq is not None and item.callback is not None:
-            wq.unsubscribe(item.callback)
+        item.file.obj.wq.unsubscribe(item.callback)
         self._ready.pop(fd, None)
 
     # ---- readiness ----
@@ -428,7 +469,7 @@ class EventPoll:
                 self._ready.pop(fd, None)
                 continue
             marks = item.marks
-            mask = item.file.poll_events()
+            mask = item.file.obj.poll_events()
             revents = mask & (item.events | _ALWAYS_EVENTS)
             if not revents:
                 self._unready(item, marks)  # spurious or consumed: drop
@@ -455,7 +496,7 @@ class EventPoll:
             item = self.items.get(fd)
             if item is None or item.disabled or item.file.closed:
                 continue
-            if item.file.poll_events() & (item.events | _ALWAYS_EVENTS):
+            if item.file.obj.poll_events() & (item.events | _ALWAYS_EVENTS):
                 return EPOLLIN
         return 0
 

@@ -2,7 +2,11 @@
 
 Follows the Linux split: an :class:`OpenFile` is the *open file description*
 (shared by ``dup`` and inherited by ``fork``); the :class:`FDTable` maps
-small integers to descriptions plus the per-fd ``CLOEXEC`` flag.
+small integers to descriptions plus the per-fd ``CLOEXEC`` flag.  A
+description of a regular file or a directory does its own I/O; any other
+holds the object behind it in ``obj`` (a pipe end, a socket, a char
+device, an eventfd...), which reads, writes and polls itself
+(:class:`~.eventpoll.FileOps`).
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ from .errno import (
     EAGAIN, EBADF, EINVAL, EISDIR, EPIPE, ESPIPE, KernelError,
 )
 from .eventpoll import (
-    EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, WaitQueue,
+    EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, FileOps, WaitQueue,
 )
 from .inotify import IN_CLOSE_NOWRITE, IN_CLOSE_WRITE, fsnotify_content
 from .vfs import (
     Inode, O_ACCMODE, O_APPEND, O_DIRECT, O_DSYNC, O_NONBLOCK, O_RDONLY,
-    O_RDWR, O_SYNC, O_WRONLY,
+    O_RDWR, O_SYNC, O_WRONLY, S_IFDIR, S_IFMT,
 )
 
 PIPE_BUF_CAPACITY = 65536
@@ -41,7 +45,8 @@ FD_CLOEXEC = 1
 
 
 class Pipe:
-    """A unidirectional byte channel with bounded capacity."""
+    """A unidirectional byte channel with bounded capacity: the state a
+    :class:`PipeReader` and a :class:`PipeWriter` share."""
 
     def __init__(self, capacity: int = PIPE_BUF_CAPACITY):
         self.buf = bytearray()
@@ -52,56 +57,95 @@ class Pipe:
         # shared readiness queue for both ends (see kernel/eventpoll.py)
         self.wq = WaitQueue()
 
-    def readable(self) -> bool:
-        return bool(self.buf) or self.writers == 0
 
-    def writable(self) -> bool:
-        return len(self.buf) < self.capacity or self.readers == 0
+class PipeReader(FileOps):
+    """A pipe's read end."""
+
+    def __init__(self, pipe: Pipe):
+        self.pipe = pipe
+        self.wq = pipe.wq
+        pipe.readers += 1
+
+    def read_step(self, length: int) -> bytes:
+        pipe = self.pipe
+        with pipe.lock:
+            if not pipe.buf:
+                if pipe.writers == 0:
+                    return b""
+                raise KernelError(EAGAIN, "pipe empty")
+            out = bytes(pipe.buf[:length])
+            del pipe.buf[:length]
+        pipe.wq.wake(EPOLLOUT)  # space freed for the writer
+        return out
+
+    def poll_events(self) -> int:
+        if self.pipe.writers == 0:
+            return EPOLLIN | EPOLLHUP
+        return EPOLLIN if self.pipe.buf else 0
+
+    def close(self) -> None:
+        with self.pipe.lock:
+            self.pipe.readers -= 1
+        self.wq.wake(EPOLLOUT | EPOLLERR)
+
+
+class PipeWriter(FileOps):
+    """A pipe's write end."""
+
+    def __init__(self, pipe: Pipe):
+        self.pipe = pipe
+        self.wq = pipe.wq
+        pipe.writers += 1
+
+    def write_step(self, buf: bytes) -> int:
+        if not buf:
+            return 0
+        pipe = self.pipe
+        with pipe.lock:
+            if pipe.readers == 0:
+                raise KernelError(EPIPE, "no readers")
+            space = pipe.capacity - len(pipe.buf)
+            if space <= 0:
+                raise KernelError(EAGAIN, "pipe full")
+            chunk = buf[:space]
+            pipe.buf.extend(chunk)
+        pipe.wq.wake(EPOLLIN)  # data for the reader
+        return len(chunk)
+
+    def poll_events(self) -> int:
+        pipe = self.pipe
+        mask = EPOLLOUT if len(pipe.buf) < pipe.capacity else 0
+        if pipe.readers == 0:
+            mask |= EPOLLERR
+        return mask
+
+    def close(self) -> None:
+        with self.pipe.lock:
+            self.pipe.writers -= 1
+        self.wq.wake(EPOLLIN | EPOLLHUP)
 
 
 class OpenFile:
-    """An open file description."""
+    """An open file description: a regular file or a directory (``obj``
+    is None) or the :class:`~.eventpoll.FileOps` object in ``obj``."""
 
-    KIND_REG = "reg"
-    KIND_DIR = "dir"
-    KIND_CHR = "chr"
-    KIND_PIPE_R = "pipe_r"
-    KIND_PIPE_W = "pipe_w"
-    KIND_SOCK = "sock"
-    KIND_EVENTFD = "eventfd"
-    KIND_TIMERFD = "timerfd"
-    KIND_EPOLL = "epoll"
-    KIND_URING = "uring"
-    KIND_INOTIFY = "inotify"
-    KIND_SIGNALFD = "signalfd"
-    KIND_TRACE = "trace"
-    KIND_PERF = "perf"
-
-    def __init__(self, kind: str, flags: int, inode: Optional[Inode] = None,
-                 pipe: Optional[Pipe] = None, sock=None, path: str = "",
-                 obj=None):
-        self.kind = kind
+    def __init__(self, flags: int, inode: Optional[Inode] = None,
+                 obj: Optional[FileOps] = None, path: str = ""):
         self.flags = flags
         # the access mode is fixed when the description is made (F_SETFL
-        # cannot change it); sockets and pipes carry none in ``flags``
+        # cannot change it)
         acc = flags & O_ACCMODE
-        self.readable = acc == O_RDONLY or acc == O_RDWR \
-            or kind == self.KIND_SOCK or kind == self.KIND_PIPE_R
-        self.writable = acc == O_WRONLY or acc == O_RDWR \
-            or kind == self.KIND_SOCK or kind == self.KIND_PIPE_W
+        self.readable = acc == O_RDONLY or acc == O_RDWR
+        self.writable = acc == O_WRONLY or acc == O_RDWR
         self.inode = inode
-        self.pipe = pipe
-        self.sock = sock
-        self.obj = obj  # EventFD / TimerFD / EventPoll instance
+        self.obj = obj
+        self.is_dir = inode is not None and \
+            inode.mode & S_IFMT == S_IFDIR
         self.path = path
         self.offset = 0
         self.refcount = 0
         self.closed = False  # last reference released (epoll auto-detach)
         self._dir_snapshot = None
-        if kind == self.KIND_PIPE_R:
-            pipe.readers += 1
-        elif kind == self.KIND_PIPE_W:
-            pipe.writers += 1
         # Snapshot procfs content at open time, like reading /proc does.
         self._proc_content: Optional[bytes] = None
 
@@ -118,24 +162,14 @@ class OpenFile:
 
     def _release(self) -> None:
         self.closed = True
-        if self.kind == self.KIND_REG and self.inode is not None:
+        if self.obj is not None:
+            self.obj.close()
+        elif not self.is_dir:
             # the fsnotify close hook: tail -F style watchers key on
             # IN_CLOSE_WRITE to know a writer finished its update
             fsnotify_content(self.inode,
                              IN_CLOSE_WRITE if self.writable
                              else IN_CLOSE_NOWRITE)
-        if self.kind == self.KIND_PIPE_R:
-            with self.pipe.lock:
-                self.pipe.readers -= 1
-            self.pipe.wq.wake(EPOLLOUT | EPOLLERR)
-        elif self.kind == self.KIND_PIPE_W:
-            with self.pipe.lock:
-                self.pipe.writers -= 1
-            self.pipe.wq.wake(EPOLLIN | EPOLLHUP)
-        elif self.kind == self.KIND_SOCK and self.sock is not None:
-            self.sock.close()
-        elif self.obj is not None:
-            self.obj.close()
 
     @property
     def nonblocking(self) -> bool:
@@ -144,56 +178,33 @@ class OpenFile:
     # ---- I/O: the one step per operation ----
     #
     # ``read``/``write``/``pread``/``pwrite`` are the whole of each
-    # operation on the description: the access mode, the page-cache
-    # fill, O_APPEND, O_DIRECT eviction and O_SYNC/O_DSYNC/O_DIRECT
-    # write-through.  The syscalls, ``readv``/``writev``, ``sendfile``
-    # and the io_uring ops all run them.  None of them blocks: a file
-    # that would block raises EAGAIN, and the caller waits with the
-    # blocking machinery (or parks the ring op).
+    # operation on the description: the access mode, then the object's
+    # step, or for a regular file the page-cache fill, O_APPEND, O_DIRECT
+    # eviction and O_SYNC/O_DSYNC/O_DIRECT write-through.  The syscalls,
+    # ``readv``/``writev``, ``sendfile`` and the io_uring ops all run
+    # them.  None of them blocks: a file that would block raises EAGAIN,
+    # and the caller waits with the blocking machinery (or parks the
+    # ring op).
 
     def read(self, length: int) -> bytes:
         if not self.readable:
             raise KernelError(EBADF, "fd not open for reading")
-        if self.kind == self.KIND_REG:
-            node = self.inode
-            if node.mapping is not None:   # never set on a procfs node
-                node.mapping.ensure_resident(self.offset, length)
-            data = self._reg_content()
-            out = bytes(data[self.offset : self.offset + length])
-            self.offset += len(out)
-            if self.flags & O_DIRECT and node.mapping is not None:
-                node.mapping.evict_clean()  # bypass the page cache
-            return out
-        if self.kind == self.KIND_CHR:
-            return self.inode.device.read(length)
-        if self.kind == self.KIND_PIPE_R:
-            pipe = self.pipe
-            with pipe.lock:
-                if not pipe.buf:
-                    if pipe.writers == 0:
-                        return b""
-                    raise KernelError(EAGAIN, "pipe empty")
-                out = bytes(pipe.buf[:length])
-                del pipe.buf[:length]
-            pipe.wq.wake(EPOLLOUT)  # space freed for the writer
-            return out
-        if self.kind == self.KIND_SOCK:
-            return self.sock.recv_step(length)
-        if self.kind in (self.KIND_EVENTFD, self.KIND_TIMERFD):
-            if length < 8:
-                raise KernelError(EINVAL, "buffer smaller than 8 bytes")
-            return self.obj.read_step().to_bytes(8, "little")
-        if self.kind in (self.KIND_INOTIFY, self.KIND_SIGNALFD,
-                         self.KIND_TRACE, self.KIND_PERF):
-            # wire-format records (inotify_event / signalfd_siginfo /
-            # trace_pipe trace records / perf sample records)
+        if self.obj is not None:
             return self.obj.read_step(length)
-        if self.kind == self.KIND_DIR:
+        if self.is_dir:
             raise KernelError(EISDIR)
-        raise KernelError(EBADF, f"read on {self.kind}")
+        node = self.inode
+        if node.mapping is not None:   # never set on a procfs node
+            node.mapping.ensure_resident(self.offset, length)
+        data = self._reg_content()
+        out = bytes(data[self.offset : self.offset + length])
+        self.offset += len(out)
+        if self.flags & O_DIRECT and node.mapping is not None:
+            node.mapping.evict_clean()  # bypass the page cache
+        return out
 
     def pread(self, length: int, offset: int) -> bytes:
-        if self.kind != self.KIND_REG:
+        if self.obj is not None or self.is_dir:
             raise KernelError(ESPIPE)
         if not self.readable:
             raise KernelError(EBADF, "fd not open for reading")
@@ -205,45 +216,23 @@ class OpenFile:
             node.mapping.evict_clean()
         return out
 
-    def write(self, buf) -> int:
+    def write(self, buf: bytes) -> int:
         if not self.writable:
             raise KernelError(EBADF, "fd not open for writing")
-        if not buf and self.kind != self.KIND_EVENTFD:
+        if self.obj is not None:
+            return self.obj.write_step(buf)
+        if not buf:
             return 0
-        if self.kind == self.KIND_REG:
-            if self.flags & O_APPEND:
-                self.offset = self.inode.size
-            n = self.inode.write_at(self.offset, buf)
-            self.offset += n
-            if self.flags & _WRITE_THROUGH:
-                self._write_through()
-            return n
-        if self.kind == self.KIND_CHR:
-            return self.inode.device.write(bytes(buf))
-        if self.kind == self.KIND_PIPE_W:
-            pipe = self.pipe
-            with pipe.lock:
-                if pipe.readers == 0:
-                    raise KernelError(EPIPE, "no readers")
-                space = pipe.capacity - len(pipe.buf)
-                if space <= 0:
-                    raise KernelError(EAGAIN, "pipe full")
-                chunk = bytes(buf[:space])
-                pipe.buf.extend(chunk)
-            pipe.wq.wake(EPOLLIN)  # data for the reader
-            return len(chunk)
-        if self.kind == self.KIND_SOCK:
-            return self.sock.send_step(bytes(buf))
-        if self.kind == self.KIND_EVENTFD:
-            data = bytes(buf)
-            if len(data) < 8:
-                raise KernelError(EINVAL, "eventfd write needs 8 bytes")
-            self.obj.write_step(int.from_bytes(data[:8], "little"))
-            return 8
-        raise KernelError(EBADF, f"write on {self.kind}")
+        if self.flags & O_APPEND:
+            self.offset = self.inode.size
+        n = self.inode.write_at(self.offset, buf)
+        self.offset += n
+        if self.flags & _WRITE_THROUGH:
+            self._write_through()
+        return n
 
     def pwrite(self, buf: bytes, offset: int) -> int:
-        if self.kind != self.KIND_REG:
+        if self.obj is not None or self.is_dir:
             raise KernelError(ESPIPE)
         if not self.writable:
             raise KernelError(EBADF, "fd not open for writing")
@@ -275,22 +264,21 @@ class OpenFile:
         directory on the block mount commits the tree, so the entries
         made under it survive a crash."""
         node = self.inode
-        if self.kind == self.KIND_REG and node.generator is None:
-            if node.mapping is not None:
-                node.mapping.fs.fsync_inode(node, datasync=datasync)
-        elif self.kind == self.KIND_DIR:
+        if self.obj is not None or node.generator is not None:
+            raise KernelError(EINVAL, "fsync on a file that cannot sync")
+        if self.is_dir:
             if node.sb is not None:
                 node.sb.fsync_dir()
-        else:
-            raise KernelError(EINVAL, f"fsync on {self.kind}")
+        elif node.mapping is not None:
+            node.mapping.fs.fsync_inode(node, datasync=datasync)
         return 0
 
     def seek(self, offset: int, whence: int) -> int:
-        if self.kind not in (self.KIND_REG, self.KIND_DIR):
-            if self.kind == self.KIND_CHR and self.inode.device.seekable:
-                return 0   # /dev/null, /dev/zero, /dev/[u]random
+        if self.obj is not None:
+            if self.obj.seekable:
+                return 0   # /dev/null, an eventfd...: Linux's noop_llseek
             raise KernelError(ESPIPE)
-        size = len(self._reg_content()) if self.kind == self.KIND_REG else 0
+        size = 0 if self.is_dir else len(self._reg_content())
         if whence == SEEK_SET:
             new = offset
         elif whence == SEEK_CUR:
@@ -318,39 +306,11 @@ class OpenFile:
     # ---- poll readiness ----
 
     def poll_events(self) -> int:
-        """Current EPOLL*/POLL* readiness mask, including HUP/ERR."""
-        if self.kind == self.KIND_REG or self.kind == self.KIND_CHR:
+        """Current EPOLL*/POLL* readiness mask, including HUP/ERR; a
+        regular file or a directory is always ready, as on Linux."""
+        if self.obj is None:
             return EPOLLIN | EPOLLOUT
-        if self.kind == self.KIND_PIPE_R:
-            mask = EPOLLIN if self.pipe.buf else 0
-            if self.pipe.writers == 0:
-                mask |= EPOLLHUP | (EPOLLIN if not self.pipe.buf else 0)
-            return mask
-        if self.kind == self.KIND_PIPE_W:
-            mask = EPOLLOUT if len(self.pipe.buf) < self.pipe.capacity else 0
-            if self.pipe.readers == 0:
-                mask |= EPOLLERR
-            return mask
-        if self.kind == self.KIND_SOCK:
-            return self.sock.poll_events()
-        if self.obj is not None:
-            return self.obj.poll_events()
-        return 0
-
-    def poll(self) -> Tuple[bool, bool]:
-        """(readable, writable) now."""
-        mask = self.poll_events()
-        return bool(mask & (EPOLLIN | EPOLLHUP)), bool(mask & EPOLLOUT)
-
-    def wait_queue(self):
-        """The readiness waitqueue backing this description, if any."""
-        if self.kind in (self.KIND_PIPE_R, self.KIND_PIPE_W):
-            return self.pipe.wq
-        if self.kind == self.KIND_SOCK:
-            return self.sock.wq
-        if self.obj is not None:
-            return self.obj.wq
-        return None
+        return self.obj.poll_events()
 
 
 class FDTable:
@@ -388,6 +348,13 @@ class FDTable:
         if entry is None:
             raise KernelError(EBADF, str(fd))
         return entry[0]
+
+    def get_obj(self, fd: int, cls):
+        """The object behind ``fd``; EINVAL unless it is a ``cls``."""
+        obj = self.get(fd).obj
+        if not isinstance(obj, cls):
+            raise KernelError(EINVAL, f"fd {fd} is not a {cls.__name__}")
+        return obj
 
     def close(self, fd: int) -> None:
         entry = self.entries.pop(fd, None)

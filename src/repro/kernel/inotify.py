@@ -40,7 +40,7 @@ import struct
 from typing import Dict
 
 from .errno import EINVAL, ENOTDIR, KernelError
-from .eventpoll import EPOLLHUP, BoundedRing
+from .eventpoll import EPOLLHUP, BoundedRing, FileOps
 from .trace import KernelTrace
 
 # event mask bits (Linux values)
@@ -163,8 +163,10 @@ class _EventQueue(BoundedRing):
         self.trace.emit("inotify_overflow", arg=ev.mask, info=ev.name[:16])
 
 
-class Inotify:
+class Inotify(FileOps):
     """One inotify instance (the object behind the fd)."""
+
+    seekable = True
 
     def __init__(self, max_queued: int = MAX_QUEUED_EVENTS, trace=None):
         self.queue = _EventQueue(max_queued, trace or KernelTrace())

@@ -203,11 +203,12 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         proc.comm = (proc.argv[0].rsplit("/", 1)[-1] if proc.argv else "")[:15]
         proc.cwd = self.vfs.lookup(cwd)
         if stdio:
+            # one open of the terminal on fds 0, 1 and 2, as a login does
             tty = self.vfs.lookup("/dev/tty")
+            file = OpenFile(O_RDWR, inode=tty, obj=tty.device,
+                            path="/dev/tty")
             for _ in range(3):
-                proc.fdtable.install(
-                    OpenFile(OpenFile.KIND_CHR, O_RDWR, inode=tty,
-                             path="/dev/tty"))
+                proc.fdtable.install(file)
         with self.table_lock:
             self.processes[proc.pid] = proc
         self._init_proc.children.append(proc.pid)
@@ -407,7 +408,7 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
 
         result = attempt()
         if result is None:
-            result = self.wait_event(proc, attempt, (file.wait_queue(),),
+            result = self.wait_event(proc, attempt, (file.obj.wq,),
                                      scanned=True)
         return result
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 import struct
 import threading
 import time as _time
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..errno import EAGAIN, ENOTCONN, EPIPE, KernelError
 from ..eventpoll import (
-    EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP, WaitQueue,
+    EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP, FileOps, WaitQueue,
 )
 from ..trace import KernelTrace
 
@@ -88,7 +89,7 @@ class StreamBuffer:
         return len(self.data)
 
 
-class Socket:
+class Socket(FileOps):
     """One endpoint; delivery policy is delegated to the owning backend."""
 
     ST_NEW = "new"
@@ -116,19 +117,10 @@ class Socket:
         # epoll/ppoll waiters wake without rescanning (kernel/eventpoll.py)
         self.wq = WaitQueue()
 
-    # back-compat views (FIONREAD and older callers use these names)
-
     @property
     def rbuf(self) -> bytearray:
+        """The unread bytes (FIONREAD)."""
         return self.rx.data
-
-    @property
-    def eof(self) -> bool:
-        return self.rx.eof
-
-    @eof.setter
-    def eof(self, value: bool) -> None:
-        self.rx.eof = value
 
     # ---- stream data path (non-blocking steps; kernel loops for blocking) ----
 
@@ -149,6 +141,12 @@ class Socket:
         if self.wr_closed:
             raise KernelError(EPIPE, "send after shutdown(SHUT_WR)")
         return self.stack.stream_send(self, data)
+
+    # the fd's read and write are the stream steps; ``read_step`` looks
+    # ``recv_step`` up on each call, so a wrapper installed on
+    # ``Socket.recv_step`` (walibench's tracer) sees reads through the fd
+    read_step = property(attrgetter("recv_step"))
+    write_step = send_step
 
     def poll_events(self) -> int:
         """Current readiness mask (EPOLL*/POLL* bits share values)."""
@@ -172,10 +170,6 @@ class Socket:
         if self.rx.eof:
             mask |= EPOLLRDHUP
         return mask
-
-    def poll(self) -> Tuple[bool, bool]:
-        mask = self.poll_events()
-        return bool(mask & EPOLLIN), bool(mask & EPOLLOUT)
 
     # ---- lifecycle ----
 

@@ -38,7 +38,7 @@ from ..errno import (
     EPIPE, ETIMEDOUT, KernelError,
 )
 from ..eventpoll import (
-    EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, WaitQueue,
+    EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, FileOps, WaitQueue,
 )
 from .base import AF_INET, NetBackend, SOCK_DGRAM, SOCK_STREAM
 
@@ -97,7 +97,7 @@ class _ArmingWaitQueue(WaitQueue):
             sock.stack.want(sock, EPOLLIN | EPOLLOUT)
 
 
-class HostSocket:
+class HostSocket(FileOps):
     """One real host socket behind the kernel's socket-object surface."""
 
     ST_NEW = "new"
@@ -160,6 +160,9 @@ class HostSocket:
         except OSError as exc:
             raise _map_oserror(exc, EPIPE)
 
+    read_step = recv_step
+    write_step = send_step
+
     def poll_events(self) -> int:
         if self.state == self.ST_CLOSED:
             return EPOLLIN | EPOLLHUP
@@ -181,10 +184,6 @@ class HostSocket:
         if missing:
             self.stack.want(self, missing)
         return mask
-
-    def poll(self) -> Tuple[bool, bool]:
-        mask = self.poll_events()
-        return bool(mask & EPOLLIN), bool(mask & EPOLLOUT)
 
     # ---- lifecycle ----
 

@@ -287,10 +287,10 @@ class WanKnobDevice(CharDevice):
         value = getattr(self.backend, attr)
         return value / scale if scale else value
 
-    def read(self, length: int) -> bytes:
+    def read_step(self, length: int) -> bytes:
         return f"{self._read_value():g}\n".encode()[:length]
 
-    def write(self, data: bytes) -> int:
+    def write_step(self, data: bytes) -> int:
         from ..errno import EINVAL, KernelError
         try:
             value = float(data.split()[0])

@@ -3,7 +3,7 @@
 The ``perf_event_open`` analogue (§ the paper's evaluation is built on
 profiling; this closes the "where does guest time go" gap the
 tracepoint layer cannot answer).  Two event kinds, both living behind
-ordinary file descriptors (``OpenFile.KIND_PERF``):
+ordinary file descriptors (the object behind the fd):
 
 * **sampling events** — a deterministic sampling clock advances by
   :data:`PERF_OPPORTUNITY_NS` at every *opportunity* (a syscall dispatch
@@ -61,7 +61,7 @@ from typing import List, NamedTuple, Tuple
 
 from ..wasm.interp import COMPILED_FILE
 from .errno import EINVAL, ENOTTY, KernelError
-from .eventpoll import EPOLLIN, BoundedRing, WaitQueue
+from .eventpoll import EPOLLIN, BoundedRing, FileOps, WaitQueue
 from .trace import TRACEPOINT_IDS
 from .vfs import CharDevice
 
@@ -250,7 +250,7 @@ def _compiled_frames(proc, tick: bool) -> List[str]:
     return names
 
 
-class SamplingPerfEvent:
+class SamplingPerfEvent(FileOps):
     """A profiling event: periodic call-stack samples into a ring."""
 
     kind = "sampling"
@@ -337,7 +337,7 @@ class SamplingPerfEvent:
         self.ring.push(record)
 
 
-class CountingPerfEvent:
+class CountingPerfEvent(FileOps):
     """A counter event: reads an 8-byte monotone value, never consumes.
 
     ``config`` names the source:
@@ -547,10 +547,10 @@ class PerfMaxRateDevice(CharDevice):
     def __init__(self, perf: PerfSubsystem):
         self.perf = perf
 
-    def read(self, length: int) -> bytes:
+    def read_step(self, length: int) -> bytes:
         return f"{self.perf.max_sample_rate}\n".encode()[:length]
 
-    def write(self, data: bytes) -> int:
+    def write_step(self, data: bytes) -> int:
         try:
             value = int(data.split()[0])
         except (ValueError, IndexError):

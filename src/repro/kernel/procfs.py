@@ -50,11 +50,11 @@ class TraceControlDevice(CharDevice):
     def __init__(self, kernel):
         self.kernel = kernel
 
-    def write(self, data: bytes) -> int:
+    def write_step(self, data: bytes) -> int:
         self.kernel.trace.control(data.decode(errors="replace"))
         return len(data)
 
-    def read(self, length: int) -> bytes:
+    def read_step(self, length: int) -> bytes:
         return b""
 
 
@@ -91,8 +91,7 @@ def register_base(kernel) -> None:
     v.mknod_device("/proc/trace_ctl", TraceControlDevice(kernel))
     v.add_special_file(
         "/proc/trace_pipe",
-        lambda proc, flags: OpenFile(OpenFile.KIND_TRACE, flags,
-                                     obj=trace.buffer,
+        lambda proc, flags: OpenFile(flags, obj=trace.buffer,
                                      path="/proc/trace_pipe"))
     from .perf import PerfMaxRateDevice
     perf = kernel.perf

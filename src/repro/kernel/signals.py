@@ -17,7 +17,7 @@ import struct
 from typing import Dict, List, Optional, Tuple
 
 from .errno import EAGAIN, EINVAL, KernelError
-from .eventpoll import EPOLLHUP, EPOLLIN, WaitQueue
+from .eventpoll import EPOLLHUP, EPOLLIN, FileOps, WaitQueue
 
 # signal numbers (x86-64/generic)
 SIGHUP = 1
@@ -222,7 +222,7 @@ def decode_siginfo(data: bytes) -> Tuple[int, int, int, int]:
     return signo, code, pid, uid
 
 
-class SignalFD:
+class SignalFD(FileOps):
     """The signalfd object: reads drain pending signals in its mask.
 
     The caller blocks the signals it hands to a signalfd (the standard
@@ -231,6 +231,8 @@ class SignalFD:
     generation wakes the waitqueue, so the fd is epollable like every
     other readiness source.
     """
+
+    seekable = True
 
     def __init__(self, proc, mask: int):
         self.proc = proc

@@ -163,8 +163,10 @@ class CounterRegistry:
         return self._counts.get(name, 0)
 
     def snapshot(self) -> Dict[str, int]:
-        """All nonzero counters, sorted by name."""
-        return {k: v for k, v in sorted(self._counts.items()) if v}
+        """All nonzero counters, sorted by name.  It sorts a copy: an
+        allocation while sorting can run a collection and switch threads,
+        and another thread may then add a counter."""
+        return {k: v for k, v in sorted(self._counts.copy().items()) if v}
 
     def clear(self) -> None:
         self._counts.clear()
@@ -292,8 +294,9 @@ class TraceBuffer(BoundedRing):
     The overflow marker is a drop record (id :data:`TRACE_DROP_ID`, flag
     :data:`TRACE_FLAG_DROP`, info ``overflow``) stamped with the first
     dropped event's timestamp; its ``arg`` is the count it swallowed.
-    ``close`` is deliberately a no-op: the ring is kernel-global and
-    outlives any one open description of ``/proc/trace_pipe``.
+    ``close`` is :class:`~.eventpoll.FileOps`' no-op: the ring is
+    kernel-global and outlives any one open description of
+    ``/proc/trace_pipe``.
     """
 
     def __init__(self, capacity: int = TRACE_DEFAULT_CAPACITY,
@@ -307,9 +310,6 @@ class TraceBuffer(BoundedRing):
 
     def on_drop(self, ev: TraceEvent) -> None:
         self.counters.inc("trace.dropped")
-
-    def close(self) -> None:
-        pass  # shared ring: closing one trace_pipe fd must not clear it
 
     def events(self) -> List[TraceEvent]:
         return self.records()

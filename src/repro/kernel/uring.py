@@ -89,9 +89,9 @@ from .errno import (
     EAGAIN, EBADF, ECANCELED, EINVAL, ENOTSOCK, ETIME, KernelError,
 )
 from .eventpoll import (
-    EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP, WaitQueue,
+    EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP, FileOps, WaitQueue,
 )
-from .fdtable import OpenFile
+from .net import HostSocket, Socket
 from .timer import KTimer
 from .trace import KernelTrace
 
@@ -259,8 +259,9 @@ class _Parked:
         self.wq.unsubscribe(self)
 
 
-class IoURing:
-    """One submission/completion ring pair (the object behind the fd)."""
+class IoURing(FileOps):
+    """One submission/completion ring pair (the object behind the fd;
+    it has no read or write)."""
 
     def __init__(self, sq_entries: int = 128,
                  cq_entries: Optional[int] = None, trace=None,
@@ -520,7 +521,7 @@ class IoURing:
     def _try_accept(self, chain: _Chain, sqe: SQE, file):
         """ACCEPT (``sqe.length`` carries accept4's flags); multishot
         drains every pending arrival, one CQE each, all flagged MORE."""
-        if file.kind != OpenFile.KIND_SOCK:
+        if not isinstance(file.obj, (Socket, HostSocket)):
             return -ENOTSOCK, None, 0, 0
         multishot = sqe.off & IORING_ACCEPT_MULTISHOT
         if multishot and (sqe.flags & IOSQE_IO_LINK or len(chain.sqes) > 1):
@@ -541,7 +542,7 @@ class IoURing:
                            addr=addr, src=chain if gated else None))
 
     def _park(self, chain: _Chain, file, mask: int):
-        wq = file.wait_queue()
+        wq = file.obj.wq if file.obj is not None else None
         if wq is None:
             return -EAGAIN, None, 0, 0  # unpollable: would-block surfaces
         if chain.parked is None:

@@ -16,6 +16,7 @@ from .errno import (
     EEXIST, EINVAL, EISDIR, ELOOP, ENAMETOOLONG, ENOENT, ENOSPC, ENOTDIR,
     ENOTEMPTY, EPERM, KernelError,
 )
+from .eventpoll import FileOps
 from .inotify import (
     IN_ATTRIB, IN_CREATE, IN_MODIFY, fsnotify, fsnotify_content,
     fsnotify_delete, fsnotify_inode_gone, fsnotify_move, fsnotify_name,
@@ -510,17 +511,17 @@ class VFS:
         return out
 
 
-class CharDevice:
-    """Base class for character devices (/dev/null and friends)."""
+class CharDevice(FileOps):
+    """Base class for character devices (/dev/null and friends).  A
+    device is the object of every fd open on it: always ready, with no
+    waitqueue.  lseek on a ``seekable`` one returns 0, as on Linux's
+    /dev/null, /dev/zero and /dev/[u]random; on any other it fails with
+    ESPIPE."""
 
-    # lseek on a seekable device returns 0, as on Linux's /dev/null,
-    # /dev/zero and /dev/[u]random; on any other it fails with ESPIPE
-    seekable = False
-
-    def read(self, length: int) -> bytes:
+    def read_step(self, length: int) -> bytes:
         return b""
 
-    def write(self, data: bytes) -> int:
+    def write_step(self, data: bytes) -> int:
         return len(data)
 
 
@@ -531,7 +532,7 @@ class NullDevice(CharDevice):
 class ZeroDevice(CharDevice):
     seekable = True
 
-    def read(self, length: int) -> bytes:
+    def read_step(self, length: int) -> bytes:
         return b"\x00" * length
 
 
@@ -542,7 +543,7 @@ class RandomDevice(CharDevice):
         import random
         self._rng = random.Random(seed)
 
-    def read(self, length: int) -> bytes:
+    def read_step(self, length: int) -> bytes:
         return bytes(self._rng.getrandbits(8) for _ in range(length))
 
 
@@ -553,12 +554,12 @@ class TTYDevice(CharDevice):
         self.output = bytearray()
         self.input = bytearray()
 
-    def read(self, length: int) -> bytes:
+    def read_step(self, length: int) -> bytes:
         out = bytes(self.input[:length])
         del self.input[:length]
         return out
 
-    def write(self, data: bytes) -> int:
+    def write_step(self, data: bytes) -> int:
         self.output.extend(data)
         return len(data)
 

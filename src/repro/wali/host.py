@@ -50,12 +50,11 @@ import time as _time
 from typing import List, Optional
 
 from ..kernel.errno import EFAULT, EINVAL, ERANGE, KernelError
-from ..kernel.fdtable import OpenFile
 from ..kernel.uring import (
     IORING_CQE_F_BUFFER, IORING_ENTER_GETEVENTS, IORING_ENTER_TIMEOUT_MS,
     IORING_OP_SEND, IORING_OP_WRITE, IORING_REGISTER_BUFFERS,
     IORING_REGISTER_RING, IORING_SETUP_SQPOLL, IORING_SQ_CQ_OVERFLOW,
-    IORING_SQ_NEED_WAKEUP, IOSQE_FIXED_BUFFER, SQE,
+    IORING_SQ_NEED_WAKEUP, IOSQE_FIXED_BUFFER, SQE, IoURing,
 )
 from ..kernel.process import CLONE_VM
 from ..kernel.signals import SigAction
@@ -452,12 +451,11 @@ class WaliHost:
                 bits |= 1 << fd
             self.copy_out(ptr, bits.to_bytes(nbytes, "little"))
 
-        r_ready, w_ready = self.k("pselect6", read_set(rfds_ptr),
-                                  read_set(wfds_ptr), timeout_ns)
-        write_set(rfds_ptr, r_ready)
-        write_set(wfds_ptr, w_ready)
-        write_set(efds_ptr, [])
-        return len(r_ready) + len(w_ready)
+        ready = self.k("pselect6", read_set(rfds_ptr), read_set(wfds_ptr),
+                       read_set(efds_ptr), timeout_ns)
+        for ptr, fds in zip((rfds_ptr, wfds_ptr, efds_ptr), ready):
+            write_set(ptr, fds)
+        return sum(map(len, ready))
 
     # ---- epoll / timerfd (event subsystem) ----
 
@@ -535,12 +533,6 @@ class WaliHost:
     def _put_u32(self, ptr: int, value: int) -> None:
         self.copy_out(ptr, struct.pack("<I", value & 0xFFFFFFFF))
 
-    def _ring(self, fd: int):
-        file = self.proc.fdtable.get(fd)
-        if file.kind != OpenFile.KIND_URING:
-            raise KernelError(EINVAL, f"fd {fd} is not an io_uring fd")
-        return file.obj
-
     def w_io_uring_setup(self, entries, params_ptr):
         setup_flags = idle_ms = 0
         if params_ptr:
@@ -549,7 +541,7 @@ class WaliHost:
         fd = self.k("io_uring_setup", entries, setup_flags,
                     float(idle_ms) if idle_ms else None)
         if params_ptr:
-            ring = self._ring(fd)
+            ring = self.proc.fdtable.get_obj(fd, IoURing)
             self.copy_out(params_ptr, struct.pack("<II", ring.sq_entries,
                                                   ring.cq_entries))
         return fd
@@ -569,7 +561,7 @@ class WaliHost:
             return self.k("io_uring_register", fd, opcode, table, nr_args)
         res = self.k("io_uring_register", fd, opcode, arg, nr_args)
         if opcode == IORING_REGISTER_RING:
-            ring = self._ring(fd)
+            ring = self.proc.fdtable.get_obj(fd, IoURing)
             size = Layout.URING_HDR_SIZE + \
                 ring.sq_entries * Layout.URING_SQE_SIZE + \
                 ring.cq_entries * Layout.URING_CQE_SIZE
@@ -704,7 +696,7 @@ class WaliHost:
         (``IORING_ENTER_GETEVENTS``), then flushes the guest CQ ring.
         """
         fd = signed32(fd)
-        ring = self._ring(fd)
+        ring = self.proc.fdtable.get_obj(fd, IoURing)
         base = ring.guest_base
         if base is None:
             raise KernelError(EINVAL, "ring memory is not registered")
@@ -959,7 +951,7 @@ class WaliHost:
     def w_accept4(self, fd, addr_ptr, len_ptr, flags):
         conn = self.k("accept4", signed32(fd), flags)
         if addr_ptr:
-            sock = self.proc.fdtable.get(conn).sock
+            sock = self.proc.fdtable.get(conn).obj
             self._addr_out(addr_ptr, len_ptr, sock.peer_addr or ("", 0))
         return conn
 

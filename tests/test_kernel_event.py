@@ -318,10 +318,21 @@ class TestTimerFD:
 
     def test_abstime_in_the_past_expires_immediately(self, kern, proc):
         fd = kern.call(proc, "timerfd_create", 1, 0)
-        now = time.monotonic_ns()
+        now = kern.call(proc, "clock_gettime", 1)   # CLOCK_MONOTONIC
         # TFD_TIMER_ABSTIME with an already-elapsed deadline
         kern.call(proc, "timerfd_settime", fd, 1, now - 1_000_000)
         assert kern.call(proc, "read", fd, 8) == (1).to_bytes(8, "little")
+
+    @pytest.mark.parametrize("clock", [0, 1], ids=["realtime", "monotonic"])
+    def test_abstime_is_a_time_on_the_timers_clock(self, kern, proc, clock):
+        """TFD_TIMER_ABSTIME arms the deadline read on the timer's own
+        clock, the one ``clock_gettime`` reads for that clock id."""
+        fd = kern.call(proc, "timerfd_create", clock, 0)
+        deadline = kern.call(proc, "clock_gettime", clock) + 2_000_000_000
+        kern.call(proc, "timerfd_settime", fd, 1, deadline)
+        left, interval = kern.call(proc, "timerfd_gettime", fd)
+        assert 1_000_000_000 < left <= 2_000_000_000 and interval == 0
+        kern.call(proc, "close", fd)
 
     def test_nonblock_read_before_expiry(self, kern, proc):
         fd = kern.call(proc, "timerfd_create", 1, 0o4000)  # TFD_NONBLOCK
@@ -349,7 +360,7 @@ class TestTimerFD:
             n = 0
             while not stop.is_set():
                 try:
-                    n += tfd.read_step()
+                    n += int.from_bytes(tfd.read_step(8), "little")
                 except KernelError:
                     pass
             drained.append(n)
@@ -541,8 +552,8 @@ class TestPpollSemantics:
 
         t = threading.Thread(target=closer)
         t.start()
-        r_ready, w_ready = kern.call(proc, "pselect6", [a], [],
-                                     5_000_000_000)
+        r_ready, w_ready, e_ready = kern.call(proc, "pselect6", [a], [],
+                                              [], 5_000_000_000)
         t.join()
         assert a in r_ready
 

@@ -370,8 +370,8 @@ class TestPoll:
     def test_pselect(self, k, proc):
         r, w = k.call(proc, "pipe2", 0)
         k.call(proc, "write", w, b"x")
-        rr, ww = k.call(proc, "pselect6", [r], [w], 0)
-        assert rr == [r] and ww == [w]
+        rr, ww, ee = k.call(proc, "pselect6", [r], [w], [], 0)
+        assert rr == [r] and ww == [w] and ee == []
 
     def test_select_on_a_closed_fd_is_ebadf(self, k, proc):
         """Linux fails the whole call, even when another fd is ready."""
@@ -382,7 +382,7 @@ class TestPoll:
         for rfds, wfds in (([r, closed], []), ([r], [closed])):
             for call in ("pselect6", "select"):
                 with pytest.raises(KernelError) as ei:
-                    k.call(proc, call, rfds, wfds, 0)
+                    k.call(proc, call, rfds, wfds, [], 0)
                 assert ei.value.errno == EBADF
 
 

@@ -51,6 +51,24 @@ class TestTimeAndInfo:
         with pytest.raises(KernelError):
             k.call(proc, "nanosleep", -5)
 
+    def test_clock_nanosleep_abstime_sleeps_until_the_time(self, k, proc):
+        """TIMER_ABSTIME sleeps until a time on the given clock, not for
+        that long: on a kernel booted 10 s ago, a deadline 20 ms ahead
+        on CLOCK_MONOTONIC (and on CLOCK_REALTIME) ends in 20 ms."""
+        k.boot_monotonic_ns -= 10 * 10**9
+        for clock in (1, 0):   # CLOCK_MONOTONIC, CLOCK_REALTIME
+            deadline = k.call(proc, "clock_gettime", clock) + 20_000_000
+            t0 = time.monotonic()
+            assert k.call(proc, "clock_nanosleep", clock, 1, deadline) == 0
+            assert 0.015 <= time.monotonic() - t0 < 2
+            t0 = time.monotonic()   # a time already past returns at once
+            assert k.call(proc, "clock_nanosleep", clock, 1,
+                          deadline - 10**9) == 0
+            assert time.monotonic() - t0 < 0.5
+        with pytest.raises(KernelError) as exc:
+            k.call(proc, "clock_nanosleep", 99, 0, 1000)
+        assert exc.value.errno == EINVAL
+
     def test_sysinfo_counts_processes(self, k, proc):
         si = k.call(proc, "sysinfo")
         assert si.procs >= 2  # init + proc

@@ -386,7 +386,7 @@ class TestRingPollTimeout:
     def test_close_cancels_parked_ops(self, kern, proc):
         fd = kern.call(proc, "io_uring_setup", 8)
         a, b = _pair(kern, proc)
-        sock_wq = proc.fdtable.get(a).sock.wq
+        sock_wq = proc.fdtable.get(a).obj.wq
         before = len(sock_wq)
         _enter(kern, proc, fd, [SQE(IORING_OP_RECV, fd=a, length=8,
                                     user_data=1)])

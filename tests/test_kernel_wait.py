@@ -224,7 +224,7 @@ def test_pipe_read_wakes_blocked_writer(k):
     reader = k.create_process(["reader"], stdio=False)
     r, w = k.call(proc, "pipe2", 0)
     rfd = reader.fdtable.install(proc.fdtable.get(r))
-    cap = proc.fdtable.get(w).pipe.capacity
+    cap = proc.fdtable.get(w).obj.pipe.capacity
     assert k.call(proc, "write", w, b"a" * cap) == cap
     timer = threading.Timer(
         0.005, lambda: k.call(reader, "read", rfd, 16))
@@ -284,16 +284,15 @@ def test_epoll_keeps_a_mark_that_lands_inside_the_level_read(
     """A readiness mark that arrives while ``wait_step`` reads an entry's
     level (which it reads as not ready) keeps the entry on the ready
     list: the next wait reports the fd instead of losing it."""
-    from repro.kernel.eventpoll import EPOLLET
-    from repro.kernel.fdtable import OpenFile
+    from repro.kernel.eventpoll import EPOLLET, EventFD
 
     proc = k.create_process(["waiter"], stdio=False)
     efd = k.call(proc, "eventfd2", 0, 0)
     epfd = k.call(proc, "epoll_create1", 0)
     k.call(proc, "epoll_ctl", epfd, EPOLL_CTL_ADD, efd,
            EPOLLIN | (EPOLLET if edge else 0))
-    target = proc.fdtable.get(efd)
-    poll_events = OpenFile.poll_events
+    target = proc.fdtable.get(efd).obj
+    poll_events = EventFD.poll_events
     injected = []
 
     def level_then_write(self):
@@ -306,7 +305,7 @@ def test_epoll_keeps_a_mark_that_lands_inside_the_level_read(
             t.join(5)
         return level
 
-    monkeypatch.setattr(OpenFile, "poll_events", level_then_write)
+    monkeypatch.setattr(EventFD, "poll_events", level_then_write)
     assert k.call(proc, "epoll_pwait", epfd, 8, timeout_ns=0) == []
     assert len(injected) == 1 and not injected[0] & EPOLLIN
     assert k.call(proc, "epoll_pwait", epfd, 8, timeout_ns=0) == \

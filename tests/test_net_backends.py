@@ -635,7 +635,7 @@ class TestWanFaults:
         # yet at 200 ms latency) and the writer sees EAGAIN, not overrun
         assert exc.value.errno == EAGAIN
         assert sent == SOCK_BUF_CAPACITY
-        sock = proc.fdtable.get(sfd).sock
+        sock = proc.fdtable.get(sfd).obj
         assert len(sock.rx.data) + sock.rx.in_flight <= SOCK_BUF_CAPACITY
 
 

@@ -30,7 +30,7 @@ from repro.kernel.vfs import O_WRONLY
 from repro.wali import WaliRuntime
 
 # Python calls per op
-COUNTS = {"sqlite_load": 1507, "sqlite_query": 927, "echo": 2277}
+COUNTS = {"sqlite_load": 1504, "sqlite_query": 924, "echo": 2224}
 
 LOAD = (b"insert apple 1\ninsert pear 22\ninsert fig 333\ndelete apple\n"
         b"insert kiwi 4444\ninsert plum 55555\nvacuum\ninsert lime 6\n"

@@ -12,7 +12,7 @@ from repro.kernel import (
     SIGUSR1, SIGTERM,
 )
 from repro.kernel.calls.fs import Stat
-from repro.kernel.errno import EINVAL
+from repro.kernel.errno import EBADF, EINVAL
 from repro.wali import (
     AUTO_PASSTHROUGH, GUEST_LAYOUT, Layout, SYSCALLS, SecurityPolicy,
     WaliHost, WaliRuntime, coverage_report, handler_loc, implemented_names,
@@ -185,6 +185,38 @@ class TestGeneratedHandlers:
             sum(1 for x in want if x)
         got = [mem.load_i32(64 + 8 * i + 4) >> 16 for i in range(len(want))]
         assert got == want
+
+    def test_select_checks_the_exception_set(self):
+        """A never-opened fd named only in the exception set fails the
+        call with EBADF: Linux checks all three sets."""
+        rt, wp, ns = bare_process()
+        mem = wp.instance.memory
+        mem.write(128, bytes(16))                  # a zero timeval
+        mem.write(64, bytes([1 << 5]))             # fd 5, never opened
+        assert sys_call(ns, "select", 6, 0, 0, 64, 128) == -EBADF
+        assert sys_call(ns, "pselect6", 6, 0, 0, 64, 128, 0) == -EBADF
+
+    def test_select_writes_back_the_exception_set(self):
+        """An fd with an exceptional condition (POLLPRI) comes back set
+        in the exception set, and cleared in the read set."""
+        from repro.kernel.eventpoll import EPOLLPRI, FileOps
+        from repro.kernel.fdtable import OpenFile
+
+        rt, wp, ns = bare_process()
+        mem = wp.instance.memory
+        mem.write(128, bytes(16))                  # a zero timeval
+
+        class Urgent(FileOps):
+            def poll_events(self):
+                return EPOLLPRI
+
+        fd = wp.proc.fdtable.install(OpenFile(O_RDWR, obj=Urgent()))
+        bits = (1 << fd).to_bytes(8, "little")
+        mem.write(64, bits)                        # exception set
+        mem.write(72, bits)                        # read set
+        assert sys_call(ns, "select", fd + 1, 72, 0, 64, 128) == 1
+        assert mem.read_bytes(64, 8) == bits
+        assert mem.read_bytes(72, 8) == bytes(8)
 
     def test_clock_getres_writes_a_timespec(self):
         rt, wp, ns = bare_process()
