@@ -25,9 +25,10 @@ from ..net import HostSocket, Socket
 from ..perf import CountingPerfEvent, SamplingPerfEvent
 from ..process import Process, RLIMIT_FSIZE, RLIM_INFINITY
 from ..vfs import (
-    AT_FDCWD, AT_REMOVEDIR, AT_SYMLINK_NOFOLLOW, CharDevice, DirEntry, Inode,
+    AT_FDCWD, AT_REMOVEDIR, AT_SYMLINK_NOFOLLOW, DirEntry, Inode,
     O_ACCMODE, O_APPEND, O_CLOEXEC, O_CREAT, O_DIRECTORY, O_EXCL, O_NOFOLLOW,
     O_NONBLOCK, O_RDONLY, O_TRUNC, O_WRONLY, S_IFDIR, S_IFIFO, S_IFMT, S_IFREG,
+    TTYDevice,
 )
 
 # ioctl requests we answer
@@ -569,11 +570,11 @@ class FSCalls:
         file = proc.fdtable.get(fd)
         obj = file.obj
         if request == TIOCGWINSZ:
-            if not isinstance(obj, CharDevice):
+            if not isinstance(obj, TTYDevice):
                 raise KernelError(ENOTTY)
             return (24, 80)  # rows, cols
         if request == TCGETS:
-            if not isinstance(obj, CharDevice):
+            if not isinstance(obj, TTYDevice):
                 raise KernelError(ENOTTY)
             return 0
         if request == FIONREAD:

@@ -79,9 +79,12 @@ class PipeReader(FileOps):
         return out
 
     def poll_events(self) -> int:
+        # as Linux's pipe_poll: readable while data is left, hung up
+        # once the last writer is gone
+        mask = EPOLLIN if self.pipe.buf else 0
         if self.pipe.writers == 0:
-            return EPOLLIN | EPOLLHUP
-        return EPOLLIN if self.pipe.buf else 0
+            mask |= EPOLLHUP
+        return mask
 
     def close(self) -> None:
         with self.pipe.lock:
@@ -204,10 +207,12 @@ class OpenFile:
         return out
 
     def pread(self, length: int, offset: int) -> bytes:
-        if self.obj is not None or self.is_dir:
+        if self.obj is not None:
             raise KernelError(ESPIPE)
         if not self.readable:
             raise KernelError(EBADF, "fd not open for reading")
+        if self.is_dir:
+            raise KernelError(EISDIR)
         node = self.inode
         if node.mapping is not None:
             node.mapping.ensure_resident(offset, length)
@@ -232,10 +237,12 @@ class OpenFile:
         return n
 
     def pwrite(self, buf: bytes, offset: int) -> int:
-        if self.obj is not None or self.is_dir:
+        if self.obj is not None:
             raise KernelError(ESPIPE)
         if not self.writable:
             raise KernelError(EBADF, "fd not open for writing")
+        if self.is_dir:
+            raise KernelError(EISDIR)
         n = self.inode.write_at(offset, buf)
         if self.flags & _WRITE_THROUGH:
             self._write_through()

@@ -23,9 +23,10 @@ emulates every function.
 
 Startup and run times are *measured* (the work is real: validation,
 linking, layer hashing, instruction decode); only the per-tier base memory
-floor is a model constant (``BASE_MEMORY_MB`` below).  Compiled code is
-cached per image, which makes compilation an offline step after a
-module's first run.
+floor is a model constant (``BASE_MEMORY_MB`` below).  Decoding,
+validation, flat code and compiled code are cached per image content
+(:func:`repro.wasm.compile.load_image`), which makes them an offline step
+after a module's first load.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from typing import Dict, Optional
 
 from ..kernel import Kernel
 from ..wali import WaliProcess, WaliRuntime
-from ..wasm import Module, decode_module, encode_module
+from ..wasm import Module, encode_module
+from ..wasm.compile import load_image
 from ..wasm.types import PAGE_SIZE
 from .container import ContainerRuntime, DOCKER_BASE_OVERHEAD_MB, base_image
 from .emulator import emulate_instance
@@ -121,7 +123,7 @@ def run_tier(tier: str, module: Module, workload: Workload,
     if tier == "native":
         wp = _load(tier, kernel, module, workload, env)
     elif tier in ("wali", "qemu"):
-        image = decode_module(binary, name=workload.app)
+        image = load_image(binary, workload.app)
         wp = _load(tier, kernel, image, workload, env)
         if tier == "qemu":
             emulate_instance(wp.instance)  # "binary translation" setup

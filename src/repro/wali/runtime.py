@@ -24,7 +24,9 @@ The routes differ only in where the instance comes from:
   image, before the kernel commits, so an image that fails to decode,
   validate or link fails with ENOEXEC and leaves the process as it was.
   Any ``.wasm`` file in the VFS is directly executable (the paper's binfmt
-  trick);
+  trick).  An image is decoded, validated, flattened and compiled once per
+  content (:func:`repro.wasm.compile.load_image`), so a load or
+  ``execve`` of bytes seen before only links;
 * ``fork`` copies the running instance and machine, and binds a pool to
   the address space the kernel's fork copied (the child resumes at the
   fork return point with result 0);
@@ -58,6 +60,7 @@ from ..kernel.process import Process, STATE_DEAD, STATE_RUNNING
 from ..wasm import (
     Instance, Module, decode_module, encode_module, instantiate, relink,
 )
+from ..wasm.compile import load_image
 from ..wasm.errors import (
     DecodeError, GuestExit, LinkError, Trap, ValidationError, WasmError,
 )
@@ -276,8 +279,10 @@ class WaliRuntime:
         if data[:4] != b"\x00asm":
             raise KernelError(ENOEXEC, path)
         try:
-            return decode_module(data, name=path)
-        except DecodeError as exc:
+            # decoded and validated once per content; a miss calls this
+            # module's own decode_module, the name a tracer wraps
+            return load_image(data, path, decode_module)
+        except (DecodeError, ValidationError) as exc:
             raise KernelError(ENOEXEC, f"{path}: {exc}") from exc
 
     # ---- process model hooks (called from WaliHost) ----
@@ -343,7 +348,7 @@ class WaliRuntime:
         try:
             instance = self.instantiate(module, host.imports(),
                                         run_start=False)
-        except (ValidationError, LinkError) as exc:
+        except LinkError as exc:
             raise KernelError(ENOEXEC, f"{path}: {exc}") from exc
         self.kernel.call(wp.proc, "execve", path, argv, envp)
         raise ExecveImage(module, path, host, instance)

@@ -43,7 +43,14 @@ line records the steps pending there (``f.pending``, by line), which the
 interpreter adds where it entered compiled code
 (:meth:`Machine._retire_trap`).
 
-``docs/perf.md``, "The compiled tier", has the rules.
+**The image cache.**  Everything derived from an image is made once per
+content and kept here: the decoded, validated module of its bytes
+(:func:`load_image`), and per safepoint scheme and rule its flat code with
+the compiled bodies (:func:`image_code`, which ``instantiate`` reads).  A
+load of bytes seen before only links.
+
+``docs/perf.md``, "The compiled tier" and "Loading an image", has the
+rules.
 """
 
 from __future__ import annotations
@@ -53,8 +60,9 @@ import struct
 import threading
 from typing import Callable, Dict, List, Optional, Set
 
-from .binary import encode_module
+from .binary import decode_module, encode_module
 from .errors import Trap, TrapUnreachable
+from .flatten import flatten_module
 from .interp import (
     COMPILED_FILE, HostFunc, _atomic_add, _atomic_cas, _clz, _ctz, _fceil,
     _fdiv, _ffloor, _fmax, _fmin, _fnearest, _fsqrt, _ftrunc, _idiv_s,
@@ -62,6 +70,7 @@ from .interp import (
 )
 from .module import KIND_FUNC, Module
 from .types import F64, I32, I64, MASK32, MASK64, FuncType, signed32, signed64
+from .validate import validate_module
 
 _BINOPS32 = {
     "i32.add": "({a} + {b}) & 0xFFFFFFFF",
@@ -732,19 +741,94 @@ def _define(m: Module, idxs, scheme: str) -> tuple:
 
 def module_image(m: Module) -> bytes:
     """The content key of ``m``: the bytes it was decoded from, else its
-    encoding (taken once; a module is not changed after it is built)."""
+    encoding, taken once.  A pass that rewrites a module in place drops
+    it (:func:`repro.wasm.opt.gc_functions`)."""
     if m.image is None:
         m.image = encode_module(m)
     return m.image
 
 
-# (module image, scheme, rule) -> {function index: compiled function};
-# guest threads load images concurrently (a pipeline's children execve)
-_CACHE: Dict[tuple, Dict[int, Callable]] = {}
+class _Image:
+    """Everything derived from one image.  ``module`` is its decoded
+    :class:`Module` (None until the bytes are loaded through
+    :func:`load_image`: a module built in Python is only flattened and
+    compiled here); ``code`` maps ``(scheme, rule)`` to the flat code of
+    every defined function and the compiled bodies the rule gives.  An
+    image has an entry only once it has decoded and validated."""
+
+    __slots__ = ("module", "code")
+
+    def __init__(self):
+        self.module: Optional[Module] = None
+        self.code: Dict[tuple, tuple] = {}
+
+
+# image bytes -> _Image, the one cache of what is derived from an image;
+# guest threads load images concurrently (a pipeline's children execve),
+# so entries are filled under the lock and read without it
+_CACHE: Dict[bytes, _Image] = {}
 _CACHE_MAX = 64
 _CACHE_LOCK = threading.Lock()
 
 RULES = ("fork_free", "all")
+
+
+def _entry(image: bytes, m: Module) -> _Image:
+    """The entry of ``image`` (whose module is ``m``), validating ``m``
+    first when there is none; the caller holds :data:`_CACHE_LOCK`."""
+    entry = _CACHE.get(image)
+    if entry is None:
+        validate_module(m)
+        if len(_CACHE) >= _CACHE_MAX:
+            del _CACHE[next(iter(_CACHE))]
+        entry = _CACHE[image] = _Image()
+    return entry
+
+
+def load_image(image: bytes, name: str = "",
+               decode: Callable[..., Module] = decode_module) -> Module:
+    """The validated module of ``image``, decoded (``decode(image,
+    name=name)``) and validated once per content: every load of the same
+    bytes returns the same module, named as on its first load, which no
+    caller may change.  An image that fails to decode or validate is not
+    cached, so it fails on every load."""
+    entry = _CACHE.get(image)
+    if entry is None or entry.module is None:
+        with _CACHE_LOCK:
+            entry = _CACHE.get(image)
+            if entry is None or entry.module is None:
+                m = decode(image, name=name)
+                _entry(image, m).module = m
+                return m
+    return entry.module
+
+
+def image_code(m: Module, scheme: str, rule: Optional[str]) -> tuple:
+    """``(flat, native)`` for an instance of ``m`` under safepoint
+    ``scheme`` and tier-up ``rule``: the :class:`FlatCode` of every
+    defined function, in definition order, and the compiled bodies by
+    function index (none when ``rule`` is None).
+
+    Cached by ``(image, scheme, rule)``, and ``m`` is validated only
+    when its image has no entry yet.  The rule is part of the key
+    because flat code caches its decoded form, where a call of a
+    compiled callee differs from an interpreted one: only instances with
+    the same compiled bodies share flat code.  Neither half holds
+    instance state."""
+    if rule is not None and rule not in RULES:
+        raise ValueError(f"unknown tier-up rule {rule!r}")
+    image = module_image(m)
+    entry = _CACHE.get(image)
+    code = entry.code.get((scheme, rule)) if entry is not None else None
+    if code is None:
+        with _CACHE_LOCK:
+            entry = _entry(image, m)
+            code = entry.code.get((scheme, rule))
+            if code is None:
+                native = {} if rule is None else _compile(m, scheme, rule)
+                code = entry.code[scheme, rule] = (
+                    flatten_module(m, scheme), native)
+    return code
 
 
 def compiled_functions(m: Module, scheme: str,
@@ -755,22 +839,14 @@ def compiled_functions(m: Module, scheme: str,
     Each is ``f(machine, *args)``.  A function that fails to compile, and
     every function that calls it, stays interpreted.
 
-    Cached process-wide by module content: a fresh decode of the same
-    image compiles nothing, and two modules with the same name but
+    Cached by module content (:func:`image_code`): a fresh decode of the
+    same image compiles nothing, and two modules with the same name but
     different code never share compiled code.  A compiled function
     reaches instance state only through its machine, so every instance
     of the image shares it."""
     if rule not in RULES:
         raise ValueError(f"unknown tier-up rule {rule!r}")
-    key = (module_image(m), scheme, rule)
-    with _CACHE_LOCK:
-        fns = _CACHE.get(key)
-        if fns is None:
-            fns = _compile(m, scheme, rule)
-            if len(_CACHE) >= _CACHE_MAX:
-                del _CACHE[next(iter(_CACHE))]
-            _CACHE[key] = fns
-    return fns
+    return image_code(m, scheme, rule)[1]
 
 
 def _compile(m: Module, scheme: str, rule: str) -> Dict[int, Callable]:

@@ -1,6 +1,8 @@
 """Instantiation and linking.
 
-``instantiate`` validates a module, resolves its imports against the provided
+``instantiate`` takes a module's flat code and compiled bodies from the
+image cache (:func:`repro.wasm.compile.image_code`, which validates a module
+whose image it has not seen), resolves its imports against the provided
 import object, allocates memory/table/globals, applies data and element
 segments, and returns an :class:`Instance` ready to run.
 
@@ -14,14 +16,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .compile import compiled_functions
+from .compile import image_code
 from .errors import LinkError
-from .flatten import SAFEPOINT_SCHEMES, flatten_module
+from .flatten import SAFEPOINT_SCHEMES
 from .interp import HostFunc, Machine, WasmFunc
 from .memory import LinearMemory
 from .module import Module, KIND_FUNC, KIND_GLOBAL, KIND_MEMORY, KIND_TABLE
 from .types import MASK32, MASK64
-from .validate import validate_module
 
 
 class GlobalCell:
@@ -136,19 +137,19 @@ def _const_value(instr: tuple, globals_: List[GlobalCell]):
 
 
 def instantiate(module: Module, imports: Optional[dict] = None,
-                scheme: str = "loop", validate: bool = True,
-                run_start: bool = True,
+                scheme: str = "loop", run_start: bool = True,
                 tier_up: Optional[str] = None) -> Instance:
     """Link and initialise a module; returns a live :class:`Instance`.
 
     ``tier_up`` names the rule, ``"fork_free"`` or ``"all"``, by which
     functions get compiled bodies that the interpreter calls directly
     (:func:`repro.wasm.compile.compiled_functions`); None keeps every
-    function interpreted."""
+    function interpreted.  Code is shared by every instance of the same
+    image, scheme and rule; memory, globals, table and imports are the
+    instance's own."""
     if scheme not in SAFEPOINT_SCHEMES:
         raise ValueError(f"unknown safepoint scheme {scheme!r}")
-    if validate:
-        validate_module(module)
+    flat, native = image_code(module, scheme, tier_up)
     imports = imports or {}
     inst = Instance(module, scheme)
 
@@ -191,10 +192,7 @@ def instantiate(module: Module, imports: Optional[dict] = None,
             inst.table = provider
 
     # --- definitions ---
-    native = compiled_functions(module, scheme, tier_up) \
-        if tier_up is not None else {}
-    for idx, code in enumerate(flatten_module(module, scheme),
-                               len(inst.funcs)):
+    for idx, code in enumerate(flat, len(inst.funcs)):
         inst.funcs.append(WasmFunc(code.functype, code, native.get(idx)))
 
     for mt in module.memories:

@@ -31,8 +31,10 @@ code it caches:
   fork (:meth:`Machine.clone`), to the perf frame walk and in a trap, where
   it names the trapping op;
 * it holds **no instance state** (no ``HostFunc``, memory or global): fork
-  and thread clones share ``FlatCode`` while each binds its own imports, so
-  calls, globals and memory are resolved through the running instance.
+  and thread clones, and every instance of one image under one scheme and
+  tier-up rule (:func:`repro.wasm.compile.image_code`), share ``FlatCode``
+  while each binds its own imports, so calls, globals and memory are
+  resolved through the running instance.
 
 A code object that supplies its own ``decoded`` sequence (the emulated
 tier's decode-on-fetch view) is dispatched the same way.

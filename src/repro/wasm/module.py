@@ -87,9 +87,9 @@ class Module:
     elems: List[ElemSegment] = field(default_factory=list)
     datas: List[DataSegment] = field(default_factory=list)
     name: str = ""  # debug only
-    # the binary image, the key of the compiled-code cache
-    # (compile.module_image): kept by decode_module, else encoded on
-    # first use
+    # the binary image, the key of the image cache (compile.module_image):
+    # kept by decode_module, else encoded on first use; a pass that
+    # rewrites the module in place drops it
     image: Optional[bytes] = field(default=None, init=False, repr=False,
                                    compare=False)
 

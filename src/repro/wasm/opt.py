@@ -45,7 +45,8 @@ def _rewrite_calls(body: list, remap: Dict[int, int]) -> list:
 
 
 def gc_functions(m: Module) -> Module:
-    """Remove unreachable functions and unused imports, in place."""
+    """Remove unreachable functions and unused imports, in place.  The
+    module's image, the key of every cache of its code, is dropped."""
     n_imp = m.num_imported_funcs
     func_imports = [im for im in m.imports if im.kind == KIND_FUNC]
 
@@ -100,4 +101,5 @@ def gc_functions(m: Module) -> Module:
         m.start = remap[m.start]
     for seg in m.elems:
         seg.func_idxs = [remap[fi] for fi in seg.func_idxs]
+    m.image = None
     return m

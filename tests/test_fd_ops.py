@@ -9,9 +9,10 @@ the name of its errno.  Fds that could block are non-blocking, so a
 would-block read reads ``EAGAIN``.
 
 Where this host can open the same fd type (a pipe, an eventfd, an epoll
-instance, a socketpair, a ``/tmp`` file, a directory), the same sequence
-runs on the host's fd too and must give the same outcomes: Linux is the
-oracle.
+instance, a socketpair, a ``/tmp`` file, a directory, ``/dev/null``), the
+same sequence runs on the host's fd too and must give the same outcomes:
+Linux is the oracle.  ``CALLS`` adds single calls on some rows' fds
+(``ioctl(TCGETS)``, ``pread64``, ``pwrite64``), checked the same way.
 """
 
 import errno
@@ -19,6 +20,7 @@ import fcntl
 import os
 import select
 import socket
+import termios
 
 import pytest
 
@@ -31,7 +33,7 @@ from repro.kernel.vfs import (
     AT_FDCWD, O_ACCMODE, O_DIRECTORY, O_NONBLOCK, O_RDONLY, O_RDWR,
 )
 
-POLLIN, POLLPRI, POLLOUT = 1, 2, 4
+POLLIN, POLLPRI, POLLOUT, POLLHUP = 1, 2, 4, 16
 EFD_NONBLOCK = TFD_NONBLOCK = O_NONBLOCK
 WORD = (1).to_bytes(8, "little")
 CONTENT = b"hello"
@@ -46,6 +48,10 @@ ROWS = {
     "tty": (POLLIN | POLLOUT, b"", 0, 8, "ESPIPE", "EINVAL", O_RDWR, 0),
     "pipe_read_end": (0, "EAGAIN", "EBADF", "EBADF", "ESPIPE", "EINVAL",
                       O_RDONLY, 0),
+    # the read end of an empty pipe whose writers are gone: hung up, and
+    # a read is end of file
+    "pipe_read_end_hup": (POLLHUP, b"", "EBADF", "EBADF", "ESPIPE",
+                          "EINVAL", O_RDONLY, 0),
     "pipe_write_end": (POLLOUT, "EBADF", 0, 8, "ESPIPE", "EINVAL",
                        os.O_WRONLY, 0),
     "socketpair_end": (POLLOUT, "EAGAIN", 0, 8, "ESPIPE", "EINVAL",
@@ -85,6 +91,10 @@ def _open(k, proc, row: str) -> int:
     if row in ("pipe_read_end", "pipe_write_end"):
         r, w = call("pipe2", O_NONBLOCK)
         return r if row == "pipe_read_end" else w
+    if row == "pipe_read_end_hup":
+        r, w = call("pipe2", O_NONBLOCK)
+        call("close", w)
+        return r
     if row == "socketpair_end":
         a, _b = call("socketpair", AF_INET, SOCK_STREAM)
         call("fcntl", a, F_SETFL, O_NONBLOCK)
@@ -121,11 +131,15 @@ def _outcomes(ops):
     return tuple(out)
 
 
-def _kernel_row(row: str):
+def _kernel_fd(row: str):
+    """A fresh kernel's fd of ``row`` and a caller in its process."""
     k = Kernel()
     proc = k.create_process(["fdops"])
-    fd = _open(k, proc, row)
-    call = lambda *a: k.call(proc, *a)  # noqa: E731
+    return _open(k, proc, row), lambda *a: k.call(proc, *a)
+
+
+def _kernel_row(row: str):
+    fd, call = _kernel_fd(row)
 
     def poll():
         ready = call("ppoll", [(fd, POLLIN | POLLPRI | POLLOUT)], 0)
@@ -180,6 +194,12 @@ def _host_fd(row, tmp_path, keep):
         return os.open(path, os.O_RDWR)
     if row == "directory":
         return os.open(tmp_path, os.O_RDONLY | os.O_DIRECTORY)
+    if row == "dev_null":
+        return os.open("/dev/null", os.O_RDWR)
+    if row == "pipe_read_end_hup":
+        r, w = os.pipe2(os.O_NONBLOCK)
+        os.close(w)
+        return r
     if row in ("pipe_read_end", "pipe_write_end"):
         r, w = os.pipe2(os.O_NONBLOCK)
         mine, other = (r, w) if row == "pipe_read_end" else (w, r)
@@ -200,8 +220,9 @@ def _host_fd(row, tmp_path, keep):
     raise KeyError(row)
 
 
-HOST_ROWS = ["directory", "epoll", "eventfd", "pipe_read_end",
-             "pipe_write_end", "socketpair_end", "tmp_file"]
+HOST_ROWS = ["dev_null", "directory", "epoll", "eventfd", "pipe_read_end",
+             "pipe_read_end_hup", "pipe_write_end", "socketpair_end",
+             "tmp_file"]
 
 
 @pytest.mark.skipif(not hasattr(os, "eventfd"), reason="needs Linux")
@@ -214,3 +235,53 @@ def test_fd_type_matches_linux(row, tmp_path):
     finally:
         for other in keep:
             os.close(other)
+
+
+# ---- single calls on a row's fd ----
+
+TCGETS = 0x5401
+
+# (row, call) -> outcome: only a terminal answers TCGETS (a guest's
+# isatty), and a directory is not read or written at an offset
+CALLS = {
+    ("tty", "TCGETS"): 0,
+    ("dev_null", "TCGETS"): "ENOTTY",
+    ("directory", "pread64"): "EISDIR",
+    ("directory", "pwrite64"): "EBADF",
+}
+HOST_CALLS = [key for key in CALLS if key[0] in HOST_ROWS]
+
+
+def _kernel_call(call, fd: int, name: str):
+    if name == "TCGETS":
+        return call("ioctl", fd, TCGETS, 0)
+    if name == "pread64":
+        return call("pread64", fd, 10, 0)
+    return call("pwrite64", fd, b"x", 0)
+
+
+def _host_call(fd: int, name: str):
+    if name == "TCGETS":
+        fcntl.ioctl(fd, termios.TCGETS, bytes(60))
+        return 0
+    if name == "pread64":
+        return os.pread(fd, 10, 0)
+    return os.pwrite(fd, b"x", 0)
+
+
+@pytest.mark.parametrize("row,name", sorted(CALLS))
+def test_fd_call_outcomes(row, name):
+    fd, call = _kernel_fd(row)
+    assert _outcomes([lambda: _kernel_call(call, fd, name)]) == \
+        (CALLS[row, name],)
+
+
+@pytest.mark.skipif(not hasattr(os, "eventfd"), reason="needs Linux")
+@pytest.mark.parametrize("row,name", sorted(HOST_CALLS))
+def test_fd_call_matches_linux(row, name, tmp_path):
+    fd = _host_fd(row, tmp_path, [])
+    try:
+        assert _outcomes([lambda: _host_call(fd, name)]) == \
+            (CALLS[row, name],)
+    finally:
+        os.close(fd)
